@@ -1,4 +1,4 @@
-// Ablation (DESIGN.md §6): ring vs. star aggregation for the Paillier
+// Ablation (see EXPERIMENTS.md): ring vs. star aggregation for the Paillier
 // sums of Protocols 2-3.
 //
 // Ring (the paper's choice): each agent multiplies its ciphertext into

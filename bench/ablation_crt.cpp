@@ -1,4 +1,4 @@
-// Ablation (DESIGN.md §6): CRT acceleration of both halves of the
+// Ablation (see EXPERIMENTS.md): CRT acceleration of both halves of the
 // Paillier hot path.
 //
 //   * Decryption: mod p²/q² with exponents reduced mod p-1/q-1 vs. the

@@ -34,8 +34,7 @@ int main(int argc, char** argv) {
               "avg runtime/window (s)", "speedup");
   double serial_baseline = 0.0;
   for (const net::TransportKind kind :
-       {net::TransportKind::kSerialBus, net::TransportKind::kConcurrentBus,
-        net::TransportKind::kSocket}) {
+       {net::TransportKind::kSerialBus, net::TransportKind::kConcurrentBus}) {
     for (const int threads : thread_counts) {
       const net::ExecutionPolicy policy{kind, threads};
       const bench::CryptoWindowCost cost = bench::MeasureCryptoWindows(
@@ -82,11 +81,11 @@ int main(int argc, char** argv) {
       "comparison dominate — the paper's ~1 s/window on 8 ARM cores is\n"
       "consistent with the 8-thread point on comparable hardware; the\n"
       "concurrent transport adds only mutex overhead at equal thread count,\n"
-      "the socket transport adds the syscall + frame-codec cost of a real\n"
-      "per-container deployment on top of that, and the forked backends\n"
-      "(fork-per-agent socketpairs, and loopback TCP with rendezvous +\n"
-      "TCP_NODELAY) pay shadow re-derivation per child — their bytes, not\n"
-      "their wall clock, are the paper-faithful number\n",
+      "and the forked backends (fork-per-agent socketpairs, and loopback\n"
+      "TCP with rendezvous + TCP_NODELAY) pay the syscall + frame-codec\n"
+      "cost of a real per-container deployment plus shadow re-derivation\n"
+      "per child — their bytes, not their wall clock, are the\n"
+      "paper-faithful number\n",
       hw);
   return 0;
 }

@@ -1,4 +1,4 @@
-// Ablation (DESIGN.md §6): idle-time precomputation of Paillier
+// Ablation (see EXPERIMENTS.md): idle-time precomputation of Paillier
 // encryption randomness.
 //
 // This reproduces the paper's explanation for Fig. 5(b): "the key size

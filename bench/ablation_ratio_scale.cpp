@@ -1,4 +1,4 @@
-// Ablation (DESIGN.md §6): precision of the Protocol-4 reciprocal
+// Ablation (see EXPERIMENTS.md): precision of the Protocol-4 reciprocal
 // trick as a function of the integer scale K.
 //
 // Each buyer sends Enc(E_b)^round(K/|sn_j|); the seller recovers the

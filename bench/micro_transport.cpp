@@ -183,7 +183,6 @@ int main(int argc, char** argv) {
 
   const std::vector<std::pair<net::TransportKind, const char*>> kBackends = {
       {net::TransportKind::kConcurrentBus, "concurrent"},
-      {net::TransportKind::kSocket, "socket"},
       {net::TransportKind::kProcess, "process"},
       {net::TransportKind::kTcp, "tcp"},
       {net::TransportKind::kShm, "shm"},

@@ -45,11 +45,11 @@ int main() {
   config.market.price_floor = 0.90;
   config.market.price_ceiling = 1.10;
 
-  // Run this market over the socket backend: each operator's frames
-  // cross its own Unix-domain channel pair, the way the paper deploys
-  // one container per agent.
+  // One spectrum epoch over the serial in-process bus; the forked
+  // backends (ExecutionPolicy::Process() and friends) run the same
+  // protocol one process per operator through core::RunSimulation.
   std::unique_ptr<net::Transport> bus =
-      net::MakeTransport(net::TransportKind::kSocket, n);
+      net::MakeTransport(net::TransportKind::kSerialBus, n);
   std::vector<net::Endpoint> agents = bus->endpoints();
   crypto::SystemRng& rng = crypto::SystemRng::Instance();
   std::vector<protocol::Party> parties;

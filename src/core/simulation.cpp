@@ -166,7 +166,7 @@ SimulationResult RunSimulationProcess(const grid::CommunityTrace& trace,
     return 0;
   };
 
-  const net::TransportOptions topts = ResolveTransportOptions(config);
+  const net::TransportOptions& topts = config.policy.transport;
   std::unique_ptr<net::AgentSupervisor> transport_owner;
   if (config.policy.transport_kind == net::TransportKind::kTcp) {
     net::TcpTransport::Options opts;
@@ -269,27 +269,6 @@ SimulationResult RunSimulationProcess(const grid::CommunityTrace& trace,
 }
 
 }  // namespace
-
-net::TransportOptions ResolveTransportOptions(const SimulationConfig& config) {
-  net::TransportOptions opts = config.policy.transport;
-  // Deprecated SimulationConfig aliases, kept one release: a legacy
-  // field that was explicitly assigned wins — including one assigned
-  // its historical default (the optionals latch "was set", so
-  // e.g. tcp_port = 0 restoring auto-assign is honored instead of
-  // silently dropped, the old default-inequality precedence bug).
-  if (config.process_watchdog_ms.has_value()) {
-    opts.watchdog_ms = *config.process_watchdog_ms;
-  }
-  if (config.tcp_host.has_value()) opts.tcp_host = *config.tcp_host;
-  if (config.tcp_port.has_value()) opts.tcp_port = *config.tcp_port;
-  if (config.tcp_verify_frames.has_value()) {
-    opts.tcp_verify_frames = *config.tcp_verify_frames;
-  }
-  if (config.shm_ring_bytes.has_value()) {
-    opts.shm_ring_bytes = *config.shm_ring_bytes;
-  }
-  return opts;
-}
 
 SimulationResult RunSimulation(const grid::CommunityTrace& trace,
                                const SimulationConfig& config) {

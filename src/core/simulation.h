@@ -13,8 +13,6 @@
 // this to keep full-day sweeps tractable — see EXPERIMENTS.md).
 #pragma once
 
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "grid/trace.h"
@@ -49,15 +47,16 @@ struct SimulationConfig {
   // Crypto engine execution model: which Transport backend carries the
   // frames and how many workers the protocol compute phases use.  The
   // default is the serial engine; ExecutionPolicy::Parallel(n) selects
-  // the phase-parallel engine on the mutex-guarded bus,
-  // ExecutionPolicy::Socket() routes frames over per-agent Unix-domain
-  // socketpairs like the paper's per-container deployment, and
-  // ExecutionPolicy::Process() forks one OS process per agent — each
-  // child runs its own agent's side of every phase over its inherited
-  // socketpair end, the parent routes frames and collects results, and
-  // bus_bytes are literal cross-process socket bytes.  The wire
-  // transcript and market outcomes are policy-invariant (asserted by
-  // test_transcript_parity's serial/concurrent/socket/process matrix).
+  // the phase-parallel engine on the mutex-guarded bus, and
+  // ExecutionPolicy::Process() forks one OS process per agent like the
+  // paper's per-container deployment — each child runs its own agent's
+  // side of every phase over its inherited socketpair end, the parent
+  // routes frames and collects results, and bus_bytes are literal
+  // cross-process socket bytes (Tcp() and Shm() are the same model
+  // over loopback TCP and shared-memory rings).  Backend tuning lives
+  // in policy.transport.  The wire transcript and market outcomes are
+  // policy-invariant (asserted by test_transcript_parity's five-way
+  // serial/concurrent/process/tcp/shm matrix).
   // The between-window randomness-pool refill
   // (pem.precompute_encryption) fans out across the same worker count —
   // the paper's "executed in parallel during idle time" — without
@@ -68,24 +67,6 @@ struct SimulationConfig {
   // forked backends, whose children copy pem (and with it the plan
   // seed) at fork time.
   net::ExecutionPolicy policy;
-  // DEPRECATED backend-knob aliases — the per-backend tuning moved
-  // into net::TransportOptions (config.policy.transport), so one
-  // ExecutionPolicy object fully specifies a backend.  These five
-  // fields are kept for exactly one release: a field that was
-  // explicitly ASSIGNED wins over policy.transport, even when assigned
-  // its historical default (optional-backed so "set back to the
-  // default" is distinguishable from "never touched" — the old
-  // default-inequality precedence silently dropped e.g. tcp_port = 0
-  // restoring auto-assign).  New code sets config.policy.transport.*
-  // instead.  Historical defaults, applied by ResolveTransportOptions
-  // only when a field was set: watchdog 120'000 ms, host "127.0.0.1",
-  // port 0 (auto), verify_frames false, ring 1 MiB.
-  std::optional<int> process_watchdog_ms;  // -> policy.transport.watchdog_ms
-  std::optional<std::string> tcp_host;     // -> policy.transport.tcp_host
-  std::optional<uint16_t> tcp_port;        // -> policy.transport.tcp_port
-  std::optional<bool> tcp_verify_frames;
-  // -> policy.transport.tcp_verify_frames
-  std::optional<size_t> shm_ring_bytes;  // -> policy.transport.shm_ring_bytes
   // Optional tap on every delivered bus message (crypto engine only);
   // used for transcript comparison and debugging.  The callback may
   // run under the transport's lock, so it must not call back into the
@@ -161,13 +142,5 @@ struct SimulationResult {
 
 SimulationResult RunSimulation(const grid::CommunityTrace& trace,
                                const SimulationConfig& config);
-
-// The backend tuning a run will actually use: config.policy.transport,
-// overridden by any deprecated SimulationConfig alias that was
-// explicitly assigned (optional engaged) — including one assigned its
-// historical default.  Exposed so the alias-compat tests can assert
-// the folding without forking a backend; RunSimulation's process paths
-// call exactly this.
-net::TransportOptions ResolveTransportOptions(const SimulationConfig& config);
 
 }  // namespace pem::core

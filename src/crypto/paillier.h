@@ -111,7 +111,7 @@ class PaillierPrivateKey {
   BigInt Decrypt(const PaillierCiphertext& c) const;
   int64_t DecryptSigned(const PaillierCiphertext& c) const;
 
-  // Toggle CRT decryption (ablation: see DESIGN.md §6).
+  // Toggle CRT decryption (ablation: bench/ablation_crt).
   void set_use_crt(bool use_crt) { use_crt_ = use_crt; }
   bool use_crt() const { return use_crt_; }
 

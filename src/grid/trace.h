@@ -1,7 +1,7 @@
 // Synthetic one-day community trace.
 //
 // Stands in for the UMass Smart* dataset the paper uses (300 homes'
-// solar generation + load over one day; see DESIGN.md §4).  Each home
+// solar generation + load over one day).  Each home
 // gets its own panel capacity, load shape, utility preference k_i,
 // battery and seed, so roles churn across windows the way Fig. 4 shows.
 // Traces round-trip through CSV for the examples.

@@ -23,7 +23,7 @@ double BuyerCost(double price, double market_purchase, double retail_price,
 // but that contradicts Eq. 4 (whose derivative in l is k/(1+l+eps*b),
 // with no eps factor) and Eq. 13 (whose price is derived from Σ k_i,
 // not Σ k_i*eps_i).  Dropping the spurious eps makes Eqs. 4, 13 and 15
-// mutually consistent; see DESIGN.md §4.
+// mutually consistent.
 double OptimalSellerLoad(double k, double epsilon, double price,
                          double battery);
 

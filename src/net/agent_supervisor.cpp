@@ -166,10 +166,38 @@ void AgentSupervisor::AccountDeliveredCopy(const Message& copy) {
   if (observer_) observer_(copy);
 }
 
+bool AgentSupervisor::ConvictWire(AgentId owner, const std::string& what) {
+  RecordFault(owner, "agent supervisor: agent " + std::to_string(owner) +
+                         " wire carried " + what);
+  closed_[static_cast<size_t>(owner)] = true;
+  return false;
+}
+
+bool AgentSupervisor::RouteBufferedFrames(AgentId owner) {
+  const int n = num_agents();
+  FrameDecoder& rx = rx_[static_cast<size_t>(owner)];
+  Message frame;
+  for (;;) {
+    const FrameDecodeStatus status = rx.Pop(frame);
+    if (status == FrameDecodeStatus::kNeedMore) return true;
+    if (status == FrameDecodeStatus::kCorrupt) {
+      return ConvictWire(owner, "a corrupt frame (bad header checksum or "
+                                "length prefix)");
+    }
+    if (frame.from != owner) {
+      return ConvictWire(owner, "a frame with forged sender id " +
+                                    std::to_string(frame.from));
+    }
+    if (frame.to != kBroadcast && (frame.to < 0 || frame.to >= n)) {
+      return ConvictWire(owner, "a frame for out-of-range recipient " +
+                                    std::to_string(frame.to));
+    }
+    RouteFrame(frame);
+  }
+}
+
 void AgentSupervisor::RouteFrame(const Message& frame) {
   const int n = num_agents();
-  PEM_CHECK(frame.from >= 0 && frame.from < n,
-            "agent supervisor: routed frame forges its sender");
   if (frame.to == kBroadcast) {
     for (AgentId to = 0; to < n; ++to) {
       if (to == frame.from) continue;
@@ -180,8 +208,6 @@ void AgentSupervisor::RouteFrame(const Message& frame) {
     }
     return;
   }
-  PEM_CHECK(frame.to >= 0 && frame.to < n,
-            "agent supervisor: routed frame has a bad recipient");
   AccountDeliveredCopy(frame);
   AppendFrame(pending_[static_cast<size_t>(frame.to)].bytes, frame);
 }
@@ -310,11 +336,7 @@ void AgentSupervisor::RouterLoop() {
           }
           rx_[i].Feed(std::span<const uint8_t>(scratch.data(),
                                                static_cast<size_t>(r)));
-          while (std::optional<Message> f = rx_[i].Next()) {
-            PEM_CHECK(f->from == a,
-                      "agent supervisor: child framed another agent's id");
-            RouteFrame(*f);
-          }
+          if (!RouteBufferedFrames(a)) break;
         }
       }
     }

@@ -235,8 +235,16 @@ class AgentSupervisor {
     int wait_status = 0;
   };
 
+  // Router thread only.  A child's wire bytes are untrusted input, and
+  // its wire is its identity: a corrupt frame, a forged sender id or an
+  // out-of-range recipient convicts the wire's owner — the fault is
+  // latched naming it, the wire is closed, nothing of the bad frame is
+  // accounted — while the router keeps serving the other children.
+  // RouteBufferedFrames returns false once `owner` is convicted.
   void RouterLoop();
-  void RouteFrame(const Message& frame);  // router thread only
+  bool RouteBufferedFrames(AgentId owner);
+  bool ConvictWire(AgentId owner, const std::string& what);  // -> false
+  void RouteFrame(const Message& frame);  // validated frames only
   void FlushPending(AgentId dest);        // router thread only
   void WakeRouter();
   // waitpid with deadline; marks reaped.  Returns false on timeout.

@@ -8,8 +8,9 @@
 //
 // MessageBus is the serial Transport backend: no locking, so it must
 // only be touched from one thread.  For phase-parallel runs see
-// ConcurrentMessageBus (net/concurrent_bus.h); for per-agent kernel
-// channels see SocketTransport (net/socket_transport.h).
+// ConcurrentMessageBus (net/concurrent_bus.h); for one process per
+// agent over kernel channels see ProcessTransport
+// (net/process_transport.h).
 #pragma once
 
 #include <cstdint>

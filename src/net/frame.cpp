@@ -81,11 +81,9 @@ void FrameDecoder::Feed(std::span<const uint8_t> bytes) {
   buf_.insert(buf_.end(), bytes.begin(), bytes.end());
 }
 
-std::optional<Message> FrameDecoder::Next() {
+FrameDecodeStatus FrameDecoder::Pop(Message& out) {
   FrameDecodeResult r = DecodeFrame(std::span<const uint8_t>(buf_).subspan(off_));
-  if (r.status == FrameDecodeStatus::kNeedMore) return std::nullopt;
-  PEM_CHECK(r.status == FrameDecodeStatus::kFrame,
-            "frame stream corrupt (encoder/decoder mismatch)");
+  if (r.status != FrameDecodeStatus::kFrame) return r.status;
   off_ += r.consumed;
   if (off_ == buf_.size()) {
     buf_.clear();
@@ -94,7 +92,17 @@ std::optional<Message> FrameDecoder::Next() {
     buf_.erase(buf_.begin(), buf_.begin() + static_cast<ptrdiff_t>(off_));
     off_ = 0;
   }
-  return std::move(r.frame);
+  out = std::move(r.frame);
+  return FrameDecodeStatus::kFrame;
+}
+
+std::optional<Message> FrameDecoder::Next() {
+  Message m;
+  const FrameDecodeStatus status = Pop(m);
+  if (status == FrameDecodeStatus::kNeedMore) return std::nullopt;
+  PEM_CHECK(status == FrameDecodeStatus::kFrame,
+            "frame stream corrupt (encoder/decoder mismatch)");
+  return m;
 }
 
 }  // namespace pem::net

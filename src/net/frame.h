@@ -9,9 +9,9 @@
 // corrupted or misaligned length prefix is rejected instead of making
 // the decoder swallow garbage as a giant payload.  Every transport
 // backend accounts exactly FramedSize(msg) bytes per delivered copy;
-// SocketTransport additionally puts these literal bytes on its
-// socketpairs, which is what lets test_transcript_parity assert that
-// the in-process buses and the socket backend carry identical traffic.
+// the forked backends additionally put these literal bytes on their
+// wires, which is what lets test_transcript_parity assert that the
+// in-process buses and the forked backends carry identical traffic.
 #pragma once
 
 #include <cstddef>
@@ -58,13 +58,17 @@ struct FrameDecodeResult {
 FrameDecodeResult DecodeFrame(std::span<const uint8_t> buf);
 
 // Streaming reassembly of a frame sequence (one per socket direction).
-// Feed() appends raw bytes; Next() pops complete frames in order.  The
-// stream comes from our own encoder, so corruption is a programming
-// error: Next() aborts on it (use DecodeFrame directly to handle
-// untrusted input non-fatally).
+// Feed() appends raw bytes; Pop() and Next() take complete frames in
+// order.  Pop() is the untrusted-input path: it reports a corrupt
+// stream as kCorrupt (leaving the bad bytes buffered — a stream cannot
+// resynchronize past them, so the caller stops reading it).  Next() is
+// for streams that come from our own encoder, where corruption is a
+// programming error: it aborts on it.
 class FrameDecoder {
  public:
   void Feed(std::span<const uint8_t> bytes);
+  // Moves the next complete frame into `out` on kFrame.
+  FrameDecodeStatus Pop(Message& out);
   std::optional<Message> Next();
   size_t buffered_bytes() const { return buf_.size() - off_; }
 

@@ -162,6 +162,12 @@ void ProcessChildTransport::VerifyQuiescent() const {
             "process child transport: unread wire bytes at teardown");
 }
 
+void ProcessChildTransport::WriteWireBytesForTest(
+    std::span<const uint8_t> bytes) {
+  SendAllOrThrow(wire_fd_, bytes.data(), bytes.size(), self_,
+                 "process child transport: wire");
+}
+
 // --- child entry point ------------------------------------------------
 
 void RunAdoptedChild(AgentId self, int num_agents, int wire_fd, int ctl_fd,

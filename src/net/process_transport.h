@@ -39,6 +39,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "net/agent_supervisor.h"
@@ -92,6 +93,11 @@ class ProcessChildTransport : public Transport {
   // Called after the protocol script completes; anything left means the
   // wire and the deterministic script diverged.
   void VerifyQuiescent() const;
+
+  // Test hook: writes `bytes` raw onto this agent's wire, bypassing
+  // Send() and the shadow — how a compromised child would forge,
+  // corrupt or misaddress frames.  Never called outside tests.
+  void WriteWireBytesForTest(std::span<const uint8_t> bytes);
 
  private:
   Message ReadWireFrame();  // blocking; throws TransportError on hangup

@@ -1,15 +1,14 @@
-// Shared scaffolding for the relay-thread routers.
+// Shared scaffolding for the relay router and the forked backends.
 //
-// SocketTransport (in-process socketpairs), ProcessTransport
-// (fork-per-agent) and TcpTransport (TCP rendezvous) all run a single
-// router thread that must never block on one slow peer: routed frames
-// queue in a per-destination PendingBuf and are flushed with
-// nonblocking writes, and senders unpark a router sleeping in poll()
-// through a wake socketpair.  This header is the one copy of that
-// machinery — plus the descriptor helpers (nonblocking toggles, fully
-// retried writes, wait-status pretty printing) every backend needs —
-// because the PR-3 deadlock fix (wake-before-blocking-write) taught us
-// that hand-synced copies of relay plumbing is how such bugs survive.
+// ProcessTransport (fork-per-agent) and TcpTransport (TCP rendezvous)
+// share one relay router (net::AgentSupervisor) that must never block
+// on one slow peer: routed frames queue in a per-destination
+// PendingBuf and are flushed with nonblocking writes, and the main
+// thread unparks a router sleeping in epoll through a wake
+// socketpair.  This header holds that machinery plus the descriptor
+// helpers (nonblocking toggles, fully retried writes, wait-status
+// pretty printing) every out-of-process backend needs, so no backend
+// keeps a hand-synced copy of relay plumbing.
 #pragma once
 
 #include <fcntl.h>

@@ -41,7 +41,7 @@ void SetNoDelay(int fd) {
   (void)setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 }
 
-void ShrinkSocketBuffers(int fd, int bytes) {
+void LimitSocketBuffers(int fd, int bytes) {
   if (bytes <= 0) return;
   // The kernel clamps to its floor (and doubles for bookkeeping); the
   // point is a bound FAR below one large frame, not an exact size.
@@ -124,7 +124,7 @@ TcpListener::TcpListener(const std::string& host, uint16_t port, int backlog,
   // Buffer sizes must be set on the LISTENER: accepted sockets inherit
   // them, and SO_RCVBUF after accept is too late to shrink the window
   // scale negotiated at SYN time.
-  ShrinkSocketBuffers(fd_, socket_buffer_bytes);
+  LimitSocketBuffers(fd_, socket_buffer_bytes);
   // Nonblocking so Accept() can never hang past its deadline: a dialer
   // that completes the handshake and RSTs before we reach accept(2)
   // silently vanishes from the queue, and a blocking accept would then
@@ -196,7 +196,7 @@ int TryConnectOnce(const sockaddr_in& addr, int socket_buffer_bytes,
   PEM_CHECK(fd >= 0, "tcp transport: socket() failed");
   // Buffer sizes must be set before connect to take effect on the
   // receive window.
-  ShrinkSocketBuffers(fd, socket_buffer_bytes);
+  LimitSocketBuffers(fd, socket_buffer_bytes);
   SetNonBlocking(fd);
   if (connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
           0 &&

@@ -1,7 +1,6 @@
 #include "net/transport.h"
 
 #include "net/concurrent_bus.h"
-#include "net/socket_transport.h"
 #include "util/error.h"
 
 namespace pem::net {
@@ -13,8 +12,6 @@ std::unique_ptr<Transport> MakeTransport(TransportKind kind, int num_agents) {
       return std::make_unique<MessageBus>(num_agents);
     case TransportKind::kConcurrentBus:
       return std::make_unique<ConcurrentMessageBus>(num_agents);
-    case TransportKind::kSocket:
-      return std::make_unique<SocketTransport>(num_agents);
     case TransportKind::kProcess:
       PEM_CHECK(false,
                 "MakeTransport: kProcess forks one child per agent and needs "

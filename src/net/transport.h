@@ -13,14 +13,15 @@
 //                         from ParallelFor workers while preserving
 //                         per-agent FIFO order and byte-exact
 //                         TrafficStats accounting;
-//   * SocketTransport   — per-agent Unix-domain socketpairs carrying
-//                         net/frame.h frames through one relay-thread
-//                         router, modelling the paper's one-container-
-//                         per-agent deployment inside one process.
+//   * ProcessTransport, TcpTransport, ShmTransport — one forked OS
+//                         process per agent (the paper's one-container-
+//                         per-agent deployment), supervised by
+//                         net::AgentSupervisor and driven through
+//                         core::RunSimulation.
 // All backends account identical bytes for identical message
 // sequences — exactly FramedSize(msg) per delivered copy — which is
-// what lets test_transcript_parity assert a serial/concurrent/socket
-// three-way parity of the wire transcript.
+// what lets test_transcript_parity assert a five-way parity of the
+// wire transcript.
 #pragma once
 
 #include <cstdint>
@@ -113,10 +114,6 @@ struct TrafficLedger {
 
 class Transport {
  public:
-  // Frame overhead charged per message.  The codec (net/frame.h) is
-  // the source of truth; this alias exists for accounting arithmetic.
-  static constexpr uint64_t kFrameOverheadBytes = kFrameHeaderBytes;
-
   // Observer invoked for every delivered message (after broadcast
   // fan-out).  Used by transcript-inspection tests and debug tracing;
   // pass nullptr to clear.  Concurrent backends invoke it under their
@@ -137,7 +134,7 @@ class Transport {
 
   // Pops the next message for `agent`; nullopt when nothing has been
   // sent to it that it has not already popped.  Backends with delivery
-  // latency (SocketTransport) block until an already-sent message
+  // latency (a forked child's wire) block until an already-sent message
   // arrives rather than returning a spurious nullopt.
   virtual std::optional<Message> Receive(AgentId agent) = 0;
   virtual bool HasMessage(AgentId agent) const = 0;
@@ -228,7 +225,6 @@ inline uint64_t TotalBytesSent(std::span<const Endpoint> endpoints) {
 enum class TransportKind {
   kSerialBus,      // MessageBus: single-threaded, no locking
   kConcurrentBus,  // ConcurrentMessageBus: safe under ParallelFor
-  kSocket,         // SocketTransport: framed Unix-domain socketpairs
   kProcess,        // ProcessTransport: one forked OS process per agent
   kTcp,            // TcpTransport: one process per agent over TCP
   kShm,            // ShmTransport: one process per agent over shared-
@@ -241,7 +237,6 @@ inline const char* TransportKindName(TransportKind k) {
   switch (k) {
     case TransportKind::kSerialBus: return "serial";
     case TransportKind::kConcurrentBus: return "concurrent";
-    case TransportKind::kSocket: return "socket";
     case TransportKind::kProcess: return "process";
     case TransportKind::kTcp: return "tcp";
     case TransportKind::kShm: return "shm";
@@ -300,11 +295,6 @@ struct ExecutionPolicy {
   static ExecutionPolicy Serial() { return {}; }
   static ExecutionPolicy Parallel(int threads) {
     return {TransportKind::kConcurrentBus, threads};
-  }
-  // Frames over Unix-domain socketpairs (the per-container deployment
-  // model); compute workers are independent of the backend choice.
-  static ExecutionPolicy Socket(int threads = 1) {
-    return {TransportKind::kSocket, threads};
   }
   // One forked OS process per agent: each child inherits exactly its
   // own socketpair end and runs a single agent's side of every phase

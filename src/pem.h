@@ -35,7 +35,6 @@
 #include "net/frame.h"
 #include "net/message.h"
 #include "net/serialize.h"
-#include "net/socket_transport.h"
 #include "net/transport.h"
 
 // The privacy-preserving protocols and the simulation driver.

@@ -23,7 +23,7 @@
 // depend on the plan shape, but the market outcome does not: a
 // hierarchical plan's prices and trades are bit-identical to the flat
 // ring's (the plan invariants in topology.h; test_topology asserts it
-// across all six transport backends).
+// across all five transport backends).
 #pragma once
 
 #include <functional>

@@ -48,7 +48,8 @@ std::vector<double> ComputeRatios(ProtocolContext& ctx,
 
   // Lines 6-7: each member sends Enc(total * K / share) to the
   // aggregator.  K/share is rounded to an integer scalar; the scale K
-  // keeps the relative rounding error below ~1e-5 (see DESIGN.md §6).
+  // keeps the relative rounding error below ~1e-5 (bench/
+  // ablation_ratio_scale measures it).
   // Phased like the ring aggregations: the scalars and rerandomization
   // randomness are fixed sequentially, the per-member exponentiations
   // (ScalarMul + rerandomize — each member's dominant cost) fan out

@@ -16,8 +16,8 @@
 namespace pem {
 
 // Default scale: micro-units.  1 kWh -> 1'000'000 units.  Chosen so a
-// 300-home market over a day stays far below 2^63 (see DESIGN.md §6 for
-// the scale ablation).
+// 300-home market over a day stays far below 2^63 (EXPERIMENTS.md,
+// "Ablations", has the scale ablation).
 inline constexpr int64_t kFixedPointScale = 1'000'000;
 
 class FixedPoint {

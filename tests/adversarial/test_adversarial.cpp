@@ -9,7 +9,7 @@
 //   * every scripted cheat class (mis-encrypted contribution,
 //     commitment mismatch, replayed contribution, forged byte count)
 //     is detected and NAMED — identical structured ProtocolFault — on
-//     serial / concurrent / socket / process / tcp / shm;
+//     serial / concurrent / process / tcp / shm;
 //   * the window still completes for the honest survivors: the cheater
 //     is excluded mid-window and the coalitions re-form without it;
 //   * honest agents' wire bytes are byte-identical to a cheat-free run
@@ -241,15 +241,13 @@ void ExpectSingleFault(const AdvRun& run, CheatClass cheat,
 
 // Every cheat class, every backend: detection is a deterministic
 // function of the transcript, so the SAME named fault must come out of
-// all six transports.
+// all five transports.
 void ExpectCheatCaughtEverywhere(CheatClass cheat) {
   const protocol::PemConfig cfg = AuditedConfig({kCheater, cheat, 0});
   ExpectSingleFault(RunAuditedWindow(net::ExecutionPolicy::Serial(), cfg),
                     cheat, "serial");
   ExpectSingleFault(RunAuditedWindow(net::ExecutionPolicy::Parallel(4), cfg),
                     cheat, "concurrent");
-  ExpectSingleFault(RunAuditedWindow(net::ExecutionPolicy::Socket(), cfg),
-                    cheat, "socket");
   ExpectSingleFault(RunAuditedWindowForked(net::TransportKind::kProcess, cfg),
                     cheat, "process");
   ExpectSingleFault(RunAuditedWindowForked(net::TransportKind::kTcp, cfg),
@@ -547,8 +545,6 @@ void ExpectChurnParity(const ChurnRun& serial, const ChurnRun& other,
 TEST(AdversarialWall, ChurnDayMatchesAcrossInProcessBackends) {
   const ChurnRun serial = RunChurnDay(net::ExecutionPolicy::Serial());
   ExpectChurnParity(serial, RunChurnDay(net::ExecutionPolicy::Parallel(4)),
-                    /*strict_order=*/true);
-  ExpectChurnParity(serial, RunChurnDay(net::ExecutionPolicy::Socket()),
                     /*strict_order=*/true);
 }
 

@@ -1,15 +1,18 @@
-// Frame-layer replay/forgery wall.
+// Frame-layer forgery/replay wall.
 //
 // The protocol-level audit (test_adversarial.cpp) catches agents that
 // cheat INSIDE well-formed frames.  This suite attacks one layer down:
 // raw bytes pushed into a transport's ingress path without going
-// through Send() — a forged sender id on a single-owner egress
-// channel, a duplicated (replayed) frame with no matching send ticket,
-// a shared-memory ring record with a stale sequence number, a record
-// squatting in another pair's ring, a corrupt frame.  Every one must
-// surface as a structured TransportFault naming the compromised
-// channel — never an abort, never silent acceptance into the ledger —
-// while the surviving channels keep flowing.
+// through Send() — a forged sender id, a corrupt frame or an
+// out-of-range recipient on a forked child's single-owner wire into
+// the parent's relay router, a shared-memory ring record with a stale
+// sequence number, a record squatting in another pair's ring.  Every
+// one must surface as a structured TransportFault naming the
+// compromised channel — never an abort, never silent acceptance into
+// the ledger — while the surviving channels keep flowing.  (A replayed
+// but well-formed frame on a forked wire is caught one layer up: the
+// receiving child's shadow verification and the parent's per-window
+// ledger cross-check, exercised by the adversarial wall.)
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -20,8 +23,8 @@
 #include <vector>
 
 #include "net/frame.h"
+#include "net/process_transport.h"
 #include "net/shm_transport.h"
-#include "net/socket_transport.h"
 
 namespace pem::net {
 namespace {
@@ -51,85 +54,95 @@ bool WaitFor(Pred pred, int timeout_ms = 10'000) {
   return pred();
 }
 
-// Works for both Transport (socket) and AgentSupervisor (shm) faults.
-template <typename T>
-std::optional<TransportFault> AwaitFault(const T& t) {
+std::optional<TransportFault> AwaitFault(const AgentSupervisor& t) {
   WaitFor([&t] { return t.fault().has_value(); });
   return t.fault();
 }
 
-// --- SocketTransport ingress --------------------------------------------
+// --- ProcessTransport relay-router ingress ---------------------------
 
-TEST(FrameInjection, SocketForgedSenderIdLatchesStructuredFault) {
-  SocketTransport st(3);
-  // Agent 1's egress channel carries a frame claiming to be from agent
-  // 2: impossible without squatting on the channel, since Send() pins
-  // the sender to the channel owner.
-  st.InjectEgressBytesForTest(1, EncodeFrame(Msg(2, 0)));
-  const std::optional<TransportFault> fault = AwaitFault(st);
-  ASSERT_TRUE(fault.has_value());
-  EXPECT_EQ(fault->agent, 1);
-  EXPECT_EQ(fault->code, ErrorCode::kProtocolViolation);
-  EXPECT_NE(fault->detail.find("forged sender"), std::string::npos)
-      << fault->detail;
-  // The forged frame never entered the ledger or an inbox.
-  EXPECT_EQ(st.total_bytes(), 0u);
-  EXPECT_FALSE(st.HasMessage(0));
-  // Survivors keep flowing: the other channels still route.
-  st.Send(Msg(0, 2));
-  const std::optional<Message> got = st.Receive(2);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_TRUE(*got == Msg(0, 2));
+// Control commands the injection children obey: agent 1 writes the
+// scenario's raw bytes onto its own wire; agents 0 and 2 run a one-frame
+// script (0 sends to 2, 2 consumes it byte-matched) and report what 2
+// received.  Every child answers each command with a kCtlRepWindow.
+constexpr uint8_t kInject = 1;
+constexpr uint8_t kExchange = 2;
+constexpr AgentId kInjector = 1;
+
+Message SurvivorFrame() { return Msg(0, 2, 0x4000, {5, 6, 7}); }
+
+AgentSupervisor::ChildMain InjectingChild(std::vector<uint8_t> bytes) {
+  return [bytes = std::move(bytes)](AgentId self, Transport& wire,
+                                    ControlChannel& ctl) -> int {
+    for (;;) {
+      const ControlRecord rec = ctl.Read(/*timeout_ms=*/120'000);
+      if (rec.tag == kCtlCmdShutdown) {
+        ctl.Write(kCtlRepDone);
+        return 0;
+      }
+      std::vector<uint8_t> report;
+      if (rec.payload.at(0) == kInject) {
+        static_cast<ProcessChildTransport&>(wire).WriteWireBytesForTest(bytes);
+      } else {
+        wire.Send(SurvivorFrame());  // real for 0, shadow-only for 2
+        if (self == 2) report = EncodeFrame(*wire.Receive(2));
+      }
+      ctl.Write(kCtlRepWindow, report);
+    }
+  };
 }
 
-TEST(FrameInjection, SocketUnsolicitedFrameHasNoTicket) {
-  SocketTransport st(2);
-  // Well-formed frame, correct sender id, but it never went through
-  // Send() — no ledger ticket exists, which proves the injection.
-  st.InjectEgressBytesForTest(0, EncodeFrame(Msg(0, 1)));
-  const std::optional<TransportFault> fault = AwaitFault(st);
-  ASSERT_TRUE(fault.has_value());
-  EXPECT_EQ(fault->agent, 0);
-  EXPECT_NE(fault->detail.find("no matching send ticket"), std::string::npos)
-      << fault->detail;
-  EXPECT_EQ(st.total_bytes(), 0u);
+// One child writes `bytes` on its wire: the parent's router must latch
+// a fault naming that child whose detail contains `expect`, account
+// nothing of the bad frame, and keep routing the surviving children.
+void ExpectProcessInjectionConvictsOnlyTheInjector(
+    const std::vector<uint8_t>& bytes, const std::string& expect) {
+  {
+    ProcessTransport pt(3, InjectingChild(bytes));
+    pt.Command(kInjector, kCtlCmdRun, std::vector<uint8_t>{kInject});
+    (void)pt.ReadRecord(kInjector);
+    const std::optional<TransportFault> fault = AwaitFault(pt);
+    ASSERT_TRUE(fault.has_value());
+    EXPECT_EQ(fault->agent, kInjector);
+    EXPECT_EQ(fault->code, ErrorCode::kProtocolViolation);
+    EXPECT_NE(fault->detail.find(expect), std::string::npos) << fault->detail;
+    EXPECT_EQ(pt.total_bytes(), 0u);
+    EXPECT_EQ(pt.total_messages(), 0u);
+
+    // Survivors keep flowing after the conviction.
+    for (const AgentId a : {0, 2}) {
+      pt.Command(a, kCtlCmdRun, std::vector<uint8_t>{kExchange});
+    }
+    (void)pt.ReadRecord(0);
+    const ControlRecord got = pt.ReadRecord(2);
+    EXPECT_EQ(got.payload, EncodeFrame(SurvivorFrame()));
+    // Exactly the survivors' frame was accounted; the injector's bytes
+    // never reached the ledger.
+    EXPECT_EQ(pt.total_messages(), 1u);
+    EXPECT_EQ(pt.total_bytes(), FramedSize(SurvivorFrame()));
+    EXPECT_EQ(pt.stats(kInjector).bytes_sent, 0u);
+    EXPECT_EQ(pt.stats(kInjector).bytes_received, 0u);
+    pt.Shutdown();
+  }
+  ExpectNoZombies();
 }
 
-TEST(FrameInjection, SocketDuplicatedFrameIsAReplay) {
-  SocketTransport st(2);
-  const Message real = Msg(0, 1);
-  st.Send(real);  // ticketed, routed, accounted
-  // An adversary replays the identical wire bytes: one ticket, two
-  // decoded frames — the second proves the replay.
-  st.InjectEgressBytesForTest(0, EncodeFrame(real));
-  const std::optional<TransportFault> fault = AwaitFault(st);
-  ASSERT_TRUE(fault.has_value());
-  EXPECT_EQ(fault->agent, 0);
-  EXPECT_NE(fault->detail.find("no matching send ticket"), std::string::npos)
-      << fault->detail;
-  // Exactly the legitimate copy was delivered and accounted.
-  EXPECT_EQ(st.total_bytes(), FramedSize(real));
-  const std::optional<Message> got = st.Receive(1);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_TRUE(*got == real);
-  EXPECT_FALSE(st.HasMessage(1));
+TEST(FrameInjection, ProcessForgedSenderIdLatchesStructuredFault) {
+  // Agent 1's wire carries a frame claiming to be from agent 2: the
+  // wire is single-owner, so the sender id is a forgery.
+  ExpectProcessInjectionConvictsOnlyTheInjector(EncodeFrame(Msg(2, 0)),
+                                                "forged sender id 2");
 }
 
-TEST(FrameInjection, SocketStaleSequenceReplayAfterLegitTraffic) {
-  SocketTransport st(3);
-  // A burst of legitimate traffic, then a replay of the FIRST frame:
-  // ticket accounting (3 tickets, 4 decoded frames) catches it even
-  // though the bytes themselves are indistinguishable from history.
-  const Message first = Msg(1, 0, 0x2000, {9, 9});
-  st.Send(first);
-  st.Send(Msg(1, 2, 0x2001));
-  st.Send(Msg(1, 0, 0x2002));
-  st.InjectEgressBytesForTest(1, EncodeFrame(first));
-  const std::optional<TransportFault> fault = AwaitFault(st);
-  ASSERT_TRUE(fault.has_value());
-  EXPECT_EQ(fault->agent, 1);
-  // Only the three ticketed frames were accounted.
-  EXPECT_EQ(st.total_messages(), 3u);
+TEST(FrameInjection, ProcessCorruptChecksumFrameLatchesStructuredFault) {
+  std::vector<uint8_t> bytes = EncodeFrame(Msg(kInjector, 0));
+  bytes[16] ^= 0xFF;  // first byte of the header checksum
+  ExpectProcessInjectionConvictsOnlyTheInjector(bytes, "corrupt frame");
+}
+
+TEST(FrameInjection, ProcessOutOfRangeRecipientLatchesStructuredFault) {
+  ExpectProcessInjectionConvictsOnlyTheInjector(
+      EncodeFrame(Msg(kInjector, 7)), "out-of-range recipient 7");
 }
 
 // --- ShmTransport ring ingress ------------------------------------------

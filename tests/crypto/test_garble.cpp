@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "crypto/circuit.h"
 #include "crypto/rng.h"
 
@@ -172,6 +174,12 @@ struct GarbleCase {
   Circuit (*build)(int);
   int bits;
 };
+
+// Keeps the pointer bytes gtest would otherwise print out of the listed
+// (and ctest-discovered) test name, so the name is the same on every run.
+void PrintTo(const GarbleCase& tc, std::ostream* os) {
+  *os << tc.name << " (" << tc.bits << " bits)";
+}
 
 class GarbleVsPlain : public ::testing::TestWithParam<GarbleCase> {};
 

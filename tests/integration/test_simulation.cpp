@@ -205,81 +205,16 @@ TEST(Simulation, WindowOffsetSkipsEarlyWindows) {
 }
 
 TEST(Simulation, TransportOptionsResolveFromPolicy) {
-  // The folded knobs: one ExecutionPolicy object fully specifies the
-  // backend.
-  SimulationConfig cfg;
-  cfg.policy = net::ExecutionPolicy::Tcp();
-  cfg.policy.transport.watchdog_ms = 5'000;
-  cfg.policy.transport.tcp_host = "10.0.0.1";
-  cfg.policy.transport.tcp_port = 7777;
-  cfg.policy.transport.tcp_verify_frames = true;
-  cfg.policy.transport.shm_ring_bytes = size_t{1} << 16;
-  const net::TransportOptions opts = ResolveTransportOptions(cfg);
-  EXPECT_EQ(opts.watchdog_ms, 5'000);
-  EXPECT_EQ(opts.tcp_host, "10.0.0.1");
-  EXPECT_EQ(opts.tcp_port, 7777);
-  EXPECT_TRUE(opts.tcp_verify_frames);
-  EXPECT_EQ(opts.shm_ring_bytes, size_t{1} << 16);
-}
-
-TEST(Simulation, DeprecatedTransportAliasesStillWin) {
-  // One-release compatibility: a legacy SimulationConfig field that was
-  // explicitly assigned overrides policy.transport, so pre-fold callers
-  // behave unchanged.
-  SimulationConfig cfg;
-  cfg.policy = net::ExecutionPolicy::Tcp();
-  cfg.policy.transport.tcp_port = 7777;
-  cfg.tcp_port = 8888;  // explicitly set alias wins
-  cfg.policy.transport.tcp_host = "192.168.1.2";  // no alias: policy rules
-  cfg.process_watchdog_ms = 9'000;
-  const net::TransportOptions opts = ResolveTransportOptions(cfg);
-  EXPECT_EQ(opts.tcp_port, 8888);
-  EXPECT_EQ(opts.tcp_host, "192.168.1.2");
-  EXPECT_EQ(opts.watchdog_ms, 9'000);
-  // Untouched knobs keep the TransportOptions defaults.
-  EXPECT_FALSE(opts.tcp_verify_frames);
-  EXPECT_EQ(opts.shm_ring_bytes, size_t{1} << 20);
-}
-
-TEST(Simulation, AliasSetBackToHistoricalDefaultStillWins) {
-  // The precedence bug this release fixes: precedence used to be
-  // default-INEQUALITY based, so an alias explicitly set BACK to its
-  // historical default (tcp_port = 0 restoring auto-assign, the
-  // watchdog restored to 120 s) was silently ignored and the
-  // policy.transport value leaked through.  The optionals latch "was
-  // set", so the assignment wins.
-  SimulationConfig cfg;
-  cfg.policy = net::ExecutionPolicy::Tcp();
-  cfg.policy.transport.tcp_port = 7777;
-  cfg.policy.transport.watchdog_ms = 5'000;
-  cfg.policy.transport.tcp_host = "192.168.1.2";
-  cfg.tcp_port = 0;                  // back to auto-assign — must win
-  cfg.process_watchdog_ms = 120'000; // back to the historical default
-  cfg.tcp_host = "127.0.0.1";        // back to loopback
-  const net::TransportOptions opts = ResolveTransportOptions(cfg);
-  EXPECT_EQ(opts.tcp_port, 0);
-  EXPECT_EQ(opts.watchdog_ms, 120'000);
-  EXPECT_EQ(opts.tcp_host, "127.0.0.1");
-}
-
-TEST(Simulation, UntouchedAliasesNeverOverridePolicy) {
-  // The flip side: aliases that were never assigned must leave every
-  // policy.transport knob alone — even the knobs whose policy values
-  // happen to equal the aliases' historical defaults.
-  SimulationConfig cfg;
+  // One ExecutionPolicy object fully specifies a backend: the tuning in
+  // policy.transport is what the forked backend RunSimulation builds
+  // actually receives.  A ring size the shm backend must reject proves
+  // the value arrived (the check fires before any child is forked).
+  const grid::CommunityTrace trace =
+      grid::GenerateCommunityTrace(SmallTrace(4, 2));
+  SimulationConfig cfg = FastCrypto();
   cfg.policy = net::ExecutionPolicy::Shm();
-  cfg.policy.transport.watchdog_ms = 7'500;
-  cfg.policy.transport.tcp_host = "10.1.2.3";
-  cfg.policy.transport.tcp_port = 4242;
-  cfg.policy.transport.tcp_verify_frames = true;
-  cfg.policy.transport.shm_ring_bytes = size_t{1} << 18;
-  EXPECT_FALSE(cfg.process_watchdog_ms.has_value());
-  const net::TransportOptions opts = ResolveTransportOptions(cfg);
-  EXPECT_EQ(opts.watchdog_ms, 7'500);
-  EXPECT_EQ(opts.tcp_host, "10.1.2.3");
-  EXPECT_EQ(opts.tcp_port, 4242);
-  EXPECT_TRUE(opts.tcp_verify_frames);
-  EXPECT_EQ(opts.shm_ring_bytes, size_t{1} << 18);
+  cfg.policy.transport.shm_ring_bytes = 5000;
+  EXPECT_DEATH((void)RunSimulation(trace, cfg), "power of two");
 }
 
 TEST(SimulationDeath, BadStrideAborts) {

@@ -3,13 +3,13 @@
 // The tentpole claim of the transport redesign: the execution policy
 // (transport backend + compute workers) changes WHO computes each
 // ciphertext, WHEN, and over WHICH medium — in-process FIFO queues,
-// a mutex-guarded bus, framed Unix-domain socketpairs, one forked OS
-// process per agent, one process per agent over loopback TCP, or one
-// process per agent over zero-copy shared-memory rings — but never
-// WHAT goes on the wire.  With the same seed, every backend must
-// produce identical prices, trades, bus bytes, PER-AGENT byte totals,
-// and an identical transcript (the serial/concurrent/socket/process/
-// tcp/shm SIX-way matrix below).
+// a mutex-guarded bus, one forked OS process per agent over inherited
+// socketpairs, one process per agent over loopback TCP, or one process
+// per agent over zero-copy shared-memory rings — but never WHAT goes
+// on the wire.  With the same seed, every backend must produce
+// identical prices, trades, bus bytes, PER-AGENT byte totals, and an
+// identical transcript (the serial/concurrent/process/tcp/shm
+// FIVE-way matrix below).
 //
 // Transcript ordering caveat for the forked backends (process, tcp,
 // shm): their agents really run concurrently, so the parent observes
@@ -305,19 +305,16 @@ WindowRun RunWindowForked(net::TransportKind kind, uint64_t seed,
   return run;
 }
 
-TEST(TranscriptParity, WindowSixWayMatrix) {
-  // serial / concurrent / socket / process / tcp / shm: same seed,
-  // same transcript, same per-agent bytes.
+TEST(TranscriptParity, WindowFiveWayMatrix) {
+  // serial / concurrent / process / tcp / shm: same seed, same
+  // transcript, same per-agent bytes.
   const WindowRun serial = RunWindow(net::ExecutionPolicy::Serial(), 42);
   const WindowRun parallel = RunWindow(net::ExecutionPolicy::Parallel(4), 42);
-  const WindowRun socket = RunWindow(net::ExecutionPolicy::Socket(), 42);
   const WindowRun process =
       RunWindowForked(net::TransportKind::kProcess, 42);
   const WindowRun tcp = RunWindowForked(net::TransportKind::kTcp, 42);
   const WindowRun shm = RunWindowForked(net::TransportKind::kShm, 42);
   ExpectWindowParity(serial, parallel);
-  ExpectWindowParity(serial, socket);
-  ExpectWindowParity(parallel, socket);
   // Forked agents: identical outcome and bytes, per-sender-identical
   // transcript (their frames really interleave on arrival) — over
   // inherited socketpairs, loopback TCP, and shared-memory rings
@@ -365,22 +362,11 @@ TEST(TranscriptParity, WindowParityHoldsAcrossSeeds) {
   }
 }
 
-TEST(TranscriptParity, SocketWithComputeWorkersAlsoMatches) {
-  // The policy axes stay independent on the socket backend too: frames
-  // over socketpairs with a parallel compute phase carry the same
-  // bytes as the serial in-process engine.
-  const WindowRun serial = RunWindow(net::ExecutionPolicy::Serial(), 7);
-  const WindowRun socket = RunWindow(net::ExecutionPolicy::Socket(4), 7);
-  ExpectWindowParity(serial, socket);
-}
-
 TEST(TranscriptParity, WindowParityWithRandomnessPools) {
   const WindowRun serial =
       RunWindow(net::ExecutionPolicy::Serial(), 11, /*pooled=*/true);
   const WindowRun parallel =
       RunWindow(net::ExecutionPolicy::Parallel(4), 11, /*pooled=*/true);
-  const WindowRun socket =
-      RunWindow(net::ExecutionPolicy::Socket(), 11, /*pooled=*/true);
   const WindowRun process =
       RunWindowForked(net::TransportKind::kProcess, 11, /*pooled=*/true);
   const WindowRun tcp =
@@ -388,7 +374,6 @@ TEST(TranscriptParity, WindowParityWithRandomnessPools) {
   const WindowRun shm =
       RunWindowForked(net::TransportKind::kShm, 11, /*pooled=*/true);
   ExpectWindowParity(serial, parallel);
-  ExpectWindowParity(serial, socket);
   ExpectWindowParity(serial, process, /*strict_order=*/false);
   ExpectWindowParity(serial, tcp, /*strict_order=*/false);
   ExpectWindowParity(serial, shm, /*strict_order=*/false);
@@ -397,7 +382,6 @@ TEST(TranscriptParity, WindowParityWithRandomnessPools) {
   // factors, and the same number of them.
   EXPECT_GT(serial.factors_consumed, 0u);
   EXPECT_EQ(parallel.factors_consumed, serial.factors_consumed);
-  EXPECT_EQ(socket.factors_consumed, serial.factors_consumed);
 }
 
 // --- CRT encryption + concurrent refill parity ------------------------
@@ -429,8 +413,6 @@ TEST(TranscriptParity, CrtAndConcurrentRefillMatrix) {
                                          /*pooled=*/true, /*crt=*/true);
   const WindowRun crt_parallel = RunWindow(net::ExecutionPolicy::Parallel(8),
                                            11, /*pooled=*/true, /*crt=*/true);
-  const WindowRun crt_socket = RunWindow(net::ExecutionPolicy::Socket(4), 11,
-                                         /*pooled=*/true, /*crt=*/true);
   const WindowRun crt_process =
       RunWindowForked(net::TransportKind::kProcess, 11, /*pooled=*/true,
                       /*crt=*/true, /*threads=*/2);
@@ -442,15 +424,14 @@ TEST(TranscriptParity, CrtAndConcurrentRefillMatrix) {
                       /*crt=*/true, /*threads=*/2);
   ExpectWindowParity(base, crt_serial);
   ExpectWindowParity(base, crt_parallel);
-  ExpectWindowParity(base, crt_socket);
   ExpectWindowParity(base, crt_process, /*strict_order=*/false);
   ExpectWindowParity(base, crt_tcp, /*strict_order=*/false);
   ExpectWindowParity(base, crt_shm, /*strict_order=*/false);
-  // All four runs must exercise the pooled branch, equally.
+  // All in-process runs must exercise the pooled branch, equally (the
+  // forked rows count factors inside the children).
   EXPECT_GT(base.factors_consumed, 0u);
   EXPECT_EQ(crt_serial.factors_consumed, base.factors_consumed);
   EXPECT_EQ(crt_parallel.factors_consumed, base.factors_consumed);
-  EXPECT_EQ(crt_socket.factors_consumed, base.factors_consumed);
 }
 
 TEST(TranscriptParity, SerialTransportWithWorkersAlsoMatches) {
@@ -534,12 +515,6 @@ TEST(TranscriptParity, FullTradingDaySerialVsPhaseParallel) {
   ExpectSimParity(serial, parallel);
 }
 
-TEST(TranscriptParity, FullTradingDaySerialVsSocket) {
-  const SimRun serial = RunSim(net::ExecutionPolicy::Serial());
-  const SimRun socket = RunSim(net::ExecutionPolicy::Socket());
-  ExpectSimParity(serial, socket);
-}
-
 TEST(TranscriptParity, FullTradingDaySerialVsProcess) {
   // Ten agents, ten OS processes, a six-window day: identical window
   // records (prices, trades, BYTES — the process bytes being literal
@@ -576,17 +551,15 @@ const ConfigTweak kBatch4 = [](core::SimulationConfig& c) {
 };
 
 TEST(TranscriptParity, BatchedDayMatchesSerialInProcess) {
-  // serial-bus / concurrent-bus / socket, all batched 4 wide, against
-  // the windows_in_flight = 1 serial baseline.  The concurrent row is
-  // the fused one (batched AND parallel compute); the other two prove
+  // serial-bus / concurrent-bus, both batched 4 wide, against the
+  // windows_in_flight = 1 serial baseline.  The concurrent row is the
+  // fused one (batched AND parallel compute); the serial-bus row proves
   // the scheduler is inert when there is no team to fuse onto.
   const SimRun serial = RunSim(net::ExecutionPolicy::Serial());
   const SimRun bus = RunSim(net::ExecutionPolicy::Serial(), kBatch4);
   const SimRun fused = RunSim(net::ExecutionPolicy::Parallel(4), kBatch4);
-  const SimRun socket = RunSim(net::ExecutionPolicy::Socket(4), kBatch4);
   ExpectSimParity(serial, bus);
   ExpectSimParity(serial, fused);
-  ExpectSimParity(serial, socket);
 }
 
 TEST(TranscriptParity, BatchedDayMatchesSerialForked) {

@@ -17,6 +17,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <ostream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -116,6 +117,13 @@ struct RuleExpectation {
   const char* rule;
   int min_violations;  // the violating fixture fires at least this many
 };
+
+// Without a printer gtest dumps the struct's raw bytes -- a string-literal
+// address and padding -- into the listed test name, so ctest's discovered
+// name would change with every build and every run.
+void PrintTo(const RuleExpectation& e, std::ostream* os) {
+  *os << e.rule << " (min " << e.min_violations << ")";
+}
 
 class LintRuleFixtures : public ::testing::TestWithParam<RuleExpectation> {};
 

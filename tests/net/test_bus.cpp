@@ -46,7 +46,7 @@ TEST(MessageBus, HasMessageReflectsState) {
 TEST(MessageBus, AccountsPayloadPlusFrameOverhead) {
   MessageBus bus(2);
   bus.Send(Make(0, 1, 1, 100));
-  const uint64_t expected = 100 + MessageBus::kFrameOverheadBytes;
+  const uint64_t expected = FramedSize(size_t{100});
   EXPECT_EQ(bus.stats(0).bytes_sent, expected);
   EXPECT_EQ(bus.stats(1).bytes_received, expected);
   EXPECT_EQ(bus.total_bytes(), expected);
@@ -66,7 +66,7 @@ TEST(MessageBus, BroadcastReachesEveryoneExceptSender) {
   // Three unicast copies accounted.
   EXPECT_EQ(bus.total_messages(), 3u);
   EXPECT_EQ(bus.stats(1).bytes_sent,
-            3 * (10 + MessageBus::kFrameOverheadBytes));
+            3 * FramedSize(size_t{10}));
 }
 
 TEST(MessageBus, PerAgentCountersAreIndependent) {

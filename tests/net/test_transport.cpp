@@ -8,7 +8,6 @@
 #include "net/bus.h"
 #include "net/concurrent_bus.h"
 #include "net/frame.h"
-#include "net/socket_transport.h"
 #include "util/parallel.h"
 
 namespace pem::net {
@@ -23,9 +22,10 @@ Message Make(AgentId from, AgentId to, uint32_t type, size_t payload_size) {
   return m;
 }
 
-constexpr TransportKind kAllKinds[] = {
-    TransportKind::kSerialBus, TransportKind::kConcurrentBus,
-    TransportKind::kSocket};
+// The in-process backends; the forked ones need a child entry point
+// and are built by core::RunSimulation instead.
+constexpr TransportKind kAllKinds[] = {TransportKind::kSerialBus,
+                                       TransportKind::kConcurrentBus};
 
 TEST(MakeTransport, ConstructsEveryBackend) {
   for (TransportKind kind : kAllKinds) {
@@ -44,43 +44,14 @@ TEST(MakeTransportDeath, NonPositiveAgentCountAborts) {
   EXPECT_DEATH((void)MakeTransport(TransportKind::kSerialBus, 0), "positive");
   EXPECT_DEATH((void)MakeTransport(TransportKind::kConcurrentBus, -1),
                "positive");
-  EXPECT_DEATH((void)MakeTransport(TransportKind::kSocket, 0), "positive");
 }
 
 TEST(TransportKindNames, EveryBackendHasAName) {
   EXPECT_STREQ(TransportKindName(TransportKind::kSerialBus), "serial");
   EXPECT_STREQ(TransportKindName(TransportKind::kConcurrentBus), "concurrent");
-  EXPECT_STREQ(TransportKindName(TransportKind::kSocket), "socket");
   EXPECT_STREQ(TransportKindName(TransportKind::kProcess), "process");
-}
-
-// --- structured closed-peer errors ------------------------------------
-
-TEST(SocketTransport, PeerHangupSurfacesStructuredError) {
-  // A peer whose channel dies with a delivered message still pending
-  // must produce a TransportError naming the agent — not an abort in
-  // the relay thread, and not a silent empty inbox.  This is the exact
-  // path ProcessTransport hits when a child process crashes.
-  SocketTransport t(2);
-  t.Send(Make(0, 1, 5, 3));
-  ASSERT_TRUE(t.Receive(1).has_value());  // channel works beforehand
-
-  t.SimulatePeerHangupForTest(1);
-  t.Send(Make(0, 1, 5, 2));  // delivered per the ledger, lost on the wire
-  try {
-    (void)t.Receive(1);
-    FAIL() << "Receive on a hung-up channel must throw";
-  } catch (const TransportError& e) {
-    EXPECT_EQ(e.fault().agent, 1);
-    EXPECT_NE(std::string(e.what()).find("closed"), std::string::npos)
-        << e.what();
-  }
-  // The healthy agent's channel keeps working: the router dropped the
-  // dead peer instead of wedging.
-  t.Send(Make(1, 0, 6, 1));
-  auto m = t.Receive(0);
-  ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(m->type, 6u);
+  EXPECT_STREQ(TransportKindName(TransportKind::kTcp), "tcp");
+  EXPECT_STREQ(TransportKindName(TransportKind::kShm), "shm");
 }
 
 // --- Endpoint handles -------------------------------------------------
@@ -208,7 +179,7 @@ TEST(ConcurrentBus, AcceptsSendsFromParallelForWorkers) {
   });
 
   // Byte-exact accounting despite the concurrent senders.
-  const uint64_t per_msg = kPayload + Transport::kFrameOverheadBytes;
+  const uint64_t per_msg = FramedSize(kPayload);
   EXPECT_EQ(bus.total_messages(),
             static_cast<uint64_t>(kSenders) * kPerSender);
   EXPECT_EQ(bus.total_bytes(),
@@ -261,7 +232,7 @@ TEST(ConcurrentBus, ConcurrentStatReadsDuringSends) {
   // Readers racing writers must neither crash nor tear: every snapshot
   // of total_bytes is a multiple of the per-message size.
   constexpr size_t kPayload = 12;
-  const uint64_t per_msg = kPayload + Transport::kFrameOverheadBytes;
+  const uint64_t per_msg = FramedSize(kPayload);
   ConcurrentMessageBus bus(3);
   ParallelFor(0, 4, 4, [&](size_t worker) {
     if (worker == 0) {
@@ -276,100 +247,6 @@ TEST(ConcurrentBus, ConcurrentStatReadsDuringSends) {
     }
   });
   EXPECT_EQ(bus.total_messages(), 200u);
-}
-
-// --- SocketTransport behavior -----------------------------------------
-
-TEST(SocketTransport, DeliversInGlobalSendOrderAcrossSenders) {
-  // The router forwards wire frames in Send order (the ticket ledger),
-  // so one inbox fed by many senders drains exactly like the bus.
-  SocketTransport t(4);
-  std::vector<Endpoint> eps = t.endpoints();
-  eps[1].Send(3, 100, {1});
-  eps[2].Send(3, 200, {2});
-  eps[1].Send(3, 101, {3});
-  eps[0].Send(3, 300, {4});
-  const uint32_t expected[] = {100, 200, 101, 300};
-  for (uint32_t type : expected) {
-    auto m = eps[3].Receive();
-    ASSERT_TRUE(m.has_value());
-    EXPECT_EQ(m->type, type);
-  }
-  EXPECT_FALSE(eps[3].Receive().has_value());
-}
-
-TEST(SocketTransport, LargeFramesCrossTheRouterWithoutDeadlock) {
-  // Several frames larger than a socket buffer, sent before anyone
-  // receives: the router's pending queues must absorb them.
-  SocketTransport t(2);
-  std::vector<Endpoint> eps = t.endpoints();
-  constexpr size_t kBig = 600'000;
-  for (uint8_t i = 0; i < 3; ++i) {
-    eps[0].Send(1, i, std::vector<uint8_t>(kBig, i));
-  }
-  for (uint8_t i = 0; i < 3; ++i) {
-    auto m = eps[1].Receive();
-    ASSERT_TRUE(m.has_value());
-    EXPECT_EQ(m->type, i);
-    ASSERT_EQ(m->payload.size(), kBig);
-    EXPECT_EQ(m->payload.front(), i);
-    EXPECT_EQ(m->payload.back(), i);
-  }
-  EXPECT_EQ(t.total_bytes(), 3 * FramedSize(kBig));
-}
-
-TEST(SocketTransport, ResetStatsKeepsInboxes) {
-  SocketTransport t(2);
-  std::vector<Endpoint> eps = t.endpoints();
-  eps[0].Send(1, 1, {9, 9});
-  t.ResetStats();
-  EXPECT_EQ(t.total_bytes(), 0u);
-  EXPECT_EQ(eps[0].stats().bytes_sent, 0u);
-  EXPECT_TRUE(eps[1].HasMessage());
-  auto m = eps[1].Receive();
-  ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(m->payload, (std::vector<uint8_t>{9, 9}));
-  EXPECT_DOUBLE_EQ(t.AverageBytesPerAgent(), 0.0);
-}
-
-TEST(SocketTransport, ObserverSeesSendOrderWithBroadcastFanOut) {
-  SocketTransport t(3);
-  std::vector<Endpoint> eps = t.endpoints();
-  std::vector<std::pair<AgentId, AgentId>> seen;
-  t.SetObserver([&seen](const Message& m) { seen.push_back({m.from, m.to}); });
-  eps[2].Send(kBroadcast, 1, {});
-  eps[0].Send(1, 2, {});
-  const std::vector<std::pair<AgentId, AgentId>> expected = {
-      {2, 0}, {2, 1}, {0, 1}};
-  EXPECT_EQ(seen, expected);
-  // Drain so destruction finds quiesced channels.
-  (void)eps[0].Receive();
-  (void)eps[1].Receive();
-  (void)eps[1].Receive();
-}
-
-TEST(SocketTransport, AcceptsSendsFromParallelForWorkers) {
-  constexpr int kSenders = 4;
-  constexpr int kPerSender = 20;
-  SocketTransport t(kSenders + 1);
-  std::vector<Endpoint> eps = t.endpoints();
-  const AgentId sink = kSenders;
-  ParallelFor(0, kSenders, 4, [&](size_t sender) {
-    for (int seq = 0; seq < kPerSender; ++seq) {
-      eps[sender].Send(sink, static_cast<uint32_t>(seq),
-                       std::vector<uint8_t>(8, static_cast<uint8_t>(sender)));
-    }
-  });
-  EXPECT_EQ(t.total_messages(), uint64_t{kSenders} * kPerSender);
-  // Per-sender FIFO survives concurrent senders.
-  std::map<AgentId, uint32_t> next_seq;
-  int received = 0;
-  while (auto m = eps[sink].Receive()) {
-    EXPECT_EQ(m->type, next_seq[m->from]) << "sender " << m->from;
-    next_seq[m->from] = m->type + 1;
-    ++received;
-  }
-  EXPECT_EQ(received, kSenders * kPerSender);
 }
 
 }  // namespace

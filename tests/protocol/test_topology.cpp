@@ -20,11 +20,11 @@
 //     delivers the bit-identical ciphertext (Paillier addition is a
 //     commutative product mod n^2), consuming the identical ctx.rng
 //     prefix;
-//   * the six-backend matrix: a hierarchical window at fan-outs
+//   * the five-backend matrix: a hierarchical window at fan-outs
 //     {2, 4, 8} produces flat's exact prices and trades on serial /
-//     concurrent / socket / process / tcp / shm, with hier-vs-hier
-//     full parity (per-agent bytes, ledger-accounted totals,
-//     per-sender transcripts) across all six.
+//     concurrent / process / tcp / shm, with hier-vs-hier full parity
+//     (per-agent bytes, ledger-accounted totals, per-sender
+//     transcripts) across all five.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -299,13 +299,13 @@ TEST(TopologyExecution, PlanRingTopologyFollowsConfigAndWindow) {
   EXPECT_EQ(w1.LeafMembers(), w0.LeafMembers());
 }
 
-// --- six-backend market parity ----------------------------------------
+// --- five-backend market parity ---------------------------------------
 //
-// The same harness as test_transcript_parity's six-way matrix, but with
-// a hierarchical aggregation plan: per fan-out, the six backends must
-// agree with each other in FULL (prices, trades, total and per-agent
-// ledger bytes, per-sender transcript), and agree with the flat
-// baseline on the market outcome (the transcript legitimately differs
+// The same harness as test_transcript_parity's five-way matrix, but
+// with a hierarchical aggregation plan: per fan-out, the five backends
+// must agree with each other in FULL (prices, trades, total and
+// per-agent ledger bytes, per-sender transcript), and agree with the
+// flat baseline on the market outcome (the transcript legitimately differs
 // in shape — that byte-profile delta is the point of the hierarchy).
 
 struct WindowRun {
@@ -492,7 +492,7 @@ void ExpectFullParity(const WindowRun& serial, const WindowRun& other,
   EXPECT_FALSE(serial.messages.empty());
 }
 
-void SixBackendRow(int fanout) {
+void FiveBackendRow(int fanout) {
   const TopologyConfig flat;  // kFlat
   const TopologyConfig hier = Hier(fanout);
   const uint64_t seed = 42;
@@ -506,22 +506,19 @@ void SixBackendRow(int fanout) {
 
   const WindowRun parallel =
       RunWindowInProcess(net::ExecutionPolicy::Parallel(4), hier, seed);
-  const WindowRun socket =
-      RunWindowInProcess(net::ExecutionPolicy::Socket(), hier, seed);
   const WindowRun process =
       RunWindowForked(net::TransportKind::kProcess, hier, seed);
   const WindowRun tcp = RunWindowForked(net::TransportKind::kTcp, hier, seed);
   const WindowRun shm = RunWindowForked(net::TransportKind::kShm, hier, seed);
   ExpectFullParity(serial, parallel, /*strict_order=*/true);
-  ExpectFullParity(serial, socket, /*strict_order=*/true);
   ExpectFullParity(serial, process, /*strict_order=*/false);
   ExpectFullParity(serial, tcp, /*strict_order=*/false);
   ExpectFullParity(serial, shm, /*strict_order=*/false);
 }
 
-TEST(TopologyParity, SixBackendsFanout2) { SixBackendRow(2); }
-TEST(TopologyParity, SixBackendsFanout4) { SixBackendRow(4); }
-TEST(TopologyParity, SixBackendsFanout8) { SixBackendRow(8); }
+TEST(TopologyParity, FiveBackendsFanout2) { FiveBackendRow(2); }
+TEST(TopologyParity, FiveBackendsFanout4) { FiveBackendRow(4); }
+TEST(TopologyParity, FiveBackendsFanout8) { FiveBackendRow(8); }
 
 }  // namespace
 }  // namespace pem::protocol

@@ -31,7 +31,7 @@ void Report(const SourceFile& f, int line, std::string_view rule,
 //
 // The protocol transcript must be a pure function of seeds and inputs:
 // the parity matrix (tests/net, tests/protocol) diffs transcripts
-// byte-for-byte across six transports, and any wall-clock or ambient
+// byte-for-byte across five transports, and any wall-clock or ambient
 // randomness in src/protocol/ or src/crypto/ would fork them.  All
 // randomness flows through crypto/rng.h (seeded, deterministic).
 class DeterminismRule final : public Rule {
@@ -117,7 +117,7 @@ class LayeringOrderRule final : public Rule {
 //
 // Protocol and crypto code speak to the network only through the
 // abstract surface; the moment they name a concrete backend header the
-// six-backend parity guarantee stops being a property of the type
+// five-backend parity guarantee stops being a property of the type
 // system.
 class BackendIncludeRule final : public Rule {
  public:
@@ -184,7 +184,7 @@ class RawSyscallRule final : public Rule {
 
 // --- fd-cloexec -------------------------------------------------------
 //
-// Five transports fork; a future launcher will exec.  Every descriptor
+// Three transports fork; a future launcher will exec.  Every descriptor
 // created in src/net/ must request CLOEXEC at creation (no fcntl
 // afterthoughts — those race with concurrent fork) or carry an explicit
 // suppression.  accept() can never be fixed in place: accept4() is the
@@ -314,7 +314,7 @@ class UsingNamespaceRule final : public Rule {
 
 // --- no-cout ----------------------------------------------------------
 //
-// Library code reports through util/logging.h and structured errors;
+// Library code reports through structured errors (util/error.h);
 // stray std::cout in src/ or tests/ corrupts bench CSV output and
 // interleaves across forked agents.
 class NoCoutRule final : public Rule {
@@ -322,7 +322,7 @@ class NoCoutRule final : public Rule {
   std::string_view id() const override { return "no-cout"; }
   std::string_view description() const override {
     return "std::cout is reserved for bench/, examples/ and tools/; "
-           "library code uses util/logging.h";
+           "library code reports through structured errors";
   }
   void Check(const SourceFile& f, std::vector<Finding>* out) const override {
     if (f.PathStartsWith("bench/") || f.PathStartsWith("examples/") ||
@@ -333,7 +333,8 @@ class NoCoutRule final : public Rule {
          pos != std::string_view::npos;
          pos = FindToken(f.code, "std::cout", pos + 1)) {
       Report(f, LineOfOffset(f.code, pos), id(),
-             "std::cout outside bench/examples/tools; use util/logging.h",
+             "std::cout outside bench/examples/tools; throw a structured "
+             "error instead",
              out);
     }
   }
@@ -346,7 +347,7 @@ class NoCoutRule final : public Rule {
 // never the protocol RNG or its carrier.  A ctx.rng draw inside
 // Build() would shift every agent's randomness schedule whenever the
 // plan shape changes, destroying the flat/hierarchical bit-identity
-// the six-backend parity row asserts.  Statically: topology sources
+// the five-backend parity row asserts.  Statically: topology sources
 // must not name ProtocolContext (or a `ctx` handle) at all.
 class TopologySeededRule final : public Rule {
  public:
