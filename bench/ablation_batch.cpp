@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
   const Row rows[] = {
       // In-process fused compute: batching amortizes the per-fan-out
       // thread spawn/join onto one persistent team.
-      {"concurrent", net::ExecutionPolicy::Parallel(4)},
+      {"serial x4", net::ExecutionPolicy::Parallel(4)},
       // Forked + pipelined dispatch: children overlap whole windows.
       {"process", net::ExecutionPolicy::Process()},
   };

@@ -3,10 +3,10 @@
 // The paper runs each agent in its own container on an 8-core host, so
 // the n ring encryptions of Protocols 2-4 happen concurrently; the
 // serial engine times them sequentially, which is why its Fig. 5(a)
-// numbers are ~8x the paper's.  This bench sweeps the execution policy
-// — worker count x transport backend — and reports each configuration's
-// per-window runtime and its speedup over the serial baseline.  The
-// wire transcript is identical across all rows (see
+// numbers are ~8x the paper's.  This bench sweeps the worker count on
+// the in-process bus, then the forked backends, and reports each
+// configuration's per-window runtime and its speedup over the serial
+// baseline.  The wire transcript is identical across all rows (see
 // test_transcript_parity); only the wall clock moves.
 #include <cstdio>
 
@@ -33,21 +33,17 @@ int main(int argc, char** argv) {
   std::printf("%12s %10s %24s %10s\n", "transport", "threads",
               "avg runtime/window (s)", "speedup");
   double serial_baseline = 0.0;
-  for (const net::TransportKind kind :
-       {net::TransportKind::kSerialBus, net::TransportKind::kConcurrentBus}) {
-    for (const int threads : thread_counts) {
-      const net::ExecutionPolicy policy{kind, threads};
-      const bench::CryptoWindowCost cost = bench::MeasureCryptoWindows(
-          trace, key_bits, flags.samples, policy);
-      if (kind == net::TransportKind::kSerialBus && threads == 1) {
-        serial_baseline = cost.avg_runtime_seconds;
-      }
-      const double speedup = cost.avg_runtime_seconds > 0.0
-                                 ? serial_baseline / cost.avg_runtime_seconds
-                                 : 0.0;
-      std::printf("%12s %10d %24.3f %9.2fx\n", net::TransportKindName(kind),
-                  threads, cost.avg_runtime_seconds, speedup);
-    }
+  for (const int threads : thread_counts) {
+    const net::ExecutionPolicy policy = net::ExecutionPolicy::Parallel(threads);
+    const bench::CryptoWindowCost cost = bench::MeasureCryptoWindows(
+        trace, key_bits, flags.samples, policy);
+    if (threads == 1) serial_baseline = cost.avg_runtime_seconds;
+    const double speedup = cost.avg_runtime_seconds > 0.0
+                               ? serial_baseline / cost.avg_runtime_seconds
+                               : 0.0;
+    std::printf("%12s %10d %24.3f %9.2fx\n",
+                net::TransportKindName(policy.transport_kind), threads,
+                cost.avg_runtime_seconds, speedup);
   }
   // Forked backends: one OS process per agent, frames over real
   // socketpairs (process) or loopback TCP connections (tcp) through
@@ -80,8 +76,7 @@ int main(int argc, char** argv) {
       "scales down with workers until the sequential forward pass and the GC\n"
       "comparison dominate — the paper's ~1 s/window on 8 ARM cores is\n"
       "consistent with the 8-thread point on comparable hardware; the\n"
-      "concurrent transport adds only mutex overhead at equal thread count,\n"
-      "and the forked backends (fork-per-agent socketpairs, and loopback\n"
+      "forked backends (fork-per-agent socketpairs, and loopback\n"
       "TCP with rendezvous + TCP_NODELAY) pay the syscall + frame-codec\n"
       "cost of a real per-container deployment plus shadow re-derivation\n"
       "per child — their bytes, not their wall clock, are the\n"

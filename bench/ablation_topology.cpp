@@ -10,7 +10,7 @@
 // shape the hierarchy changes).
 //
 // Market outcomes are plan-shape-invariant (asserted by
-// tests/protocol/test_topology.cpp across all five backends); what this
+// tests/protocol/test_topology.cpp across all four backends); what this
 // bench quantifies is the latency/bandwidth trade.
 //
 // `--json` emits one JSON object per row (JSON lines) for the CI bench

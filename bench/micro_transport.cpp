@@ -6,7 +6,7 @@
 // this bench is where that claim gets a number.  One sender streams
 // frames round-robin to every other agent while the receivers consume
 // concurrently (the forked backends really overlap; the in-process
-// ones run the same script on one thread), so the figure is streaming
+// bus runs the same script on one thread), so the figure is streaming
 // throughput under each backend's own backpressure, not round-trip
 // latency.
 //
@@ -63,7 +63,7 @@ std::vector<uint8_t> BenchPayload(size_t len) {
 
 // The deterministic streaming script both deployment models run: agent
 // 0 sends `frames` frames round-robin to agents 1..n-1, each receiver
-// consumes its share.  In-process backends execute it on one thread;
+// consumes its share.  The in-process bus executes it on one thread;
 // forked backends run it as the shared ChildMain, where each process
 // performs only its own agent's real wire operations.
 void StreamScript(std::vector<net::Endpoint>& eps, int frames,
@@ -111,18 +111,12 @@ RunStats RunForked(const Config& c) {
     case net::TransportKind::kProcess:
       owner = std::make_unique<net::ProcessTransport>(c.agents, child_main);
       break;
-    case net::TransportKind::kTcp: {
-      net::TcpTransport::Options opts;  // trusting mode: measure the wire
-      owner = std::make_unique<net::TcpTransport>(c.agents, child_main,
-                                                  std::move(opts));
+    case net::TransportKind::kTcp:
+      owner = std::make_unique<net::TcpTransport>(c.agents, child_main);
       break;
-    }
-    case net::TransportKind::kShm: {
-      net::ShmTransport::Options opts;
-      opts.verify_frames = false;  // match the tcp row: trust the medium
-      owner = std::make_unique<net::ShmTransport>(c.agents, child_main, opts);
+    case net::TransportKind::kShm:
+      owner = std::make_unique<net::ShmTransport>(c.agents, child_main);
       break;
-    }
     default:
       std::fprintf(stderr, "not a forked backend\n");
       std::exit(2);
@@ -182,7 +176,7 @@ int main(int argc, char** argv) {
   }
 
   const std::vector<std::pair<net::TransportKind, const char*>> kBackends = {
-      {net::TransportKind::kConcurrentBus, "concurrent"},
+      {net::TransportKind::kSerialBus, "serial"},
       {net::TransportKind::kProcess, "process"},
       {net::TransportKind::kTcp, "tcp"},
       {net::TransportKind::kShm, "shm"},

@@ -1,15 +1,16 @@
 #include "core/simulation.h"
 
+#include <algorithm>
+#include <memory>
+
 #include "crypto/rng.h"
 #include "net/process_transport.h"
-#include "protocol/key_directory.h"
-#include "net/serialize.h"
 #include "net/shm_transport.h"
 #include "net/tcp_transport.h"
 #include "protocol/agent_driver.h"
+#include "protocol/key_directory.h"
 #include "protocol/window_scheduler.h"
 #include "util/error.h"
-#include "util/stopwatch.h"
 
 namespace pem::core {
 
@@ -27,8 +28,8 @@ double SimulationResult::AverageBusBytes() const {
 namespace {
 
 // Resolves window `w` for every home, advancing the battery dynamics.
-// Shared by the main loop, the process-mode parent, and the forked
-// children, so all three evolve bit-identical window state.
+// Shared by the parent prepass and every protocol replica, so all of
+// them evolve bit-identical window state.
 std::vector<grid::WindowState> ResolveCommunityWindow(
     const grid::CommunityTrace& trace, int w,
     std::vector<grid::Battery>& batteries) {
@@ -45,28 +46,6 @@ bool WindowSampled(const SimulationConfig& config, int w) {
          (w - config.window_offset) % config.window_stride == 0;
 }
 
-// Applies the roster changes scheduled for window `w`.  Runs for EVERY
-// window (sampled or not, and inside each forked child's catch-up
-// loop), so the roster and directory epoch evolve identically in the
-// parent and in all n independent replays.
-void ApplyChurn(const SimulationConfig& config, int w,
-                std::span<protocol::Party> parties,
-                protocol::KeyDirectory& directory) {
-  bool epoch_advanced = false;
-  for (const ChurnEvent& e : config.churn) {
-    if (e.window != w) continue;
-    if (!epoch_advanced) {
-      directory.AdvanceEpoch();
-      epoch_advanced = true;
-    }
-    for (protocol::Party& p : parties) {
-      if (p.id() == e.agent) p.SetActive(e.join);
-    }
-    if (!e.join) directory.Retire(e.agent);
-  }
-}
-
-// The public per-window bookkeeping both engine drivers share.
 std::vector<market::AgentWindowInput> BuildWindowInputs(
     const grid::CommunityTrace& trace,
     std::span<const grid::WindowState> states) {
@@ -93,179 +72,226 @@ WindowRecord BaselineRecord(int w,
   return rec;
 }
 
-// One OS process per agent (ExecutionPolicy::Process() over inherited
-// socketpairs, ExecutionPolicy::Tcp() over a loopback TCP rendezvous).
-// The parent never runs protocol code: it schedules windows over the
-// control channels, routes the children's frames, and merges their
-// reports; each child executes its own agent's side of every phase
-// against the state snapshot it inherited at fork time (see
-// protocol/agent_driver.h for the execution model).
-SimulationResult RunSimulationProcess(const grid::CommunityTrace& trace,
-                                      const SimulationConfig& config) {
-  const int num_homes = trace.num_homes();
-  SimulationResult result;
+// The plaintext oracle's outcome in the report shape the crypto engine
+// produces, so one function fills every record.
+protocol::WindowReport ClearingReport(int w, const market::MarketOutcome& o) {
+  protocol::WindowReport report;
+  report.window = w;
+  report.type = o.type;
+  report.price = o.price;
+  report.supply_total = o.supply_total;
+  report.demand_total = o.demand_total;
+  report.buyer_total_cost = o.buyer_total_cost;
+  report.grid_import_kwh = o.grid_import_kwh;
+  report.grid_export_kwh = o.grid_export_kwh;
+  report.num_sellers = o.CountRole(grid::Role::kSeller);
+  report.num_buyers = o.CountRole(grid::Role::kBuyer);
+  return report;
+}
 
-  std::vector<grid::Battery> batteries = trace.MakeBatteries();
+// Copies a finished window's public outcome into its record (all but
+// runtime_seconds, which depends on how the engine charges time).
+void FillRecord(WindowRecord& rec, const protocol::WindowReport& report) {
+  PEM_CHECK(rec.window == report.window, "simulation: window mismatch");
+  rec.type = report.type;
+  rec.price = report.price;
+  rec.num_sellers = report.num_sellers;
+  rec.num_buyers = report.num_buyers;
+  rec.supply_total = report.supply_total;
+  rec.demand_total = report.demand_total;
+  rec.buyer_cost_pem = report.buyer_total_cost;
+  rec.grid_interaction_pem = report.grid_import_kwh + report.grid_export_kwh;
+  rec.bus_bytes = report.bus_bytes;
+  rec.rng_cursor = report.rng_cursor;
+  rec.audit = report.audit;
+}
 
-  // Template protocol state.  Created before the fork so every child
-  // inherits the same snapshot: the shared seed is what lets n
-  // independent processes re-derive one deterministic schedule.
-  crypto::DeterministicRng rng(config.crypto_seed);
-  std::vector<protocol::Party> parties;
-  parties.reserve(static_cast<size_t>(num_homes));
-  for (int h = 0; h < num_homes; ++h) {
-    parties.emplace_back(static_cast<net::AgentId>(h),
-                         trace.homes[static_cast<size_t>(h)].params);
+// The protocol state a crypto day evolves: the seeded rng, the parties
+// and their cached keys, the randomness pools, the key directory and
+// the batteries.  The in-process engine drives one replica; under a
+// forked backend every child drives its own fork copy through its
+// AgentDriver callbacks.  Both call the same two hooks in the same
+// order, so all replicas evolve identical state from the shared seed.
+class ProtocolReplica {
+ public:
+  ProtocolReplica(const grid::CommunityTrace& trace,
+                  const SimulationConfig& config)
+      : trace_(trace),
+        config_(config),
+        rng_(config.crypto_seed),
+        batteries_(trace.MakeBatteries()) {
+    parties_.reserve(static_cast<size_t>(trace.num_homes()));
+    for (int h = 0; h < trace.num_homes(); ++h) {
+      parties_.emplace_back(static_cast<net::AgentId>(h),
+                            trace.homes[static_cast<size_t>(h)].params);
+    }
   }
-  crypto::PaillierPoolRegistry pools;
-  // Fork-copied like the parties: every child maintains its own replica
-  // of the key directory, which stays identical across all n replicas
-  // because registrations follow the deterministic script.
-  protocol::KeyDirectory directory;
 
-  net::ProcessTransport::ChildMain child_main =
-      [&trace, &config, &rng, &parties, &pools, &batteries, &directory](
-          net::AgentId self, net::Transport& wire,
-          net::ControlChannel& ctl) -> int {
-    // Everything captured by reference is this child's fork copy; the
-    // parent's own copies diverge freely after the fork.
+  protocol::ProtocolContext Context(std::span<net::Endpoint> endpoints) {
+    return {endpoints,
+            rng_,
+            config_.pem,
+            config_.pem.precompute_encryption ? &pools_ : nullptr,
+            config_.policy,
+            &directory_};
+  }
+
+  std::span<protocol::Party> parties() { return parties_; }
+
+  // Advances the roster and the battery dynamics through window `w`
+  // (the windows the sampling skips included), then draws every
+  // party's window randomness.  Inactive parties still draw, so churn
+  // never shifts another agent's stream.
+  void Begin(int w) {
+    PEM_CHECK(w >= next_window_, "simulation: windows begun out of order");
+    for (; next_window_ <= w; ++next_window_) {
+      ApplyChurn(next_window_);
+      states_ = ResolveCommunityWindow(trace_, next_window_, batteries_);
+    }
+    for (size_t h = 0; h < parties_.size(); ++h) {
+      parties_[h].BeginWindow(states_[h], config_.pem.nonce_bound, rng_);
+    }
+  }
+
+  // Idle-time phase after a window: tops the pools back up so the next
+  // window's encryptions are one multiplication each.  The window may
+  // have elected new aggregators (and minted their keys), so owners
+  // are registered first and the refill exponentiates mod p^2/q^2.
+  // The refill fans out across the policy's workers without moving
+  // the factor order.
+  void Refill() {
+    if (!config_.pem.precompute_encryption) return;
+    if (config_.pem.crt_encryption) {
+      for (const protocol::Party& p : parties_) {
+        if (p.HasKeys()) pools_.AttachOwner(p.private_key());
+      }
+    }
+    pools_.RefillAll(config_.pem.encryption_pool_target, rng_, config_.policy);
+  }
+
+ private:
+  // Every window with an event advances the key directory epoch once,
+  // so a rejoining agent may announce a fresh key.
+  void ApplyChurn(int w) {
+    bool epoch_advanced = false;
+    for (const ChurnEvent& e : config_.churn) {
+      if (e.window != w) continue;
+      if (!epoch_advanced) {
+        directory_.AdvanceEpoch();
+        epoch_advanced = true;
+      }
+      parties_[static_cast<size_t>(e.agent)].SetActive(e.join);
+      if (!e.join) directory_.Retire(e.agent);
+    }
+  }
+
+  const grid::CommunityTrace& trace_;
+  const SimulationConfig& config_;
+  crypto::DeterministicRng rng_;
+  std::vector<protocol::Party> parties_;
+  crypto::PaillierPoolRegistry pools_;
+  protocol::KeyDirectory directory_;
+  std::vector<grid::Battery> batteries_;
+  int next_window_ = 0;
+  std::vector<grid::WindowState> states_;
+};
+
+// Forks one agent process per home on the policy's backend (inherited
+// socketpairs, a loopback TCP rendezvous, or shared-memory rings).
+// Each child serves the parent's window commands with an AgentDriver
+// over its fork copy of `replica`; the parent never runs protocol code
+// — it schedules windows, routes frames and merges the reports (see
+// protocol/agent_driver.h).
+std::unique_ptr<net::AgentSupervisor> LaunchAgents(
+    int num_homes, const SimulationConfig& config, ProtocolReplica& replica) {
+  net::AgentSupervisor::ChildMain child_main =
+      [&replica](net::AgentId self, net::Transport& wire,
+                 net::ControlChannel& ctl) -> int {
     std::vector<net::Endpoint> endpoints = wire.endpoints();
-    protocol::ProtocolContext ctx{
-        endpoints, rng, config.pem,
-        config.pem.precompute_encryption ? &pools : nullptr, config.policy,
-        &directory};
-    int next_window = 0;
-    std::vector<grid::WindowState> states;
+    protocol::ProtocolContext ctx = replica.Context(endpoints);
     protocol::AgentDriver::Callbacks callbacks;
-    callbacks.begin_window = [&](int w) {
-      PEM_CHECK(w >= next_window,
-                "process child: windows scheduled out of order");
-      // Battery dynamics — and the churn schedule — advance through the
-      // skipped windows too, mirroring the parent loop exactly.
-      for (; next_window <= w; ++next_window) {
-        ApplyChurn(config, next_window, parties, directory);
-        states = ResolveCommunityWindow(trace, next_window, batteries);
-      }
-      for (size_t h = 0; h < parties.size(); ++h) {
-        parties[h].BeginWindow(states[h], config.pem.nonce_bound, rng);
-      }
-    };
-    callbacks.after_window = [&](int) {
-      if (!config.pem.precompute_encryption) return;
-      // Idle-time pool refill, same as the in-process engine (outside
-      // the reported per-window runtime).
-      if (config.pem.crt_encryption) {
-        for (const protocol::Party& p : parties) {
-          if (p.HasKeys()) pools.AttachOwner(p.private_key());
-        }
-      }
-      pools.RefillAll(config.pem.encryption_pool_target, rng, config.policy);
-    };
-    protocol::AgentDriver driver(self, ctx, parties, callbacks);
+    callbacks.begin_window = [&replica](int w) { replica.Begin(w); };
+    callbacks.after_window = [&replica](int) { replica.Refill(); };
+    protocol::AgentDriver driver(self, ctx, replica.parties(), callbacks);
     driver.Serve(ctl);
     return 0;
   };
 
   const net::TransportOptions& topts = config.policy.transport;
-  std::unique_ptr<net::AgentSupervisor> transport_owner;
   if (config.policy.transport_kind == net::TransportKind::kTcp) {
     net::TcpTransport::Options opts;
     opts.watchdog_ms = topts.watchdog_ms;
     opts.host = topts.tcp_host;
     opts.port = topts.tcp_port;
-    opts.verify_frames = topts.tcp_verify_frames;
-    transport_owner = std::make_unique<net::TcpTransport>(
-        num_homes, child_main, std::move(opts));
-  } else if (config.policy.transport_kind == net::TransportKind::kShm) {
+    return std::make_unique<net::TcpTransport>(num_homes, child_main,
+                                               std::move(opts));
+  }
+  if (config.policy.transport_kind == net::TransportKind::kShm) {
     net::ShmTransport::Options opts;
     opts.watchdog_ms = topts.watchdog_ms;
     opts.ring_bytes = topts.shm_ring_bytes;
-    transport_owner = std::make_unique<net::ShmTransport>(
-        num_homes, child_main, opts);
-  } else {
-    net::ProcessTransport::Options opts;
-    opts.watchdog_ms = topts.watchdog_ms;
-    transport_owner =
-        std::make_unique<net::ProcessTransport>(num_homes, child_main, opts);
+    return std::make_unique<net::ShmTransport>(num_homes, child_main, opts);
   }
-  net::AgentSupervisor& transport = *transport_owner;
-  if (config.bus_observer) transport.SetObserver(config.bus_observer);
+  net::ProcessTransport::Options opts;
+  opts.watchdog_ms = topts.watchdog_ms;
+  return std::make_unique<net::ProcessTransport>(num_homes, child_main, opts);
+}
 
-  // Prepass (parent-side bookkeeping only — the children replay their
-  // own catch-up loops): battery dynamics AND the churn schedule
-  // advance through every window, mirroring the in-process loop
-  // exactly — skipping churn here let the parent's roster/epoch
-  // bookkeeping drift from the children's under churn + stride.  The
-  // sampled windows come out with their baseline records pre-built, so
-  // the dispatch loop below touches no parent state mid-batch.
-  struct PendingWindow {
-    int window = 0;
-    WindowRecord rec;
-    std::vector<grid::WindowState> states;
-  };
-  std::vector<PendingWindow> pending;
+// One batch on the in-process bus: every agent's side of each window
+// runs on this thread, through the same replica hooks a forked child's
+// AgentDriver calls.  A window is charged its own protocol time; the
+// idle-time refill stays outside it.
+std::vector<protocol::CollectedWindow> RunInProcessBatch(
+    ProtocolReplica& replica, std::span<net::Endpoint> endpoints,
+    protocol::WindowScheduler& scheduler, std::span<const int> batch) {
+  protocol::ProtocolContext ctx = replica.Context(endpoints);
+  // Fused batches share one persistent worker team across every
+  // compute phase; otherwise each phase keeps its per-call pool.
+  ctx.scheduler = scheduler.fused() ? &scheduler : nullptr;
+  std::vector<protocol::CollectedWindow> out;
+  out.reserve(batch.size());
+  for (const int w : batch) {
+    replica.Begin(w);
+    const protocol::PemWindowResult result =
+        protocol::RunPemWindow(ctx, replica.parties(), w);
+    protocol::CollectedWindow cw;
+    cw.window = w;
+    cw.report = protocol::MakeWindowReport(w, result, replica.parties());
+    cw.parent_seconds = result.runtime_seconds;
+    replica.Refill();
+    out.push_back(std::move(cw));
+  }
+  return out;
+}
+
+// The parent's prepass: battery dynamics advance through every
+// window, and each sampled window gets its baseline record (the
+// plaintext engine clears its market right here).  The crypto replicas
+// re-resolve their own batteries, so nothing else reads this state.
+// Returns the sampled windows, in order.
+std::vector<int> Prepass(const grid::CommunityTrace& trace,
+                         const SimulationConfig& config,
+                         SimulationResult& result) {
   std::vector<int> sampled;
+  std::vector<grid::Battery> batteries = trace.MakeBatteries();
   for (int w = 0; w < trace.windows_per_day; ++w) {
-    ApplyChurn(config, w, parties, directory);
     std::vector<grid::WindowState> states =
         ResolveCommunityWindow(trace, w, batteries);
     if (!WindowSampled(config, w)) continue;
-
     const std::vector<market::AgentWindowInput> inputs =
         BuildWindowInputs(trace, states);
-    PendingWindow p;
-    p.window = w;
-    p.rec = BaselineRecord(w, inputs, config);
-    if (config.record_states) p.states = std::move(states);
-    pending.push_back(std::move(p));
+    WindowRecord rec = BaselineRecord(w, inputs, config);
+    if (config.engine == Engine::kPlaintext) {
+      FillRecord(rec, ClearingReport(
+                          w, market::ClearMarket(inputs, config.pem.market)));
+    }
+    result.windows.push_back(std::move(rec));
+    if (config.record_states) {
+      result.resolved_states.push_back(std::move(states));
+    }
     sampled.push_back(w);
   }
-
-  // Batched dispatch: up to windows_in_flight kCtlCmdRun commands are
-  // pipelined per child; each child still executes its windows in
-  // order (per-window transcripts stay bit-identical to the serial
-  // loop), but children overlap with each other across the batch.
-  protocol::WindowScheduler scheduler({config.windows_in_flight, 1});
-  size_t next = 0;
-  for (const std::vector<int>& batch :
-       protocol::WindowScheduler::PlanBatches(sampled,
-                                              config.windows_in_flight)) {
-    const std::vector<protocol::CollectedWindow> collected =
-        scheduler.RunForkedBatch(transport, batch);
-    double batch_seconds = 0.0;
-    for (const protocol::CollectedWindow& cw : collected) {
-      PendingWindow& p = pending[next++];
-      PEM_CHECK(p.window == cw.window, "simulation: batch window mismatch");
-      WindowRecord rec = std::move(p.rec);
-      const protocol::WindowReport& report = cw.report;
-      rec.type = report.type;
-      rec.price = report.price;
-      rec.num_sellers = report.num_sellers;
-      rec.num_buyers = report.num_buyers;
-      rec.supply_total = report.supply_total;
-      rec.demand_total = report.demand_total;
-      rec.buyer_cost_pem = report.buyer_total_cost;
-      rec.grid_interaction_pem =
-          report.grid_import_kwh + report.grid_export_kwh;
-      // End-to-end wall clock in the parent: batch dispatch to this
-      // window's slowest child, IPC included.  In-flight windows share
-      // the span, so the day total charges each batch once (its max) —
-      // never the sum, which would double-count the overlap.
-      rec.runtime_seconds = cw.parent_seconds;
-      rec.bus_bytes = report.bus_bytes;
-      rec.rng_cursor = report.rng_cursor;
-      rec.audit = report.audit;
-      if (cw.parent_seconds > batch_seconds) batch_seconds = cw.parent_seconds;
-      result.total_bus_bytes += rec.bus_bytes;
-      result.windows.push_back(std::move(rec));
-      if (config.record_states) {
-        result.resolved_states.push_back(std::move(p.states));
-      }
-    }
-    result.total_runtime_seconds += batch_seconds;
-  }
-  transport.Shutdown();
-  return result;
+  return sampled;
 }
 
 }  // namespace
@@ -275,129 +301,69 @@ SimulationResult RunSimulation(const grid::CommunityTrace& trace,
   PEM_CHECK(config.window_stride >= 1, "window stride must be >= 1");
   PEM_CHECK(config.window_offset >= 0, "window offset must be >= 0");
   PEM_CHECK(config.windows_in_flight >= 1, "windows_in_flight must be >= 1");
+  for (const ChurnEvent& e : config.churn) {
+    PEM_CHECK(e.agent >= 0 && e.agent < trace.num_homes(),
+              "churn event names an agent outside the trace");
+    PEM_CHECK(e.window >= 0 && e.window < trace.windows_per_day,
+              "churn event window lies outside the day");
+  }
   config.pem.market.Validate();
 
-  if (config.engine == Engine::kCrypto &&
-      (config.policy.transport_kind == net::TransportKind::kProcess ||
-       config.policy.transport_kind == net::TransportKind::kTcp ||
-       config.policy.transport_kind == net::TransportKind::kShm)) {
-    return RunSimulationProcess(trace, config);
+  SimulationResult result;
+  if (config.engine == Engine::kPlaintext) {
+    (void)Prepass(trace, config, result);
+    return result;
   }
 
-  const int num_homes = trace.num_homes();
-  SimulationResult result;
-
-  std::vector<grid::Battery> batteries = trace.MakeBatteries();
-
-  // Crypto-engine state persists across windows (keys are cached).
-  // The transport backend is chosen by the execution policy: the
-  // serial FIFO bus, or the mutex-guarded bus that tolerates sends
-  // from compute-phase workers.
-  crypto::DeterministicRng rng(config.crypto_seed);
+  // Crypto engine.  The replica exists before any fork, so every child
+  // inherits the same snapshot: the shared seed is what lets n
+  // independent processes re-derive one deterministic schedule.
+  ProtocolReplica replica(trace, config);
+  const bool forked =
+      config.policy.transport_kind != net::TransportKind::kSerialBus;
+  std::unique_ptr<net::AgentSupervisor> agents;
   std::unique_ptr<net::Transport> bus;
   std::vector<net::Endpoint> endpoints;
-  std::vector<protocol::Party> parties;
-  crypto::PaillierPoolRegistry pools;
-  protocol::KeyDirectory directory;
-  // Batched scheduling, in-process realization: one persistent worker
-  // team shared by every compute phase of the in-flight windows (the
-  // fork/join amortization), engaged through ctx.scheduler only when
-  // fused — windows_in_flight = 1 leaves the per-call ParallelFor
-  // pools, i.e. exactly the pre-batching engine.
-  protocol::WindowScheduler scheduler(
-      {config.windows_in_flight, config.policy.worker_count()});
-  if (config.engine == Engine::kCrypto) {
-    bus = net::MakeTransport(config.policy.transport_kind, num_homes);
+  if (forked) {
+    agents = LaunchAgents(trace.num_homes(), config, replica);
+    if (config.bus_observer) agents->SetObserver(config.bus_observer);
+  } else {
+    bus = net::MakeTransport(config.policy.transport_kind, trace.num_homes());
     if (config.bus_observer) bus->SetObserver(config.bus_observer);
-    // Protocol code acts through per-agent handles only; the whole
-    // transport stays here in the driver.
     endpoints = bus->endpoints();
-    parties.reserve(static_cast<size_t>(num_homes));
-    for (int h = 0; h < num_homes; ++h) {
-      parties.emplace_back(static_cast<net::AgentId>(h),
-                           trace.homes[static_cast<size_t>(h)].params);
-    }
   }
-
-  for (int w = 0; w < trace.windows_per_day; ++w) {
-    // Battery dynamics (and roster churn) advance every window
-    // regardless of sampling.
-    if (config.engine == Engine::kCrypto) {
-      ApplyChurn(config, w, parties, directory);
+  // The prepass runs after the fork, so the children inherit none of
+  // its records and start up while it runs.
+  const std::vector<int> sampled = Prepass(trace, config, result);
+  // Batches keep up to windows_in_flight sampled windows in flight:
+  // in-process they share one compute team, forked they pipeline the
+  // run commands so the children overlap.  A forked parent computes
+  // nothing, so it spawns no team (and no thread ever precedes a fork).
+  protocol::WindowScheduler scheduler(
+      {config.windows_in_flight, forked ? 1u : config.policy.worker_count()});
+  size_t next = 0;
+  for (const std::vector<int>& batch : protocol::WindowScheduler::PlanBatches(
+           sampled, config.windows_in_flight)) {
+    const std::vector<protocol::CollectedWindow> collected =
+        forked ? scheduler.RunForkedBatch(*agents, batch)
+               : RunInProcessBatch(replica, endpoints, scheduler, batch);
+    double batch_seconds = 0.0;
+    for (const protocol::CollectedWindow& cw : collected) {
+      WindowRecord& rec = result.windows[next++];
+      FillRecord(rec, cw.report);
+      rec.runtime_seconds = cw.parent_seconds;
+      // In-process windows run one after another, so their times add
+      // up.  Forked windows in flight share the batch's wall clock
+      // (dispatch to each window's last report, IPC included), so the
+      // day charges each batch once, its max; the sum would
+      // double-count the overlap.
+      batch_seconds = forked ? std::max(batch_seconds, cw.parent_seconds)
+                             : batch_seconds + cw.parent_seconds;
+      result.total_bus_bytes += rec.bus_bytes;
     }
-    std::vector<grid::WindowState> states =
-        ResolveCommunityWindow(trace, w, batteries);
-    if (!WindowSampled(config, w)) continue;
-
-    const std::vector<market::AgentWindowInput> inputs =
-        BuildWindowInputs(trace, states);
-    WindowRecord rec = BaselineRecord(w, inputs, config);
-
-    if (config.engine == Engine::kPlaintext) {
-      const market::MarketOutcome outcome =
-          market::ClearMarket(inputs, config.pem.market);
-      rec.type = outcome.type;
-      rec.price = outcome.price;
-      rec.num_sellers = outcome.CountRole(grid::Role::kSeller);
-      rec.num_buyers = outcome.CountRole(grid::Role::kBuyer);
-      rec.supply_total = outcome.supply_total;
-      rec.demand_total = outcome.demand_total;
-      rec.buyer_cost_pem = outcome.buyer_total_cost;
-      rec.grid_interaction_pem = outcome.GridInteraction();
-    } else {
-      for (int h = 0; h < num_homes; ++h) {
-        parties[static_cast<size_t>(h)].BeginWindow(
-            states[static_cast<size_t>(h)], config.pem.nonce_bound, rng);
-      }
-      protocol::ProtocolContext ctx{endpoints, rng, config.pem,
-                                    config.pem.precompute_encryption
-                                        ? &pools
-                                        : nullptr,
-                                    config.policy, &directory};
-      ctx.scheduler = scheduler.fused() ? &scheduler : nullptr;
-      const protocol::PemWindowResult out =
-          protocol::RunPemWindow(ctx, parties, w);
-      if (config.pem.precompute_encryption) {
-        // Idle-time phase: top the pools back up between windows, so
-        // the next window's encryptions are one multiplication each.
-        // Deliberately outside the per-window runtime measurement.
-        // The window may have elected new aggregators (and thus minted
-        // new keys/pools); registering the owners first lets the
-        // refill exponentiate mod p^2/q^2 instead of mod n^2.
-        if (config.pem.crt_encryption) {
-          for (const protocol::Party& p : parties) {
-            if (p.HasKeys()) pools.AttachOwner(p.private_key());
-          }
-        }
-        // The refill fans out across the policy's compute workers;
-        // factor order (and every later transcript byte) is invariant
-        // under the worker count.
-        pools.RefillAll(config.pem.encryption_pool_target, rng,
-                        config.policy);
-      }
-      rec.type = out.type;
-      rec.price = out.price;
-      rec.supply_total = out.supply_total;
-      rec.demand_total = out.demand_total;
-      for (const protocol::Party& p : parties) {
-        if (p.role() == grid::Role::kSeller) ++rec.num_sellers;
-        if (p.role() == grid::Role::kBuyer) ++rec.num_buyers;
-      }
-      rec.buyer_cost_pem = out.buyer_total_cost;
-      rec.grid_interaction_pem = out.GridInteraction();
-      rec.runtime_seconds = out.runtime_seconds;
-      rec.bus_bytes = out.bus_bytes;
-      rec.rng_cursor = out.rng_cursor;
-      rec.audit = out.audit;
-      result.total_runtime_seconds += out.runtime_seconds;
-      result.total_bus_bytes += out.bus_bytes;
-    }
-
-    result.windows.push_back(rec);
-    if (config.record_states) {
-      result.resolved_states.push_back(std::move(states));
-    }
+    result.total_runtime_seconds += batch_seconds;
   }
+  if (agents) agents->Shutdown();
   return result;
 }
 

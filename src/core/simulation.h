@@ -11,6 +11,13 @@
 // Battery state evolves every window; with window_stride > 1 the
 // market itself runs on a sampled subset (the protocol benches use
 // this to keep full-day sweeps tractable — see EXPERIMENTS.md).
+//
+// Every crypto backend takes one path through a day: a parent prepass
+// resolves the batteries and the baseline records, then one batch loop
+// runs the sampled windows either on the in-process bus or through the
+// forked agents.  Either way each window is begun, run and followed by
+// the idle-time refill on a replica of the protocol state (the parent's
+// own, or each child's fork copy).
 #pragma once
 
 #include <vector>
@@ -47,7 +54,7 @@ struct SimulationConfig {
   // Crypto engine execution model: which Transport backend carries the
   // frames and how many workers the protocol compute phases use.  The
   // default is the serial engine; ExecutionPolicy::Parallel(n) selects
-  // the phase-parallel engine on the mutex-guarded bus, and
+  // the phase-parallel engine on the same in-process bus, and
   // ExecutionPolicy::Process() forks one OS process per agent like the
   // paper's per-container deployment — each child runs its own agent's
   // side of every phase over its inherited socketpair end, the parent
@@ -55,8 +62,8 @@ struct SimulationConfig {
   // cross-process socket bytes (Tcp() and Shm() are the same model
   // over loopback TCP and shared-memory rings).  Backend tuning lives
   // in policy.transport.  The wire transcript and market outcomes are
-  // policy-invariant (asserted by test_transcript_parity's five-way
-  // serial/concurrent/process/tcp/shm matrix).
+  // policy-invariant (asserted by test_transcript_parity's four-way
+  // serial/process/tcp/shm matrix, the serial bus at 1 and 4 threads).
   // The between-window randomness-pool refill
   // (pem.precompute_encryption) fans out across the same worker count —
   // the paper's "executed in parallel during idle time" — without
@@ -94,7 +101,9 @@ struct SimulationConfig {
   // Membership churn schedule, applied in window order (crypto engine;
   // forked backends replay it inside every child so all processes
   // agree on the roster).  Agents named here must exist in the trace —
-  // churn changes who participates, never the community size.
+  // churn changes who participates, never the community size — and
+  // each event's window must lie within the day; RunSimulation aborts
+  // otherwise.
   std::vector<ChurnEvent> churn;
 };
 
@@ -110,11 +119,13 @@ struct WindowRecord {
   double buyer_cost_baseline = 0.0;
   double grid_interaction_pem = 0.0;
   double grid_interaction_baseline = 0.0;
-  // Crypto engine only.  With windows_in_flight > 1 on a forked
-  // backend, runtime_seconds spans the batch's dispatch to THIS
-  // window's completion — overlapping windows share wall clock, and
-  // total_runtime_seconds charges each batch once (its max), so the
-  // total never double-counts overlap (total <= Σ per-window spans).
+  // Crypto engine only.  In-process, runtime_seconds is the window's
+  // own protocol time and total_runtime_seconds their sum.  On a forked
+  // backend it spans the batch's dispatch to THIS window's completion
+  // in the parent — with windows_in_flight > 1 overlapping windows
+  // share wall clock, and total_runtime_seconds charges each batch once
+  // (its max), so the total never double-counts overlap (total <= Σ
+  // per-window spans).
   double runtime_seconds = 0.0;
   uint64_t bus_bytes = 0;
   // crypto::Rng::Cursor() after the window's last protocol draw: the

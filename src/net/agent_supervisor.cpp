@@ -7,6 +7,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -18,6 +19,21 @@ namespace {
 
 // Sanity bound on control payloads (window reports are kilobytes).
 constexpr uint32_t kMaxControlPayload = uint32_t{1} << 26;
+
+// How long the supervisor waits to reap a child it believes is dying,
+// and how long a child may stay silent once ANOTHER agent has been
+// convicted before that conviction is reported in its place.
+constexpr int kGraceMs = 2000;
+// How often ReadRecord looks for a newly latched fault while it waits.
+constexpr int kFaultPollMs = 100;
+
+ControlTimeout WatchdogTimeout(AgentId peer, int timeout_ms) {
+  return ControlTimeout(TransportFault{
+      peer, ErrorCode::kProtocolViolation,
+      "control channel: watchdog timeout after " +
+          std::to_string(timeout_ms) + "ms waiting on agent " +
+          std::to_string(peer)});
+}
 
 }  // namespace
 
@@ -42,6 +58,12 @@ void ControlChannel::Write(uint32_t tag, std::span<const uint8_t> payload) {
 }
 
 ControlRecord ControlChannel::Read(int timeout_ms) {
+  std::optional<ControlRecord> rec = TryRead(timeout_ms);
+  if (!rec.has_value()) throw WatchdogTimeout(peer_, timeout_ms);
+  return std::move(*rec);
+}
+
+std::optional<ControlRecord> ControlChannel::TryRead(int timeout_ms) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms);
   ControlRecord rec;
@@ -67,13 +89,7 @@ ControlRecord ControlChannel::Read(int timeout_ms) {
       }
     }
     const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) {
-      throw ControlTimeout(TransportFault{
-          peer_, ErrorCode::kProtocolViolation,
-          "control channel: watchdog timeout after " +
-              std::to_string(timeout_ms) + "ms waiting on agent " +
-              std::to_string(peer_)});
-    }
+    if (now >= deadline) return std::nullopt;
     pollfd pfd{fd_, POLLIN, 0};
     const int wait_ms = static_cast<int>(
         std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now)
@@ -372,35 +388,62 @@ void AgentSupervisor::ThrowChildFailure(AgentId agent,
 ControlRecord AgentSupervisor::ReadRecord(AgentId agent) {
   PEM_CHECK(agent >= 0 && agent < num_agents(), "bad agent id");
   Child& c = children_[static_cast<size_t>(agent)];
-  ControlRecord rec;
-  try {
-    rec = c.ctl->Read(opts_.watchdog_ms);
-  } catch (const ControlTimeout&) {
-    // Watchdog expiry with the channel still open: the peer is alive
-    // but silent.  A local child might nonetheless have died without
-    // the hangup reaching us yet — say how if so; otherwise surface
-    // the timeout itself (the destructor will kill and reap local
-    // stragglers; an external agent being slow is not a disconnect).
-    if (c.pid > 0 && ReapChild(agent, /*timeout_ms=*/2000)) {
-      ThrowChildFailure(agent, DescribeWaitStatus(c.wait_status) +
-                                   " before reporting");
+  using Clock = std::chrono::steady_clock;
+  const auto deadline =
+      Clock::now() + std::chrono::milliseconds(opts_.watchdog_ms);
+  // Once the router has convicted ANOTHER agent, this one may be silent
+  // only because it waits on frames the conviction dropped.  It gets
+  // kGraceMs from then to report; after that the conviction (the first
+  // cause, as RecordFault rules) is the report, not this agent's
+  // watchdog timeout.
+  std::optional<Clock::time_point> grace_end;
+  std::optional<ControlRecord> next;
+  while (!next.has_value()) {
+    const auto now = Clock::now();
+    const std::optional<TransportFault> convicted = LatchedFaultOfOther(agent);
+    if (convicted.has_value() && !grace_end.has_value()) {
+      grace_end = now + std::chrono::milliseconds(kGraceMs);
     }
-    throw;
-  } catch (const TransportError&) {
-    // Hangup or recv failure: the peer is gone.  If it was a local
-    // child, say exactly how it died; an external agent has no process
-    // to interrogate — its hangup IS the disconnect.
-    if (c.pid <= 0) {
-      ThrowChildFailure(agent, "disconnected before reporting");
+    if (grace_end.has_value() && now >= *grace_end) {
+      throw TransportError(*convicted);
     }
-    if (ReapChild(agent, /*timeout_ms=*/2000)) {
-      ThrowChildFailure(agent, DescribeWaitStatus(c.wait_status) +
-                                   " before reporting");
+    if (now >= deadline) {
+      // Watchdog expiry with the channel still open: the peer is alive
+      // but silent.  A local child might nonetheless have died without
+      // the hangup reaching us yet — say how if so; otherwise surface
+      // the timeout itself (the destructor will kill and reap local
+      // stragglers; an external agent being slow is not a disconnect).
+      if (c.pid > 0 && ReapChild(agent, kGraceMs)) {
+        ThrowChildFailure(agent, DescribeWaitStatus(c.wait_status) +
+                                     " before reporting");
+      }
+      throw WatchdogTimeout(agent, opts_.watchdog_ms);
     }
-    throw;
+    const auto until =
+        std::min({deadline, grace_end.value_or(deadline),
+                  now + std::chrono::milliseconds(kFaultPollMs)});
+    const int slice_ms = static_cast<int>(
+        std::chrono::duration_cast<std::chrono::milliseconds>(until - now)
+            .count());
+    try {
+      next = c.ctl->TryRead(std::max(slice_ms, 1));
+    } catch (const TransportError&) {
+      // Hangup or recv failure: the peer is gone.  If it was a local
+      // child, say exactly how it died; an external agent has no
+      // process to interrogate — its hangup IS the disconnect.
+      if (c.pid <= 0) {
+        ThrowChildFailure(agent, "disconnected before reporting");
+      }
+      if (ReapChild(agent, kGraceMs)) {
+        ThrowChildFailure(agent, DescribeWaitStatus(c.wait_status) +
+                                     " before reporting");
+      }
+      throw;
+    }
   }
+  ControlRecord rec = std::move(*next);
   if (rec.tag == kCtlRepError) {
-    (void)ReapChild(agent, /*timeout_ms=*/2000);
+    (void)ReapChild(agent, kGraceMs);
     ThrowChildFailure(
         agent, "reported: " + std::string(rec.payload.begin(),
                                           rec.payload.end()));
@@ -522,6 +565,13 @@ void AgentSupervisor::ResetStats() {
 void AgentSupervisor::SetObserver(Transport::Observer observer) {
   std::lock_guard<std::mutex> lock(mu_);
   observer_ = std::move(observer);
+}
+
+std::optional<TransportFault> AgentSupervisor::LatchedFaultOfOther(
+    AgentId agent) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (fault_.has_value() && fault_->agent != agent) return fault_;
+  return std::nullopt;
 }
 
 std::optional<TransportFault> AgentSupervisor::fault() const {

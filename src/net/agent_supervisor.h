@@ -95,6 +95,9 @@ class ControlChannel {
 
   void Write(uint32_t tag, std::span<const uint8_t> payload = {});
   ControlRecord Read(int timeout_ms);
+  // Read without the timeout throw: nullopt when `timeout_ms` passes
+  // with no whole record (hangups still throw).
+  std::optional<ControlRecord> TryRead(int timeout_ms);
 
   int fd() const { return fd_; }
 
@@ -156,6 +159,10 @@ class AgentSupervisor {
   // Next record from `agent`, watchdog-bounded.  A kCtlRepError record,
   // a hangup, or a timeout is thrown as TransportError; if the child
   // already died, the message names its exit status or fatal signal.
+  // Once a fault naming another agent has latched (a convicted wire),
+  // `agent` gets a 2 s grace to report; then that latched fault is
+  // thrown, naming the convicted agent, instead of waiting out the
+  // watchdog on a survivor blocked on the dropped frames.
   ControlRecord ReadRecord(AgentId agent);
   // Clean teardown: Shutdown command to every child, Done record from
   // each, then reap; throws on a nonzero exit.  Idempotent.
@@ -249,6 +256,8 @@ class AgentSupervisor {
   void WakeRouter();
   // waitpid with deadline; marks reaped.  Returns false on timeout.
   bool ReapChild(AgentId agent, int timeout_ms);
+  // The latched fault_ if it names an agent other than `agent`.
+  std::optional<TransportFault> LatchedFaultOfOther(AgentId agent) const;
   [[noreturn]] void ThrowChildFailure(AgentId agent, const std::string& why);
 
   std::vector<Child> children_;

@@ -12,6 +12,7 @@ MessageBus::MessageBus(int num_agents)
 
 void MessageBus::Send(Message msg) {
   PEM_CHECK(msg.from >= 0 && msg.from < num_agents(), "bad sender id");
+  const std::lock_guard<std::mutex> lock(mu_);
   if (msg.to == kBroadcast) {
     for (AgentId to = 0; to < num_agents(); ++to) {
       if (to == msg.from) continue;
@@ -31,6 +32,7 @@ void MessageBus::Send(Message msg) {
 
 std::optional<Message> MessageBus::Receive(AgentId agent) {
   PEM_CHECK(agent >= 0 && agent < num_agents(), "bad agent id");
+  const std::lock_guard<std::mutex> lock(mu_);
   auto& box = inboxes_[static_cast<size_t>(agent)];
   if (box.empty()) return std::nullopt;
   Message m = std::move(box.front());
@@ -40,18 +42,39 @@ std::optional<Message> MessageBus::Receive(AgentId agent) {
 
 bool MessageBus::HasMessage(AgentId agent) const {
   PEM_CHECK(agent >= 0 && agent < num_agents(), "bad agent id");
+  const std::lock_guard<std::mutex> lock(mu_);
   return !inboxes_[static_cast<size_t>(agent)].empty();
 }
 
 TrafficStats MessageBus::stats(AgentId agent) const {
   PEM_CHECK(agent >= 0 && agent < num_agents(), "bad agent id");
+  const std::lock_guard<std::mutex> lock(mu_);
   return ledger_.stats(agent);
 }
 
+uint64_t MessageBus::total_bytes() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return ledger_.total_bytes;
+}
+
+uint64_t MessageBus::total_messages() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return ledger_.total_messages;
+}
+
 double MessageBus::AverageBytesPerAgent() const {
+  const std::lock_guard<std::mutex> lock(mu_);
   return ledger_.AverageBytesPerAgent();
 }
 
-void MessageBus::ResetStats() { ledger_.Reset(); }
+void MessageBus::ResetStats() {
+  const std::lock_guard<std::mutex> lock(mu_);
+  ledger_.Reset();
+}
+
+void MessageBus::SetObserver(Observer observer) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  observer_ = std::move(observer);
+}
 
 }  // namespace pem::net

@@ -6,17 +6,24 @@
 // wire.  Every Send() adds a small frame header (sender, receiver,
 // type) to the accounted size, mirroring a TCP/protobuf-style framing.
 //
-// MessageBus is the serial Transport backend: no locking, so it must
-// only be touched from one thread.  For phase-parallel runs see
-// ConcurrentMessageBus (net/concurrent_bus.h); for one process per
-// agent over kernel channels see ProcessTransport
-// (net/process_transport.h).
+// MessageBus is the one in-process Transport backend, serial and
+// phase-parallel runs alike.  Every operation takes an internal lock,
+// so ParallelFor workers may Send() concurrently: messages from one
+// sender keep that sender's order, and interleaving across senders
+// follows lock acquisition, like packets racing into a switch.  The
+// protocol engine itself never sends from a worker (compute phases
+// fill buffers; the sends happen afterwards on the caller's thread),
+// so there the lock is always uncontended and the transcript is the
+// serial one.  The observer runs under the lock, so the recorded
+// transcript is a consistent total order; it must never call back into
+// the bus (the lock is not recursive).  For one process per agent over
+// kernel channels see ProcessTransport (net/process_transport.h).
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "net/serialize.h"
@@ -28,6 +35,7 @@ class MessageBus : public Transport {
  public:
   explicit MessageBus(int num_agents);
 
+  // Fixed at construction, so readable without the lock.
   int num_agents() const override {
     return static_cast<int>(inboxes_.size());
   }
@@ -37,19 +45,17 @@ class MessageBus : public Transport {
   bool HasMessage(AgentId agent) const override;
 
   TrafficStats stats(AgentId agent) const override;
-  uint64_t total_bytes() const override { return ledger_.total_bytes; }
-  uint64_t total_messages() const override { return ledger_.total_messages; }
+  uint64_t total_bytes() const override;
+  uint64_t total_messages() const override;
   double AverageBytesPerAgent() const override;
   void ResetStats() override;
-
-  void SetObserver(Observer observer) override {
-    observer_ = std::move(observer);
-  }
+  void SetObserver(Observer observer) override;
 
  private:
-  std::vector<std::deque<Message>> inboxes_;
-  TrafficLedger ledger_;
-  Observer observer_;
+  mutable std::mutex mu_;
+  std::vector<std::deque<Message>> inboxes_;  // guarded by mu_
+  TrafficLedger ledger_;                      // guarded by mu_
+  Observer observer_;                         // guarded by mu_
 };
 
 }  // namespace pem::net

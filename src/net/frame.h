@@ -11,7 +11,7 @@
 // backend accounts exactly FramedSize(msg) bytes per delivered copy;
 // the forked backends additionally put these literal bytes on their
 // wires, which is what lets test_transcript_parity assert that the
-// in-process buses and the forked backends carry identical traffic.
+// in-process bus and the forked backends carry identical traffic.
 #pragma once
 
 #include <cstddef>

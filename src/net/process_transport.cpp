@@ -30,11 +30,8 @@ constexpr size_t kMaxStashedFrames = size_t{1} << 16;
 // --- ProcessChildTransport --------------------------------------------
 
 ProcessChildTransport::ProcessChildTransport(int num_agents, AgentId self,
-                                             int wire_fd, bool verify_frames)
-    : shadow_(num_agents),
-      self_(self),
-      wire_fd_(wire_fd),
-      verify_frames_(verify_frames) {
+                                             int wire_fd)
+    : shadow_(num_agents), self_(self), wire_fd_(wire_fd) {
   PEM_CHECK(self >= 0 && self < num_agents,
             "process child transport: self id out of range");
   PEM_CHECK(wire_fd >= 0, "process child transport: bad wire descriptor");
@@ -79,58 +76,30 @@ Message ProcessChildTransport::ReadWireFrame() {
 std::optional<Message> ProcessChildTransport::Receive(AgentId agent) {
   std::optional<Message> expected = shadow_.Receive(agent);
   if (agent != self_ || !expected.has_value()) return expected;
-  if (verify_frames_) {
-    // Own receive, verifying: the deterministic script names the exact
-    // frame this agent must consume next; insist a byte-identical frame
-    // physically arrives.  Frames from concurrent senders may arrive
-    // early relative to the script (the processes really run in
-    // parallel) — stash them until their turn.
-    for (size_t i = 0; i < stash_.size(); ++i) {
-      if (stash_[i] == *expected) {
-        stash_.erase(stash_.begin() + static_cast<ptrdiff_t>(i));
-        return expected;
-      }
-    }
-    for (;;) {
-      Message m = ReadWireFrame();
-      if (m == *expected) return expected;
-      stash_.push_back(std::move(m));
-      if (stash_.size() >= kMaxStashedFrames) {
-        throw TransportError(TransportFault{
-            self_, ErrorCode::kProtocolViolation,
-            "process child transport: agent " + std::to_string(self_) +
-                " stashed " + std::to_string(stash_.size()) +
-                " frames without seeing the expected one (type " +
-                HexU32(expected->type) + " from " +
-                std::to_string(expected->from) +
-                ") — wire and deterministic script diverged"});
-      }
-    }
-  }
-  // Trusting mode: the script names only WHICH sender's frame this
-  // agent consumes next; the wire frame itself, matched per-sender FIFO
-  // (the only order two independent parties define), is what the
-  // protocol sees — a real remote deployment trusts its transport, and
-  // the parent's per-window ledger cross-check still runs.
-  const AgentId want = expected->from;
+  // Own receive: the deterministic script names the exact frame this
+  // agent must consume next; insist a byte-identical frame physically
+  // arrives.  Frames from concurrent senders may arrive early relative
+  // to the script (the processes really run in parallel) — stash them
+  // until their turn.
   for (size_t i = 0; i < stash_.size(); ++i) {
-    if (stash_[i].from == want) {
-      Message m = std::move(stash_[i]);
+    if (stash_[i] == *expected) {
       stash_.erase(stash_.begin() + static_cast<ptrdiff_t>(i));
-      return m;
+      return expected;
     }
   }
   for (;;) {
     Message m = ReadWireFrame();
-    if (m.from == want) return m;
+    if (m == *expected) return expected;
     stash_.push_back(std::move(m));
     if (stash_.size() >= kMaxStashedFrames) {
       throw TransportError(TransportFault{
           self_, ErrorCode::kProtocolViolation,
           "process child transport: agent " + std::to_string(self_) +
               " stashed " + std::to_string(stash_.size()) +
-              " frames without one from sender " + std::to_string(want) +
-              " — wire and deterministic script diverged"});
+              " frames without seeing the expected one (type " +
+              HexU32(expected->type) + " from " +
+              std::to_string(expected->from) +
+              ") — wire and deterministic script diverged"});
     }
   }
 }
@@ -171,7 +140,6 @@ void ProcessChildTransport::WriteWireBytesForTest(
 // --- child entry point ------------------------------------------------
 
 void RunAdoptedChild(AgentId self, int num_agents, int wire_fd, int ctl_fd,
-                     bool verify_frames,
                      const AgentSupervisor::ChildMain& child_main) {
   // Die with the parent: a crashed/killed orchestrator must never leave
   // agent processes behind.
@@ -179,7 +147,7 @@ void RunAdoptedChild(AgentId self, int num_agents, int wire_fd, int ctl_fd,
   ControlChannel ctl(ctl_fd, self);
   int code = 127;
   try {
-    ProcessChildTransport wire(num_agents, self, wire_fd, verify_frames);
+    ProcessChildTransport wire(num_agents, self, wire_fd);
     code = child_main(self, wire, ctl);
     wire.VerifyQuiescent();
   } catch (const std::exception& e) {
@@ -226,8 +194,7 @@ struct ChildFds {
     }
   }
   RunAdoptedChild(self, num_agents, fds[static_cast<size_t>(self)].wire_child,
-                  fds[static_cast<size_t>(self)].ctl_child,
-                  /*verify_frames=*/true, main);
+                  fds[static_cast<size_t>(self)].ctl_child, main);
 }
 
 }  // namespace

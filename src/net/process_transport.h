@@ -23,10 +23,9 @@
 // (MessageBus), while the wire operations of ITS OWN agent are real:
 //   * Send(from == self)  writes the canonical frame to the wire fd
 //     (and to the shadow, which keeps the script advancing);
-//   * Receive(self)       blocks on the wire and consumes the arriving
-//     frame; in verifying mode (the default here, a debug mode on TCP)
-//     it additionally byte-matches it against the shadow's expectation,
-//     so every message this agent consumes provably crossed the kernel
+//   * Receive(self)       blocks on the wire, consumes the arriving
+//     frame and byte-matches it against the shadow's expectation, so
+//     every message this agent consumes provably crossed the kernel
 //     byte-identical to what the deterministic protocol demands;
 //   * Send/Receive(other) touch only the shadow: another agent's
 //     traffic is that agent's own process's business.
@@ -57,20 +56,13 @@ namespace pem::net {
 // on the shadow, so stats() reports exactly the canonical per-agent
 // ledger every in-process backend reports — while the parent router
 // independently accounts the literal socket bytes, and the two are
-// asserted equal per window.
-//
-// Verification mode.  With `verify_frames` (the socketpair backend's
-// default) every frame this agent consumes is byte-matched against the
-// deterministic script, and any mismatch throws.  Without it (the TCP
-// backend's default — a real remote deployment trusts its transport,
-// and the per-window ledger cross-check still runs in the parent) the
-// script only names WHICH sender's frame to consume next; the wire
-// frame itself, matched per-sender FIFO, is what Receive returns.
+// asserted equal per window.  Every frame this agent consumes is
+// byte-matched against the deterministic script, and any mismatch
+// throws.
 class ProcessChildTransport : public Transport {
  public:
   // Takes ownership of `wire_fd` (this agent's end of the wire).
-  ProcessChildTransport(int num_agents, AgentId self, int wire_fd,
-                        bool verify_frames = true);
+  ProcessChildTransport(int num_agents, AgentId self, int wire_fd);
   ~ProcessChildTransport() override;
   ProcessChildTransport(const ProcessChildTransport&) = delete;
   ProcessChildTransport& operator=(const ProcessChildTransport&) = delete;
@@ -105,7 +97,6 @@ class ProcessChildTransport : public Transport {
   MessageBus shadow_;
   AgentId self_;
   int wire_fd_ = -1;
-  bool verify_frames_ = true;
   FrameDecoder rx_;
   // Frames that physically arrived before the script asked for them.
   std::vector<Message> stash_;
@@ -117,7 +108,7 @@ class ProcessChildTransport : public Transport {
 // the callable's return value.  Shared by the fork-over-socketpair and
 // the connect-over-TCP child launchers.
 [[noreturn]] void RunAdoptedChild(AgentId self, int num_agents, int wire_fd,
-                                  int ctl_fd, bool verify_frames,
+                                  int ctl_fd,
                                   const AgentSupervisor::ChildMain& child_main);
 
 // One forked OS process per agent over inherited socketpairs.

@@ -38,16 +38,16 @@ inline uint64_t LoadU64(const uint8_t* p) {
 // deterministic script (exactly like ProcessChildTransport), but this
 // agent's own frames go straight into the per-pair rings — no wire fd,
 // no router.  Receives need no reorder stash: ring(s -> self) IS
-// sender s's FIFO toward this agent.
+// sender s's FIFO toward this agent.  Every consumed frame is
+// byte-matched against the script, as on the socket backends.
 class ShmChildTransport : public Transport {
  public:
   ShmChildTransport(int num_agents, AgentId self, std::vector<SpscRing> rings,
-                    std::atomic<uint32_t>* epoch, bool verify_frames)
+                    std::atomic<uint32_t>* epoch)
       : shadow_(num_agents),
         self_(self),
         rings_(std::move(rings)),
-        epoch_(epoch),
-        verify_frames_(verify_frames) {
+        epoch_(epoch) {
     PEM_CHECK(self >= 0 && self < num_agents,
               "shm child transport: self id out of range");
     PEM_CHECK(rings_.size() ==
@@ -89,7 +89,7 @@ class ShmChildTransport : public Transport {
     // record is the frame — no stash, unlike the socket backends where
     // concurrent senders interleave on one stream.
     Message wire = ReadRecord(expected->from);
-    if (verify_frames_ && !(wire == *expected)) {
+    if (!(wire == *expected)) {
       throw TransportError(TransportFault{
           self_, ErrorCode::kProtocolViolation,
           "shm child transport: agent " + std::to_string(self_) +
@@ -97,7 +97,7 @@ class ShmChildTransport : public Transport {
               std::to_string(expected->from) +
               " that diverges from the deterministic script"});
     }
-    return verify_frames_ ? expected : std::optional<Message>(std::move(wire));
+    return expected;
   }
 
   bool HasMessage(AgentId agent) const override {
@@ -201,7 +201,6 @@ class ShmChildTransport : public Transport {
   AgentId self_;
   std::vector<SpscRing> rings_;
   std::atomic<uint32_t>* epoch_;
-  bool verify_frames_;
   uint64_t seq_ = 0;  // this sender's global send counter, all rings
   std::vector<uint8_t> scratch_;
 };
@@ -211,13 +210,12 @@ class ShmChildTransport : public Transport {
 [[noreturn]] void RunShmChild(AgentId self, int num_agents,
                               const std::vector<SpscRing>& rings,
                               std::atomic<uint32_t>* epoch, int ctl_fd,
-                              bool verify_frames,
                               const AgentSupervisor::ChildMain& child_main) {
   prctl(PR_SET_PDEATHSIG, SIGKILL);
   ControlChannel ctl(ctl_fd, self);
   int code = 127;
   try {
-    ShmChildTransport wire(num_agents, self, rings, epoch, verify_frames);
+    ShmChildTransport wire(num_agents, self, rings, epoch);
     code = child_main(self, wire, ctl);
     wire.VerifyQuiescent();
   } catch (const std::exception& e) {
@@ -284,7 +282,7 @@ ShmTransport::ShmTransport(int num_agents, ChildMain child_main, Options opts)
         if (j != i) CloseIfOpen(ctl_child[j]);
       }
       RunShmChild(static_cast<AgentId>(i), num_agents, rings_, epoch_,
-                  ctl_child[i], opts.verify_frames, child_main);
+                  ctl_child[i], child_main);
     }
     AdoptChild(static_cast<AgentId>(i), pid, /*wire_fd=*/-1, ctl_parent[i]);
     close(ctl_child[i]);

@@ -71,9 +71,6 @@ class ShmTransport : public AgentSupervisor {
     // Data capacity of each directed ring (power of two).  A record
     // (16-byte ring header + framed message) must fit in one ring.
     size_t ring_bytes = size_t{1} << 20;
-    // Byte-match every frame a child consumes against its
-    // deterministic shadow script, like the socketpair backend.
-    bool verify_frames = true;
   };
 
   ShmTransport(int num_agents, ChildMain child_main, Options opts);

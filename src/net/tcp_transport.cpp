@@ -310,8 +310,7 @@ namespace {
     const TcpAgentSockets s =
         ConnectTcpAgent(opts.host, port, self, opts.connect_timeout_ms,
                         opts.socket_buffer_bytes);
-    RunAdoptedChild(self, num_agents, s.wire_fd, s.ctl_fd, opts.verify_frames,
-                    child_main);
+    RunAdoptedChild(self, num_agents, s.wire_fd, s.ctl_fd, child_main);
   } catch (...) {
     // Could not even reach the rendezvous; the parent's accept timeout
     // (or the control-channel hangup) reports the loss.

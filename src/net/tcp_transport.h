@@ -33,10 +33,9 @@
 // tests/net/test_tcp_transport.cpp exist precisely because this
 // backend is the first to exercise those paths.
 //
-// Child-side shadow verification defaults OFF here (a remote
-// deployment trusts its transport; the parent still cross-checks the
-// canonical ledger against routed bytes every window) and can be
-// re-enabled as a debug mode via Options::verify_frames.
+// Children run the same ProcessChildTransport as the socketpair
+// backend, so every frame a child consumes is byte-matched against its
+// deterministic shadow script here too.
 #pragma once
 
 #include <cstdint>
@@ -123,11 +122,6 @@ class TcpTransport : public AgentSupervisor {
     // within this long or the constructor / WaitForAgents() throws a
     // structured error naming the missing agents.
     int connect_timeout_ms = 30'000;
-    // Debug mode: byte-match every frame a child consumes against its
-    // deterministic shadow script (the socketpair backend's default).
-    // Off by default — a remote deployment trusts its transport, and
-    // the per-window ledger cross-check still runs in the parent.
-    bool verify_frames = false;
     // Shrink SO_SNDBUF/SO_RCVBUF on every wire socket (0: kernel
     // default).  Tests set this smaller than one frame to prove short
     // writes are fully retried on both sides of the router.

@@ -1,6 +1,6 @@
 #include "net/transport.h"
 
-#include "net/concurrent_bus.h"
+#include "net/bus.h"
 #include "util/error.h"
 
 namespace pem::net {
@@ -10,8 +10,6 @@ std::unique_ptr<Transport> MakeTransport(TransportKind kind, int num_agents) {
   switch (kind) {
     case TransportKind::kSerialBus:
       return std::make_unique<MessageBus>(num_agents);
-    case TransportKind::kConcurrentBus:
-      return std::make_unique<ConcurrentMessageBus>(num_agents);
     case TransportKind::kProcess:
       PEM_CHECK(false,
                 "MakeTransport: kProcess forks one child per agent and needs "

@@ -7,12 +7,8 @@
 // and counters of the agent it is acting for — which is what keeps an
 // out-of-process backend honest.  Concrete backends decide the
 // threading and process model:
-//   * MessageBus        — single-threaded FIFO bus (the original
-//                         engine; cheapest, no locking);
-//   * ConcurrentMessageBus — mutex-guarded bus that accepts Send()
-//                         from ParallelFor workers while preserving
-//                         per-agent FIFO order and byte-exact
-//                         TrafficStats accounting;
+//   * MessageBus        — the in-process FIFO bus behind one mutex,
+//                         for serial and phase-parallel runs alike;
 //   * ProcessTransport, TcpTransport, ShmTransport — one forked OS
 //                         process per agent (the paper's one-container-
 //                         per-agent deployment), supervised by
@@ -20,7 +16,7 @@
 //                         core::RunSimulation.
 // All backends account identical bytes for identical message
 // sequences — exactly FramedSize(msg) per delivered copy — which is
-// what lets test_transcript_parity assert a five-way parity of the
+// what lets test_transcript_parity assert a four-way parity of the
 // wire transcript.
 #pragma once
 
@@ -223,12 +219,11 @@ inline uint64_t TotalBytesSent(std::span<const Endpoint> endpoints) {
 
 // Which concrete Transport a run uses.
 enum class TransportKind {
-  kSerialBus,      // MessageBus: single-threaded, no locking
-  kConcurrentBus,  // ConcurrentMessageBus: safe under ParallelFor
-  kProcess,        // ProcessTransport: one forked OS process per agent
-  kTcp,            // TcpTransport: one process per agent over TCP
-  kShm,            // ShmTransport: one process per agent over shared-
-                   // memory SPSC rings (zero kernel copies)
+  kSerialBus,  // MessageBus: in-process, any thread count
+  kProcess,    // ProcessTransport: one forked OS process per agent
+  kTcp,        // TcpTransport: one process per agent over TCP
+  kShm,        // ShmTransport: one process per agent over shared-
+               // memory SPSC rings (zero kernel copies)
 };
 
 inline const char* TransportKindName(TransportKind k) {
@@ -236,7 +231,6 @@ inline const char* TransportKindName(TransportKind k) {
   // a compile-time -Wswitch warning here, not a silent "unknown".
   switch (k) {
     case TransportKind::kSerialBus: return "serial";
-    case TransportKind::kConcurrentBus: return "concurrent";
     case TransportKind::kProcess: return "process";
     case TransportKind::kTcp: return "tcp";
     case TransportKind::kShm: return "shm";
@@ -262,11 +256,6 @@ struct TransportOptions {
   // through the network stack.
   std::string tcp_host = "127.0.0.1";
   uint16_t tcp_port = 0;
-  // TCP debug mode: byte-match every frame a child consumes against
-  // its deterministic shadow script (always on for the socketpair
-  // process backend).  Off by default — the parent's per-window ledger
-  // cross-check still runs.
-  bool tcp_verify_frames = false;
   // Shm only: data capacity of each directed per-pair ring (power of
   // two).  The default comfortably holds a window's largest frame
   // burst; raise it for communities with very large ciphertext
@@ -279,7 +268,8 @@ struct TransportOptions {
 // SimulationConfig -> ProtocolContext so RunSimulation can select
 // serial vs. phase-parallel per run.  The wire transcript is invariant
 // under this policy (see RingAggregate's prepare/compute/forward
-// phasing).
+// phasing): workers only fill buffers, and every send happens on the
+// caller's thread.
 struct ExecutionPolicy {
   TransportKind transport_kind = TransportKind::kSerialBus;
   int threads = 1;
@@ -293,8 +283,10 @@ struct ExecutionPolicy {
   }
 
   static ExecutionPolicy Serial() { return {}; }
+  // The phase-parallel engine: the same in-process bus, with the
+  // compute phases fanned out across `threads` workers.
   static ExecutionPolicy Parallel(int threads) {
-    return {TransportKind::kConcurrentBus, threads};
+    return {TransportKind::kSerialBus, threads};
   }
   // One forked OS process per agent: each child inherits exactly its
   // own socketpair end and runs a single agent's side of every phase
@@ -323,10 +315,10 @@ struct ExecutionPolicy {
 };
 
 // Constructs the backend selected by `kind`.  Aborts on a non-positive
-// agent count — a zero-agent transport can only hide bugs.  kProcess is
-// not constructible here: forking children requires a child entry
-// point, so the driver must build net::ProcessTransport directly (as
-// core::RunSimulation does for ExecutionPolicy::Process()).
+// agent count — a zero-agent transport can only hide bugs.  Only
+// kSerialBus is constructible here: forking children requires a child
+// entry point, so the driver must build the forked backends directly
+// (as core::RunSimulation does for ExecutionPolicy::Process()).
 std::unique_ptr<Transport> MakeTransport(TransportKind kind, int num_agents);
 
 }  // namespace pem::net

@@ -31,7 +31,6 @@
 #include "grid/trace.h"
 #include "grid/types.h"
 #include "net/bus.h"
-#include "net/concurrent_bus.h"
 #include "net/frame.h"
 #include "net/message.h"
 #include "net/serialize.h"

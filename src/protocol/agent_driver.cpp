@@ -160,11 +160,8 @@ AgentDriver::AgentDriver(net::AgentId self, ProtocolContext& ctx,
             "agent driver: begin_window callback is required");
 }
 
-WindowReport AgentDriver::RunWindow(int window) {
-  callbacks_.begin_window(window);
-  const net::TrafficStats before = ctx_.ep(self_).stats();
-  const PemWindowResult result = RunPemWindow(ctx_, parties_, window);
-
+WindowReport MakeWindowReport(int window, const PemWindowResult& result,
+                              std::span<const Party> parties) {
   WindowReport report;
   report.window = window;
   report.type = result.type;
@@ -174,7 +171,7 @@ WindowReport AgentDriver::RunWindow(int window) {
   report.buyer_total_cost = result.buyer_total_cost;
   report.grid_import_kwh = result.grid_import_kwh;
   report.grid_export_kwh = result.grid_export_kwh;
-  for (const Party& p : parties_) {
+  for (const Party& p : parties) {
     if (p.role() == grid::Role::kSeller) ++report.num_sellers;
     if (p.role() == grid::Role::kBuyer) ++report.num_buyers;
   }
@@ -183,6 +180,15 @@ WindowReport AgentDriver::RunWindow(int window) {
   report.bus_bytes = result.bus_bytes;
   report.rng_cursor = result.rng_cursor;
   report.audit = result.audit;
+  return report;
+}
+
+WindowReport AgentDriver::RunWindow(int window) {
+  callbacks_.begin_window(window);
+  const net::TrafficStats before = ctx_.ep(self_).stats();
+  const PemWindowResult result = RunPemWindow(ctx_, parties_, window);
+
+  WindowReport report = MakeWindowReport(window, result, parties_);
   report.self_stats = Delta(ctx_.ep(self_).stats(), before);
   // Driver-level cheats: only the cheater's own process lies — its
   // peers report honestly — so the parent's cross-checks in

@@ -1,6 +1,6 @@
 // Per-process protocol driver: ONE agent's side of a trading window.
 //
-// In the in-process backends a single thread simulates every agent.
+// On the in-process bus a single thread simulates every agent.
 // Under net::ProcessTransport each forked child owns exactly one agent:
 // it replays the deterministic protocol script (everything public —
 // coalition formation, ring orders, elections — plus the shadow of the
@@ -77,6 +77,12 @@ struct WindowReport {
   // moved for this agent.
   net::TrafficStats self_stats;
 };
+
+// The public fields of `window`'s report, filled from one finished
+// window (self_stats stays zero).  AgentDriver::RunWindow and the
+// in-process engine of core::RunSimulation both report through it.
+WindowReport MakeWindowReport(int window, const PemWindowResult& result,
+                              std::span<const Party> parties);
 
 std::vector<uint8_t> EncodeWindowReport(const WindowReport& report);
 WindowReport DecodeWindowReport(std::span<const uint8_t> bytes);

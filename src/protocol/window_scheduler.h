@@ -11,7 +11,7 @@
 // fused is the compute work the prepare/compute/forward phasing made
 // explicit, and the scheduler exploits it differently per engine:
 //
-//  * In-process engines: every compute phase of the in-flight windows
+//  * In-process engine: every compute phase of the in-flight windows
 //    fans out over ONE persistent worker team instead of forking and
 //    joining a fresh pem::ParallelFor pool per call — the same
 //    amortization RingAggregateBatch applies to Private Pricing's two

@@ -9,7 +9,7 @@
 //   * every scripted cheat class (mis-encrypted contribution,
 //     commitment mismatch, replayed contribution, forged byte count)
 //     is detected and NAMED — identical structured ProtocolFault — on
-//     serial / concurrent / process / tcp / shm;
+//     serial (1 and 4 threads) / process / tcp / shm;
 //   * the window still completes for the honest survivors: the cheater
 //     is excluded mid-window and the coalitions re-form without it;
 //   * honest agents' wire bytes are byte-identical to a cheat-free run
@@ -241,13 +241,13 @@ void ExpectSingleFault(const AdvRun& run, CheatClass cheat,
 
 // Every cheat class, every backend: detection is a deterministic
 // function of the transcript, so the SAME named fault must come out of
-// all five transports.
+// all four transports (the serial bus at 1 and 4 threads).
 void ExpectCheatCaughtEverywhere(CheatClass cheat) {
   const protocol::PemConfig cfg = AuditedConfig({kCheater, cheat, 0});
   ExpectSingleFault(RunAuditedWindow(net::ExecutionPolicy::Serial(), cfg),
                     cheat, "serial");
   ExpectSingleFault(RunAuditedWindow(net::ExecutionPolicy::Parallel(4), cfg),
-                    cheat, "concurrent");
+                    cheat, "serial x4");
   ExpectSingleFault(RunAuditedWindowForked(net::TransportKind::kProcess, cfg),
                     cheat, "process");
   ExpectSingleFault(RunAuditedWindowForked(net::TransportKind::kTcp, cfg),

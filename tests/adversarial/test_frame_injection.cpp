@@ -15,6 +15,7 @@
 // ledger cross-check, exercised by the adversarial wall.)
 #include <gtest/gtest.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
@@ -143,6 +144,50 @@ TEST(FrameInjection, ProcessCorruptChecksumFrameLatchesStructuredFault) {
 TEST(FrameInjection, ProcessOutOfRangeRecipientLatchesStructuredFault) {
   ExpectProcessInjectionConvictsOnlyTheInjector(
       EncodeFrame(Msg(kInjector, 7)), "out-of-range recipient 7");
+}
+
+TEST(FrameInjection, ProcessSurvivorBlockedOnConvictedAgentReportsIt) {
+  // Agent 1 forges a sender id and then sends agent 2 a real frame;
+  // the conviction closes agent 1's wire, so agent 2 waits forever on
+  // a frame the router dropped.  The parent must report the conviction
+  // (the first cause) within the post-conviction grace, not sit out
+  // the watchdog and blame the blocked survivor.
+  const Message real = Msg(kInjector, 2, 0x4100, {9});
+  AgentSupervisor::ChildMain script = [real](AgentId self, Transport& wire,
+                                             ControlChannel& ctl) -> int {
+    (void)ctl.Read(/*timeout_ms=*/120'000);  // the one Run command
+    if (self == kInjector) {
+      static_cast<ProcessChildTransport&>(wire).WriteWireBytesForTest(
+          EncodeFrame(Msg(2, 0)));
+    }
+    if (self != 0) {
+      wire.Send(real);  // real for 1, shadow-only for 2
+      if (self == 2) (void)wire.Receive(2);
+    }
+    ctl.Write(kCtlRepWindow);
+    for (;;) pause();  // the parent's teardown SIGKILLs every child
+  };
+  {
+    ProcessTransport::Options opts;
+    opts.watchdog_ms = 60'000;
+    ProcessTransport pt(3, script, opts);
+    pt.CommandAll(kCtlCmdRun);
+    const auto start = std::chrono::steady_clock::now();
+    try {
+      (void)pt.ReadRecord(2);
+      FAIL() << "agent 2 cannot report: its frame was never routed";
+    } catch (const TransportError& e) {
+      EXPECT_EQ(e.fault().agent, kInjector) << e.what();
+      EXPECT_NE(std::string(e.what()).find("forged sender id 2"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                            start)
+                  .count(),
+              5.0);
+  }
+  ExpectNoZombies();
 }
 
 // --- ShmTransport ring ingress ------------------------------------------

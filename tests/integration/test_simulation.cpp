@@ -225,5 +225,28 @@ TEST(SimulationDeath, BadStrideAborts) {
   EXPECT_DEATH((void)RunSimulation(trace, cfg), "stride");
 }
 
+TEST(SimulationDeath, ChurnAgentOutsideTraceAborts) {
+  // Churn changes who participates, never the community size: an agent
+  // the trace does not have is a config error, not a silent no-op.
+  const grid::CommunityTrace trace =
+      grid::GenerateCommunityTrace(SmallTrace(4, 2));
+  SimulationConfig cfg;
+  cfg.churn = {ChurnEvent{/*window=*/0, /*agent=*/4, /*join=*/false}};
+  EXPECT_DEATH((void)RunSimulation(trace, cfg), "outside the trace");
+  cfg.churn = {ChurnEvent{/*window=*/0, /*agent=*/-1, /*join=*/false}};
+  EXPECT_DEATH((void)RunSimulation(trace, cfg), "outside the trace");
+}
+
+TEST(SimulationDeath, ChurnWindowOutsideDayAborts) {
+  // An event past the last window would never be applied.
+  const grid::CommunityTrace trace =
+      grid::GenerateCommunityTrace(SmallTrace(4, 2));
+  SimulationConfig cfg;
+  cfg.churn = {ChurnEvent{/*window=*/2, /*agent=*/1, /*join=*/false}};
+  EXPECT_DEATH((void)RunSimulation(trace, cfg), "outside the day");
+  cfg.churn = {ChurnEvent{/*window=*/-1, /*agent=*/1, /*join=*/false}};
+  EXPECT_DEATH((void)RunSimulation(trace, cfg), "outside the day");
+}
+
 }  // namespace
 }  // namespace pem::core

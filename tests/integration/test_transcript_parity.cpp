@@ -2,26 +2,24 @@
 //
 // The tentpole claim of the transport redesign: the execution policy
 // (transport backend + compute workers) changes WHO computes each
-// ciphertext, WHEN, and over WHICH medium — in-process FIFO queues,
-// a mutex-guarded bus, one forked OS process per agent over inherited
-// socketpairs, one process per agent over loopback TCP, or one process
-// per agent over zero-copy shared-memory rings — but never WHAT goes
-// on the wire.  With the same seed, every backend must produce
-// identical prices, trades, bus bytes, PER-AGENT byte totals, and an
-// identical transcript (the serial/concurrent/process/tcp/shm
-// FIVE-way matrix below).
+// ciphertext, WHEN, and over WHICH medium — the in-process FIFO bus
+// (at 1 or 4 compute workers), one forked OS process per agent over
+// inherited socketpairs, one process per agent over loopback TCP, or
+// one process per agent over zero-copy shared-memory rings — but never
+// WHAT goes on the wire.  With the same seed, every backend must
+// produce identical prices, trades, bus bytes, PER-AGENT byte totals,
+// and an identical transcript (the serial/process/tcp/shm FOUR-way
+// matrix below, its serial row at 1 and 4 threads).
 //
 // Transcript ordering caveat for the forked backends (process, tcp,
 // shm): their agents really run concurrently, so the parent observes
 // frames in physical arrival order — only per-sender FIFO order is
 // defined, exactly as on a real network.  Those rows therefore compare
-// per-sender message sequences (plus total counts); for the socketpair
-// process backend AND the shm backend the message-level byte equality
-// is additionally enforced INSIDE every child, which byte-matches each
-// frame it consumes against the deterministic schedule
-// (net/process_transport.h, net/shm_transport.h), while the tcp
-// backend runs trusting mode (its parent-side ledger cross-check still
-// runs per window).  The shm row is special in one more way: no frame
+// per-sender message sequences (plus total counts); the message-level
+// byte equality is additionally enforced INSIDE every child, which
+// byte-matches each frame it consumes against the deterministic
+// schedule (net/process_transport.h, net/shm_transport.h).  The shm
+// row is special in one more way: no frame
 // ever crosses the parent, so its ledger and observer transcript come
 // from the rings' snoop cursors — this matrix is what proves that tap
 // misses nothing.
@@ -305,8 +303,8 @@ WindowRun RunWindowForked(net::TransportKind kind, uint64_t seed,
   return run;
 }
 
-TEST(TranscriptParity, WindowFiveWayMatrix) {
-  // serial / concurrent / process / tcp / shm: same seed, same
+TEST(TranscriptParity, WindowFourWayMatrix) {
+  // serial (1 and 4 threads) / process / tcp / shm: same seed, same
   // transcript, same per-agent bytes.
   const WindowRun serial = RunWindow(net::ExecutionPolicy::Serial(), 42);
   const WindowRun parallel = RunWindow(net::ExecutionPolicy::Parallel(4), 42);
@@ -435,9 +433,9 @@ TEST(TranscriptParity, CrtAndConcurrentRefillMatrix) {
 }
 
 TEST(TranscriptParity, SerialTransportWithWorkersAlsoMatches) {
-  // The phase engine never sends from compute workers, so even the
-  // unlocked serial bus stays correct under threads > 1; the policy's
-  // two axes are independent.
+  // The phase engine never sends from compute workers, so the bus
+  // carries the serial transcript under threads > 1; the policy's two
+  // axes are independent.
   const WindowRun serial = RunWindow(net::ExecutionPolicy::Serial(), 3);
   const WindowRun hybrid =
       RunWindow({net::TransportKind::kSerialBus, 4}, 3);
@@ -467,6 +465,7 @@ SimRun RunSim(const net::ExecutionPolicy& policy,
   cfg.engine = core::Engine::kCrypto;
   cfg.pem.key_bits = 128;
   cfg.policy = policy;
+  cfg.record_states = true;
   cfg.bus_observer = [&run](const net::Message& m) {
     run.messages.push_back(m);
   };
@@ -489,6 +488,13 @@ void ExpectSimParity(const SimRun& serial, const SimRun& other,
     EXPECT_EQ(b.num_sellers, a.num_sellers) << w;
     EXPECT_EQ(b.num_buyers, a.num_buyers) << w;
     EXPECT_DOUBLE_EQ(b.buyer_cost_pem, a.buyer_cost_pem) << w;
+    EXPECT_DOUBLE_EQ(b.supply_total, a.supply_total) << w;
+    EXPECT_DOUBLE_EQ(b.demand_total, a.demand_total) << w;
+    EXPECT_DOUBLE_EQ(b.grid_interaction_pem, a.grid_interaction_pem) << w;
+    EXPECT_DOUBLE_EQ(b.buyer_cost_baseline, a.buyer_cost_baseline) << w;
+    EXPECT_DOUBLE_EQ(b.grid_interaction_baseline,
+                     a.grid_interaction_baseline)
+        << w;
     // The rng stream position after the window's last protocol draw:
     // the strongest cheap witness that no engine, backend, or window
     // schedule moved a single random byte.
@@ -500,6 +506,21 @@ void ExpectSimParity(const SimRun& serial, const SimRun& other,
     EXPECT_EQ(b.audit.faults.size(), a.audit.faults.size()) << w;
   }
   EXPECT_EQ(other.result.total_bus_bytes, serial.result.total_bus_bytes);
+  // The resolved window states (battery dynamics included) of every
+  // executed window; runtime_seconds is the only record field left
+  // unchecked, since wall clock is not part of the transcript.
+  ASSERT_EQ(other.result.resolved_states.size(),
+            serial.result.resolved_states.size());
+  for (size_t w = 0; w < serial.result.resolved_states.size(); ++w) {
+    const std::vector<grid::WindowState>& a = serial.result.resolved_states[w];
+    const std::vector<grid::WindowState>& b = other.result.resolved_states[w];
+    ASSERT_EQ(b.size(), a.size()) << w;
+    for (size_t h = 0; h < a.size(); ++h) {
+      EXPECT_EQ(b[h].generation_kwh, a[h].generation_kwh) << w << "/" << h;
+      EXPECT_EQ(b[h].load_kwh, a[h].load_kwh) << w << "/" << h;
+      EXPECT_EQ(b[h].battery_kwh, a[h].battery_kwh) << w << "/" << h;
+    }
+  }
 
   if (strict_order) {
     ExpectSameTranscript(serial.messages, other.messages);
@@ -551,9 +572,9 @@ const ConfigTweak kBatch4 = [](core::SimulationConfig& c) {
 };
 
 TEST(TranscriptParity, BatchedDayMatchesSerialInProcess) {
-  // serial-bus / concurrent-bus, both batched 4 wide, against the
-  // windows_in_flight = 1 serial baseline.  The concurrent row is the
-  // fused one (batched AND parallel compute); the serial-bus row proves
+  // The serial bus at 1 and 4 threads, both batched 4 wide, against
+  // the windows_in_flight = 1 serial baseline.  The 4-thread row is the
+  // fused one (batched AND parallel compute); the 1-thread row proves
   // the scheduler is inert when there is no team to fuse onto.
   const SimRun serial = RunSim(net::ExecutionPolicy::Serial());
   const SimRun bus = RunSim(net::ExecutionPolicy::Serial(), kBatch4);

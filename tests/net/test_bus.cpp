@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "net/frame.h"
+#include "util/parallel.h"
+
 namespace pem::net {
 namespace {
 
@@ -94,6 +99,7 @@ TEST(MessageBus, ResetStatsKeepsInboxes) {
   EXPECT_EQ(bus.total_bytes(), 0u);
   EXPECT_EQ(bus.stats(0).bytes_sent, 0u);
   EXPECT_TRUE(bus.HasMessage(1));  // message survives the stat reset
+  EXPECT_DOUBLE_EQ(bus.AverageBytesPerAgent(), 0.0);
 }
 
 TEST(MessageBus, PayloadContentPreserved) {
@@ -104,6 +110,111 @@ TEST(MessageBus, PayloadContentPreserved) {
   auto got = bus.Receive(1);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->payload, (std::vector<uint8_t>{9, 8, 7}));
+}
+
+// --- concurrent senders ----------------------------------------------
+//
+// The bus takes a lock per operation, so ParallelFor workers may send
+// at once; the protocol engine never does, but the contract holds.
+
+TEST(MessageBus, AcceptsSendsFromParallelForWorkers) {
+  constexpr int kSenders = 8;
+  constexpr int kPerSender = 50;
+  constexpr size_t kPayload = 16;
+  MessageBus bus(kSenders + 1);
+  const AgentId sink = kSenders;
+  // Each worker is one sender streaming sequence-numbered messages.
+  ParallelFor(0, kSenders, 4, [&](size_t sender) {
+    for (int seq = 0; seq < kPerSender; ++seq) {
+      Message m;
+      m.from = static_cast<AgentId>(sender);
+      m.to = sink;
+      m.type = static_cast<uint32_t>(seq);
+      m.payload.assign(kPayload, static_cast<uint8_t>(sender));
+      bus.Send(std::move(m));
+    }
+  });
+
+  // Byte-exact accounting despite the concurrent senders.
+  const uint64_t per_msg = FramedSize(kPayload);
+  EXPECT_EQ(bus.total_messages(),
+            static_cast<uint64_t>(kSenders) * kPerSender);
+  EXPECT_EQ(bus.total_bytes(),
+            static_cast<uint64_t>(kSenders) * kPerSender * per_msg);
+  EXPECT_EQ(bus.stats(sink).bytes_received,
+            static_cast<uint64_t>(kSenders) * kPerSender * per_msg);
+  for (AgentId s = 0; s < kSenders; ++s) {
+    EXPECT_EQ(bus.stats(s).messages_sent, static_cast<uint64_t>(kPerSender));
+    EXPECT_EQ(bus.stats(s).bytes_sent, kPerSender * per_msg);
+  }
+
+  // Per-sender FIFO order: each sender's messages arrive in its own
+  // send order (sequence numbers strictly increasing per sender).
+  std::map<AgentId, uint32_t> next_seq;
+  int received = 0;
+  while (auto m = bus.Receive(sink)) {
+    EXPECT_EQ(m->type, next_seq[m->from]) << "sender " << m->from;
+    next_seq[m->from] = m->type + 1;
+    ++received;
+  }
+  EXPECT_EQ(received, kSenders * kPerSender);
+}
+
+TEST(MessageBus, ObserverSeesEveryConcurrentSend) {
+  constexpr int kSenders = 4;
+  constexpr int kPerSender = 25;
+  MessageBus bus(kSenders + 1);
+  // The observer runs under the bus lock, so a plain counter is safe.
+  int observed = 0;
+  bus.SetObserver([&observed](const Message&) { ++observed; });
+  ParallelFor(0, kSenders, kSenders, [&](size_t sender) {
+    for (int i = 0; i < kPerSender; ++i) {
+      bus.Send(Make(static_cast<AgentId>(sender), kSenders, 1, 4));
+    }
+  });
+  EXPECT_EQ(observed, kSenders * kPerSender);
+}
+
+TEST(MessageBus, ConcurrentStatReadsDuringSends) {
+  // Readers racing writers must neither crash nor tear: every snapshot
+  // of total_bytes is a multiple of the per-message size.
+  constexpr size_t kPayload = 12;
+  const uint64_t per_msg = FramedSize(kPayload);
+  MessageBus bus(3);
+  ParallelFor(0, 4, 4, [&](size_t worker) {
+    if (worker == 0) {
+      for (int i = 0; i < 200; ++i) bus.Send(Make(0, 1, 1, kPayload));
+    } else {
+      for (int i = 0; i < 200; ++i) {
+        const uint64_t bytes = bus.total_bytes();
+        EXPECT_EQ(bytes % per_msg, 0u);
+        (void)bus.AverageBytesPerAgent();
+        (void)bus.stats(1);
+      }
+    }
+  });
+  EXPECT_EQ(bus.total_messages(), 200u);
+}
+
+TEST(ConcurrentBus, ResetStatsKeepsInboxes) {
+  // A stat reset after concurrent sends zeroes every counter but drops
+  // none of the queued messages.
+  constexpr int kSenders = 4;
+  constexpr int kPerSender = 25;
+  MessageBus bus(kSenders + 1);
+  ParallelFor(0, kSenders, kSenders, [&](size_t sender) {
+    for (int i = 0; i < kPerSender; ++i) {
+      bus.Send(Make(static_cast<AgentId>(sender), kSenders, 1, 10));
+    }
+  });
+  bus.ResetStats();
+  EXPECT_EQ(bus.total_bytes(), 0u);
+  EXPECT_EQ(bus.total_messages(), 0u);
+  EXPECT_EQ(bus.stats(0).bytes_sent, 0u);
+  EXPECT_DOUBLE_EQ(bus.AverageBytesPerAgent(), 0.0);
+  int received = 0;
+  while (bus.Receive(kSenders)) ++received;
+  EXPECT_EQ(received, kSenders * kPerSender);
 }
 
 TEST(MessageBusDeath, BadAgentIdsAbort) {

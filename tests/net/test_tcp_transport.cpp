@@ -3,8 +3,8 @@
 // Four walls, because TCP is the first backend whose transport layer
 // can genuinely misbehave:
 //   * wire      — frames really cross loopback TCP between processes,
-//     accounted by the parent router, in both trusting and
-//     shadow-verifying (debug) child modes;
+//     accounted by the parent router and byte-matched against the
+//     shadow script by each consuming child;
 //   * handshake — the rendezvous rejects duplicate agent ids, garbage
 //     before the hello, out-of-range ids, and absent agents (connect
 //     timeout) with structured errors naming the offender; port 0
@@ -117,6 +117,9 @@ void AnswerShutdown(ControlChannel& ctl) {
 // --- wire -------------------------------------------------------------
 
 TEST(TcpTransport, RingExchangeCrossesRealTcpSockets) {
+  // Each child byte-matches every frame it consumes against its
+  // deterministic shadow script, as on the socketpair backend, so a
+  // clean run proves every ring frame crossed TCP intact.
   constexpr int kAgents = 3;
   AgentSupervisor::ChildMain script = [](AgentId, Transport& wire,
                                          ControlChannel& ctl) -> int {
@@ -170,9 +173,10 @@ TEST(TcpTransport, RingExchangeCrossesRealTcpSockets) {
 }
 
 TEST(TcpTransport, ShadowVerifyDebugModeAlsoPasses) {
-  // The strict byte-match of the socketpair backend, re-enabled over
-  // TCP as a debug mode: the same ring must still verify frame by
-  // frame against the deterministic script.
+  // The strict byte-match of the socketpair backend, once a TCP debug
+  // option and now always on: a two-way exchange with distinct types
+  // and payload lengths must still verify frame by frame against the
+  // deterministic script under the default options.
   constexpr int kAgents = 2;
   AgentSupervisor::ChildMain script = [](AgentId, Transport& wire,
                                          ControlChannel& ctl) -> int {
@@ -186,14 +190,13 @@ TEST(TcpTransport, ShadowVerifyDebugModeAlsoPasses) {
     ctl.Write(kCtlRepWindow);
     return IdleChild(0, wire, ctl);
   };
-  TcpTransport::Options opts;
-  opts.verify_frames = true;
-  TcpTransport transport(kAgents, script, opts);
+  TcpTransport transport(kAgents, script);
   transport.CommandAll(kCtlCmdRun);
   for (AgentId a = 0; a < kAgents; ++a) {
     EXPECT_EQ(transport.ReadRecord(a).tag, kCtlRepWindow);
   }
   transport.Shutdown();
+  EXPECT_FALSE(transport.fault().has_value());
   EXPECT_EQ(transport.total_messages(), 2u);
   ExpectNoChildrenLeft();
 }

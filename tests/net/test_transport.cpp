@@ -2,13 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <vector>
 
 #include "net/bus.h"
-#include "net/concurrent_bus.h"
 #include "net/frame.h"
-#include "util/parallel.h"
 
 namespace pem::net {
 namespace {
@@ -22,10 +19,9 @@ Message Make(AgentId from, AgentId to, uint32_t type, size_t payload_size) {
   return m;
 }
 
-// The in-process backends; the forked ones need a child entry point
+// The in-process backend; the forked ones need a child entry point
 // and are built by core::RunSimulation instead.
-constexpr TransportKind kAllKinds[] = {TransportKind::kSerialBus,
-                                       TransportKind::kConcurrentBus};
+constexpr TransportKind kAllKinds[] = {TransportKind::kSerialBus};
 
 TEST(MakeTransport, ConstructsEveryBackend) {
   for (TransportKind kind : kAllKinds) {
@@ -42,13 +38,11 @@ TEST(MakeTransport, ConstructsEveryBackend) {
 
 TEST(MakeTransportDeath, NonPositiveAgentCountAborts) {
   EXPECT_DEATH((void)MakeTransport(TransportKind::kSerialBus, 0), "positive");
-  EXPECT_DEATH((void)MakeTransport(TransportKind::kConcurrentBus, -1),
-               "positive");
+  EXPECT_DEATH((void)MakeTransport(TransportKind::kSerialBus, -1), "positive");
 }
 
 TEST(TransportKindNames, EveryBackendHasAName) {
   EXPECT_STREQ(TransportKindName(TransportKind::kSerialBus), "serial");
-  EXPECT_STREQ(TransportKindName(TransportKind::kConcurrentBus), "concurrent");
   EXPECT_STREQ(TransportKindName(TransportKind::kProcess), "process");
   EXPECT_STREQ(TransportKindName(TransportKind::kTcp), "tcp");
   EXPECT_STREQ(TransportKindName(TransportKind::kShm), "shm");
@@ -129,124 +123,13 @@ TEST(ExecutionPolicy, FactoriesAndHelpers) {
   EXPECT_FALSE(serial.parallel());
   EXPECT_EQ(serial.worker_count(), 1u);
 
+  // Phase-parallel runs use the same in-process bus; only the worker
+  // count changes.
   const ExecutionPolicy par = ExecutionPolicy::Parallel(4);
-  EXPECT_EQ(par.transport_kind, TransportKind::kConcurrentBus);
+  EXPECT_EQ(par.transport_kind, TransportKind::kSerialBus);
   EXPECT_EQ(par.threads, 4);
   EXPECT_TRUE(par.parallel());
   EXPECT_EQ(par.worker_count(), 4u);
-}
-
-TEST(ConcurrentBus, BehavesLikeSerialBusSingleThreaded) {
-  MessageBus serial(3);
-  ConcurrentMessageBus concurrent(3);
-  for (Transport* t : std::initializer_list<Transport*>{&serial, &concurrent}) {
-    t->Send(Make(0, 1, 10, 8));
-    t->Send(Make(2, kBroadcast, 11, 2));
-  }
-  EXPECT_EQ(concurrent.total_bytes(), serial.total_bytes());
-  EXPECT_EQ(concurrent.total_messages(), serial.total_messages());
-  for (AgentId a = 0; a < 3; ++a) {
-    EXPECT_EQ(concurrent.stats(a).bytes_sent, serial.stats(a).bytes_sent) << a;
-    EXPECT_EQ(concurrent.stats(a).bytes_received,
-              serial.stats(a).bytes_received)
-        << a;
-    while (true) {
-      auto ms = serial.Receive(a);
-      auto mc = concurrent.Receive(a);
-      ASSERT_EQ(ms.has_value(), mc.has_value());
-      if (!ms) break;
-      EXPECT_TRUE(*ms == *mc);
-    }
-  }
-}
-
-TEST(ConcurrentBus, AcceptsSendsFromParallelForWorkers) {
-  constexpr int kSenders = 8;
-  constexpr int kPerSender = 50;
-  constexpr size_t kPayload = 16;
-  ConcurrentMessageBus bus(kSenders + 1);
-  const AgentId sink = kSenders;
-  // Each worker is one sender streaming sequence-numbered messages.
-  ParallelFor(0, kSenders, 4, [&](size_t sender) {
-    for (int seq = 0; seq < kPerSender; ++seq) {
-      Message m;
-      m.from = static_cast<AgentId>(sender);
-      m.to = sink;
-      m.type = static_cast<uint32_t>(seq);
-      m.payload.assign(kPayload, static_cast<uint8_t>(sender));
-      bus.Send(std::move(m));
-    }
-  });
-
-  // Byte-exact accounting despite the concurrent senders.
-  const uint64_t per_msg = FramedSize(kPayload);
-  EXPECT_EQ(bus.total_messages(),
-            static_cast<uint64_t>(kSenders) * kPerSender);
-  EXPECT_EQ(bus.total_bytes(),
-            static_cast<uint64_t>(kSenders) * kPerSender * per_msg);
-  EXPECT_EQ(bus.stats(sink).bytes_received,
-            static_cast<uint64_t>(kSenders) * kPerSender * per_msg);
-  for (AgentId s = 0; s < kSenders; ++s) {
-    EXPECT_EQ(bus.stats(s).messages_sent, static_cast<uint64_t>(kPerSender));
-    EXPECT_EQ(bus.stats(s).bytes_sent, kPerSender * per_msg);
-  }
-
-  // Per-sender FIFO order: each sender's messages arrive in its own
-  // send order (sequence numbers strictly increasing per sender).
-  std::map<AgentId, uint32_t> next_seq;
-  int received = 0;
-  while (auto m = bus.Receive(sink)) {
-    EXPECT_EQ(m->type, next_seq[m->from]) << "sender " << m->from;
-    next_seq[m->from] = m->type + 1;
-    ++received;
-  }
-  EXPECT_EQ(received, kSenders * kPerSender);
-}
-
-TEST(ConcurrentBus, ObserverSeesEveryConcurrentSend) {
-  constexpr int kSenders = 4;
-  constexpr int kPerSender = 25;
-  ConcurrentMessageBus bus(kSenders + 1);
-  // The observer runs under the bus lock, so a plain counter is safe.
-  int observed = 0;
-  bus.SetObserver([&observed](const Message&) { ++observed; });
-  ParallelFor(0, kSenders, kSenders, [&](size_t sender) {
-    for (int i = 0; i < kPerSender; ++i) {
-      bus.Send(Make(static_cast<AgentId>(sender), kSenders, 1, 4));
-    }
-  });
-  EXPECT_EQ(observed, kSenders * kPerSender);
-}
-
-TEST(ConcurrentBus, ResetStatsKeepsInboxes) {
-  ConcurrentMessageBus bus(2);
-  bus.Send(Make(0, 1, 1, 10));
-  bus.ResetStats();
-  EXPECT_EQ(bus.total_bytes(), 0u);
-  EXPECT_EQ(bus.stats(0).bytes_sent, 0u);
-  EXPECT_TRUE(bus.HasMessage(1));
-  EXPECT_DOUBLE_EQ(bus.AverageBytesPerAgent(), 0.0);
-}
-
-TEST(ConcurrentBus, ConcurrentStatReadsDuringSends) {
-  // Readers racing writers must neither crash nor tear: every snapshot
-  // of total_bytes is a multiple of the per-message size.
-  constexpr size_t kPayload = 12;
-  const uint64_t per_msg = FramedSize(kPayload);
-  ConcurrentMessageBus bus(3);
-  ParallelFor(0, 4, 4, [&](size_t worker) {
-    if (worker == 0) {
-      for (int i = 0; i < 200; ++i) bus.Send(Make(0, 1, 1, kPayload));
-    } else {
-      for (int i = 0; i < 200; ++i) {
-        const uint64_t bytes = bus.total_bytes();
-        EXPECT_EQ(bytes % per_msg, 0u);
-        (void)bus.AverageBytesPerAgent();
-        (void)bus.stats(1);
-      }
-    }
-  });
-  EXPECT_EQ(bus.total_messages(), 200u);
 }
 
 }  // namespace

@@ -20,11 +20,11 @@
 //     delivers the bit-identical ciphertext (Paillier addition is a
 //     commutative product mod n^2), consuming the identical ctx.rng
 //     prefix;
-//   * the five-backend matrix: a hierarchical window at fan-outs
-//     {2, 4, 8} produces flat's exact prices and trades on serial /
-//     concurrent / process / tcp / shm, with hier-vs-hier full parity
-//     (per-agent bytes, ledger-accounted totals, per-sender
-//     transcripts) across all five.
+//   * the five-row backend matrix: a hierarchical window at fan-outs
+//     {2, 4, 8} produces flat's exact prices and trades on serial (1
+//     and 4 threads) / process / tcp / shm, with hier-vs-hier full
+//     parity (per-agent bytes, ledger-accounted totals, per-sender
+//     transcripts) across all five rows.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -299,12 +299,13 @@ TEST(TopologyExecution, PlanRingTopologyFollowsConfigAndWindow) {
   EXPECT_EQ(w1.LeafMembers(), w0.LeafMembers());
 }
 
-// --- five-backend market parity ---------------------------------------
+// --- five-row market parity -------------------------------------------
 //
-// The same harness as test_transcript_parity's five-way matrix, but
-// with a hierarchical aggregation plan: per fan-out, the five backends
-// must agree with each other in FULL (prices, trades, total and
-// per-agent ledger bytes, per-sender transcript), and agree with the
+// The same harness as test_transcript_parity's four-way matrix, but
+// with a hierarchical aggregation plan: per fan-out, the five rows
+// (the serial bus at 1 and 4 threads, process, tcp, shm) must agree
+// with each other in FULL (prices, trades, total and per-agent ledger
+// bytes, per-sender transcript), and agree with the
 // flat baseline on the market outcome (the transcript legitimately differs
 // in shape — that byte-profile delta is the point of the hierarchy).
 
