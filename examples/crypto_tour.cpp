@@ -48,15 +48,14 @@ int main() {
               static_cast<double>(share) / total);
 
   // --- Oblivious transfer ----------------------------------------------
-  std::printf("\n3) 1-of-2 oblivious transfer (768-bit MODP group)\n");
-  const ModpGroup& group = ModpGroup::Get(ModpGroupId::kModp768);
-  OtSender sender(group, rng);
-  OtReceiver receiver(group, rng);
+  std::printf("\n3) 1-of-2 oblivious transfer (Chou-Orlandi over P-256)\n");
+  const OtSender sender(rng);
+  OtReceiver receiver(sender.Message1());
   OtMessage m0{}, m1{};
   m0.fill(0x11);
   m1.fill(0x22);
-  const auto b = receiver.Round1(sender.Round1(), /*choice=*/true);
-  const OtMessage got = receiver.Decrypt(sender.Round2(b, m0, m1));
+  const auto b = receiver.Choose(/*choice=*/true, rng);
+  const OtMessage got = receiver.Decrypt(0, sender.Encrypt(0, b, m0, m1));
   std::printf("   receiver chose bit 1 and got message starting 0x%02x "
               "(sender never learns the choice)\n",
               got[0]);
@@ -70,8 +69,7 @@ int main() {
   net::MessageBus bus(2);
   net::Endpoint garbler = bus.endpoint(0);
   net::Endpoint evaluator = bus.endpoint(1);
-  SecureCompareConfig cfg;
-  cfg.group = ModpGroupId::kModp768;
+  const SecureCompareConfig cfg;
   const uint64_t rs = 123'456'789, rb = 987'654'321;
   const bool less = SecureCompareLess(garbler, rs, evaluator, rb, cfg, rng);
   std::printf("   [R_s < R_b] = %s, using %llu bytes on the wire — this is "

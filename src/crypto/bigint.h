@@ -1,10 +1,10 @@
 // RAII big-integer type over GMP's mpz_t.
 //
-// This is the arithmetic substrate for the Paillier cryptosystem and
-// the MODP-group oblivious transfer.  The wrapper keeps GMP's C API out
-// of the rest of the codebase and adds the pieces GMP does not ship:
-// CSPRNG-driven uniform sampling and prime generation, and fixed-width
-// big-endian serialization for the wire.
+// This is the arithmetic substrate for the Paillier cryptosystem.  The
+// wrapper keeps GMP's C API out of the rest of the codebase and adds
+// the pieces GMP does not ship: CSPRNG-driven uniform sampling and
+// prime generation, and fixed-width big-endian serialization for the
+// wire.
 #pragma once
 
 #include <gmp.h>

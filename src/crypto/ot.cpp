@@ -1,5 +1,9 @@
 #include "crypto/ot.h"
 
+#include <openssl/bn.h>
+#include <openssl/ec.h>
+#include <openssl/obj_mac.h>
+
 #include <cstring>
 
 #include "crypto/hash.h"
@@ -9,13 +13,116 @@ namespace pem::crypto {
 namespace {
 
 constexpr uint64_t kOtKdfTag = 0x4F54'5041'4421ull;  // "OTPAD!"
+// Bytes drawn per scalar: 128 bits beyond the 256-bit order, so the
+// reduction mod the order is within 2^-128 of uniform.
+constexpr size_t kScalarDrawBytes = 48;
 
-// Derives a 16-byte pad from a group element.
-OtMessage PadFromElement(const BigInt& elem, const ModpGroup& group,
-                         uint8_t which) {
-  const std::vector<uint8_t> bytes = elem.ToBytesPadded(group.element_bytes());
-  const uint8_t which_bytes[1] = {which};
-  const Sha256Digest d = Kdf2(kOtKdfTag, bytes, which_bytes);
+struct BnFree {
+  void operator()(BIGNUM* p) const { BN_clear_free(p); }
+};
+struct BnCtxFree {
+  void operator()(BN_CTX* p) const { BN_CTX_free(p); }
+};
+struct PointFree {
+  void operator()(EC_POINT* p) const { EC_POINT_clear_free(p); }
+};
+struct GroupFree {
+  void operator()(EC_GROUP* p) const { EC_GROUP_free(p); }
+};
+using Scalar = std::unique_ptr<BIGNUM, BnFree>;
+using BnCtx = std::unique_ptr<BN_CTX, BnCtxFree>;
+using Point = std::unique_ptr<EC_POINT, PointFree>;
+
+// Built on the first OT, not at load time, so runs that never compare
+// pay nothing.  Read-only afterwards, hence shareable across threads.
+const EC_GROUP* P256() {
+  static const std::unique_ptr<EC_GROUP, GroupFree> group(
+      EC_GROUP_new_by_curve_name(NID_X9_62_prime256v1));
+  PEM_CHECK(group != nullptr, "OT: P-256 unavailable");
+  return group.get();
+}
+
+BnCtx NewCtx() {
+  BnCtx ctx(BN_CTX_new());
+  PEM_CHECK(ctx != nullptr, "OT: BN_CTX_new failed");
+  return ctx;
+}
+
+Point NewPoint() {
+  Point p(EC_POINT_new(P256()));
+  PEM_CHECK(p != nullptr, "OT: EC_POINT_new failed");
+  return p;
+}
+
+// Uniform nonzero scalar mod the group order, drawn from `rng` alone.
+Scalar RandomScalar(Rng& rng, BN_CTX* ctx) {
+  const BIGNUM* order = EC_GROUP_get0_order(P256());
+  Scalar k(BN_secure_new());
+  PEM_CHECK(k != nullptr, "OT: BN_new failed");
+  uint8_t draw[kScalarDrawBytes];
+  do {
+    rng.Fill(draw);
+    PEM_CHECK(BN_bin2bn(draw, sizeof draw, k.get()) != nullptr,
+              "OT: BN_bin2bn failed");
+    PEM_CHECK(BN_nnmod(k.get(), k.get(), order, ctx) == 1,
+              "OT: BN_nnmod failed");
+  } while (BN_is_zero(k.get()));
+  OPENSSL_cleanse(draw, sizeof draw);
+  return k;
+}
+
+// kG, through OpenSSL's fixed-base path.
+Point MulBase(const BIGNUM* k, BN_CTX* ctx) {
+  Point r = NewPoint();
+  PEM_CHECK(EC_POINT_mul(P256(), r.get(), k, nullptr, nullptr, ctx) == 1,
+            "OT: EC_POINT_mul failed");
+  return r;
+}
+
+// kP.
+Point Mul(const EC_POINT* p, const BIGNUM* k, BN_CTX* ctx) {
+  Point r = NewPoint();
+  PEM_CHECK(EC_POINT_mul(P256(), r.get(), nullptr, p, k, ctx) == 1,
+            "OT: EC_POINT_mul failed");
+  return r;
+}
+
+Point Add(const EC_POINT* a, const EC_POINT* b, BN_CTX* ctx) {
+  Point r = NewPoint();
+  PEM_CHECK(EC_POINT_add(P256(), r.get(), a, b, ctx) == 1,
+            "OT: EC_POINT_add failed");
+  return r;
+}
+
+std::vector<uint8_t> Encode(const EC_POINT* p, BN_CTX* ctx) {
+  std::vector<uint8_t> out(kOtPointBytes);
+  PEM_CHECK(EC_POINT_point2oct(P256(), p, POINT_CONVERSION_COMPRESSED,
+                               out.data(), out.size(), ctx) == kOtPointBytes,
+            "OT: point encoding failed");
+  return out;
+}
+
+// Decodes a peer's point: on the curve, not infinity, compressed.
+Point Decode(std::span<const uint8_t> bytes, BN_CTX* ctx) {
+  Point p = NewPoint();
+  PEM_CHECK(EC_POINT_oct2point(P256(), p.get(), bytes.data(), bytes.size(),
+                               ctx) == 1,
+            "OT: received point is not on P-256");
+  PEM_CHECK(EC_POINT_is_at_infinity(P256(), p.get()) == 0,
+            "OT: received point at infinity");
+  PEM_CHECK(bytes.size() == kOtPointBytes,
+            "OT: received point has the wrong size");
+  return p;
+}
+
+// H(index, A, B, P), truncated to one message.
+OtMessage Pad(uint64_t index, std::span<const uint8_t> a,
+              std::span<const uint8_t> b, const EC_POINT* p, BN_CTX* ctx) {
+  uint8_t index_bytes[8];
+  std::memcpy(index_bytes, &index, sizeof index_bytes);
+  const std::vector<uint8_t> p_bytes = Encode(p, ctx);
+  const std::span<const uint8_t> chunks[] = {index_bytes, a, b, p_bytes};
+  const Sha256Digest d = Kdf(kOtKdfTag, chunks);
   OtMessage pad;
   std::memcpy(pad.data(), d.bytes.data(), pad.size());
   return pad;
@@ -29,54 +136,86 @@ OtMessage Xor(const OtMessage& a, const OtMessage& b) {
 
 }  // namespace
 
-OtSender::OtSender(const ModpGroup& group, Rng& rng)
-    : group_(group), a_(group.RandomExponent(rng)), big_a_(group.Exp(a_)) {}
+struct OtSender::State {
+  BnCtx ctx = NewCtx();
+  Scalar a;
+  std::vector<uint8_t> big_a;  // A = aG, encoded
+  Point neg_aa;                // -aA, so aB - aA is one addition
+};
 
-std::vector<uint8_t> OtSender::Round1() {
-  return big_a_.ToBytesPadded(group_.element_bytes());
+OtSender::OtSender(Rng& rng) : s_(std::make_unique<State>()) {
+  BN_CTX* ctx = s_->ctx.get();
+  s_->a = RandomScalar(rng, ctx);
+  const Point big_a = MulBase(s_->a.get(), ctx);
+  s_->big_a = Encode(big_a.get(), ctx);
+  s_->neg_aa = Mul(big_a.get(), s_->a.get(), ctx);
+  PEM_CHECK(EC_POINT_invert(P256(), s_->neg_aa.get(), ctx) == 1,
+            "OT: EC_POINT_invert failed");
 }
 
-std::vector<uint8_t> OtSender::Round2(std::span<const uint8_t> receiver_b,
-                                      const OtMessage& m0,
-                                      const OtMessage& m1) const {
-  PEM_CHECK(receiver_b.size() == group_.element_bytes(),
-            "OT: bad receiver element size");
-  const BigInt big_b = BigInt::FromBytes(receiver_b);
-  // k0 = H(B^a), k1 = H((B/A)^a).
-  const BigInt k0_elem = group_.Exp(big_b, a_);
-  const BigInt k1_elem = group_.Exp(group_.Div(big_b, big_a_), a_);
-  const OtMessage c0 = Xor(m0, PadFromElement(k0_elem, group_, 0));
-  const OtMessage c1 = Xor(m1, PadFromElement(k1_elem, group_, 1));
-  std::vector<uint8_t> out(32);
-  std::memcpy(out.data(), c0.data(), 16);
-  std::memcpy(out.data() + 16, c1.data(), 16);
+OtSender::~OtSender() = default;
+
+const std::vector<uint8_t>& OtSender::Message1() const { return s_->big_a; }
+
+std::vector<uint8_t> OtSender::Encrypt(uint64_t index,
+                                       std::span<const uint8_t> receiver_b,
+                                       const OtMessage& m0,
+                                       const OtMessage& m1) const {
+  BN_CTX* ctx = s_->ctx.get();
+  const Point big_b = Decode(receiver_b, ctx);
+  const Point ab = Mul(big_b.get(), s_->a.get(), ctx);
+  const Point ab_minus_aa = Add(ab.get(), s_->neg_aa.get(), ctx);
+  const OtMessage c0 =
+      Xor(m0, Pad(index, s_->big_a, receiver_b, ab.get(), ctx));
+  const OtMessage c1 =
+      Xor(m1, Pad(index, s_->big_a, receiver_b, ab_minus_aa.get(), ctx));
+  std::vector<uint8_t> out(kOtCiphertextBytes);
+  std::memcpy(out.data(), c0.data(), c0.size());
+  std::memcpy(out.data() + c0.size(), c1.data(), c1.size());
   return out;
 }
 
-OtReceiver::OtReceiver(const ModpGroup& group, Rng& rng)
-    : group_(group), b_(group.RandomExponent(rng)) {}
+struct OtReceiver::State {
+  BnCtx ctx = NewCtx();
+  Point big_a;
+  std::vector<uint8_t> big_a_bytes;
+  // Per OT: the chosen slot and its pad H(i, A, B_i, b_iA).
+  std::vector<bool> choices;
+  std::vector<OtMessage> pads;
+};
 
-std::vector<uint8_t> OtReceiver::Round1(std::span<const uint8_t> sender_a,
-                                        bool choice) {
-  PEM_CHECK(sender_a.size() == group_.element_bytes(),
-            "OT: bad sender element size");
-  big_a_ = BigInt::FromBytes(sender_a);
-  choice_ = choice;
-  BigInt big_b = group_.Exp(b_);
-  if (choice) big_b = group_.Mul(big_a_, big_b);
-  return big_b.ToBytesPadded(group_.element_bytes());
+OtReceiver::OtReceiver(std::span<const uint8_t> sender_a)
+    : s_(std::make_unique<State>()) {
+  s_->big_a = Decode(sender_a, s_->ctx.get());
+  s_->big_a_bytes.assign(sender_a.begin(), sender_a.end());
 }
 
-OtMessage OtReceiver::Decrypt(std::span<const uint8_t> sender_round2) const {
-  PEM_CHECK(sender_round2.size() == 32, "OT: bad round2 size");
-  // k_c = H(A^b) for either choice: B^a = (g^b)^a (c=0) or (A g^b)^a,
-  // and (B/A)^a = g^{ab} when c=1 — both equal A^b.
-  const BigInt kc_elem = group_.Exp(big_a_, b_);
-  const OtMessage pad =
-      PadFromElement(kc_elem, group_, static_cast<uint8_t>(choice_));
-  OtMessage cipher;
-  std::memcpy(cipher.data(), sender_round2.data() + (choice_ ? 16 : 0), 16);
-  return Xor(cipher, pad);
+OtReceiver::~OtReceiver() = default;
+
+std::vector<uint8_t> OtReceiver::Choose(bool choice, Rng& rng) {
+  BN_CTX* ctx = s_->ctx.get();
+  const Scalar b = RandomScalar(rng, ctx);
+  Point big_b = MulBase(b.get(), ctx);
+  if (choice) big_b = Add(s_->big_a.get(), big_b.get(), ctx);
+  std::vector<uint8_t> big_b_bytes = Encode(big_b.get(), ctx);
+  // b_iA = aB_i (choice 0) = aB_i - aA (choice 1): the chosen pad.
+  const Point ba = Mul(s_->big_a.get(), b.get(), ctx);
+  s_->pads.push_back(
+      Pad(s_->pads.size(), s_->big_a_bytes, big_b_bytes, ba.get(), ctx));
+  s_->choices.push_back(choice);
+  return big_b_bytes;
+}
+
+OtMessage OtReceiver::Decrypt(uint64_t index,
+                              std::span<const uint8_t> ciphertext) const {
+  PEM_CHECK(index < s_->pads.size(), "OT: decrypt of an unchosen index");
+  PEM_CHECK(ciphertext.size() == kOtCiphertextBytes,
+            "OT: bad ciphertext size");
+  OtMessage masked;
+  std::memcpy(masked.data(),
+              ciphertext.data() + (s_->choices[index] ? masked.size() : 0),
+              masked.size());
+  return Xor(masked, s_->pads[index]);
 }
 
 }  // namespace pem::crypto

@@ -30,31 +30,22 @@ bool SecureCompareLess(net::Endpoint& garbler, uint64_t x,
     PEM_CHECK((x >> cfg.bits) == 0 && (y >> cfg.bits) == 0,
               "inputs exceed configured bit width");
   }
-  const ModpGroup& group = ModpGroup::Get(cfg.group);
   const Circuit circuit = BuildLessThanCircuit(cfg.bits);
   const size_t nbits = static_cast<size_t>(cfg.bits);
 
-  // ---- Garbler side: garble, prepare OTs ------------------------------
+  // ---- Garbler side: garble, open the OT batch ------------------------
   Garbler g(circuit, rng);
   const std::vector<bool> x_bits = ToBits(x, cfg.bits);
-
-  std::vector<OtSender> ot_senders;
-  ot_senders.reserve(nbits);
+  const OtSender ot_sender(rng);
   net::ByteWriter w1;
-  {
-    const std::vector<uint8_t> tables = g.tables().Serialize();
-    w1.Bytes(tables);
-    for (size_t i = 0; i < nbits; ++i) {
-      w1.Bytes(g.GarblerInputLabel(i, x_bits[i]).bytes);
-    }
-    for (size_t i = 0; i < nbits; ++i) {
-      ot_senders.emplace_back(group, rng);
-      w1.Bytes(ot_senders.back().Round1());
-    }
+  w1.Bytes(g.tables().Serialize());
+  for (size_t i = 0; i < nbits; ++i) {
+    w1.Bytes(g.GarblerInputLabel(i, x_bits[i]).bytes);
   }
+  w1.Bytes(ot_sender.Message1());
   garbler.Send(evaluator.id(), kMsgGcTablesAndOt1, w1.Take());
 
-  // ---- Evaluator side: OT round-1 responses ---------------------------
+  // ---- Evaluator side: one OT choice per input bit --------------------
   const std::vector<bool> y_bits = ToBits(y, cfg.bits);
   net::Message msg1 = MustReceive(evaluator, kMsgGcTablesAndOt1);
   net::ByteReader r1(msg1.payload);
@@ -65,28 +56,22 @@ bool SecureCompareLess(net::Endpoint& garbler, uint64_t x,
     PEM_CHECK(b.size() == 16, "bad label size");
     std::copy(b.begin(), b.end(), garbler_labels[i].bytes.begin());
   }
-  std::vector<OtReceiver> ot_receivers;
-  ot_receivers.reserve(nbits);
+  OtReceiver ot_receiver(r1.Bytes());
+  PEM_CHECK(r1.AtEnd(), "trailing bytes in GC message 1");
   net::ByteWriter w2;
   for (size_t i = 0; i < nbits; ++i) {
-    const std::vector<uint8_t> a_elem = r1.Bytes();
-    ot_receivers.emplace_back(group, rng);
-    w2.Bytes(ot_receivers.back().Round1(a_elem, y_bits[i]));
+    w2.Bytes(ot_receiver.Choose(y_bits[i], rng));
   }
-  PEM_CHECK(r1.AtEnd(), "trailing bytes in GC message 1");
   evaluator.Send(garbler.id(), kMsgGcOtResponses, w2.Take());
 
-  // ---- Garbler side: OT round 2 ---------------------------------------
+  // ---- Garbler side: encrypt both labels per OT -----------------------
   net::Message msg2 = MustReceive(garbler, kMsgGcOtResponses);
   net::ByteReader r2(msg2.payload);
   net::ByteWriter w3;
   for (size_t i = 0; i < nbits; ++i) {
-    const std::vector<uint8_t> b_elem = r2.Bytes();
+    const std::vector<uint8_t> b_point = r2.Bytes();
     const auto [l0, l1] = g.EvaluatorInputLabels(i);
-    OtMessage m0, m1;
-    std::copy(l0.bytes.begin(), l0.bytes.end(), m0.begin());
-    std::copy(l1.bytes.begin(), l1.bytes.end(), m1.begin());
-    w3.Bytes(ot_senders[i].Round2(b_elem, m0, m1));
+    w3.Bytes(ot_sender.Encrypt(i, b_point, l0.bytes, l1.bytes));
   }
   PEM_CHECK(r2.AtEnd(), "trailing bytes in GC message 2");
   garbler.Send(evaluator.id(), kMsgGcOtFinal, w3.Take());
@@ -96,9 +81,7 @@ bool SecureCompareLess(net::Endpoint& garbler, uint64_t x,
   net::ByteReader r3(msg3.payload);
   std::vector<WireLabel> evaluator_labels(nbits);
   for (size_t i = 0; i < nbits; ++i) {
-    const std::vector<uint8_t> ct = r3.Bytes();
-    const OtMessage m = ot_receivers[i].Decrypt(ct);
-    std::copy(m.begin(), m.end(), evaluator_labels[i].bytes.begin());
+    evaluator_labels[i].bytes = ot_receiver.Decrypt(i, r3.Bytes());
   }
   PEM_CHECK(r3.AtEnd(), "trailing bytes in GC message 3");
   Evaluator eval(circuit, std::move(tables));

@@ -5,18 +5,18 @@
 // line 14).
 //
 // Wire protocol (all bytes routed through the bandwidth-accounted
-// transport):
+// transport; the evaluator's input labels travel by one batched
+// Chou–Orlandi OT over P-256, crypto/ot.h):
 //   1. G -> E : garbled tables, decode bits, G's active input labels,
-//               one OT round-1 element per evaluator input bit
-//   2. E -> G : one OT round-1 response per bit
-//   3. G -> E : one OT round-2 ciphertext pair per bit
+//               the OT sender point A (33 B, one for all bits)
+//   2. E -> G : one OT point B_i per evaluator input bit (33 B each)
+//   3. G -> E : one OT ciphertext pair per bit (32 B each)
 //   4. E -> G : the decoded result bit (both parties learn the output,
 //               as in the paper)
 #pragma once
 
 #include <cstdint>
 
-#include "crypto/modp_group.h"
 #include "crypto/rng.h"
 #include "net/transport.h"
 
@@ -24,7 +24,6 @@ namespace pem::crypto {
 
 struct SecureCompareConfig {
   int bits = 64;
-  ModpGroupId group = ModpGroupId::kModp768;
 };
 
 // Message type tags (namespaced to stay clear of protocol/ tags).

@@ -391,11 +391,11 @@ ControlRecord AgentSupervisor::ReadRecord(AgentId agent) {
   using Clock = std::chrono::steady_clock;
   const auto deadline =
       Clock::now() + std::chrono::milliseconds(opts_.watchdog_ms);
-  // Once the router has convicted ANOTHER agent, this one may be silent
-  // only because it waits on frames the conviction dropped.  It gets
-  // kGraceMs from then to report; after that the conviction (the first
-  // cause, as RecordFault rules) is the report, not this agent's
-  // watchdog timeout.
+  // Once ANOTHER agent is convicted (by the router, or by crashing),
+  // this one may be silent only because it waits on frames it lost.
+  // It gets kGraceMs from then to report; after that the conviction
+  // (the first cause, as RecordFault rules) is the report, not this
+  // agent's watchdog timeout.
   std::optional<Clock::time_point> grace_end;
   std::optional<ControlRecord> next;
   while (!next.has_value()) {
@@ -568,7 +568,25 @@ void AgentSupervisor::SetObserver(Transport::Observer observer) {
 }
 
 std::optional<TransportFault> AgentSupervisor::LatchedFaultOfOther(
-    AgentId agent) const {
+    AgentId agent) {
+  // A crashed peer is a conviction too, though the router records only
+  // its wire hangup.  A hangup before Done is ambiguous until the child
+  // is reaped: one that exits cleanly closes its wire before the main
+  // thread reads its Done, so only an unclean exit convicts.
+  for (AgentId a = 0; a < num_agents(); ++a) {
+    Child& c = children_[static_cast<size_t>(a)];
+    if (a == agent || c.pid <= 0) continue;
+    bool hung_up = false;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      hung_up = c.wire_eof && !c.done;
+    }
+    if (!hung_up || !ReapChild(a, /*timeout_ms=*/0)) continue;
+    if (WIFEXITED(c.wait_status) && WEXITSTATUS(c.wait_status) == 0) continue;
+    RecordFault(a, "agent supervisor: agent " + std::to_string(a) +
+                       " child process " + DescribeWaitStatus(c.wait_status) +
+                       " before reporting");
+  }
   std::lock_guard<std::mutex> lock(mu_);
   if (fault_.has_value() && fault_->agent != agent) return fault_;
   return std::nullopt;

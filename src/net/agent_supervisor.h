@@ -159,10 +159,11 @@ class AgentSupervisor {
   // Next record from `agent`, watchdog-bounded.  A kCtlRepError record,
   // a hangup, or a timeout is thrown as TransportError; if the child
   // already died, the message names its exit status or fatal signal.
-  // Once a fault naming another agent has latched (a convicted wire),
-  // `agent` gets a 2 s grace to report; then that latched fault is
-  // thrown, naming the convicted agent, instead of waiting out the
-  // watchdog on a survivor blocked on the dropped frames.
+  // Once a fault naming another agent has latched (a convicted wire, or
+  // a child that crashed before Done), `agent` gets a 2 s grace to
+  // report; then that latched fault is thrown, naming the convicted
+  // agent, instead of waiting out the watchdog on a survivor blocked on
+  // the dropped frames.
   ControlRecord ReadRecord(AgentId agent);
   // Clean teardown: Shutdown command to every child, Done record from
   // each, then reap; throws on a nonzero exit.  Idempotent.
@@ -256,8 +257,10 @@ class AgentSupervisor {
   void WakeRouter();
   // waitpid with deadline; marks reaped.  Returns false on timeout.
   bool ReapChild(AgentId agent, int timeout_ms);
-  // The latched fault_ if it names an agent other than `agent`.
-  std::optional<TransportFault> LatchedFaultOfOther(AgentId agent) const;
+  // The latched fault_ if it names an agent other than `agent`, after
+  // latching any other local child whose wire hung up before Done and
+  // whose non-blocking reap shows an unclean exit.
+  std::optional<TransportFault> LatchedFaultOfOther(AgentId agent);
   [[noreturn]] void ThrowChildFailure(AgentId agent, const std::string& why);
 
   std::vector<Child> children_;

@@ -18,7 +18,6 @@
 #include "crypto/commitment.h"
 #include "crypto/garble.h"
 #include "crypto/hash.h"
-#include "crypto/modp_group.h"
 #include "crypto/ot.h"
 #include "crypto/paillier.h"
 #include "crypto/rng.h"

@@ -1,9 +1,15 @@
 #include "crypto/secure_compare.h"
 
 #include "net/bus.h"
+#include "net/frame.h"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "crypto/circuit.h"
+#include "crypto/hash.h"
+#include "crypto/ot.h"
 #include "crypto/rng.h"
 
 namespace pem::crypto {
@@ -12,7 +18,6 @@ namespace {
 SecureCompareConfig FastConfig(int bits = 64) {
   SecureCompareConfig cfg;
   cfg.bits = bits;
-  cfg.group = ModpGroupId::kModp768;
   return cfg;
 }
 
@@ -79,10 +84,43 @@ TEST(SecureCompare, TrafficIsAccounted) {
   TwoParty p;
   DeterministicRng rng(7);
   (void)p.Less(1, 2, FastConfig(), rng);
-  // Tables + 64 OTs in each direction: must be substantial.
-  EXPECT_GT(p.garbler.stats().bytes_sent, 10'000u);
-  EXPECT_GT(p.evaluator.stats().bytes_sent, 5'000u);
+  // Exact bytes of the wire format: each frame is FramedSize(payload),
+  // each byte string carries a u32 length prefix.
+  //   G: [tables | 64 input labels | A] then [64 OT ciphertexts]
+  //   E: [64 OT points B_i] then [the result bit]
+  const size_t tables = BuildLessThanCircuit(64).AndGateCount() * 64 + 1;
+  const uint64_t garbler_bytes =
+      net::FramedSize(4 + tables + 64 * (4 + 16) + 4 + kOtPointBytes) +
+      net::FramedSize(64 * (4 + kOtCiphertextBytes));
+  const uint64_t evaluator_bytes =
+      net::FramedSize(64 * (4 + kOtPointBytes)) + net::FramedSize(1);
+  EXPECT_EQ(garbler_bytes, 11'794u);
+  EXPECT_EQ(evaluator_bytes, 2'409u);
+  EXPECT_EQ(p.garbler.stats().bytes_sent, garbler_bytes);
+  EXPECT_EQ(p.evaluator.stats().bytes_sent, evaluator_bytes);
   EXPECT_EQ(p.bus.total_messages(), 4u);
+}
+
+TEST(SecureCompare, PinnedTranscriptKnownAnswer) {
+  // SHA-256 over the four compare frames (type, payload length,
+  // payload) at fixed inputs and seed.  The parity walls only compare
+  // backends with one another; this row pins the transcript itself, so
+  // a codec or draw-order change to the compare shows up here.
+  TwoParty p;
+  std::vector<uint8_t> transcript;
+  p.bus.SetObserver([&transcript](const net::Message& m) {
+    uint8_t header[8];
+    const auto len = static_cast<uint32_t>(m.payload.size());
+    std::memcpy(header, &m.type, 4);
+    std::memcpy(header + 4, &len, 4);
+    transcript.insert(transcript.end(), header, header + 8);
+    transcript.insert(transcript.end(), m.payload.begin(), m.payload.end());
+  });
+  DeterministicRng rng(2020);
+  EXPECT_TRUE(p.Less(123'456'789, 987'654'321, FastConfig(), rng));
+  EXPECT_EQ(p.bus.total_messages(), 4u);
+  EXPECT_EQ(Sha256(transcript).Hex(),
+            "b1ff67028ac6927d2d0a331970358e1cb4a57e69a9b7bf2e271c3fa96952e4e4");
 }
 
 TEST(SecureCompare, WorksBetweenArbitraryAgentIds) {

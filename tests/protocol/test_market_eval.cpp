@@ -10,7 +10,6 @@ namespace {
 PemConfig TestConfig() {
   PemConfig cfg;
   cfg.key_bits = 128;
-  cfg.compare.group = crypto::ModpGroupId::kModp768;
   return cfg;
 }
 
