@@ -34,8 +34,24 @@ void BM_PaillierKeyGen(benchmark::State& state) {
 }
 BENCHMARK(BM_PaillierKeyGen)->Arg(512)->Arg(1024)->Unit(benchmark::kMillisecond);
 
+// One-time cost per key and process: derive h_s from n and build its
+// fixed-base table.  Each iteration times a fresh copy of the key,
+// whose table nobody has built yet.
+void BM_PaillierFixedBaseBuild(benchmark::State& state) {
+  const PaillierKeyPair& kp = Keys(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    const PaillierPublicKey fresh(kp.pub.n(), kp.pub.key_bits());
+    benchmark::DoNotOptimize(fresh.randomness_base());
+  }
+}
+BENCHMARK(BM_PaillierFixedBaseBuild)->Arg(1024)->Arg(2048)
+    ->Unit(benchmark::kMillisecond);
+
+// Public-key encryption with the table already built (it is built
+// once per key, see BM_PaillierFixedBaseBuild).
 void BM_PaillierEncrypt(benchmark::State& state) {
   const PaillierKeyPair& kp = Keys(static_cast<int>(state.range(0)));
+  (void)kp.pub.randomness_base();
   DeterministicRng rng(2);
   for (auto _ : state) {
     benchmark::DoNotOptimize(kp.pub.EncryptSigned(123456, rng));
@@ -44,30 +60,37 @@ void BM_PaillierEncrypt(benchmark::State& state) {
 BENCHMARK(BM_PaillierEncrypt)->Arg(512)->Arg(1024)->Arg(2048)
     ->Unit(benchmark::kMicrosecond);
 
-// Owner-side encryption: the CRT fast path an agent takes under its
-// own key.  Compare with BM_PaillierEncrypt (the public path) at the
-// same key size.
-void BM_PaillierEncryptOwnerCrt(benchmark::State& state) {
+// The randomness factor alone: h_s^r for an l-bit r from the table,
+// next to the n-bit r^n mod n^2 that classic Paillier encryption
+// spends (reference only; nothing in the library computes it).
+void BM_PaillierFactor(benchmark::State& state) {
   const PaillierKeyPair& kp = Keys(static_cast<int>(state.range(0)));
-  const PaillierCrtEncryptor crt(kp.priv);
-  DeterministicRng rng(12);
+  const bool table = state.range(1) != 0;
+  DeterministicRng rng(14);
+  const BigInt short_r = kp.pub.SampleRandomness(rng);
+  const BigInt full_r = BigInt::RandomBelow(kp.pub.n(), rng);
+  (void)kp.pub.randomness_base();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(crt.EncryptSigned(123456, rng));
+    benchmark::DoNotOptimize(
+        table ? kp.pub.RandomnessFactor(short_r)
+              : full_r.PowMod(kp.pub.n(), kp.pub.n_squared()));
   }
+  state.SetLabel(table ? "table h_s^r" : "reference r^n");
 }
-BENCHMARK(BM_PaillierEncryptOwnerCrt)->Arg(512)->Arg(1024)->Arg(2048)
+BENCHMARK(BM_PaillierFactor)
+    ->Args({1024, 1})->Args({1024, 0})
+    ->Args({2048, 1})->Args({2048, 0})
     ->Unit(benchmark::kMicrosecond);
 
-// The idle-time pool refill (r^n factors only), per worker count; this
-// is what RunSimulation executes between windows.
+// The idle-time pool refill (factors only), per worker count; this is
+// what RunSimulation executes between windows.
 void BM_PaillierPoolRefill(benchmark::State& state) {
   const PaillierKeyPair& kp = Keys(static_cast<int>(state.range(0)));
   const unsigned threads = static_cast<unsigned>(state.range(1));
   DeterministicRng rng(13);
-  const PaillierCrtEncryptor crt(kp.priv);  // key material, not refill cost
+  (void)kp.pub.randomness_base();  // key material, not refill cost
   for (auto _ : state) {
     PaillierRandomnessPool pool(kp.pub);
-    pool.AttachCrtEncryptor(crt);
     pool.Refill(16, rng, threads);
     benchmark::DoNotOptimize(pool.available());
   }

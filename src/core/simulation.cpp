@@ -155,16 +155,13 @@ class ProtocolReplica {
 
   // Idle-time phase after a window: tops the pools back up so the next
   // window's encryptions are one multiplication each.  The window may
-  // have elected new aggregators (and minted their keys), so owners
-  // are registered first and the refill exponentiates mod p^2/q^2.
-  // The refill fans out across the policy's workers without moving
-  // the factor order.
+  // have elected new aggregators (and minted their keys), so their
+  // pools are registered first.  The refill fans out across the
+  // policy's workers without moving the factor order.
   void Refill() {
     if (!config_.pem.precompute_encryption) return;
-    if (config_.pem.crt_encryption) {
-      for (const protocol::Party& p : parties_) {
-        if (p.HasKeys()) pools_.AttachOwner(p.private_key());
-      }
+    for (const protocol::Party& p : parties_) {
+      if (p.HasKeys()) (void)pools_.PoolFor(p.public_key());
     }
     pools_.RefillAll(config_.pem.encryption_pool_target, rng_, config_.policy);
   }

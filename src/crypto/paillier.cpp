@@ -1,7 +1,10 @@
 #include "crypto/paillier.h"
 
 #include <iterator>
+#include <mutex>
+#include <string_view>
 
+#include "crypto/hash.h"
 #include "net/serialize.h"
 #include "net/transport.h"
 #include "util/error.h"
@@ -15,12 +18,92 @@ BigInt LFunction(const BigInt& x, const BigInt& d) {
   return (x - BigInt(1)) / d;
 }
 
+// Digits of the fixed-base table: h_s^r is assembled from base-16
+// digits of r, one table entry h_s^(16^i) per digit position.
+constexpr int kDigitBits = 4;
+constexpr unsigned kDigitMax = (1u << kDigitBits) - 1;
+
+uint8_t Digit(const BigInt& r, size_t i) {
+  // GMP_NUMB_BITS is a multiple of 4, so no digit straddles two limbs.
+  constexpr size_t kPerLimb = GMP_NUMB_BITS / kDigitBits;
+  const mp_limb_t limb =
+      mpz_getlimbn(r.raw(), static_cast<mp_size_t>(i / kPerLimb));
+  return static_cast<uint8_t>((limb >> ((i % kPerLimb) * kDigitBits)) &
+                              kDigitMax);
+}
+
+// x = SHA-256-expand(tag || attempt || n) mod n, widened by 128 bits so
+// the reduction is statistically uniform; the first unit x wins.  A
+// public function of n, so every holder of the key derives the same h
+// without it ever being sent.
+BigInt HashToUnit(const BigInt& n, int key_bits) {
+  static constexpr std::string_view kTag = "pem/paillier/djn-base/v1";
+  const std::vector<uint8_t> n_bytes = n.ToBytes();
+  const size_t width = static_cast<size_t>(key_bits) / 8 + 16;
+  for (uint32_t attempt = 0;; ++attempt) {
+    std::vector<uint8_t> stream;
+    for (uint32_t block = 0; stream.size() < width; ++block) {
+      std::vector<uint8_t> in(kTag.begin(), kTag.end());
+      for (uint32_t v : {attempt, block}) {
+        for (int s = 24; s >= 0; s -= 8) {
+          in.push_back(static_cast<uint8_t>(v >> s));
+        }
+      }
+      in.insert(in.end(), n_bytes.begin(), n_bytes.end());
+      const Sha256Digest d = Sha256(in);
+      stream.insert(stream.end(), d.bytes.begin(), d.bytes.end());
+    }
+    stream.resize(width);
+    BigInt x = BigInt::FromBytes(stream) % n;
+    if (x.IsInvertibleMod(n)) return x;
+  }
+}
+
 }  // namespace
 
+struct PaillierPublicKey::FixedBase {
+  std::once_flag once;
+  BigInt h_s;
+  std::vector<BigInt> table;
+};
+
 PaillierPublicKey::PaillierPublicKey(BigInt n, int key_bits)
-    : n_(std::move(n)), key_bits_(key_bits) {
+    : n_(std::move(n)),
+      key_bits_(key_bits),
+      fixed_base_(std::make_shared<FixedBase>()) {
   n2_ = n_ * n_;
   g_ = n_ + BigInt(1);
+}
+
+int PaillierPublicKey::randomness_bits() const {
+  const int lambda = key_bits_ < 2048 ? 80 : key_bits_ < 3072 ? 112 : 128;
+  return 4 * lambda;
+}
+
+const PaillierPublicKey::FixedBase& PaillierPublicKey::fixed_base() const {
+  PEM_CHECK(fixed_base_ != nullptr, "Paillier key has no modulus");
+  FixedBase& fb = *fixed_base_;
+  std::call_once(fb.once, [&] {
+    // h = -x^2 mod n: a square (negated), so h_s = h^n generates a
+    // subgroup of the n-th residues (Damgard-Jurik-Nielsen, 4.2).
+    const BigInt x = HashToUnit(n_, key_bits_);
+    const BigInt h = n_ - x.MulMod(x, n_);
+    fb.h_s = h.PowMod(n_, n2_);
+    const size_t digits =
+        static_cast<size_t>(randomness_bits() + kDigitBits - 1) / kDigitBits;
+    fb.table.resize(digits);
+    fb.table[0] = fb.h_s;
+    for (size_t i = 1; i < digits; ++i) {
+      BigInt& t = fb.table[i];
+      t = fb.table[i - 1];
+      for (int s = 0; s < kDigitBits; ++s) t = t.MulMod(t, n2_);
+    }
+  });
+  return fb;
+}
+
+const BigInt& PaillierPublicKey::randomness_base() const {
+  return fixed_base().h_s;
 }
 
 BigInt PaillierPublicKey::EncodeSigned(int64_t v) const {
@@ -39,10 +122,7 @@ int64_t PaillierPublicKey::DecodeSigned(const BigInt& m) const {
 
 PaillierCiphertext PaillierPublicKey::Encrypt(const BigInt& m, Rng& rng) const {
   PEM_CHECK(!m.IsNegative() && m < n_, "Paillier plaintext out of range");
-  // With g = n+1:  g^m = 1 + m*n (mod n^2), saving one exponentiation.
-  const BigInt gm = (BigInt(1) + m * n_) % n2_;
-  const BigInt rn = SampleRandomness(rng).PowMod(n_, n2_);
-  return PaillierCiphertext{gm.MulMod(rn, n2_)};
+  return EncryptWithRandomness(m, SampleRandomness(rng));
 }
 
 PaillierCiphertext PaillierPublicKey::EncryptSigned(int64_t v, Rng& rng) const {
@@ -51,30 +131,62 @@ PaillierCiphertext PaillierPublicKey::EncryptSigned(int64_t v, Rng& rng) const {
 
 PaillierCiphertext PaillierPublicKey::EncryptWithRandomness(
     const BigInt& m, const BigInt& r) const {
-  PEM_CHECK(!r.IsZero() && r < n_ && r.IsInvertibleMod(n_),
-            "encryption randomness must be a unit mod n");
-  return EncryptWithFactor(m, r.PowMod(n_, n2_));
+  return EncryptWithFactor(m, RandomnessFactor(r));
 }
 
 BigInt PaillierPublicKey::SampleRandomness(Rng& rng) const {
-  // r uniform in [1, n) with gcd(r, n) = 1; for a valid key a random
-  // r < n is invertible except with negligible probability.
-  BigInt r = BigInt::RandomBelow(n_, rng);
-  while (r.IsZero() || !r.IsInvertibleMod(n_)) {
-    r = BigInt::RandomBelow(n_, rng);
+  // r uniform in [1, 2^l): l random bits, redrawn on the (2^-l) zero.
+  const int bits = randomness_bits();
+  std::vector<uint8_t> buf((static_cast<size_t>(bits) + 7) / 8);
+  for (;;) {
+    rng.Fill(buf);
+    if (bits % 8 != 0) buf[0] &= static_cast<uint8_t>((1u << (bits % 8)) - 1);
+    BigInt r = BigInt::FromBytes(buf);
+    if (!r.IsZero()) return r;
   }
-  return r;
+}
+
+bool PaillierPublicKey::IsRandomness(const BigInt& r) const {
+  return !r.IsNegative() && !r.IsZero() &&
+         r.BitLength() <= static_cast<size_t>(randomness_bits());
+}
+
+BigInt PaillierPublicKey::RandomnessFactor(const BigInt& r) const {
+  PEM_CHECK(IsRandomness(r), "encryption randomness must be in [1, 2^l)");
+  const FixedBase& fb = fixed_base();
+  // Fixed-base exponentiation (Brickell-Gordon-McCurley-Wilson): with
+  // r = sum d_i 16^i, h_s^r = prod_{j=15..1} (prod_{d_i >= j} T_i), so
+  // one running product b collects the entries with digit j on pass j
+  // and acc multiplies b in after every pass.  At most ceil(l/4) + 15
+  // multiplications mod n^2, and no squarings.
+  std::vector<uint8_t> digits(fb.table.size());
+  for (size_t i = 0; i < digits.size(); ++i) digits[i] = Digit(r, i);
+  // In-place GMP calls on BigInts: one product buffer, no temporaries.
+  BigInt acc(1), b(1), t;
+  bool started = false;
+  for (unsigned j = kDigitMax; j >= 1; --j) {
+    for (size_t i = 0; i < digits.size(); ++i) {
+      if (digits[i] != j) continue;
+      mpz_mul(t.raw(), b.raw(), fb.table[i].raw());
+      mpz_tdiv_r(b.raw(), t.raw(), n2_.raw());
+      started = true;
+    }
+    if (!started) continue;  // acc and b are still 1
+    mpz_mul(t.raw(), acc.raw(), b.raw());
+    mpz_tdiv_r(acc.raw(), t.raw(), n2_.raw());
+  }
+  return acc;
 }
 
 BigInt PaillierPublicKey::SampleRandomnessFactor(Rng& rng) const {
-  return SampleRandomness(rng).PowMod(n_, n2_);
+  return RandomnessFactor(SampleRandomness(rng));
 }
 
 PaillierCiphertext PaillierPublicKey::EncryptWithFactor(
-    const BigInt& m, const BigInt& rn_factor) const {
+    const BigInt& m, const BigInt& factor) const {
   PEM_CHECK(!m.IsNegative() && m < n_, "Paillier plaintext out of range");
   const BigInt gm = (BigInt(1) + m * n_) % n2_;
-  return PaillierCiphertext{gm.MulMod(rn_factor, n2_)};
+  return PaillierCiphertext{gm.MulMod(factor, n2_)};
 }
 
 PaillierCiphertext PaillierPublicKey::EncryptZero(Rng& rng) const {
@@ -152,72 +264,11 @@ int64_t PaillierPrivateKey::DecryptSigned(const PaillierCiphertext& c) const {
   return pk_.DecodeSigned(Decrypt(c));
 }
 
-PaillierCrtEncryptor::PaillierCrtEncryptor(const PaillierPrivateKey& sk)
-    : pk_(sk.public_key()), p_(sk.p_), q_(sk.q_) {
-  p2_ = p_ * p_;
-  q2_ = q_ * q_;
-  // (Z/p^2)* has order p(p-1); for r a unit mod n the exponent n
-  // reduces to e_p = n mod p(p-1) (Euler).  Because p divides both n
-  // and p(p-1), p also divides e_p — which unlocks a second reduction
-  // (see RandomnessFactor): we only ever exponentiate by t_p = e_p / p,
-  // a half-width exponent, at quarter-width modulus p.  Symmetric for q.
-  t_p_ = (pk_.n() % (p2_ - p_)) / p_;
-  t_q_ = (pk_.n() % (q2_ - q_)) / q_;
-  q2_inv_mod_p2_ = q2_.InvMod(p2_);
-}
-
 PaillierCrtEncryptor::PaillierCrtEncryptor(const PaillierPublicKey& pk,
                                            const PaillierPrivateKey& sk)
     : PaillierCrtEncryptor(sk) {
   PEM_CHECK(pk == sk.public_key(),
             "CRT encryptor: public key does not match the private key");
-}
-
-BigInt PaillierCrtEncryptor::RandomnessFactor(const BigInt& r) const {
-  // Range check only: the full gcd unit test would eat a measurable
-  // slice of the CRT saving, and every caller either sampled r via
-  // SampleRandomness (a unit by construction) or went through
-  // EncryptWithRandomness, which performs the gcd check.
-  PEM_CHECK(!r.IsZero() && r < pk_.n(),
-            "encryption randomness must be a unit mod n");
-  // r^n mod p^2 in two short hops instead of one full-length one.
-  // With e_p = n mod p(p-1) (Euler) and e_p = p * t_p (p divides n):
-  //   r^n = (r^{t_p})^p  ≡  ((r^{t_p}) mod p)^p      (mod p^2)
-  // because y^p mod p^2 depends only on y mod p — writing y' = y(1+pu)
-  // gives (1+pu)^p = 1 + p^2*u + ... ≡ 1 (mod p^2).  So one
-  // half-width exponent at modulus p, then one half-width exponent
-  // (p itself) at modulus p^2; symmetric for q; Garner-recombine.
-  const BigInt zp = (r % p_).PowMod(t_p_, p_);
-  const BigInt xp = zp.PowMod(p_, p2_);
-  const BigInt zq = (r % q_).PowMod(t_q_, q_);
-  const BigInt xq = zq.PowMod(q_, q2_);
-  // Garner: x = xq + q^2 * ((xp - xq) * (q^2)^-1 mod p^2), the unique
-  // representative in [0, n^2) — hence bit-identical to r^n mod n^2.
-  const BigInt h = xp.SubMod(xq % p2_, p2_).MulMod(q2_inv_mod_p2_, p2_);
-  return xq + q2_ * h;
-}
-
-BigInt PaillierCrtEncryptor::SampleRandomnessFactor(Rng& rng) const {
-  return RandomnessFactor(pk_.SampleRandomness(rng));
-}
-
-PaillierCiphertext PaillierCrtEncryptor::EncryptWithRandomness(
-    const BigInt& m, const BigInt& r) const {
-  // Mirrors PaillierPublicKey::EncryptWithRandomness: adversarial r is
-  // rejected here, so the factor fast path can skip the gcd.
-  PEM_CHECK(!r.IsZero() && r < pk_.n() && r.IsInvertibleMod(pk_.n()),
-            "encryption randomness must be a unit mod n");
-  return pk_.EncryptWithFactor(m, RandomnessFactor(r));
-}
-
-PaillierCiphertext PaillierCrtEncryptor::Encrypt(const BigInt& m,
-                                                 Rng& rng) const {
-  return EncryptWithRandomness(m, pk_.SampleRandomness(rng));
-}
-
-PaillierCiphertext PaillierCrtEncryptor::EncryptSigned(int64_t v,
-                                                       Rng& rng) const {
-  return Encrypt(pk_.EncodeSigned(v), rng);
 }
 
 PaillierKeyPair GeneratePaillierKeyPair(int key_bits, Rng& rng) {
@@ -321,10 +372,10 @@ Result<PaillierPrivateKey> PaillierPrivateKey::Deserialize(
   return PaillierPrivateKey(pk.value(), p, q);
 }
 
-void PaillierRandomnessPool::AttachCrtEncryptor(PaillierCrtEncryptor enc) {
+void PaillierRandomnessPool::AttachCrtEncryptor(
+    const PaillierCrtEncryptor& enc) {
   PEM_CHECK(enc.public_key().n() == pk_.n(),
             "CRT encryptor attached to a pool for a different modulus");
-  crt_ = std::move(enc);
 }
 
 void PaillierRandomnessPool::Refill(size_t target, Rng& rng,
@@ -334,18 +385,14 @@ void PaillierRandomnessPool::Refill(size_t target, Rng& rng,
   // factor sequence does not depend on how phase 2 is scheduled.
   std::vector<BigInt> rs(target - factors_.size());
   for (BigInt& r : rs) r = pk_.SampleRandomness(rng);
-  // Phase 2 (fan-out): the r^n exponentiations, via the owner's CRT
-  // tables when attached (same bits, ~2-3x cheaper).  Computed into a
-  // local buffer and appended only on success: if ParallelFor throws
-  // (worker exception, or thread spawn failing under resource
-  // exhaustion), the pool must not be left holding default-constructed
-  // zero "factors" that TakeFactor would hand out as randomness.
+  // Phase 2 (fan-out): the exponentiations.  Computed into a local
+  // buffer and appended only on success: if ParallelFor throws (worker
+  // exception, or thread spawn failing under resource exhaustion), the
+  // pool must not be left holding default-constructed zero "factors"
+  // that TakeFactor would hand out as randomness.
   std::vector<BigInt> computed(rs.size());
-  ParallelFor(0, rs.size(), threads, [&](size_t i) {
-    computed[i] = crt_.has_value()
-                      ? crt_->RandomnessFactor(rs[i])
-                      : rs[i].PowMod(pk_.n(), pk_.n_squared());
-  });
+  ParallelFor(0, rs.size(), threads,
+              [&](size_t i) { computed[i] = pk_.RandomnessFactor(rs[i]); });
   factors_.insert(factors_.end(),
                   std::make_move_iterator(computed.begin()),
                   std::make_move_iterator(computed.end()));
@@ -376,13 +423,6 @@ PaillierRandomnessPool& PaillierPoolRegistry::PoolFor(
   }
   pools_.push_back(std::make_unique<PaillierRandomnessPool>(pk));
   return *pools_.back();
-}
-
-void PaillierPoolRegistry::AttachOwner(const PaillierPrivateKey& sk) {
-  PaillierRandomnessPool& pool = PoolFor(sk.public_key());
-  if (!pool.has_crt_encryptor()) {
-    pool.AttachCrtEncryptor(PaillierCrtEncryptor(sk));
-  }
 }
 
 void PaillierPoolRegistry::RefillAll(size_t target, Rng& rng,

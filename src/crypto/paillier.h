@@ -8,6 +8,16 @@
 // integers mapped into [0, n) with the upper half representing negative
 // values.  Decryption uses the standard CRT acceleration (can be
 // disabled for the ablation bench).
+//
+// Encryption uses the short-randomness variant of Damgard, Jurik and
+// Nielsen ("A generalization of Paillier's public-key system with
+// applications to electronic voting", IJIS 2010, section 4.2):
+//   Enc(m) = (1 + n)^m * h_s^r  mod n^2,   h_s = h^n mod n^2,
+// with r a uniform nonzero exponent of l = 4*lambda bits (lambda the
+// key's NIST SP 800-57 security level).  Every holder of the key
+// derives the same h from n alone by hashing, so the public-key wire
+// format is still key_bits || n.  h_s^r is an n-th residue, so
+// decryption and the homomorphism are those of textbook Paillier.
 #pragma once
 
 #include <cstdint>
@@ -44,22 +54,28 @@ class PaillierPublicKey {
   // Encrypts a signed 64-bit value using the half-range encoding.
   PaillierCiphertext EncryptSigned(int64_t v, Rng& rng) const;
 
-  // Deterministic encryption with caller-supplied randomness r
-  // (invertible mod n).  Used by the verifiable-contribution check
+  // Deterministic encryption with caller-supplied randomness r (see
+  // IsRandomness).  Used by the verifiable-contribution check
   // (re-encrypt and compare) and by the randomness pool.
   PaillierCiphertext EncryptWithRandomness(const BigInt& m,
                                            const BigInt& r) const;
-  // Samples encryption randomness r: uniform in [1, n), invertible.
-  // Cheap (no exponentiation) — protocol code draws r sequentially in
-  // its prepare phase and defers the r^n work to EncryptWithRandomness
-  // inside a compute-phase worker.
+  // Samples encryption randomness r: uniform in [1, 2^l).  Cheap (no
+  // exponentiation) — protocol code draws r sequentially in its prepare
+  // phase and defers the h_s^r work to EncryptWithRandomness inside a
+  // compute-phase worker.
   BigInt SampleRandomness(Rng& rng) const;
-  // The expensive half of encryption: r^n mod n^2 for fresh random r.
-  // Precomputable offline; see PaillierRandomnessPool.
+  // True iff r is valid encryption randomness: 0 < r < 2^l.  The one
+  // predicate every r taken from outside this class goes through.
+  bool IsRandomness(const BigInt& r) const;
+  // The expensive half of encryption: h_s^r mod n^2, from the key's
+  // fixed-base table.  Aborts unless IsRandomness(r).
+  BigInt RandomnessFactor(const BigInt& r) const;
+  // RandomnessFactor of fresh randomness.  Precomputable offline; see
+  // PaillierRandomnessPool.
   BigInt SampleRandomnessFactor(Rng& rng) const;
   // Assembles a ciphertext from a plaintext and a precomputed factor.
   PaillierCiphertext EncryptWithFactor(const BigInt& m,
-                                       const BigInt& rn_factor) const;
+                                       const BigInt& factor) const;
 
   // Homomorphic addition of plaintexts.
   PaillierCiphertext Add(const PaillierCiphertext& a,
@@ -84,6 +100,14 @@ class PaillierPublicKey {
   int key_bits() const { return key_bits_; }
   // Serialized ciphertext width in bytes.
   size_t ciphertext_bytes() const { return (static_cast<size_t>(key_bits_) * 2 + 7) / 8; }
+  // l, the bit length of encryption randomness: 4 * lambda with lambda
+  // = 80 below 2048-bit keys, 112 below 3072, else 128 (NIST SP 800-57
+  // part 1, table 2).  The best known attack on a short exponent is
+  // Pollard's kangaroo at ~2^(l/2) group operations, so 4*lambda keeps
+  // it at 2^(2*lambda), above the lambda the modulus itself offers.
+  int randomness_bits() const;
+  // h_s = h^n mod n^2 for the hash-derived h (see RandomnessFactor).
+  const BigInt& randomness_base() const;
 
   // Wire format: key_bits (u32) || n (length-prefixed bytes).
   std::vector<uint8_t> Serialize() const;
@@ -95,13 +119,19 @@ class PaillierPublicKey {
   }
 
  private:
+  // h_s and its 4-bit fixed-base table h_s^(16^i), i < ceil(l / 4).
+  // Built on first use, once, however many copies of the key share it
+  // and whichever thread gets there first; a key that only travels
+  // (a deserialized announcement) never pays for it.
+  struct FixedBase;
+  const FixedBase& fixed_base() const;
+
   BigInt n_;
   BigInt n2_;
   BigInt g_;  // fixed to n + 1 (standard, enables the fast L-function path)
   int key_bits_ = 0;
+  std::shared_ptr<FixedBase> fixed_base_;  // shared by copies of the key
 };
-
-class PaillierCrtEncryptor;
 
 class PaillierPrivateKey {
  public:
@@ -124,8 +154,6 @@ class PaillierPrivateKey {
       std::span<const uint8_t> bytes);
 
  private:
-  friend class PaillierCrtEncryptor;  // reads p_, q_ for the CRT tables
-
   BigInt DecryptPlain(const PaillierCiphertext& c) const;
   BigInt DecryptCrt(const PaillierCiphertext& c) const;
 
@@ -150,83 +178,71 @@ struct PaillierKeyPair {
 // use 1024+).
 PaillierKeyPair GeneratePaillierKeyPair(int key_bits, Rng& rng);
 
-// Owner-side CRT acceleration of the encryption hot spot.
-//
-// The expensive half of Paillier encryption is r^n mod n^2.  An agent
-// encrypting under its OWN key knows p and q, so it can compute the
-// factor mod p^2 and q^2 separately and Garner-recombine; because p
-// divides the reduced exponent n mod p(p-1), each side further splits
-// into a half-width exponent at modulus p plus a half-width exponent
-// at modulus p^2 (see RandomnessFactor) — ~2x cheaper at 512-bit keys
-// growing to ~3x+ at 2048-bit, the encryption-side analog of the CRT
-// decryption the private key already uses.  The result is
-// BIT-IDENTICAL to PaillierPublicKey::SampleRandomnessFactor /
-// EncryptWithRandomness for the same (m, r), so swapping the fast path
-// in changes no wire byte (asserted by the crypto parity tests).
+// The owner's encryptor.  It once computed r^n mod p^2 and mod q^2
+// and recombined; the fixed-base table path is faster than that, so
+// every call now forwards to the public key, bit for bit.  Kept for
+// callers that still name it.
 class PaillierCrtEncryptor {
  public:
   PaillierCrtEncryptor() = default;
-  // Builds the CRT tables from the owner's private key.
-  explicit PaillierCrtEncryptor(const PaillierPrivateKey& sk);
+  explicit PaillierCrtEncryptor(const PaillierPrivateKey& sk)
+      : pk_(sk.public_key()) {}
   // As above, but asserts `sk` actually opens `pk` — constructing an
   // encryptor for somebody else's public key is always a bug (death
   // test in tests/crypto/test_paillier.cpp).
   PaillierCrtEncryptor(const PaillierPublicKey& pk,
                        const PaillierPrivateKey& sk);
 
-  // r^n mod n^2 via the CRT path; r must be a unit mod n.  Equal, bit
-  // for bit, to r.PowMod(n, n_squared).
-  BigInt RandomnessFactor(const BigInt& r) const;
-
-  // Drop-in replacements for the PaillierPublicKey entry points, so
-  // protocol code and the randomness pool can route through the owner
-  // fast path transparently.
-  BigInt SampleRandomnessFactor(Rng& rng) const;
+  BigInt RandomnessFactor(const BigInt& r) const {
+    return pk_.RandomnessFactor(r);
+  }
+  BigInt SampleRandomnessFactor(Rng& rng) const {
+    return pk_.SampleRandomnessFactor(rng);
+  }
   PaillierCiphertext EncryptWithRandomness(const BigInt& m,
-                                           const BigInt& r) const;
-  PaillierCiphertext Encrypt(const BigInt& m, Rng& rng) const;
-  PaillierCiphertext EncryptSigned(int64_t v, Rng& rng) const;
+                                           const BigInt& r) const {
+    return pk_.EncryptWithRandomness(m, r);
+  }
+  PaillierCiphertext Encrypt(const BigInt& m, Rng& rng) const {
+    return pk_.Encrypt(m, rng);
+  }
+  PaillierCiphertext EncryptSigned(int64_t v, Rng& rng) const {
+    return pk_.EncryptSigned(v, rng);
+  }
 
   const PaillierPublicKey& public_key() const { return pk_; }
 
  private:
   PaillierPublicKey pk_;
-  BigInt p_, q_;          // the prime factors of n
-  BigInt p2_, q2_;        // p^2, q^2
-  BigInt t_p_, t_q_;      // (n mod p(p-1)) / p and (n mod q(q-1)) / q
-  BigInt q2_inv_mod_p2_;  // Garner recombination coefficient mod n^2
 };
 
 // Precomputed encryption randomness for one public key.
 //
-// Paillier encryption costs one n-bit exponentiation (r^n mod n^2)
-// that does not depend on the plaintext.  The paper exploits this:
-// "the encryption and decryption are independently executed in
-// parallel during idle time", which is why Fig. 5(b)'s runtime barely
-// moves with the key size.  Refill() is the idle-time phase; Encrypt*
-// then costs one multiplication.  See bench/ablation_precompute.
+// Paillier encryption costs one exponentiation (h_s^r mod n^2) that
+// does not depend on the plaintext.  The paper exploits this: "the
+// encryption and decryption are independently executed in parallel
+// during idle time", which is why Fig. 5(b)'s runtime barely moves
+// with the key size.  Refill() is the idle-time phase; Encrypt* then
+// costs one multiplication.  See bench/ablation_precompute.
 //
 // Refill is phased like the protocol engine: every r is drawn
 // sequentially from the caller's RNG, then the exponentiations fan out
 // across `threads` workers — so the factor sequence (and therefore
 // every wire transcript downstream of the pool) is invariant under the
-// thread count and under the owner-CRT toggle.
+// thread count.
 class PaillierRandomnessPool {
  public:
   explicit PaillierRandomnessPool(PaillierPublicKey pk) : pk_(std::move(pk)) {}
 
   // Offline: precompute factors until `target` are available.  The
-  // threaded overload fans the r^n exponentiations out over up to
+  // threaded overload fans the exponentiations out over up to
   // `threads` workers; the factor sequence is identical for any count.
   void Refill(size_t target, Rng& rng) { Refill(target, rng, 1); }
   void Refill(size_t target, Rng& rng, unsigned threads);
 
-  // Attaches the key owner's CRT encryptor: subsequent refills compute
-  // each factor mod p^2/q^2 instead of mod n^2.  Same factor bits, so
-  // pooled ciphertexts are unchanged.  The encryptor must match this
-  // pool's modulus.
-  void AttachCrtEncryptor(PaillierCrtEncryptor enc);
-  bool has_crt_encryptor() const { return crt_.has_value(); }
+  // Checks that `enc` belongs to this pool's modulus.  Refills take
+  // the same path with or without it.
+  void AttachCrtEncryptor(const PaillierCrtEncryptor& enc);
 
   size_t available() const { return factors_.size(); }
   const PaillierPublicKey& public_key() const { return pk_; }
@@ -244,7 +260,6 @@ class PaillierRandomnessPool {
 
  private:
   PaillierPublicKey pk_;
-  std::optional<PaillierCrtEncryptor> crt_;
   std::vector<BigInt> factors_;
 };
 
@@ -255,10 +270,11 @@ class PaillierPoolRegistry {
   // Returns the pool for `pk`, creating it on first use.
   PaillierRandomnessPool& PoolFor(const PaillierPublicKey& pk);
 
-  // Registers the key owner with the pool for sk's public key
-  // (creating the pool if needed), so idle-time refills run the CRT
-  // fast path.  Idempotent.
-  void AttachOwner(const PaillierPrivateKey& sk);
+  // PoolFor(sk.public_key()): makes sure the owner's pool exists.
+  // Idempotent.
+  void AttachOwner(const PaillierPrivateKey& sk) {
+    (void)PoolFor(sk.public_key());
+  }
 
   // Idle-time maintenance: tops every known pool up to `target`.  The
   // threaded/policy overloads fan each pool's exponentiations out; all

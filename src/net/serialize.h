@@ -32,7 +32,7 @@ class ByteWriter {
   }
   void Bytes(std::span<const uint8_t> b) {
     U32(static_cast<uint32_t>(b.size()));
-    buf_.insert(buf_.end(), b.begin(), b.end());
+    Raw(b.data(), b.size());
   }
   void Str(const std::string& s) {
     Bytes(std::span<const uint8_t>(
@@ -44,9 +44,13 @@ class ByteWriter {
   size_t size() const { return buf_.size(); }
 
  private:
+  // resize + memcpy rather than vector::insert: GCC 12 misreads the
+  // inlined insert as a -Wstringop-overflow.  Same bytes either way.
   void Raw(const void* p, size_t n) {
-    const auto* b = static_cast<const uint8_t*>(p);
-    buf_.insert(buf_.end(), b, b + n);
+    if (n == 0) return;  // an empty span may carry a null data()
+    const size_t at = buf_.size();
+    buf_.resize(at + n);
+    std::memcpy(buf_.data() + at, p, n);
   }
 
   std::vector<uint8_t> buf_;

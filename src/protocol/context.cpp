@@ -39,14 +39,9 @@ crypto::PaillierCiphertext ReadCiphertext(net::ByteReader& r) {
 
 EncryptionSlot PrepareEncryption(ProtocolContext& ctx,
                                  const crypto::PaillierPublicKey& pk,
-                                 int64_t value,
-                                 const Party* encryptor) {
+                                 int64_t value) {
   EncryptionSlot slot;
   slot.value = value;
-  if (ctx.config.crt_encryption && encryptor != nullptr &&
-      encryptor->HasKeys() && encryptor->public_key().n() == pk.n()) {
-    slot.crt = encryptor->crt_encryptor();
-  }
   if (ctx.pools != nullptr) {
     slot.pooled_factor = ctx.pools->PoolFor(pk).TakeFactor();
     if (slot.pooled_factor.has_value()) return slot;
@@ -61,10 +56,7 @@ crypto::PaillierCiphertext ComputeEncryption(
   if (slot.pooled_factor.has_value()) {
     return pk.EncryptWithFactor(m, *slot.pooled_factor);
   }
-  // Same bits either way; the owner path is just cheaper.
-  return slot.crt != nullptr
-             ? slot.crt->EncryptWithRandomness(m, slot.randomness)
-             : pk.EncryptWithRandomness(m, slot.randomness);
+  return pk.EncryptWithRandomness(m, slot.randomness);
 }
 
 std::vector<crypto::PaillierCiphertext> ComputeEncryptions(
@@ -183,15 +175,12 @@ std::vector<crypto::PaillierCiphertext> RingAggregateBatch(
   slots.reserve(value_fns.size() * leaf_members.size());
   for (const auto& value_of : value_fns) {
     for (size_t member : leaf_members) {
-      // Passing the member lets an aggregator that sits in its own ring
-      // (Hr1/Hr2/Hb do) take the owner-side CRT fast path.
-      slots.push_back(PrepareEncryption(ctx, pk, value_of(parties[member]),
-                                        &parties[member]));
+      slots.push_back(PrepareEncryption(ctx, pk, value_of(parties[member])));
     }
   }
 
   // Phase 2 (compute, policy-driven): the dominant crypto cost — one
-  // r^n exponentiation per slot — fans out across workers, fused over
+  // h_s^r exponentiation per slot — fans out across workers, fused over
   // every lane and every leaf ring.
   const std::vector<crypto::PaillierCiphertext> shares =
       ComputeEncryptions(ctx, pk, slots);

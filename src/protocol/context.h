@@ -5,7 +5,7 @@
 // plan (protocol/topology.h — the flat ring, or a hierarchy of
 // sub-rings) in three phases:
 //   1. prepare  (sequential)  — fix each leaf member's encryption
-//      randomness: a pooled r^n factor when a PaillierRandomnessPool
+//      randomness: a pooled h_s^r factor when a PaillierRandomnessPool
 //      is attached and non-dry, otherwise a fresh r drawn from the
 //      context RNG;
 //   2. compute  (policy-driven) — produce each member's ciphertext
@@ -109,24 +109,16 @@ struct ProtocolContext {
 // Phase-1 product: one planned encryption with its randomness fixed.
 struct EncryptionSlot {
   int64_t value = 0;
-  // Exactly one of the two is set: a pooled r^n factor, or fresh r.
+  // Exactly one of the two is set: a pooled h_s^r factor, or fresh r.
   std::optional<crypto::BigInt> pooled_factor;
   crypto::BigInt randomness;
-  // Owner fast path: set when the encrypting agent owns the key (and
-  // config.crt_encryption is on), so the fresh-randomness branch of
-  // phase 2 computes r^n mod p^2/q^2 instead of mod n^2.  Produces the
-  // same ciphertext bits, so the transcript is invariant under it.
-  const crypto::PaillierCrtEncryptor* crt = nullptr;
 };
 
 // Sequentially fixes the randomness for one encryption of `value`
-// under `pk` (pool pop, else fresh draw from ctx.rng).  When the
-// encrypting party is passed and owns `pk`, the slot routes phase 2
-// through its CRT encryptor.
+// under `pk` (pool pop, else fresh draw from ctx.rng).
 EncryptionSlot PrepareEncryption(ProtocolContext& ctx,
                                  const crypto::PaillierPublicKey& pk,
-                                 int64_t value,
-                                 const Party* encryptor = nullptr);
+                                 int64_t value);
 
 // Phase-2 work for a single prepared slot.  Thread-safe for distinct
 // slots; callers embedding extra per-item work in their own fan-out

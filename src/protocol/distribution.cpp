@@ -67,7 +67,7 @@ std::vector<double> ComputeRatios(ProtocolContext& ctx,
     // Rerandomization is an Enc(0) multiplied in; planning it as a
     // regular encryption slot lets it draw from the idle-time
     // randomness pool like every ring encryption does.
-    rerand_slots.push_back(PrepareEncryption(ctx, pk, 0, &parties[m]));
+    rerand_slots.push_back(PrepareEncryption(ctx, pk, 0));
   }
   std::vector<crypto::PaillierCiphertext> ratio_cts(ratio_members.size());
   const auto compute_ratio = [&](size_t i) {

@@ -33,7 +33,6 @@ const crypto::PaillierKeyPair& Party::EnsureKeys(int key_bits,
                                                  crypto::Rng& rng) {
   if (!keys_.has_value() || keys_->pub.key_bits() != key_bits) {
     keys_ = crypto::GeneratePaillierKeyPair(key_bits, rng);
-    crt_ = crypto::PaillierCrtEncryptor(keys_->priv);
   }
   return *keys_;
 }

@@ -36,14 +36,9 @@ struct PemConfig {
   // runtime measurement.
   bool precompute_encryption = false;
   size_t encryption_pool_target = 1024;
-  // Owner-side CRT encryption (the encryption-side twin of the CRT
-  // decryption the private key always uses): when an agent encrypts
-  // under its OWN key — the elected aggregators' ring contributions,
-  // and every idle-time pool refill for a key whose owner is known —
-  // the r^n factor runs mod p^2/q^2 instead of mod n^2.  Bit-identical
-  // ciphertexts either way (asserted by the crypto parity tests), so
-  // this is purely a speed knob; off reproduces the public-path-only
-  // seed behavior for the ablation bench.
+  // No effect: encryption has one path (crypto/paillier.h), which
+  // outran the owner-side CRT encryption this switch used to select.
+  // Kept so configurations that still set it compile.
   bool crt_encryption = true;
   // NOTE: compute-phase parallelism is no longer configured here; it
   // moved to net::ExecutionPolicy (transport kind + worker count),
@@ -123,13 +118,6 @@ class Party {
   const crypto::PaillierPublicKey& public_key() const;
   const crypto::PaillierPrivateKey& private_key() const;
 
-  // The owner-side CRT fast path over this party's own key; nullptr
-  // until EnsureKeys has run.  Protocol code uses it for encryptions
-  // where this party encrypts under its own public key.
-  const crypto::PaillierCrtEncryptor* crt_encryptor() const {
-    return crt_.has_value() ? &*crt_ : nullptr;
-  }
-
  private:
   net::AgentId id_;
   grid::AgentParams params_;
@@ -139,7 +127,6 @@ class Party {
   int64_t net_raw_ = 0;
   int64_t nonce_ = 0;
   std::optional<crypto::PaillierKeyPair> keys_;
-  std::optional<crypto::PaillierCrtEncryptor> crt_;
 };
 
 }  // namespace pem::protocol

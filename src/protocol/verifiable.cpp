@@ -23,14 +23,17 @@ std::vector<uint8_t> WitnessBytes(uint64_t domain, int64_t blinded_value,
 
 }  // namespace
 
+crypto::Commitment CommitWitness(const ContributionWitness& witness) {
+  return crypto::Commit(WitnessBytes(witness.domain, witness.blinded_value,
+                                     witness.encryption_randomness),
+                        witness.blinder);
+}
+
 VerifiableResult MakeVerifiableContribution(
     const crypto::PaillierPublicKey& pk, int64_t blinded_value,
     crypto::Rng& rng, uint64_t domain) {
   // Sample the encryption randomness explicitly so it can be retained.
-  crypto::BigInt r = crypto::BigInt::RandomBelow(pk.n(), rng);
-  while (r.IsZero() || !r.IsInvertibleMod(pk.n())) {
-    r = crypto::BigInt::RandomBelow(pk.n(), rng);
-  }
+  const crypto::BigInt r = pk.SampleRandomness(rng);
 
   VerifiableResult result;
   result.witness.blinded_value = blinded_value;
@@ -40,8 +43,7 @@ VerifiableResult MakeVerifiableContribution(
 
   result.contribution.ciphertext =
       pk.EncryptWithRandomness(pk.EncodeSigned(blinded_value), r);
-  result.contribution.commitment = crypto::Commit(
-      WitnessBytes(domain, blinded_value, r), result.witness.blinder);
+  result.contribution.commitment = CommitWitness(result.witness);
   return result;
 }
 
@@ -59,10 +61,7 @@ bool OpensCommitment(const VerifiableContribution& contribution,
 bool ReEncryptsToCiphertext(const crypto::PaillierPublicKey& pk,
                             const VerifiableContribution& contribution,
                             const ContributionWitness& witness) {
-  if (witness.encryption_randomness.IsZero() ||
-      !witness.encryption_randomness.IsInvertibleMod(pk.n())) {
-    return false;
-  }
+  if (!pk.IsRandomness(witness.encryption_randomness)) return false;
   const crypto::PaillierCiphertext expected = pk.EncryptWithRandomness(
       pk.EncodeSigned(witness.blinded_value), witness.encryption_randomness);
   return expected.value == contribution.ciphertext.value;

@@ -52,6 +52,10 @@ VerifiableResult MakeVerifiableContribution(
     const crypto::PaillierPublicKey& pk, int64_t blinded_value,
     crypto::Rng& rng, uint64_t domain = 0);
 
+// The commitment to (domain, value, randomness) under the witness's
+// blinder: what MakeVerifiableContribution publishes.
+crypto::Commitment CommitWitness(const ContributionWitness& witness);
+
 // The auditor's check: the witness opens the commitment AND
 // re-encrypting with the witness randomness reproduces the ciphertext.
 bool VerifyContribution(const crypto::PaillierPublicKey& pk,

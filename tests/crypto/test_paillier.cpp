@@ -5,9 +5,11 @@
 #include <cstdint>
 #include <limits>
 
+#include "crypto/hash.h"
 #include "crypto/rng.h"
 #include "net/serialize.h"
 #include "net/transport.h"
+#include "util/parallel.h"
 
 namespace pem::crypto {
 namespace {
@@ -217,7 +219,7 @@ TEST(PaillierDeterministic, DifferentRandomnessDifferentCiphertext) {
 TEST(PaillierDeterministicDeath, NonUnitRandomnessAborts) {
   const PaillierKeyPair kp = TestKeys();
   EXPECT_DEATH((void)kp.pub.EncryptWithRandomness(BigInt(1), BigInt(0)),
-               "unit");
+               "randomness");
 }
 
 TEST(PaillierPool, RefillReachesTarget) {
@@ -348,13 +350,19 @@ TEST(PaillierPoolRegistry, RefillAllTopsUpEveryPool) {
   EXPECT_EQ(registry.PoolFor(b.pub).available(), 5u);
 }
 
-// --- owner-side CRT encryption (known-answer parity) ------------------
+// --- the owner's encryptor (known-answer parity) ---------------------
 //
-// The tentpole invariant of the CRT encryption fast path: for the SAME
-// (m, r) the owner path must produce ciphertexts that are byte-for-byte
-// identical to the public full-width path, at every key size the
-// protocols use.  If this holds, swapping the fast path in can never
-// change a wire transcript.
+// PaillierCrtEncryptor forwards to the public key's one factor path.
+// For the SAME (m, r) it must produce ciphertexts byte-for-byte
+// identical to the public path, and the factor must be h_s^r mod n^2,
+// at every key size the protocols use.
+
+// 2^e.
+BigInt TwoTo(int e) {
+  BigInt x;
+  mpz_setbit(x.raw(), static_cast<mp_bitcnt_t>(e));
+  return x;
+}
 
 class PaillierCrtParity : public ::testing::TestWithParam<int> {};
 
@@ -364,16 +372,19 @@ TEST_P(PaillierCrtParity, KnownAnswerByteParityAndRoundTrip) {
   const PaillierKeyPair kp = GeneratePaillierKeyPair(bits, rng);
   const PaillierCrtEncryptor crt(kp.pub, kp.priv);
 
-  // Fixed (m, r) pairs, deterministic functions of the key.
+  // Fixed (m, r) pairs, deterministic functions of the key: r starts
+  // from n/7 cut to the randomness length.
   const BigInt n = kp.pub.n();
+  const BigInt r_bound = TwoTo(kp.pub.randomness_bits());
   const std::vector<BigInt> plaintexts = {BigInt(0), BigInt(1),
                                           n - BigInt(1), n / BigInt(3)};
-  BigInt r = n / BigInt(7);
+  BigInt r = (n / BigInt(7)) % r_bound;
   for (const BigInt& m : plaintexts) {
-    while (r.IsZero() || !r.IsInvertibleMod(n)) r = r + BigInt(1);
-    // The r^n factor itself must be bit-identical...
-    EXPECT_EQ(crt.RandomnessFactor(r), r.PowMod(n, kp.pub.n_squared()));
-    // ...and so must the assembled ciphertext.
+    ASSERT_TRUE(kp.pub.IsRandomness(r));
+    // The factor itself must be h_s^r...
+    EXPECT_EQ(crt.RandomnessFactor(r),
+              kp.pub.randomness_base().PowMod(r, kp.pub.n_squared()));
+    // ...and the assembled ciphertext must match bit for bit.
     const PaillierCiphertext pub_ct = kp.pub.EncryptWithRandomness(m, r);
     const PaillierCiphertext crt_ct = crt.EncryptWithRandomness(m, r);
     EXPECT_EQ(crt_ct.value, pub_ct.value);
@@ -386,7 +397,7 @@ TEST_P(PaillierCrtParity, KnownAnswerByteParityAndRoundTrip) {
     const PaillierCiphertext back{BigInt::FromBytes(crt_bytes)};
     EXPECT_EQ(back.value, pub_ct.value);
     EXPECT_EQ(kp.priv.Decrypt(back), m);
-    r = r + BigInt(1);  // a different unit for the next pair
+    r = r + BigInt(1);  // a different r for the next pair
   }
 }
 
@@ -441,15 +452,135 @@ TEST(PaillierCrtDeath, MismatchedPublicKeyAborts) {
 TEST(PaillierCrtDeath, NonUnitRandomnessAborts) {
   const PaillierKeyPair kp = TestKeys();
   const PaillierCrtEncryptor crt(kp.priv);
-  EXPECT_DEATH((void)crt.EncryptWithRandomness(BigInt(1), BigInt(0)), "unit");
-  EXPECT_DEATH((void)crt.EncryptWithRandomness(BigInt(1), kp.pub.n()), "unit");
+  EXPECT_DEATH((void)crt.EncryptWithRandomness(BigInt(1), BigInt(0)),
+               "randomness");
+  // One bit longer than the randomness length: the table has no entry
+  // for its top digit.
+  EXPECT_DEATH((void)crt.EncryptWithRandomness(
+                   BigInt(1), TwoTo(kp.pub.randomness_bits())),
+               "randomness");
+}
+
+// --- short-randomness encryption (Damgard-Jurik-Nielsen) -------------
+//
+// Enc(m) = (1+n)^m * h_s^r with r of l bits and h_s derived from n by
+// hashing.  The fixed-base table must agree with a plain h_s^r, every
+// copy of a key must derive the same h_s, and the lazy table must come
+// out the same however many threads race to build it.
+
+TEST(PaillierDjn, RandomnessLengthFollowsTheKeySize) {
+  // The table is never built here: n = 101 is no Paillier modulus,
+  // and the length is a function of key_bits alone.
+  EXPECT_EQ(PaillierPublicKey(BigInt(101), 1024).randomness_bits(), 320);
+  EXPECT_EQ(PaillierPublicKey(BigInt(101), 2046).randomness_bits(), 320);
+  EXPECT_EQ(PaillierPublicKey(BigInt(101), 2048).randomness_bits(), 448);
+  EXPECT_EQ(PaillierPublicKey(BigInt(101), 3072).randomness_bits(), 512);
+}
+
+TEST(PaillierDjn, TableFactorEqualsPowModAtEveryKeySize) {
+  for (int bits : {128, 256, 512, 1024, 2048}) {
+    DeterministicRng rng(3000 + static_cast<uint64_t>(bits));
+    const PaillierKeyPair kp = GeneratePaillierKeyPair(bits, rng);
+    const int l = kp.pub.randomness_bits();
+    const BigInt& h_s = kp.pub.randomness_base();
+    const BigInt& n2 = kp.pub.n_squared();
+    const std::vector<BigInt> rs = {BigInt(1), BigInt(15), BigInt(16),
+                                    TwoTo(l) - BigInt(1),
+                                    kp.pub.SampleRandomness(rng)};
+    for (const BigInt& r : rs) {
+      EXPECT_EQ(kp.pub.RandomnessFactor(r), h_s.PowMod(r, n2))
+          << bits << " bits, r = " << r.ToHexString();
+    }
+    // h_s is an n-th residue, so it encrypts zero.
+    EXPECT_TRUE(kp.priv.Decrypt(PaillierCiphertext{h_s}).IsZero()) << bits;
+  }
+}
+
+TEST(PaillierDjn, SampledRandomnessIsShortAndNonzero) {
+  const PaillierKeyPair kp = TestKeys();
+  const int l = kp.pub.randomness_bits();
+  DeterministicRng rng(3100);
+  size_t longest = 0;
+  for (int i = 0; i < 64; ++i) {
+    const BigInt r = kp.pub.SampleRandomness(rng);
+    EXPECT_TRUE(kp.pub.IsRandomness(r));
+    longest = std::max(longest, r.BitLength());
+  }
+  EXPECT_GT(longest, static_cast<size_t>(l - 8));  // uniform, not small
+  EXPECT_FALSE(kp.pub.IsRandomness(BigInt(0)));
+  EXPECT_FALSE(kp.pub.IsRandomness(BigInt(-1)));
+  EXPECT_TRUE(kp.pub.IsRandomness(TwoTo(l) - BigInt(1)));
+  EXPECT_FALSE(kp.pub.IsRandomness(TwoTo(l)));
+}
+
+TEST(PaillierDjn, DeserializedCopiesEncryptIdentically) {
+  // Nothing but key_bits || n goes on the wire, so two peers that each
+  // parse the announcement must derive the owner's h_s on their own.
+  const PaillierKeyPair kp = TestKeys(512, 3200);
+  const std::vector<uint8_t> wire = kp.pub.Serialize();
+  const Result<PaillierPublicKey> a = PaillierPublicKey::Deserialize(wire);
+  const Result<PaillierPublicKey> b = PaillierPublicKey::Deserialize(wire);
+  ASSERT_TRUE(a.ok() && b.ok());
+  DeterministicRng rng(3201);
+  for (int64_t v : {int64_t{0}, int64_t{-7}, int64_t{1} << 40}) {
+    const BigInt m = kp.pub.EncodeSigned(v);
+    const BigInt r = kp.pub.SampleRandomness(rng);
+    const PaillierCiphertext ct_a = a.value().EncryptWithRandomness(m, r);
+    EXPECT_EQ(ct_a, b.value().EncryptWithRandomness(m, r)) << v;
+    EXPECT_EQ(ct_a, kp.pub.EncryptWithRandomness(m, r)) << v;
+    EXPECT_EQ(kp.priv.DecryptSigned(ct_a), v);
+  }
+}
+
+TEST(PaillierDjn, ConcurrentFirstUseBuildsOneTable) {
+  // A fresh copy whose table nobody has built: four workers race to
+  // use it first.  Every worker must see the same complete table.
+  const PaillierKeyPair kp = TestKeys(512, 3300);
+  const Result<PaillierPublicKey> fresh =
+      PaillierPublicKey::Deserialize(kp.pub.Serialize());
+  ASSERT_TRUE(fresh.ok());
+  const PaillierPublicKey& pk = fresh.value();
+  DeterministicRng rng(3301);
+  std::vector<BigInt> rs;
+  for (int i = 0; i < 8; ++i) rs.push_back(pk.SampleRandomness(rng));
+  std::vector<std::vector<BigInt>> seen(4);
+  ParallelFor(0, seen.size(), 4, [&](size_t w) {
+    for (const BigInt& r : rs) seen[w].push_back(pk.RandomnessFactor(r));
+  });
+  for (size_t w = 1; w < seen.size(); ++w) EXPECT_EQ(seen[w], seen[0]) << w;
+  for (size_t i = 0; i < rs.size(); ++i) {
+    EXPECT_EQ(seen[0][i],
+              kp.pub.randomness_base().PowMod(rs[i], pk.n_squared()));
+  }
+}
+
+TEST(PaillierDjn, PinnedCiphertextKnownAnswer) {
+  // SHA-256 over the padded bytes of eight ciphertexts under a seeded
+  // 1024-bit key.  The walls above compare one path with another; this
+  // row pins the scheme itself: the hash-to-base derivation, the
+  // randomness length and draw, and the factor.
+  DeterministicRng key_rng(2021);
+  const PaillierKeyPair kp = GeneratePaillierKeyPair(1024, key_rng);
+  DeterministicRng rng(2022);
+  std::vector<uint8_t> bytes;
+  for (int64_t v : {int64_t{0}, int64_t{1}, int64_t{-1}, int64_t{42},
+                    int64_t{1} << 40, -(int64_t{1} << 40), int64_t{123456789},
+                    std::numeric_limits<int64_t>::min()}) {
+    const PaillierCiphertext ct = kp.pub.EncryptSigned(v, rng);
+    ASSERT_EQ(kp.priv.DecryptSigned(ct), v);
+    const std::vector<uint8_t> b =
+        ct.value.ToBytesPadded(kp.pub.ciphertext_bytes());
+    bytes.insert(bytes.end(), b.begin(), b.end());
+  }
+  EXPECT_EQ(Sha256(bytes).Hex(),
+            "00bbc3dbd29883a700070607017d88243e6c9f04635a2a2d2adc346402443d57");
 }
 
 // --- refill determinism -----------------------------------------------
 //
 // The concurrent-refill invariant: the pooled factor sequence — and so
 // every transcript downstream of the pool — is identical whatever the
-// worker count, and whether or not the owner CRT path computes it.
+// worker count, and whether or not an owner's encryptor is attached.
 
 std::vector<BigInt> DrainFactors(PaillierRandomnessPool& pool) {
   std::vector<BigInt> out;
@@ -483,7 +614,6 @@ TEST(PaillierPool, CrtRefillProducesIdenticalFactors) {
   DeterministicRng crt_rng(91);
   PaillierRandomnessPool crt_pool(kp.pub);
   crt_pool.AttachCrtEncryptor(PaillierCrtEncryptor(kp.priv));
-  EXPECT_TRUE(crt_pool.has_crt_encryptor());
   crt_pool.Refill(12, crt_rng, /*threads=*/4);
 
   EXPECT_EQ(DrainFactors(crt_pool), DrainFactors(full_pool));
@@ -518,7 +648,7 @@ TEST(PaillierPoolRegistry, RefillAllThreadAndPolicyInvariant) {
     PaillierPoolRegistry reg;
     (void)reg.PoolFor(a.pub);
     (void)reg.PoolFor(b.pub);
-    reg.AttachOwner(a.priv);  // mixed: one CRT pool, one full-width
+    reg.AttachOwner(a.priv);  // mixed: one owner-attached pool, one not
     DeterministicRng rng(95);
     refill(reg, rng);
     std::vector<BigInt> all = DrainFactors(reg.PoolFor(a.pub));
@@ -549,8 +679,8 @@ TEST(PaillierPoolRegistry, AttachOwnerIsIdempotentAndCreatesPool) {
   PaillierPoolRegistry reg;
   reg.AttachOwner(kp.priv);  // creates the pool
   EXPECT_EQ(reg.pool_count(), 1u);
-  EXPECT_TRUE(reg.PoolFor(kp.pub).has_crt_encryptor());
-  reg.AttachOwner(kp.priv);  // no duplicate pool, no re-attach churn
+  EXPECT_EQ(reg.PoolFor(kp.pub).public_key(), kp.pub);
+  reg.AttachOwner(kp.priv);  // no duplicate pool
   EXPECT_EQ(reg.pool_count(), 1u);
 }
 
@@ -590,8 +720,8 @@ TEST(Paillier, SignedEncodingInt64Extremes) {
     EXPECT_EQ(kp.pub.DecodeSigned(kp.pub.EncodeSigned(v)), v) << v;
   }
   EXPECT_EQ(kp.pub.EncodeSigned(kMin), kp.pub.n() - (BigInt(kMax) + BigInt(1)));
-  // And so does the full encrypt/decrypt pipeline, on both the public
-  // and the owner-CRT path.
+  // And so does the full encrypt/decrypt pipeline, through both the
+  // public key and the owner's encryptor.
   DeterministicRng rng(99);
   const PaillierCrtEncryptor crt(kp.priv);
   for (int64_t v : {kMax, kMin}) {

@@ -70,6 +70,27 @@ TEST(Verifiable, ZeroRandomnessWitnessRejectedSafely) {
   EXPECT_FALSE(VerifyContribution(kp.pub, r.contribution, r.witness));
 }
 
+TEST(Verifiable, OversizedRandomnessWitnessIsMisEncryptedNotAnAbort) {
+  // A contributor commits to an r one bit longer than the key's
+  // randomness length.  The commitment opens, and re-encryption must
+  // refuse the r as a verdict: it may not reach the fixed-base table,
+  // which aborts on it.
+  const crypto::PaillierKeyPair kp = TestKeys();
+  crypto::DeterministicRng rng(16);
+  const uint64_t domain = AuditDomain(5, 2);
+  VerifiableResult r = MakeVerifiableContribution(kp.pub, 321, rng, domain);
+  crypto::BigInt oversized = r.witness.encryption_randomness;
+  mpz_setbit(oversized.raw(),
+             static_cast<mp_bitcnt_t>(kp.pub.randomness_bits()));
+  ASSERT_EQ(oversized.BitLength(),
+            static_cast<size_t>(kp.pub.randomness_bits()) + 1);
+  r.witness.encryption_randomness = oversized;
+  r.contribution.commitment = CommitWitness(r.witness);
+  EXPECT_EQ(JudgeContribution(kp.pub, r.contribution, r.witness, domain),
+            ContributionVerdict::kMisEncrypted);
+  EXPECT_FALSE(VerifyContribution(kp.pub, r.contribution, r.witness));
+}
+
 TEST(Verifiable, AuditedValueIsBlindedNotRaw) {
   // The audit reveals value + nonce, never the raw net energy: with a
   // fresh uniform nonce the opened value is itself uniform.  Here we
