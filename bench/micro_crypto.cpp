@@ -134,12 +134,20 @@ void BM_PaillierScalarMul(benchmark::State& state) {
 BENCHMARK(BM_PaillierScalarMul)->Arg(1024)->Arg(2048)
     ->Unit(benchmark::kMicrosecond);
 
+std::vector<WireLabel> RandomLabels(size_t n, Rng& rng) {
+  std::vector<WireLabel> labels(n);
+  for (WireLabel& l : labels) rng.Fill(l.bytes);
+  return labels;
+}
+
 void BM_GarbleComparator(benchmark::State& state) {
   const Circuit circuit =
       BuildLessThanCircuit(static_cast<int>(state.range(0)));
   DeterministicRng rng(6);
+  const std::vector<WireLabel> label0 =
+      RandomLabels(circuit.evaluator_inputs.size(), rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Garbler(circuit, rng));
+    benchmark::DoNotOptimize(Garbler(circuit, rng, label0));
   }
 }
 BENCHMARK(BM_GarbleComparator)->Arg(32)->Arg(64)->Unit(benchmark::kMicrosecond);
@@ -148,7 +156,8 @@ void BM_EvaluateComparator(benchmark::State& state) {
   const Circuit circuit =
       BuildLessThanCircuit(static_cast<int>(state.range(0)));
   DeterministicRng rng(7);
-  const Garbler g(circuit, rng);
+  const Garbler g(circuit, rng,
+                  RandomLabels(circuit.evaluator_inputs.size(), rng));
   std::vector<WireLabel> gl, el;
   for (size_t i = 0; i < circuit.garbler_inputs.size(); ++i) {
     gl.push_back(g.GarblerInputLabel(i, i % 2 == 0));
@@ -168,19 +177,36 @@ BENCHMARK(BM_EvaluateComparator)->Arg(64)->Unit(benchmark::kMicrosecond);
 void BM_ObliviousTransferBatch(benchmark::State& state) {
   const auto count = static_cast<uint64_t>(state.range(0));
   DeterministicRng rng(8);
-  OtMessage m0{}, m1{};
-  m1.fill(0xFF);
   for (auto _ : state) {
     const OtSender sender(rng);
     OtReceiver receiver(sender.Message1());
     for (uint64_t i = 0; i < count; ++i) {
-      const std::vector<uint8_t> b = receiver.Choose(i % 2 == 1, rng);
-      benchmark::DoNotOptimize(
-          receiver.Decrypt(i, sender.Encrypt(i, b, m0, m1)));
+      const OtReceiver::Choice c = receiver.Choose(i % 2 == 1, rng);
+      benchmark::DoNotOptimize(sender.Pads(i, c.b));
     }
   }
 }
 BENCHMARK(BM_ObliviousTransferBatch)->Arg(64)->Unit(benchmark::kMillisecond);
+
+// One compare's circuit work without the OT: garble the 64-bit
+// comparator from given evaluator labels, then evaluate it.  Beside
+// BM_SecureCompare64 it splits the compare's CPU between circuit and
+// OT.
+void BM_GarbleEvaluateLessThan64(benchmark::State& state) {
+  const Circuit circuit = BuildLessThanCircuit(64);
+  DeterministicRng rng(10);
+  const std::vector<WireLabel> label0 =
+      RandomLabels(circuit.evaluator_inputs.size(), rng);
+  const std::vector<bool> x = ToBits(123456, 64);
+  for (auto _ : state) {
+    const Garbler g(circuit, rng, label0);
+    std::vector<WireLabel> gl(64);
+    for (size_t i = 0; i < gl.size(); ++i) gl[i] = g.GarblerInputLabel(i, x[i]);
+    Evaluator eval(circuit, g.tables());
+    benchmark::DoNotOptimize(eval.Evaluate(gl, label0));
+  }
+}
+BENCHMARK(BM_GarbleEvaluateLessThan64)->Unit(benchmark::kMicrosecond);
 
 void BM_SecureCompare64(benchmark::State& state) {
   DeterministicRng rng(9);

@@ -48,24 +48,25 @@ int main() {
               static_cast<double>(share) / total);
 
   // --- Oblivious transfer ----------------------------------------------
-  std::printf("\n3) 1-of-2 oblivious transfer (Chou-Orlandi over P-256)\n");
+  std::printf("\n3) 1-of-2 random oblivious transfer (Chou-Orlandi over "
+              "P-256)\n");
   const OtSender sender(rng);
   OtReceiver receiver(sender.Message1());
-  OtMessage m0{}, m1{};
-  m0.fill(0x11);
-  m1.fill(0x22);
-  const auto b = receiver.Choose(/*choice=*/true, rng);
-  const OtMessage got = receiver.Decrypt(0, sender.Encrypt(0, b, m0, m1));
-  std::printf("   receiver chose bit 1 and got message starting 0x%02x "
-              "(sender never learns the choice)\n",
-              got[0]);
+  const OtReceiver::Choice choice = receiver.Choose(/*choice=*/true, rng);
+  const auto [p0, p1] = sender.Pads(0, choice.b);
+  std::printf("   sender holds pads starting 0x%02x / 0x%02x; the receiver "
+              "chose bit 1 and holds 0x%02x\n"
+              "   (sender never learns the choice, receiver never learns "
+              "the other pad)\n",
+              p0[0], p1[0], choice.pad[0]);
 
   // --- Garbled-circuit secure comparison -------------------------------
   std::printf("\n4) Yao garbled circuit: the millionaires' comparison\n");
   const Circuit circuit = BuildLessThanCircuit(64);
   std::printf("   64-bit comparator: %zu gates, %zu of them AND "
-              "(XOR/NOT are free)\n",
-              circuit.gates.size(), circuit.AndGateCount());
+              "(XOR/NOT are free), %zu bytes of half-gate tables\n",
+              circuit.gates.size(), circuit.AndGateCount(),
+              GarbledTables::SerializedSize(circuit));
   net::MessageBus bus(2);
   net::Endpoint garbler = bus.endpoint(0);
   net::Endpoint evaluator = bus.endpoint(1);

@@ -82,6 +82,21 @@ int32_t CircuitBuilder::Mux(int32_t sel, int32_t t, int32_t f) {
   return Xor(f, And(sel, Xor(t, f)));
 }
 
+int32_t CircuitBuilder::LessThan(const std::vector<int32_t>& a,
+                                 const std::vector<int32_t>& b) {
+  PEM_CHECK(!a.empty() && a.size() == b.size(), "comparator operand widths");
+  // LSB-up recurrence (Kolesnikov–Sadeghi–Schneider, CANS 2009):
+  //   lt' = b_i ^ ((b_i ^ lt) & (a_i ^ lt))
+  // If a_i == b_i the AND is b_i ^ lt, so lt' = lt; otherwise one AND
+  // operand is 0 and lt' = b_i.  With lt = 0 below the LSB the first
+  // stage is b_0 & ~a_0 = b_0 ^ (b_0 & a_0).
+  int32_t lt = Xor(b[0], And(b[0], a[0]));
+  for (size_t i = 1; i < a.size(); ++i) {
+    lt = Xor(b[i], And(Xor(b[i], lt), Xor(a[i], lt)));
+  }
+  return lt;
+}
+
 void CircuitBuilder::MarkOutput(int32_t wire) {
   PEM_CHECK(wire >= 0 && wire < next_wire_, "bad output wire");
   outputs_.push_back(wire);
@@ -102,26 +117,7 @@ Circuit CircuitBuilder::Build() {
 Circuit BuildLessThanCircuit(int bits) {
   PEM_CHECK(bits >= 1 && bits <= 64, "bits in [1,64]");
   CircuitBuilder b(bits, bits);
-  const auto& a_in = b.garbler_inputs();
-  const auto& b_in = b.evaluator_inputs();
-  // LSB-up recurrence: lt' = (a_i ^ b_i) ? b_i : lt
-  //   x  = a_i ^ b_i
-  //   t1 = x & b_i          (a_i < b_i at this bit)
-  //   t2 = ~x & lt          (bits equal: carry previous result)
-  //   lt' = t1 ^ t2         (disjoint cases)
-  int32_t lt = -1;
-  for (int i = 0; i < bits; ++i) {
-    const int32_t x = b.Xor(a_in[static_cast<size_t>(i)],
-                            b_in[static_cast<size_t>(i)]);
-    const int32_t t1 = b.And(x, b_in[static_cast<size_t>(i)]);
-    if (lt < 0) {
-      lt = t1;
-    } else {
-      const int32_t t2 = b.And(b.Not(x), lt);
-      lt = b.Xor(t1, t2);
-    }
-  }
-  b.MarkOutput(lt);
+  b.MarkOutput(b.LessThan(b.garbler_inputs(), b.evaluator_inputs()));
   return b.Build();
 }
 
@@ -198,14 +194,7 @@ Circuit BuildMaxCircuit(int bits) {
   CircuitBuilder b(bits, bits);
   const auto& a_in = b.garbler_inputs();
   const auto& b_in = b.evaluator_inputs();
-  // lt = [a < b], same LSB-up recurrence as BuildLessThanCircuit.
-  int32_t lt = -1;
-  for (int i = 0; i < bits; ++i) {
-    const int32_t x = b.Xor(a_in[static_cast<size_t>(i)],
-                            b_in[static_cast<size_t>(i)]);
-    const int32_t t1 = b.And(x, b_in[static_cast<size_t>(i)]);
-    lt = (lt < 0) ? t1 : b.Xor(t1, b.And(b.Not(x), lt));
-  }
+  const int32_t lt = b.LessThan(a_in, b_in);
   // out_i = lt ? b_i : a_i
   for (int i = 0; i < bits; ++i) {
     b.MarkOutput(b.Mux(lt, b_in[static_cast<size_t>(i)],

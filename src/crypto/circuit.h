@@ -51,6 +51,10 @@ class CircuitBuilder {
   int32_t Xnor(int32_t a, int32_t b);
   // mux: sel ? t : f
   int32_t Mux(int32_t sel, int32_t t, int32_t f);
+  // [a < b] over equal-width unsigned bundles (LSB first); one AND per
+  // bit.
+  int32_t LessThan(const std::vector<int32_t>& a,
+                   const std::vector<int32_t>& b);
 
   const std::vector<int32_t>& garbler_inputs() const { return garbler_in_; }
   const std::vector<int32_t>& evaluator_inputs() const { return evaluator_in_; }
@@ -73,7 +77,7 @@ class CircuitBuilder {
 // ---- Prebuilt circuits ---------------------------------------------------
 
 // [garbler_value < evaluator_value] over unsigned `bits`-bit integers.
-// Single output bit.  2 AND gates per bit.
+// Single output bit.  Exactly `bits` AND gates.
 Circuit BuildLessThanCircuit(int bits);
 
 // [garbler_value == evaluator_value]; single output bit.

@@ -8,7 +8,7 @@
 namespace pem::crypto {
 namespace {
 
-constexpr uint64_t kGateKdfTagBase = 0x5945'4F47'4321ull;  // "YEOGC!"
+constexpr uint64_t kGateHashTag = 0x4841'4C46'4743ull;  // "HALFGC"
 
 WireLabel RandomLabel(Rng& rng) {
   WireLabel l;
@@ -18,8 +18,10 @@ WireLabel RandomLabel(Rng& rng) {
 
 }  // namespace
 
-WireLabel GateKdf(const WireLabel& a, const WireLabel& b, uint64_t gate_id) {
-  const Sha256Digest d = Kdf2(kGateKdfTagBase ^ gate_id, a.bytes, b.bytes);
+WireLabel GateHash(const WireLabel& label, uint64_t tweak) {
+  uint8_t tweak_bytes[8];
+  std::memcpy(tweak_bytes, &tweak, sizeof tweak_bytes);
+  const Sha256Digest d = Kdf2(kGateHashTag, tweak_bytes, label.bytes);
   WireLabel out;
   std::memcpy(out.bytes.data(), d.bytes.data(), out.bytes.size());
   return out;
@@ -38,22 +40,24 @@ std::vector<uint8_t> GarbledTables::Serialize() const {
 }
 
 size_t GarbledTables::SerializedSize() const {
-  return and_tables.size() * 64 + output_decode.size();
+  return and_tables.size() * kAndBytes + output_decode.size();
+}
+
+size_t GarbledTables::SerializedSize(const Circuit& circuit) {
+  return circuit.AndGateCount() * kAndBytes + circuit.outputs.size();
 }
 
 GarbledTables GarbledTables::Deserialize(std::span<const uint8_t> bytes,
                                          const Circuit& circuit) {
-  const size_t num_and = circuit.AndGateCount();
-  const size_t num_out = circuit.outputs.size();
-  PEM_CHECK(bytes.size() == num_and * 64 + num_out,
+  PEM_CHECK(bytes.size() == SerializedSize(circuit),
             "garbled tables: size mismatch");
   GarbledTables t;
-  t.and_tables.resize(num_and);
+  t.and_tables.resize(circuit.AndGateCount());
   size_t pos = 0;
   for (auto& table : t.and_tables) {
     for (WireLabel& row : table) {
-      std::memcpy(row.bytes.data(), bytes.data() + pos, 16);
-      pos += 16;
+      std::memcpy(row.bytes.data(), bytes.data() + pos, row.bytes.size());
+      pos += row.bytes.size();
     }
   }
   t.output_decode.assign(bytes.begin() + static_cast<ptrdiff_t>(pos),
@@ -61,7 +65,11 @@ GarbledTables GarbledTables::Deserialize(std::span<const uint8_t> bytes,
   return t;
 }
 
-Garbler::Garbler(const Circuit& circuit, Rng& rng) : circuit_(circuit) {
+Garbler::Garbler(const Circuit& circuit, Rng& rng,
+                 std::span<const WireLabel> evaluator_label0)
+    : circuit_(circuit) {
+  PEM_CHECK(evaluator_label0.size() == circuit.evaluator_inputs.size(),
+            "garbler: evaluator label count");
   delta_ = RandomLabel(rng);
   delta_.bytes[15] |= 1;  // point-and-permute needs lsb(delta) = 1
 
@@ -69,11 +77,12 @@ Garbler::Garbler(const Circuit& circuit, Rng& rng) : circuit_(circuit) {
   for (int32_t w : circuit.garbler_inputs) {
     label0_[static_cast<size_t>(w)] = RandomLabel(rng);
   }
-  for (int32_t w : circuit.evaluator_inputs) {
-    label0_[static_cast<size_t>(w)] = RandomLabel(rng);
+  for (size_t i = 0; i < evaluator_label0.size(); ++i) {
+    label0_[static_cast<size_t>(circuit.evaluator_inputs[i])] =
+        evaluator_label0[i];
   }
 
-  uint64_t gate_id = 0;
+  tables_.and_tables.reserve(circuit.AndGateCount());
   for (const Gate& g : circuit.gates) {
     const WireLabel& a0 = label0_[static_cast<size_t>(g.a)];
     switch (g.type) {
@@ -89,30 +98,26 @@ Garbler::Garbler(const Circuit& circuit, Rng& rng) : circuit_(circuit) {
       }
       case GateType::kAnd: {
         const WireLabel& b0 = label0_[static_cast<size_t>(g.b)];
-        WireLabel out0 = RandomLabel(rng);
-        label0_[static_cast<size_t>(g.out)] = out0;
-        std::array<WireLabel, 4> table;
+        const uint64_t tweak = 2 * tables_.and_tables.size();
         const bool pa = a0.permute_bit();
         const bool pb = b0.permute_bit();
-        for (int sa = 0; sa < 2; ++sa) {
-          for (int sb = 0; sb < 2; ++sb) {
-            // The label whose permute bit equals sa carries value
-            // va = sa ^ pa (and likewise for b).
-            const bool va = (sa != 0) ^ pa;
-            const bool vb = (sb != 0) ^ pb;
-            const WireLabel la = va ? a0.Xor(delta_) : a0;
-            const WireLabel lb = vb ? b0.Xor(delta_) : b0;
-            const bool v = va && vb;
-            const WireLabel lout = v ? out0.Xor(delta_) : out0;
-            table[static_cast<size_t>(sa * 2 + sb)] =
-                GateKdf(la, lb, gate_id).Xor(lout);
-          }
-        }
-        tables_.and_tables.push_back(table);
+        // Generator half: a & pb, with pb known to the garbler.
+        const WireLabel ha0 = GateHash(a0, tweak);
+        const WireLabel ha1 = GateHash(a0.Xor(delta_), tweak);
+        WireLabel tg = ha0.Xor(ha1);
+        if (pb) tg = tg.Xor(delta_);
+        const WireLabel wg0 = pa ? ha0.Xor(tg) : ha0;
+        // Evaluator half: a & (b ^ pb), with b ^ pb the permute bit the
+        // evaluator sees on its b label.
+        const WireLabel hb0 = GateHash(b0, tweak + 1);
+        const WireLabel hb1 = GateHash(b0.Xor(delta_), tweak + 1);
+        const WireLabel te = hb0.Xor(hb1).Xor(a0);
+        const WireLabel we0 = pb ? hb1 : hb0;  // H(b0) ^ pb (te ^ a0)
+        label0_[static_cast<size_t>(g.out)] = wg0.Xor(we0);
+        tables_.and_tables.push_back({tg, te});
         break;
       }
     }
-    ++gate_id;
   }
 
   tables_.output_decode.reserve(circuit.outputs.size());
@@ -173,7 +178,6 @@ std::vector<bool> Evaluator::Evaluate(
         evaluator_labels[i];
   }
 
-  uint64_t gate_id = 0;
   size_t and_index = 0;
   for (const Gate& g : circuit_.gates) {
     const WireLabel& la = active[static_cast<size_t>(g.a)];
@@ -187,15 +191,17 @@ std::vector<bool> Evaluator::Evaluate(
         break;
       case GateType::kAnd: {
         const WireLabel& lb = active[static_cast<size_t>(g.b)];
-        const size_t row = static_cast<size_t>(la.permute_bit()) * 2 +
-                           static_cast<size_t>(lb.permute_bit());
-        active[static_cast<size_t>(g.out)] =
-            GateKdf(la, lb, gate_id).Xor(tables_.and_tables[and_index][row]);
+        const std::array<WireLabel, 2>& rows = tables_.and_tables[and_index];
+        const uint64_t tweak = 2 * and_index;
+        WireLabel wg = GateHash(la, tweak);
+        if (la.permute_bit()) wg = wg.Xor(rows[0]);
+        WireLabel we = GateHash(lb, tweak + 1);
+        if (lb.permute_bit()) we = we.Xor(rows[1]).Xor(la);
+        active[static_cast<size_t>(g.out)] = wg.Xor(we);
         ++and_index;
         break;
       }
     }
-    ++gate_id;
   }
 
   std::vector<bool> out;

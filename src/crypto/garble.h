@@ -1,10 +1,12 @@
-// Yao garbled circuits with free-XOR and point-and-permute.
+// Yao garbled circuits with free-XOR, point-and-permute and half-gates.
 //
 // The paper evaluates secure comparison with Fairplay; this is the
 // modern equivalent construction:
 //   * a global offset R (lsb forced to 1) makes XOR and NOT gates free;
-//   * AND gates cost one 4-row table, rows keyed by the labels'
-//     permute bits, entries derived with a SHA-256 KDF.
+//   * AND gates cost two 16-byte rows (half-gates, Zahur–Rosulek–Evans,
+//     EUROCRYPT 2015): the garbler hashes each input label twice, the
+//     evaluator hashes its two active labels once, all with a SHA-256
+//     KDF tweaked by the gate's position.
 //
 // Semi-honest security, matching the paper's threat model (§II-B).
 #pragma once
@@ -34,8 +36,11 @@ struct WireLabel {
 // Everything the evaluator needs, minus the input labels (those arrive
 // directly for the garbler's inputs and via OT for the evaluator's).
 struct GarbledTables {
-  // One 4-row table per AND gate, in circuit gate order.
-  std::vector<std::array<WireLabel, 4>> and_tables;
+  // Bytes per AND gate: the generator and evaluator half-gate rows.
+  static constexpr size_t kAndBytes = 32;
+
+  // One {T_G, T_E} row pair per AND gate, in circuit gate order.
+  std::vector<std::array<WireLabel, 2>> and_tables;
   // Decode bit per circuit output wire.
   std::vector<uint8_t> output_decode;
 
@@ -43,20 +48,25 @@ struct GarbledTables {
   static GarbledTables Deserialize(std::span<const uint8_t> bytes,
                                    const Circuit& circuit);
   size_t SerializedSize() const;
+  // SerializedSize() of `circuit`'s tables, known before garbling.
+  static size_t SerializedSize(const Circuit& circuit);
 };
 
 class Garbler {
  public:
-  // Garbles `circuit` immediately.  The circuit must outlive the
-  // garbler.
-  Garbler(const Circuit& circuit, Rng& rng);
+  // Garbles `circuit` immediately.  The 0-labels of the evaluator's
+  // inputs are given (the secure comparison takes them from a random
+  // OT); the offset and the garbler's own input labels are drawn from
+  // `rng`.  The circuit must outlive the garbler.
+  Garbler(const Circuit& circuit, Rng& rng,
+          std::span<const WireLabel> evaluator_label0);
 
   const GarbledTables& tables() const { return tables_; }
 
   // Label for the garbler's own input bit `value` at bundle index `i`.
   WireLabel GarblerInputLabel(size_t i, bool value) const;
-  // Both labels for the evaluator's input at bundle index `i`
-  // (fed into OT as (m0, m1)).
+  // Both labels for the evaluator's input at bundle index `i`; the
+  // second is the first XOR the offset.
   std::pair<WireLabel, WireLabel> EvaluatorInputLabels(size_t i) const;
 
   // Decodes an output label back to a cleartext bit (used in tests and
@@ -87,7 +97,8 @@ class Evaluator {
   GarbledTables tables_;
 };
 
-// Gate-entry KDF shared by garbler and evaluator.
-WireLabel GateKdf(const WireLabel& a, const WireLabel& b, uint64_t gate_id);
+// Half-gate hash H(label, tweak) shared by garbler and evaluator; AND
+// gate k uses tweaks 2k (generator half) and 2k + 1 (evaluator half).
+WireLabel GateHash(const WireLabel& label, uint64_t tweak);
 
 }  // namespace pem::crypto

@@ -115,23 +115,17 @@ Point Decode(std::span<const uint8_t> bytes, BN_CTX* ctx) {
   return p;
 }
 
-// H(index, A, B, P), truncated to one message.
-OtMessage Pad(uint64_t index, std::span<const uint8_t> a,
-              std::span<const uint8_t> b, const EC_POINT* p, BN_CTX* ctx) {
+// H(index, A, B, P), truncated to one pad.
+OtPad Pad(uint64_t index, std::span<const uint8_t> a,
+          std::span<const uint8_t> b, const EC_POINT* p, BN_CTX* ctx) {
   uint8_t index_bytes[8];
   std::memcpy(index_bytes, &index, sizeof index_bytes);
   const std::vector<uint8_t> p_bytes = Encode(p, ctx);
   const std::span<const uint8_t> chunks[] = {index_bytes, a, b, p_bytes};
   const Sha256Digest d = Kdf(kOtKdfTag, chunks);
-  OtMessage pad;
+  OtPad pad;
   std::memcpy(pad.data(), d.bytes.data(), pad.size());
   return pad;
-}
-
-OtMessage Xor(const OtMessage& a, const OtMessage& b) {
-  OtMessage r;
-  for (size_t i = 0; i < r.size(); ++i) r[i] = a[i] ^ b[i];
-  return r;
 }
 
 }  // namespace
@@ -157,31 +151,21 @@ OtSender::~OtSender() = default;
 
 const std::vector<uint8_t>& OtSender::Message1() const { return s_->big_a; }
 
-std::vector<uint8_t> OtSender::Encrypt(uint64_t index,
-                                       std::span<const uint8_t> receiver_b,
-                                       const OtMessage& m0,
-                                       const OtMessage& m1) const {
+std::pair<OtPad, OtPad> OtSender::Pads(
+    uint64_t index, std::span<const uint8_t> receiver_b) const {
   BN_CTX* ctx = s_->ctx.get();
   const Point big_b = Decode(receiver_b, ctx);
   const Point ab = Mul(big_b.get(), s_->a.get(), ctx);
   const Point ab_minus_aa = Add(ab.get(), s_->neg_aa.get(), ctx);
-  const OtMessage c0 =
-      Xor(m0, Pad(index, s_->big_a, receiver_b, ab.get(), ctx));
-  const OtMessage c1 =
-      Xor(m1, Pad(index, s_->big_a, receiver_b, ab_minus_aa.get(), ctx));
-  std::vector<uint8_t> out(kOtCiphertextBytes);
-  std::memcpy(out.data(), c0.data(), c0.size());
-  std::memcpy(out.data() + c0.size(), c1.data(), c1.size());
-  return out;
+  return {Pad(index, s_->big_a, receiver_b, ab.get(), ctx),
+          Pad(index, s_->big_a, receiver_b, ab_minus_aa.get(), ctx)};
 }
 
 struct OtReceiver::State {
   BnCtx ctx = NewCtx();
   Point big_a;
   std::vector<uint8_t> big_a_bytes;
-  // Per OT: the chosen slot and its pad H(i, A, B_i, b_iA).
-  std::vector<bool> choices;
-  std::vector<OtMessage> pads;
+  uint64_t next_index = 0;
 };
 
 OtReceiver::OtReceiver(std::span<const uint8_t> sender_a)
@@ -192,30 +176,16 @@ OtReceiver::OtReceiver(std::span<const uint8_t> sender_a)
 
 OtReceiver::~OtReceiver() = default;
 
-std::vector<uint8_t> OtReceiver::Choose(bool choice, Rng& rng) {
+OtReceiver::Choice OtReceiver::Choose(bool choice, Rng& rng) {
   BN_CTX* ctx = s_->ctx.get();
   const Scalar b = RandomScalar(rng, ctx);
   Point big_b = MulBase(b.get(), ctx);
   if (choice) big_b = Add(s_->big_a.get(), big_b.get(), ctx);
-  std::vector<uint8_t> big_b_bytes = Encode(big_b.get(), ctx);
+  Choice out{Encode(big_b.get(), ctx), {}};
   // b_iA = aB_i (choice 0) = aB_i - aA (choice 1): the chosen pad.
   const Point ba = Mul(s_->big_a.get(), b.get(), ctx);
-  s_->pads.push_back(
-      Pad(s_->pads.size(), s_->big_a_bytes, big_b_bytes, ba.get(), ctx));
-  s_->choices.push_back(choice);
-  return big_b_bytes;
-}
-
-OtMessage OtReceiver::Decrypt(uint64_t index,
-                              std::span<const uint8_t> ciphertext) const {
-  PEM_CHECK(index < s_->pads.size(), "OT: decrypt of an unchosen index");
-  PEM_CHECK(ciphertext.size() == kOtCiphertextBytes,
-            "OT: bad ciphertext size");
-  OtMessage masked;
-  std::memcpy(masked.data(),
-              ciphertext.data() + (s_->choices[index] ? masked.size() : 0),
-              masked.size());
-  return Xor(masked, s_->pads[index]);
+  out.pad = Pad(s_->next_index++, s_->big_a_bytes, out.b, ba.get(), ctx);
+  return out;
 }
 
 }  // namespace pem::crypto

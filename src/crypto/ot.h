@@ -1,19 +1,22 @@
-// Batched 1-out-of-2 oblivious transfer (semi-honest), Chou–Orlandi
-// ("The Simplest Protocol for Oblivious Transfer", LATINCRYPT 2015)
-// over P-256.
+// Batched 1-out-of-2 random oblivious transfer (semi-honest),
+// Chou–Orlandi ("The Simplest Protocol for Oblivious Transfer",
+// LATINCRYPT 2015) over P-256.
 //
-// Sender holds pairs (m0_i, m1_i); receiver holds choice bits c_i and
-// learns each m_{c_i} and nothing about m_{1-c_i}; sender learns
-// nothing about the c_i.  Used to deliver the evaluator's wire labels
-// in the garbled-circuit secure comparison (Protocol 2, line 14).
+// The sender obtains two pads (p0_i, p1_i) per OT; the receiver, with
+// choice bit c_i, obtains p_{c_i} and nothing about p_{1-c_i}; the
+// sender learns nothing about the c_i.  The pads are random strings no
+// party picks, so the OT itself ends after message 2.  The garbled-
+// circuit secure comparison (Protocol 2, line 14) turns them into the
+// evaluator's wire labels with one 16-byte correction per bit
+// (crypto/secure_compare.h).
 //
 // One sender key serves the whole batch:
 //   1. S -> R : A = aG
 //   2. R -> S : B_i = b_iG (c_i = 0) or A + b_iG (c_i = 1), per OT
-//   3. S -> R : m0_i ^ H(i, A, B_i, aB_i) || m1_i ^ H(i, A, B_i, aB_i - aA)
-// and the receiver unmasks slot c_i with H(i, A, B_i, b_iA).  Binding
-// the pads to the index and the transcript points keeps two OTs of one
-// batch independent even when the receiver repeats a B.
+// then p0_i = H(i, A, B_i, aB_i) and p1_i = H(i, A, B_i, aB_i - aA) at
+// the sender, and p_{c_i} = H(i, A, B_i, b_iA) at the receiver.
+// Binding the pads to the index and the transcript points keeps two
+// OTs of one batch independent even when the receiver repeats a B.
 //
 // Every point travels as a 33-byte compressed SEC1 encoding; every
 // received point is decoded (which checks it lies on the curve) and
@@ -30,6 +33,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "crypto/rng.h"
@@ -38,11 +42,9 @@ namespace pem::crypto {
 
 // Compressed P-256 point: one tag byte plus the 32-byte x coordinate.
 inline constexpr size_t kOtPointBytes = 33;
-// One message-3 ciphertext: both masked messages.
-inline constexpr size_t kOtCiphertextBytes = 32;
 
-// OT payloads are 16-byte strings (exactly one wire label).
-using OtMessage = std::array<uint8_t, 16>;
+// OT pads are 16-byte strings (exactly one wire label).
+using OtPad = std::array<uint8_t, 16>;
 
 class OtSender {
  public:
@@ -55,11 +57,9 @@ class OtSender {
   // Message 1: A = aG, sent once for the whole batch.
   const std::vector<uint8_t>& Message1() const;
 
-  // Message 3 for OT `index`: given the receiver's B for that OT,
-  // encrypts both messages.  Wire format: c0 || c1 (16 bytes each).
-  std::vector<uint8_t> Encrypt(uint64_t index,
-                               std::span<const uint8_t> receiver_b,
-                               const OtMessage& m0, const OtMessage& m1) const;
+  // Both pads (p0, p1) of OT `index`, given the receiver's B for it.
+  std::pair<OtPad, OtPad> Pads(uint64_t index,
+                               std::span<const uint8_t> receiver_b) const;
 
  private:
   struct State;
@@ -74,13 +74,15 @@ class OtReceiver {
   OtReceiver(const OtReceiver&) = delete;
   OtReceiver& operator=(const OtReceiver&) = delete;
 
-  // Message 2 for the next OT of the batch (index = number of earlier
-  // calls): draws b from `rng` and returns B = bG (choice 0) or A + bG
-  // (choice 1).
-  std::vector<uint8_t> Choose(bool choice, Rng& rng);
+  struct Choice {
+    std::vector<uint8_t> b;  // message 2 for this OT
+    OtPad pad;               // p_choice
+  };
 
-  // Decrypts OT `index`'s chosen message from its message-3 bytes.
-  OtMessage Decrypt(uint64_t index, std::span<const uint8_t> ciphertext) const;
+  // The next OT of the batch (index = number of earlier calls): draws b
+  // from `rng` and returns B = bG (choice 0) or A + bG (choice 1) with
+  // the chosen pad.
+  Choice Choose(bool choice, Rng& rng);
 
  private:
   struct State;

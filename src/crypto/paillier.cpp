@@ -72,7 +72,6 @@ PaillierPublicKey::PaillierPublicKey(BigInt n, int key_bits)
       key_bits_(key_bits),
       fixed_base_(std::make_shared<FixedBase>()) {
   n2_ = n_ * n_;
-  g_ = n_ + BigInt(1);
 }
 
 int PaillierPublicKey::randomness_bits() const {

@@ -128,7 +128,6 @@ class PaillierPublicKey {
 
   BigInt n_;
   BigInt n2_;
-  BigInt g_;  // fixed to n + 1 (standard, enables the fast L-function path)
   int key_bits_ = 0;
   std::shared_ptr<FixedBase> fixed_base_;  // shared by copies of the key
 };

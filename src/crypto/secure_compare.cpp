@@ -1,21 +1,39 @@
 #include "crypto/secure_compare.h"
 
+#include <cstring>
 #include <vector>
 
 #include "crypto/circuit.h"
 #include "crypto/garble.h"
 #include "crypto/ot.h"
-#include "net/serialize.h"
 #include "util/error.h"
 
 namespace pem::crypto {
 namespace {
 
-net::Message MustReceive(net::Endpoint& ep, uint32_t expected_type) {
+constexpr size_t kLabelBytes = sizeof(WireLabel::bytes);
+
+// Receives the next message, which must have `type` and exactly `size`
+// payload bytes.
+net::Message MustReceive(net::Endpoint& ep, uint32_t type, size_t size,
+                         const char* wrong_size) {
   std::optional<net::Message> m = ep.Receive();
   PEM_CHECK(m.has_value(), "secure_compare: missing message");
-  PEM_CHECK(m->type == expected_type, "secure_compare: unexpected type");
+  PEM_CHECK(m->type == type, "secure_compare: unexpected type");
+  PEM_CHECK(m->payload.size() == size, wrong_size);
   return std::move(*m);
+}
+
+void Append(std::vector<uint8_t>& out, std::span<const uint8_t> bytes) {
+  out.insert(out.end(), bytes.begin(), bytes.end());
+}
+
+// The `i`-th label of a run of labels starting at `at`.
+WireLabel LabelAt(std::span<const uint8_t> bytes, size_t at, size_t i) {
+  WireLabel l;
+  std::memcpy(l.bytes.data(), bytes.data() + at + i * kLabelBytes,
+              kLabelBytes);
+  return l;
 }
 
 }  // namespace
@@ -32,69 +50,81 @@ bool SecureCompareLess(net::Endpoint& garbler, uint64_t x,
   }
   const Circuit circuit = BuildLessThanCircuit(cfg.bits);
   const size_t nbits = static_cast<size_t>(cfg.bits);
+  const size_t tables_size = GarbledTables::SerializedSize(circuit);
+  // Message 3: tables, then the garbler's labels, then the corrections.
+  const size_t corrections_at = tables_size + nbits * kLabelBytes;
+  const size_t msg3_size = corrections_at + nbits * kLabelBytes;
 
-  // ---- Garbler side: garble, open the OT batch ------------------------
-  Garbler g(circuit, rng);
-  const std::vector<bool> x_bits = ToBits(x, cfg.bits);
+  // ---- Garbler side: open the OT batch --------------------------------
   const OtSender ot_sender(rng);
-  net::ByteWriter w1;
-  w1.Bytes(g.tables().Serialize());
-  for (size_t i = 0; i < nbits; ++i) {
-    w1.Bytes(g.GarblerInputLabel(i, x_bits[i]).bytes);
-  }
-  w1.Bytes(ot_sender.Message1());
-  garbler.Send(evaluator.id(), kMsgGcTablesAndOt1, w1.Take());
+  garbler.Send(evaluator.id(), kMsgGcOtSetup, ot_sender.Message1());
 
   // ---- Evaluator side: one OT choice per input bit --------------------
   const std::vector<bool> y_bits = ToBits(y, cfg.bits);
-  net::Message msg1 = MustReceive(evaluator, kMsgGcTablesAndOt1);
-  net::ByteReader r1(msg1.payload);
-  GarbledTables tables = GarbledTables::Deserialize(r1.Bytes(), circuit);
+  const net::Message msg1 =
+      MustReceive(evaluator, kMsgGcOtSetup, kOtPointBytes,
+                  "secure_compare: message 1 has the wrong size");
+  OtReceiver ot_receiver(msg1.payload);
+  std::vector<WireLabel> pads(nbits);
+  std::vector<uint8_t> m2;
+  m2.reserve(nbits * kOtPointBytes);
+  for (size_t i = 0; i < nbits; ++i) {
+    OtReceiver::Choice choice = ot_receiver.Choose(y_bits[i], rng);
+    Append(m2, choice.b);
+    pads[i].bytes = choice.pad;
+  }
+  evaluator.Send(garbler.id(), kMsgGcOtChoices, std::move(m2));
+
+  // ---- Garbler side: pads -> labels, garble, send ---------------------
+  const net::Message msg2 =
+      MustReceive(garbler, kMsgGcOtChoices, nbits * kOtPointBytes,
+                  "secure_compare: message 2 has the wrong size");
+  const std::span<const uint8_t> points(msg2.payload);
+  std::vector<WireLabel> label0(nbits);
+  std::vector<WireLabel> pad1(nbits);
+  for (size_t i = 0; i < nbits; ++i) {
+    const auto [p0, p1] = ot_sender.Pads(
+        i, points.subspan(i * kOtPointBytes, kOtPointBytes));
+    label0[i].bytes = p0;
+    pad1[i].bytes = p1;
+  }
+  const Garbler g(circuit, rng, label0);
+  const std::vector<bool> x_bits = ToBits(x, cfg.bits);
+  std::vector<uint8_t> m3 = g.tables().Serialize();
+  m3.reserve(msg3_size);
+  for (size_t i = 0; i < nbits; ++i) {
+    Append(m3, g.GarblerInputLabel(i, x_bits[i]).bytes);
+  }
+  for (size_t i = 0; i < nbits; ++i) {
+    // u_i = p1_i ^ L1_i = p0_i ^ p1_i ^ R.
+    Append(m3, pad1[i].Xor(g.EvaluatorInputLabels(i).second).bytes);
+  }
+  garbler.Send(evaluator.id(), kMsgGcTables, std::move(m3));
+
+  // ---- Evaluator side: correct the pads, evaluate ---------------------
+  const net::Message msg3 =
+      MustReceive(evaluator, kMsgGcTables, msg3_size,
+                  "secure_compare: message 3 has the wrong size");
+  const std::span<const uint8_t> body(msg3.payload);
   std::vector<WireLabel> garbler_labels(nbits);
-  for (size_t i = 0; i < nbits; ++i) {
-    const std::vector<uint8_t> b = r1.Bytes();
-    PEM_CHECK(b.size() == 16, "bad label size");
-    std::copy(b.begin(), b.end(), garbler_labels[i].bytes.begin());
-  }
-  OtReceiver ot_receiver(r1.Bytes());
-  PEM_CHECK(r1.AtEnd(), "trailing bytes in GC message 1");
-  net::ByteWriter w2;
-  for (size_t i = 0; i < nbits; ++i) {
-    w2.Bytes(ot_receiver.Choose(y_bits[i], rng));
-  }
-  evaluator.Send(garbler.id(), kMsgGcOtResponses, w2.Take());
-
-  // ---- Garbler side: encrypt both labels per OT -----------------------
-  net::Message msg2 = MustReceive(garbler, kMsgGcOtResponses);
-  net::ByteReader r2(msg2.payload);
-  net::ByteWriter w3;
-  for (size_t i = 0; i < nbits; ++i) {
-    const std::vector<uint8_t> b_point = r2.Bytes();
-    const auto [l0, l1] = g.EvaluatorInputLabels(i);
-    w3.Bytes(ot_sender.Encrypt(i, b_point, l0.bytes, l1.bytes));
-  }
-  PEM_CHECK(r2.AtEnd(), "trailing bytes in GC message 2");
-  garbler.Send(evaluator.id(), kMsgGcOtFinal, w3.Take());
-
-  // ---- Evaluator side: decrypt labels, evaluate ------------------------
-  net::Message msg3 = MustReceive(evaluator, kMsgGcOtFinal);
-  net::ByteReader r3(msg3.payload);
   std::vector<WireLabel> evaluator_labels(nbits);
   for (size_t i = 0; i < nbits; ++i) {
-    evaluator_labels[i].bytes = ot_receiver.Decrypt(i, r3.Bytes());
+    garbler_labels[i] = LabelAt(body, tables_size, i);
+    evaluator_labels[i] =
+        y_bits[i] ? pads[i].Xor(LabelAt(body, corrections_at, i)) : pads[i];
   }
-  PEM_CHECK(r3.AtEnd(), "trailing bytes in GC message 3");
-  Evaluator eval(circuit, std::move(tables));
+  Evaluator eval(circuit,
+                 GarbledTables::Deserialize(body.first(tables_size), circuit));
   const std::vector<bool> out = eval.Evaluate(garbler_labels, evaluator_labels);
   PEM_CHECK(out.size() == 1, "comparator must have one output");
 
   // ---- Share the result with the garbler ------------------------------
-  net::ByteWriter w4;
-  w4.U8(out[0] ? 1 : 0);
-  evaluator.Send(garbler.id(), kMsgGcResult, w4.Take());
-  net::Message msg4 = MustReceive(garbler, kMsgGcResult);
-  net::ByteReader r4(msg4.payload);
-  const bool result = r4.U8() != 0;
+  evaluator.Send(garbler.id(), kMsgGcResult,
+                 {static_cast<uint8_t>(out[0] ? 1 : 0)});
+  const net::Message msg4 =
+      MustReceive(garbler, kMsgGcResult, 1,
+                  "secure_compare: message 4 has the wrong size");
+  const bool result = msg4.payload[0] != 0;
   PEM_CHECK(result == out[0], "result mismatch");
   return result;
 }

@@ -4,15 +4,26 @@
 // with Fairplay" step of Private Market Evaluation (Protocol 2,
 // line 14).
 //
+// The circuit is the one-AND-per-bit comparator (crypto/circuit.h),
+// garbled with half-gates (crypto/garble.h).  The evaluator's input
+// labels come from one batched random OT over P-256 (crypto/ot.h): the
+// 0-label of input bit i is the sender's pad p0_i, and the garbler
+// sends the correction u_i = p0_i ^ p1_i ^ R (R the free-XOR offset),
+// so the receiver's pad p_{y_i}, XORed with u_i when y_i = 1, is the
+// label of y_i (the random-OT to correlated-OT step of Asharov et al.,
+// CCS 2013).  The OT therefore runs before garbling.
+//
 // Wire protocol (all bytes routed through the bandwidth-accounted
-// transport; the evaluator's input labels travel by one batched
-// Chou–Orlandi OT over P-256, crypto/ot.h):
-//   1. G -> E : garbled tables, decode bits, G's active input labels,
-//               the OT sender point A (33 B, one for all bits)
+// transport; every field has a fixed width, so no length prefixes,
+// and each message's size is checked exactly):
+//   1. G -> E : the OT sender point A (33 B, one for all bits)
 //   2. E -> G : one OT point B_i per evaluator input bit (33 B each)
-//   3. G -> E : one OT ciphertext pair per bit (32 B each)
+//   3. G -> E : garbled tables (32 B per AND gate + 1 decode bit), G's
+//               active input labels and the OT corrections (16 B per
+//               bit each)
 //   4. E -> G : the decoded result bit (both parties learn the output,
 //               as in the paper)
+// At 64 bits that is 33 + 2,112 + 4,097 + 1 payload bytes.
 #pragma once
 
 #include <cstdint>
@@ -27,9 +38,9 @@ struct SecureCompareConfig {
 };
 
 // Message type tags (namespaced to stay clear of protocol/ tags).
-inline constexpr uint32_t kMsgGcTablesAndOt1 = 0x4743'0001;
-inline constexpr uint32_t kMsgGcOtResponses = 0x4743'0002;
-inline constexpr uint32_t kMsgGcOtFinal = 0x4743'0003;
+inline constexpr uint32_t kMsgGcOtSetup = 0x4743'0001;
+inline constexpr uint32_t kMsgGcOtChoices = 0x4743'0002;
+inline constexpr uint32_t kMsgGcTables = 0x4743'0003;
 inline constexpr uint32_t kMsgGcResult = 0x4743'0004;
 
 // Runs the full protocol between the `garbler` endpoint (holding x)

@@ -569,19 +569,20 @@ void AgentSupervisor::SetObserver(Transport::Observer observer) {
 
 std::optional<TransportFault> AgentSupervisor::LatchedFaultOfOther(
     AgentId agent) {
-  // A crashed peer is a conviction too, though the router records only
-  // its wire hangup.  A hangup before Done is ambiguous until the child
-  // is reaped: one that exits cleanly closes its wire before the main
-  // thread reads its Done, so only an unclean exit convicts.
+  // A crashed peer is a conviction too.  Its exit is judged by a
+  // non-blocking reap of every other local child not yet Done, not by
+  // its wire: shm children never cross the router, so their crashes
+  // leave no hangup to see.  A child that exits cleanly may do so before
+  // the main thread reads its Done, so only an unclean exit convicts.
   for (AgentId a = 0; a < num_agents(); ++a) {
     Child& c = children_[static_cast<size_t>(a)];
     if (a == agent || c.pid <= 0) continue;
-    bool hung_up = false;
+    bool done = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      hung_up = c.wire_eof && !c.done;
+      done = c.done;
     }
-    if (!hung_up || !ReapChild(a, /*timeout_ms=*/0)) continue;
+    if (done || !ReapChild(a, /*timeout_ms=*/0)) continue;
     if (WIFEXITED(c.wait_status) && WEXITSTATUS(c.wait_status) == 0) continue;
     RecordFault(a, "agent supervisor: agent " + std::to_string(a) +
                        " child process " + DescribeWaitStatus(c.wait_status) +

@@ -258,8 +258,8 @@ class AgentSupervisor {
   // waitpid with deadline; marks reaped.  Returns false on timeout.
   bool ReapChild(AgentId agent, int timeout_ms);
   // The latched fault_ if it names an agent other than `agent`, after
-  // latching any other local child whose wire hung up before Done and
-  // whose non-blocking reap shows an unclean exit.
+  // latching any other local child not yet Done whose non-blocking reap
+  // shows an unclean exit.
   std::optional<TransportFault> LatchedFaultOfOther(AgentId agent);
   [[noreturn]] void ThrowChildFailure(AgentId agent, const std::string& why);
 

@@ -10,12 +10,23 @@
 namespace pem::crypto {
 namespace {
 
+// Fresh 0-labels for the evaluator's inputs, as the OT would give.
+std::vector<WireLabel> EvaluatorLabels(const Circuit& circuit, Rng& rng) {
+  std::vector<WireLabel> labels(circuit.evaluator_inputs.size());
+  for (WireLabel& l : labels) rng.Fill(l.bytes);
+  return labels;
+}
+
+Garbler MakeGarbler(const Circuit& circuit, Rng& rng) {
+  return Garbler(circuit, rng, EvaluatorLabels(circuit, rng));
+}
+
 // Garbles + evaluates `circuit` on (x, y) with trusted label delivery
 // (no OT — that path is covered by test_secure_compare).
 std::vector<bool> GarbledEval(const Circuit& circuit, uint64_t x, uint64_t y,
                               uint64_t seed) {
   DeterministicRng rng(seed);
-  Garbler g(circuit, rng);
+  const Garbler g = MakeGarbler(circuit, rng);
   std::vector<WireLabel> gl, el;
   const int gbits = static_cast<int>(circuit.garbler_inputs.size());
   const int ebits = static_cast<int>(circuit.evaluator_inputs.size());
@@ -101,7 +112,8 @@ TEST(Garble, SixtyFourBitComparatorRandomSweep) {
 TEST(Garble, DifferentSeedsProduceDifferentTablesSameResult) {
   const Circuit c = BuildLessThanCircuit(8);
   DeterministicRng r1(10), r2(11);
-  Garbler g1(c, r1), g2(c, r2);
+  const Garbler g1 = MakeGarbler(c, r1);
+  const Garbler g2 = MakeGarbler(c, r2);
   EXPECT_NE(g1.tables().Serialize(), g2.tables().Serialize());
   EXPECT_EQ(GarbledEval(c, 3, 9, 10)[0], GarbledEval(c, 3, 9, 11)[0]);
 }
@@ -109,7 +121,7 @@ TEST(Garble, DifferentSeedsProduceDifferentTablesSameResult) {
 TEST(Garble, LabelsCarryPermuteBitConvention) {
   const Circuit c = BuildLessThanCircuit(8);
   DeterministicRng rng(12);
-  const Garbler g(c, rng);
+  const Garbler g = MakeGarbler(c, rng);
   for (size_t i = 0; i < 8; ++i) {
     const auto [l0, l1] = g.EvaluatorInputLabels(i);
     // Free-XOR forces complementary permute bits (lsb(delta) = 1).
@@ -118,12 +130,28 @@ TEST(Garble, LabelsCarryPermuteBitConvention) {
   }
 }
 
+TEST(Garble, EvaluatorZeroLabelsAreTheGivenOnes) {
+  // The secure comparison hands the garbler its OT pads as the
+  // evaluator's 0-labels; the 1-labels sit one offset away.
+  const Circuit c = BuildLessThanCircuit(8);
+  DeterministicRng rng(18);
+  const std::vector<WireLabel> given = EvaluatorLabels(c, rng);
+  const Garbler g(c, rng, given);
+  const WireLabel delta = given[0].Xor(g.EvaluatorInputLabels(0).second);
+  for (size_t i = 0; i < given.size(); ++i) {
+    const auto [l0, l1] = g.EvaluatorInputLabels(i);
+    EXPECT_EQ(l0, given[i]) << i;
+    EXPECT_EQ(l0.Xor(l1), delta) << i;
+  }
+  EXPECT_TRUE(delta.permute_bit());
+}
+
 TEST(Garble, GarblerCanDecodeOutputs) {
   CircuitBuilder cb(1, 1);
   cb.MarkOutput(cb.And(cb.garbler_inputs()[0], cb.evaluator_inputs()[0]));
   const Circuit c = cb.Build();
   DeterministicRng rng(13);
-  const Garbler g(c, rng);
+  const Garbler g = MakeGarbler(c, rng);
   // Evaluate manually to recover the active output label, then have the
   // garbler decode it.
   Evaluator eval(c, GarbledTables::Deserialize(g.tables().Serialize(), c));
@@ -136,33 +164,47 @@ TEST(Garble, GarblerCanDecodeOutputs) {
 TEST(GarbledTables, SerializationRoundTrip) {
   const Circuit c = BuildLessThanCircuit(16);
   DeterministicRng rng(14);
-  const Garbler g(c, rng);
+  const Garbler g = MakeGarbler(c, rng);
   const std::vector<uint8_t> bytes = g.tables().Serialize();
   EXPECT_EQ(bytes.size(), g.tables().SerializedSize());
   const GarbledTables back = GarbledTables::Deserialize(bytes, c);
   EXPECT_EQ(back.Serialize(), bytes);
 }
 
-TEST(GarbledTables, SizeIs64BytesPerAndGatePlusDecode) {
-  const Circuit c = BuildLessThanCircuit(32);
-  DeterministicRng rng(15);
-  const Garbler g(c, rng);
-  EXPECT_EQ(g.tables().SerializedSize(), c.AndGateCount() * 64 + 1);
+TEST(GarbledTables, SizeIs32BytesPerAndGatePlusDecode) {
+  // Half-gates: two 16-byte rows per AND gate, nothing for XOR or NOT.
+  for (int bits : {1, 32, 64}) {
+    const Circuit c = BuildLessThanCircuit(bits);
+    DeterministicRng rng(15);
+    const Garbler g = MakeGarbler(c, rng);
+    EXPECT_EQ(g.tables().SerializedSize(), c.AndGateCount() * 32 + 1);
+    EXPECT_EQ(g.tables().Serialize().size(),
+              GarbledTables::SerializedSize(c));
+  }
+  // The secure comparison's 64-bit comparator: 64 gates, 2,049 bytes.
+  EXPECT_EQ(GarbledTables::SerializedSize(BuildLessThanCircuit(64)), 2049u);
 }
 
 TEST(GarbledTablesDeath, TruncatedBytesAbort) {
   const Circuit c = BuildLessThanCircuit(8);
   DeterministicRng rng(16);
-  const Garbler g(c, rng);
+  const Garbler g = MakeGarbler(c, rng);
   std::vector<uint8_t> bytes = g.tables().Serialize();
   bytes.pop_back();
   EXPECT_DEATH((void)GarbledTables::Deserialize(bytes, c), "size mismatch");
 }
 
+TEST(GarbleDeath, WrongGivenLabelCountAborts) {
+  const Circuit c = BuildLessThanCircuit(4);
+  DeterministicRng rng(19);
+  const std::vector<WireLabel> three(3);
+  EXPECT_DEATH((void)Garbler(c, rng, three), "evaluator label count");
+}
+
 TEST(GarbleDeath, WrongLabelCountAborts) {
   const Circuit c = BuildLessThanCircuit(4);
   DeterministicRng rng(17);
-  const Garbler g(c, rng);
+  const Garbler g = MakeGarbler(c, rng);
   Evaluator eval(c, GarbledTables::Deserialize(g.tables().Serialize(), c));
   EXPECT_DEATH((void)eval.Evaluate({}, {}), "label count");
 }
@@ -202,13 +244,18 @@ TEST_P(GarbleVsPlain, GarbledEqualsPlain) {
 
 INSTANTIATE_TEST_SUITE_P(
     Circuits, GarbleVsPlain,
-    ::testing::Values(GarbleCase{"lt8", BuildLessThanCircuit, 8},
+    ::testing::Values(GarbleCase{"lt1", BuildLessThanCircuit, 1},
+                      GarbleCase{"lt8", BuildLessThanCircuit, 8},
                       GarbleCase{"lt64", BuildLessThanCircuit, 64},
                       GarbleCase{"eq8", BuildEqualityCircuit, 8},
+                      GarbleCase{"eq64", BuildEqualityCircuit, 64},
                       GarbleCase{"add8", BuildAdderCircuit, 8},
                       GarbleCase{"add16", BuildAdderCircuit, 16},
+                      GarbleCase{"add64", BuildAdderCircuit, 64},
                       GarbleCase{"sub8", BuildSubtractorCircuit, 8},
-                      GarbleCase{"max8", BuildMaxCircuit, 8}),
+                      GarbleCase{"sub64", BuildSubtractorCircuit, 64},
+                      GarbleCase{"max8", BuildMaxCircuit, 8},
+                      GarbleCase{"max64", BuildMaxCircuit, 64}),
     [](const ::testing::TestParamInfo<GarbleCase>& info) {
       return info.param.name;
     });

@@ -3,38 +3,32 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "crypto/rng.h"
 
 namespace pem::crypto {
 namespace {
 
-OtMessage MakeMessage(uint8_t fill) {
-  OtMessage m;
-  m.fill(fill);
-  return m;
-}
+// Runs a batch of random OTs (one per choice) locally under one sender
+// key and returns, per OT, the sender's pads and the receiver's pad.
+struct BatchResult {
+  std::vector<std::pair<OtPad, OtPad>> sender;
+  std::vector<OtPad> receiver;
+};
 
-// Runs a batch of OTs (one per choice) locally under one sender key and
-// returns what the receiver got.
-std::vector<OtMessage> RunBatch(const std::vector<OtMessage>& m0,
-                                const std::vector<OtMessage>& m1,
-                                const std::vector<bool>& choices,
-                                uint64_t seed) {
+BatchResult RunBatch(const std::vector<bool>& choices, uint64_t seed) {
   DeterministicRng rng(seed);
   const OtSender sender(rng);
   OtReceiver receiver(sender.Message1());
-  std::vector<OtMessage> got;
+  BatchResult out;
   for (size_t i = 0; i < choices.size(); ++i) {
-    const std::vector<uint8_t> b = receiver.Choose(choices[i], rng);
-    got.push_back(receiver.Decrypt(i, sender.Encrypt(i, b, m0[i], m1[i])));
+    const OtReceiver::Choice c = receiver.Choose(choices[i], rng);
+    out.sender.push_back(sender.Pads(i, c.b));
+    out.receiver.push_back(c.pad);
   }
-  return got;
-}
-
-OtMessage RunOt(const OtMessage& m0, const OtMessage& m1, bool choice,
-                uint64_t seed) {
-  return RunBatch({m0}, {m1}, {choice}, seed)[0];
+  return out;
 }
 
 // Malformed points.  A valid point in the wrong (uncompressed) form:
@@ -63,48 +57,42 @@ std::vector<uint8_t> OffCurvePoint() {
 std::vector<uint8_t> InfinityPoint() { return {0x00}; }
 
 TEST(ObliviousTransfer, ReceiverGetsChosenMessageZero) {
-  EXPECT_EQ(RunOt(MakeMessage(0xAA), MakeMessage(0xBB), false, 1),
-            MakeMessage(0xAA));
+  const BatchResult r = RunBatch({false}, 1);
+  EXPECT_EQ(r.receiver[0], r.sender[0].first);
 }
 
 TEST(ObliviousTransfer, ReceiverGetsChosenMessageOne) {
-  EXPECT_EQ(RunOt(MakeMessage(0xAA), MakeMessage(0xBB), true, 2),
-            MakeMessage(0xBB));
+  const BatchResult r = RunBatch({true}, 2);
+  EXPECT_EQ(r.receiver[0], r.sender[0].second);
 }
 
 TEST(ObliviousTransfer, WorksAcrossManySeeds) {
   // Both choices at every index of a batch, under many sender keys.
   for (uint64_t seed = 10; seed < 30; ++seed) {
-    DeterministicRng fill(seed * 7);
-    std::vector<OtMessage> m0(8), m1(8);
     std::vector<bool> choices(8);
     for (size_t i = 0; i < choices.size(); ++i) {
-      fill.Fill(m0[i]);
-      fill.Fill(m1[i]);
       choices[i] = ((seed + i) % 2) == 0;
     }
-    const std::vector<OtMessage> got = RunBatch(m0, m1, choices, seed);
+    const BatchResult r = RunBatch(choices, seed);
     for (size_t i = 0; i < choices.size(); ++i) {
-      EXPECT_EQ(got[i], choices[i] ? m1[i] : m0[i]) << seed << "/" << i;
+      EXPECT_EQ(r.receiver[i],
+                choices[i] ? r.sender[i].second : r.sender[i].first)
+          << seed << "/" << i;
     }
   }
 }
 
 TEST(ObliviousTransfer, UnchosenPadLooksUnrelated) {
-  // The receiver's transcript must not decrypt the other message: swap
-  // the ciphertext halves so each choice unmasks the wrong slot.
+  // The receiver's pad is the chosen one only: it differs from the
+  // unchosen pad, and the two sender pads differ from each other, at
+  // every index of a batch.
   for (bool choice : {false, true}) {
-    DeterministicRng rng(3);
-    const OtSender sender(rng);
-    OtReceiver receiver(sender.Message1());
-    const std::vector<uint8_t> b = receiver.Choose(choice, rng);
-    const OtMessage m0 = MakeMessage(0x00), m1 = MakeMessage(0xFF);
-    const std::vector<uint8_t> cts = sender.Encrypt(0, b, m0, m1);
-    std::vector<uint8_t> swapped(cts.begin() + 16, cts.end());
-    swapped.insert(swapped.end(), cts.begin(), cts.begin() + 16);
-    const OtMessage wrong = receiver.Decrypt(0, swapped);
-    EXPECT_NE(wrong, m0) << choice;
-    EXPECT_NE(wrong, m1) << choice;
+    const BatchResult r = RunBatch(std::vector<bool>(8, choice), 3);
+    for (size_t i = 0; i < r.receiver.size(); ++i) {
+      const auto& [p0, p1] = r.sender[i];
+      EXPECT_NE(r.receiver[i], choice ? p0 : p1) << choice << "/" << i;
+      EXPECT_NE(p0, p1) << choice << "/" << i;
+    }
   }
 }
 
@@ -114,15 +102,12 @@ TEST(ObliviousTransfer, SameBAtTwoIndexesGivesDifferentPads) {
   DeterministicRng rng(11);
   const OtSender sender(rng);
   OtReceiver receiver(sender.Message1());
-  const std::vector<uint8_t> b = receiver.Choose(false, rng);
-  const OtMessage zero = MakeMessage(0);
-  const std::vector<uint8_t> at0 = sender.Encrypt(0, b, zero, zero);
-  const std::vector<uint8_t> at1 = sender.Encrypt(1, b, zero, zero);
-  ASSERT_EQ(at0.size(), kOtCiphertextBytes);
-  EXPECT_NE(std::vector<uint8_t>(at0.begin(), at0.begin() + 16),
-            std::vector<uint8_t>(at1.begin(), at1.begin() + 16));
-  EXPECT_NE(std::vector<uint8_t>(at0.begin() + 16, at0.end()),
-            std::vector<uint8_t>(at1.begin() + 16, at1.end()));
+  const OtReceiver::Choice c = receiver.Choose(false, rng);
+  const auto at0 = sender.Pads(0, c.b);
+  const auto at1 = sender.Pads(1, c.b);
+  EXPECT_EQ(at0.first, c.pad);
+  EXPECT_NE(at0.first, at1.first);
+  EXPECT_NE(at0.second, at1.second);
 }
 
 TEST(ObliviousTransfer, Round1ElementsAreGroupSized) {
@@ -131,8 +116,8 @@ TEST(ObliviousTransfer, Round1ElementsAreGroupSized) {
   const OtSender sender(rng);
   OtReceiver receiver(sender.Message1());
   EXPECT_EQ(sender.Message1().size(), kOtPointBytes);
-  EXPECT_EQ(receiver.Choose(true, rng).size(), kOtPointBytes);
-  EXPECT_EQ(receiver.Choose(false, rng).size(), kOtPointBytes);
+  EXPECT_EQ(receiver.Choose(true, rng).b.size(), kOtPointBytes);
+  EXPECT_EQ(receiver.Choose(false, rng).b.size(), kOtPointBytes);
 }
 
 TEST(ObliviousTransfer, SenderRound1IsStable) {
@@ -149,7 +134,7 @@ TEST(ObliviousTransfer, TranscriptIsAFunctionOfTheSeed) {
     const OtSender sender(rng);
     OtReceiver receiver(sender.Message1());
     std::vector<uint8_t> all = sender.Message1();
-    const std::vector<uint8_t> b = receiver.Choose(true, rng);
+    const std::vector<uint8_t> b = receiver.Choose(true, rng).b;
     all.insert(all.end(), b.begin(), b.end());
     return all;
   };
@@ -160,18 +145,17 @@ TEST(ObliviousTransfer, TranscriptIsAFunctionOfTheSeed) {
 TEST(ObliviousTransferDeath, BadElementSizeAborts) {
   DeterministicRng rng(6);
   const OtSender sender(rng);
-  EXPECT_DEATH((void)sender.Encrypt(0, UncompressedGenerator(),
-                                    MakeMessage(0), MakeMessage(1)),
-               "wrong size");
+  EXPECT_DEATH((void)sender.Pads(0, UncompressedGenerator()), "wrong size");
 }
 
 TEST(ObliviousTransferDeath, BadRound2SizeAborts) {
+  // A round-2 point one byte short is no point at all.
   DeterministicRng rng(7);
   const OtSender sender(rng);
   OtReceiver receiver(sender.Message1());
-  (void)receiver.Choose(false, rng);
-  const std::vector<uint8_t> junk(kOtCiphertextBytes - 1, 0);
-  EXPECT_DEATH((void)receiver.Decrypt(0, junk), "ciphertext size");
+  std::vector<uint8_t> b = receiver.Choose(false, rng).b;
+  b.pop_back();
+  EXPECT_DEATH((void)sender.Pads(0, b), "not on P-256");
 }
 
 TEST(ObliviousTransferDeath, Message1WrongSizeAborts) {
@@ -189,17 +173,13 @@ TEST(ObliviousTransferDeath, Message1InfinityAborts) {
 TEST(ObliviousTransferDeath, Message2OffCurveAborts) {
   DeterministicRng rng(8);
   const OtSender sender(rng);
-  EXPECT_DEATH((void)sender.Encrypt(0, OffCurvePoint(), MakeMessage(0),
-                                    MakeMessage(1)),
-               "not on P-256");
+  EXPECT_DEATH((void)sender.Pads(0, OffCurvePoint()), "not on P-256");
 }
 
 TEST(ObliviousTransferDeath, Message2InfinityAborts) {
   DeterministicRng rng(9);
   const OtSender sender(rng);
-  EXPECT_DEATH((void)sender.Encrypt(0, InfinityPoint(), MakeMessage(0),
-                                    MakeMessage(1)),
-               "infinity");
+  EXPECT_DEATH((void)sender.Pads(0, InfinityPoint()), "infinity");
 }
 
 }  // namespace

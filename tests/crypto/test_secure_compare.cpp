@@ -8,6 +8,7 @@
 #include <cstring>
 
 #include "crypto/circuit.h"
+#include "crypto/garble.h"
 #include "crypto/hash.h"
 #include "crypto/ot.h"
 #include "crypto/rng.h"
@@ -85,17 +86,17 @@ TEST(SecureCompare, TrafficIsAccounted) {
   DeterministicRng rng(7);
   (void)p.Less(1, 2, FastConfig(), rng);
   // Exact bytes of the wire format: each frame is FramedSize(payload),
-  // each byte string carries a u32 length prefix.
-  //   G: [tables | 64 input labels | A] then [64 OT ciphertexts]
+  // every field has a fixed width.
+  //   G: [A] then [tables | 64 input labels | 64 OT corrections]
   //   E: [64 OT points B_i] then [the result bit]
-  const size_t tables = BuildLessThanCircuit(64).AndGateCount() * 64 + 1;
-  const uint64_t garbler_bytes =
-      net::FramedSize(4 + tables + 64 * (4 + 16) + 4 + kOtPointBytes) +
-      net::FramedSize(64 * (4 + kOtCiphertextBytes));
+  const size_t tables = GarbledTables::SerializedSize(BuildLessThanCircuit(64));
+  EXPECT_EQ(tables, 64u * 32 + 1);
+  const uint64_t garbler_bytes = net::FramedSize(kOtPointBytes) +
+                                 net::FramedSize(tables + 64 * (16 + 16));
   const uint64_t evaluator_bytes =
-      net::FramedSize(64 * (4 + kOtPointBytes)) + net::FramedSize(1);
-  EXPECT_EQ(garbler_bytes, 11'794u);
-  EXPECT_EQ(evaluator_bytes, 2'409u);
+      net::FramedSize(64 * kOtPointBytes) + net::FramedSize(1);
+  EXPECT_EQ(garbler_bytes, 4'170u);
+  EXPECT_EQ(evaluator_bytes, 2'153u);
   EXPECT_EQ(p.garbler.stats().bytes_sent, garbler_bytes);
   EXPECT_EQ(p.evaluator.stats().bytes_sent, evaluator_bytes);
   EXPECT_EQ(p.bus.total_messages(), 4u);
@@ -120,7 +121,20 @@ TEST(SecureCompare, PinnedTranscriptKnownAnswer) {
   EXPECT_TRUE(p.Less(123'456'789, 987'654'321, FastConfig(), rng));
   EXPECT_EQ(p.bus.total_messages(), 4u);
   EXPECT_EQ(Sha256(transcript).Hex(),
-            "b1ff67028ac6927d2d0a331970358e1cb4a57e69a9b7bf2e271c3fa96952e4e4");
+            "274eb2e9c2062e07c0ab12795dbcd3ecb36b840a07f7b0947eb987eb72f66c19");
+}
+
+TEST(SecureCompare, ExhaustiveThreeBits) {
+  // Every input pair at a narrow width, through the OT and the
+  // corrections: each evaluator input bit is exercised both ways.
+  TwoParty p;
+  DeterministicRng rng(11);
+  const SecureCompareConfig cfg = FastConfig(3);
+  for (uint64_t x = 0; x < 8; ++x) {
+    for (uint64_t y = 0; y < 8; ++y) {
+      EXPECT_EQ(p.Less(x, y, cfg, rng), x < y) << x << " < " << y;
+    }
+  }
 }
 
 TEST(SecureCompare, WorksBetweenArbitraryAgentIds) {
@@ -147,6 +161,61 @@ TEST(SecureCompareDeath, SameAgentOnBothSidesAborts) {
   EXPECT_DEATH(
       (void)SecureCompareLess(a, 1, also_a, 2, FastConfig(), rng),
       "distinct");
+}
+
+// A bus that drops the last payload byte of every message of one type,
+// standing in for a peer that sends a malformed message.
+class TruncatingBus : public net::Transport {
+ public:
+  TruncatingBus(int n, uint32_t type) : bus_(n), type_(type) {}
+  int num_agents() const override { return bus_.num_agents(); }
+  void Send(net::Message msg) override {
+    if (msg.type == type_) msg.payload.pop_back();
+    bus_.Send(std::move(msg));
+  }
+  std::optional<net::Message> Receive(net::AgentId agent) override {
+    return bus_.Receive(agent);
+  }
+  bool HasMessage(net::AgentId agent) const override {
+    return bus_.HasMessage(agent);
+  }
+  net::TrafficStats stats(net::AgentId agent) const override {
+    return bus_.stats(agent);
+  }
+  uint64_t total_bytes() const override { return bus_.total_bytes(); }
+  uint64_t total_messages() const override { return bus_.total_messages(); }
+  double AverageBytesPerAgent() const override {
+    return bus_.AverageBytesPerAgent();
+  }
+  void ResetStats() override { bus_.ResetStats(); }
+  void SetObserver(Observer observer) override {
+    bus_.SetObserver(std::move(observer));
+  }
+
+ private:
+  net::MessageBus bus_;
+  uint32_t type_;
+};
+
+void CompareOverTruncatingBus(uint32_t type) {
+  TruncatingBus bus(2, type);
+  net::Endpoint g = bus.endpoint(0);
+  net::Endpoint e = bus.endpoint(1);
+  DeterministicRng rng(12);
+  (void)SecureCompareLess(g, 1, e, 2, FastConfig(), rng);
+}
+
+TEST(SecureCompareDeath, WrongSizeMessageAborts) {
+  // Every field has a fixed width, so each reader checks its message's
+  // exact size before parsing any of it.
+  EXPECT_DEATH(CompareOverTruncatingBus(kMsgGcOtSetup),
+               "message 1 has the wrong size");
+  EXPECT_DEATH(CompareOverTruncatingBus(kMsgGcOtChoices),
+               "message 2 has the wrong size");
+  EXPECT_DEATH(CompareOverTruncatingBus(kMsgGcTables),
+               "message 3 has the wrong size");
+  EXPECT_DEATH(CompareOverTruncatingBus(kMsgGcResult),
+               "message 4 has the wrong size");
 }
 
 }  // namespace

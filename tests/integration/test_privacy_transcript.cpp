@@ -87,8 +87,8 @@ TEST(PrivacyTranscript, OnlyDeclaredMessageTypesAppear) {
       kMsgRingHop,        kMsgRingFinal,     kMsgMarketCase,
       kMsgPrice,          kMsgEncTotal,      kMsgRatioCipher,
       kMsgRatioBroadcast, kMsgEnergyTransfer, kMsgPayment,
-      kMsgPublicKey,      crypto::kMsgGcTablesAndOt1,
-      crypto::kMsgGcOtResponses, crypto::kMsgGcOtFinal,
+      kMsgPublicKey,      crypto::kMsgGcOtSetup,
+      crypto::kMsgGcOtChoices, crypto::kMsgGcTables,
       crypto::kMsgGcResult};
   for (const net::Message& m : run.messages) {
     EXPECT_TRUE(allowed.contains(m.type))

@@ -403,6 +403,45 @@ TEST(ShmFault, KilledChildMidWindowSurfacesWithinWatchdog) {
   ExpectNoChildrenLeft();
 }
 
+TEST(ShmFault, SurvivorBlockedOnCrashedPeerNamesTheCrash) {
+  // Agent 1 crashes on Run; agent 2 waits forever on agent 1's ring for
+  // a frame agent 1 never writes.  Shm frames never cross the parent,
+  // so no wire hangup reveals the crash: the supervisor must find it by
+  // reaping, fail agent 2's read within the post-conviction grace
+  // naming agent 1, and not sit out the watchdog blaming agent 2.
+  AgentSupervisor::ChildMain script = [](AgentId self, Transport& wire,
+                                         ControlChannel& ctl) -> int {
+    (void)ctl.Read(/*timeout_ms=*/60'000);  // the one Run command
+    if (self == 1) _exit(1);
+    if (self == 2) {
+      // The script's send from agent 1 (shadow only here), then the
+      // real ring read that agent 1's crash leaves blocked.
+      wire.Send(Message{1, 2, /*type=*/0x4100, {9}});
+      (void)wire.Receive(2);
+    }
+    ctl.Write(kCtlRepWindow);
+    for (;;) pause();  // the parent's teardown SIGKILLs every child
+  };
+  {
+    ShmTransport::Options opts;
+    opts.watchdog_ms = 6'000;
+    ShmTransport transport(3, script, opts);
+    transport.CommandAll(kCtlCmdRun);
+    const auto start = std::chrono::steady_clock::now();
+    try {
+      (void)transport.ReadRecord(2);
+      FAIL() << "agent 2 cannot report: its peer crashed";
+    } catch (const TransportError& e) {
+      EXPECT_EQ(e.fault().agent, 1) << e.what();
+      EXPECT_NE(std::string(e.what()).find("status 1"), std::string::npos)
+          << e.what();
+    }
+    // The 2 s grace plus slack, well short of the 6 s watchdog.
+    EXPECT_LT(ElapsedSeconds(start), 4.5);
+  }
+  ExpectNoChildrenLeft();
+}
+
 TEST(ShmFault, ChildReportedErrorNamesTheScriptDivergence) {
   // A child whose protocol throws reports a structured Error record
   // (not a crash): the parent surfaces it verbatim, naming the agent.
