@@ -147,7 +147,8 @@ void BM_GarbleComparator(benchmark::State& state) {
   const std::vector<WireLabel> label0 =
       RandomLabels(circuit.evaluator_inputs.size(), rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Garbler(circuit, rng, label0));
+    benchmark::DoNotOptimize(
+        Garbler(circuit, DrawGarblerCoins(circuit, rng), label0));
   }
 }
 BENCHMARK(BM_GarbleComparator)->Arg(32)->Arg(64)->Unit(benchmark::kMicrosecond);
@@ -156,8 +157,9 @@ void BM_EvaluateComparator(benchmark::State& state) {
   const Circuit circuit =
       BuildLessThanCircuit(static_cast<int>(state.range(0)));
   DeterministicRng rng(7);
-  const Garbler g(circuit, rng,
-                  RandomLabels(circuit.evaluator_inputs.size(), rng));
+  const std::vector<WireLabel> label0 =
+      RandomLabels(circuit.evaluator_inputs.size(), rng);
+  const Garbler g(circuit, DrawGarblerCoins(circuit, rng), label0);
   std::vector<WireLabel> gl, el;
   for (size_t i = 0; i < circuit.garbler_inputs.size(); ++i) {
     gl.push_back(g.GarblerInputLabel(i, i % 2 == 0));
@@ -178,10 +180,11 @@ void BM_ObliviousTransferBatch(benchmark::State& state) {
   const auto count = static_cast<uint64_t>(state.range(0));
   DeterministicRng rng(8);
   for (auto _ : state) {
-    const OtSender sender(rng);
+    const OtSender sender(DrawOtScalar(rng));
     OtReceiver receiver(sender.Message1());
     for (uint64_t i = 0; i < count; ++i) {
-      const OtReceiver::Choice c = receiver.Choose(i % 2 == 1, rng);
+      const OtReceiver::Choice c =
+          receiver.Choose(i % 2 == 1, DrawOtScalar(rng));
       benchmark::DoNotOptimize(sender.Pads(i, c.b));
     }
   }
@@ -199,7 +202,7 @@ void BM_GarbleEvaluateLessThan64(benchmark::State& state) {
       RandomLabels(circuit.evaluator_inputs.size(), rng);
   const std::vector<bool> x = ToBits(123456, 64);
   for (auto _ : state) {
-    const Garbler g(circuit, rng, label0);
+    const Garbler g(circuit, DrawGarblerCoins(circuit, rng), label0);
     std::vector<WireLabel> gl(64);
     for (size_t i = 0; i < gl.size(); ++i) gl[i] = g.GarblerInputLabel(i, x[i]);
     Evaluator eval(circuit, g.tables());

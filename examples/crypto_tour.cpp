@@ -50,9 +50,10 @@ int main() {
   // --- Oblivious transfer ----------------------------------------------
   std::printf("\n3) 1-of-2 random oblivious transfer (Chou-Orlandi over "
               "P-256)\n");
-  const OtSender sender(rng);
+  const OtSender sender(DrawOtScalar(rng));
   OtReceiver receiver(sender.Message1());
-  const OtReceiver::Choice choice = receiver.Choose(/*choice=*/true, rng);
+  const OtReceiver::Choice choice =
+      receiver.Choose(/*choice=*/true, DrawOtScalar(rng));
   const auto [p0, p1] = sender.Pads(0, choice.b);
   std::printf("   sender holds pads starting 0x%02x / 0x%02x; the receiver "
               "chose bit 1 and holds 0x%02x\n"

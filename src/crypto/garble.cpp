@@ -65,17 +65,30 @@ GarbledTables GarbledTables::Deserialize(std::span<const uint8_t> bytes,
   return t;
 }
 
-Garbler::Garbler(const Circuit& circuit, Rng& rng,
+GarblerCoins DrawGarblerCoins(const Circuit& circuit, Rng& rng) {
+  GarblerCoins coins;
+  coins.delta = RandomLabel(rng);
+  coins.delta.bytes[15] |= 1;  // point-and-permute needs lsb(delta) = 1
+  coins.input_label0.reserve(circuit.garbler_inputs.size());
+  for (size_t i = 0; i < circuit.garbler_inputs.size(); ++i) {
+    coins.input_label0.push_back(RandomLabel(rng));
+  }
+  return coins;
+}
+
+Garbler::Garbler(const Circuit& circuit, const GarblerCoins& coins,
                  std::span<const WireLabel> evaluator_label0)
-    : circuit_(circuit) {
+    : circuit_(circuit), delta_(coins.delta) {
   PEM_CHECK(evaluator_label0.size() == circuit.evaluator_inputs.size(),
             "garbler: evaluator label count");
-  delta_ = RandomLabel(rng);
-  delta_.bytes[15] |= 1;  // point-and-permute needs lsb(delta) = 1
+  PEM_CHECK(coins.input_label0.size() == circuit.garbler_inputs.size(),
+            "garbler: garbler label count");
+  PEM_CHECK(delta_.permute_bit(), "garbler: offset lsb must be 1");
 
   label0_.resize(static_cast<size_t>(circuit.num_wires));
-  for (int32_t w : circuit.garbler_inputs) {
-    label0_[static_cast<size_t>(w)] = RandomLabel(rng);
+  for (size_t i = 0; i < coins.input_label0.size(); ++i) {
+    label0_[static_cast<size_t>(circuit.garbler_inputs[i])] =
+        coins.input_label0[i];
   }
   for (size_t i = 0; i < evaluator_label0.size(); ++i) {
     label0_[static_cast<size_t>(circuit.evaluator_inputs[i])] =

@@ -52,13 +52,24 @@ struct GarbledTables {
   static size_t SerializedSize(const Circuit& circuit);
 };
 
+// The garbler's randomness: the free-XOR offset and the 0-label of
+// each of its own input wires.
+struct GarblerCoins {
+  WireLabel delta;                      // lsb = 1
+  std::vector<WireLabel> input_label0;  // in garbler-input order
+};
+
+// Draws `circuit`'s garbler coins from `rng`: the offset, then one
+// label per garbler input.  The only place that order is written down.
+GarblerCoins DrawGarblerCoins(const Circuit& circuit, Rng& rng);
+
 class Garbler {
  public:
   // Garbles `circuit` immediately.  The 0-labels of the evaluator's
   // inputs are given (the secure comparison takes them from a random
-  // OT); the offset and the garbler's own input labels are drawn from
-  // `rng`.  The circuit must outlive the garbler.
-  Garbler(const Circuit& circuit, Rng& rng,
+  // OT); the offset and the garbler's own input labels come from
+  // `coins`.  The circuit must outlive the garbler.
+  Garbler(const Circuit& circuit, const GarblerCoins& coins,
           std::span<const WireLabel> evaluator_label0);
 
   const GarbledTables& tables() const { return tables_; }

@@ -54,20 +54,16 @@ Point NewPoint() {
   return p;
 }
 
-// Uniform nonzero scalar mod the group order, drawn from `rng` alone.
-Scalar RandomScalar(Rng& rng, BN_CTX* ctx) {
-  const BIGNUM* order = EC_GROUP_get0_order(P256());
+Scalar NewScalar() {
   Scalar k(BN_secure_new());
   PEM_CHECK(k != nullptr, "OT: BN_new failed");
-  uint8_t draw[kScalarDrawBytes];
-  do {
-    rng.Fill(draw);
-    PEM_CHECK(BN_bin2bn(draw, sizeof draw, k.get()) != nullptr,
-              "OT: BN_bin2bn failed");
-    PEM_CHECK(BN_nnmod(k.get(), k.get(), order, ctx) == 1,
-              "OT: BN_nnmod failed");
-  } while (BN_is_zero(k.get()));
-  OPENSSL_cleanse(draw, sizeof draw);
+  return k;
+}
+
+Scalar ToScalar(const OtScalar& s) {
+  Scalar k = NewScalar();
+  PEM_CHECK(BN_bin2bn(s.bytes.data(), s.bytes.size(), k.get()) != nullptr,
+            "OT: BN_bin2bn failed");
   return k;
 }
 
@@ -130,6 +126,29 @@ OtPad Pad(uint64_t index, std::span<const uint8_t> a,
 
 }  // namespace
 
+OtScalar::~OtScalar() { OPENSSL_cleanse(bytes.data(), bytes.size()); }
+
+OtScalar DrawOtScalar(Rng& rng) {
+  const BnCtx ctx = NewCtx();
+  const BIGNUM* order = EC_GROUP_get0_order(P256());
+  Scalar k = NewScalar();
+  uint8_t draw[kScalarDrawBytes];
+  do {
+    rng.Fill(draw);
+    PEM_CHECK(BN_bin2bn(draw, sizeof draw, k.get()) != nullptr,
+              "OT: BN_bin2bn failed");
+    PEM_CHECK(BN_nnmod(k.get(), k.get(), order, ctx.get()) == 1,
+              "OT: BN_nnmod failed");
+  } while (BN_is_zero(k.get()));
+  OPENSSL_cleanse(draw, sizeof draw);
+  OtScalar out;
+  PEM_CHECK(BN_bn2binpad(k.get(), out.bytes.data(),
+                         static_cast<int>(out.bytes.size())) ==
+                static_cast<int>(out.bytes.size()),
+            "OT: BN_bn2binpad failed");
+  return out;
+}
+
 struct OtSender::State {
   BnCtx ctx = NewCtx();
   Scalar a;
@@ -137,9 +156,9 @@ struct OtSender::State {
   Point neg_aa;                // -aA, so aB - aA is one addition
 };
 
-OtSender::OtSender(Rng& rng) : s_(std::make_unique<State>()) {
+OtSender::OtSender(const OtScalar& a) : s_(std::make_unique<State>()) {
   BN_CTX* ctx = s_->ctx.get();
-  s_->a = RandomScalar(rng, ctx);
+  s_->a = ToScalar(a);
   const Point big_a = MulBase(s_->a.get(), ctx);
   s_->big_a = Encode(big_a.get(), ctx);
   s_->neg_aa = Mul(big_a.get(), s_->a.get(), ctx);
@@ -176,9 +195,9 @@ OtReceiver::OtReceiver(std::span<const uint8_t> sender_a)
 
 OtReceiver::~OtReceiver() = default;
 
-OtReceiver::Choice OtReceiver::Choose(bool choice, Rng& rng) {
+OtReceiver::Choice OtReceiver::Choose(bool choice, const OtScalar& key) {
   BN_CTX* ctx = s_->ctx.get();
-  const Scalar b = RandomScalar(rng, ctx);
+  const Scalar b = ToScalar(key);
   Point big_b = MulBase(b.get(), ctx);
   if (choice) big_b = Add(s_->big_a.get(), big_b.get(), ctx);
   Choice out{Encode(big_b.get(), ctx), {}};

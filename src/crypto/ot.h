@@ -20,9 +20,9 @@
 //
 // Every point travels as a 33-byte compressed SEC1 encoding; every
 // received point is decoded (which checks it lies on the curve) and
-// the point at infinity is refused.  Scalars come only from the `Rng`
-// the caller passes, so a deterministic stream gives a deterministic
-// transcript.
+// the point at infinity is refused.  Scalars come only from
+// DrawOtScalar over the `Rng` the caller passes, so a deterministic
+// stream gives a deterministic transcript.
 //
 // The API is message-passing friendly: each step produces the bytes to
 // put on the wire, so the secure-comparison driver can route them
@@ -46,10 +46,22 @@ inline constexpr size_t kOtPointBytes = 33;
 // OT pads are 16-byte strings (exactly one wire label).
 using OtPad = std::array<uint8_t, 16>;
 
+// One OT key: a nonzero scalar mod the P-256 order, big-endian.  Wiped
+// on destruction.
+struct OtScalar {
+  std::array<uint8_t, 32> bytes{};
+  ~OtScalar();
+};
+
+// Draws one OT key from `rng`: 48 bytes reduced mod the order (within
+// 2^-128 of uniform), redrawn in the negligible case that gives zero.
+// The only place an OT key's draw schedule is written down.
+OtScalar DrawOtScalar(Rng& rng);
+
 class OtSender {
  public:
-  // Draws the batch's sender key a.
-  explicit OtSender(Rng& rng);
+  // Uses `a` as the batch's sender key.
+  explicit OtSender(const OtScalar& a);
   ~OtSender();
   OtSender(const OtSender&) = delete;
   OtSender& operator=(const OtSender&) = delete;
@@ -79,10 +91,10 @@ class OtReceiver {
     OtPad pad;               // p_choice
   };
 
-  // The next OT of the batch (index = number of earlier calls): draws b
-  // from `rng` and returns B = bG (choice 0) or A + bG (choice 1) with
-  // the chosen pad.
-  Choice Choose(bool choice, Rng& rng);
+  // The next OT of the batch (index = number of earlier calls) with key
+  // b: returns B = bG (choice 0) or A + bG (choice 1) with the chosen
+  // pad.
+  Choice Choose(bool choice, const OtScalar& b);
 
  private:
   struct State;

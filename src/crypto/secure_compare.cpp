@@ -36,6 +36,50 @@ WireLabel LabelAt(std::span<const uint8_t> bytes, size_t at, size_t i) {
   return l;
 }
 
+// All of one compare's randomness, drawn in the order the protocol
+// consumes it: the OT sender key, one OT receiver key per evaluator
+// bit, then the garbler's offset and input labels.
+struct CompareCoins {
+  OtScalar sender;
+  std::vector<OtScalar> receiver;
+  GarblerCoins garbler;
+};
+
+CompareCoins DrawCompareCoins(const Circuit& circuit, Rng& rng) {
+  CompareCoins coins;
+  coins.sender = DrawOtScalar(rng);
+  coins.receiver.reserve(circuit.evaluator_inputs.size());
+  for (size_t i = 0; i < circuit.evaluator_inputs.size(); ++i) {
+    coins.receiver.push_back(DrawOtScalar(rng));
+  }
+  coins.garbler = DrawGarblerCoins(circuit, rng);
+  return coins;
+}
+
+// The compare as followed by a process that acts for neither endpoint:
+// the four frames at their fixed sizes, zero-filled but for the result
+// bit, which the caller already knows.  They reach no wire, since only
+// an agent's own process sends its frames.
+bool ObserveCompare(net::Endpoint& garbler, net::Endpoint& evaluator,
+                    bool less, size_t nbits, size_t msg3_size) {
+  garbler.Send(evaluator.id(), kMsgGcOtSetup,
+               std::vector<uint8_t>(kOtPointBytes));
+  MustReceive(evaluator, kMsgGcOtSetup, kOtPointBytes,
+              "secure_compare: message 1 has the wrong size");
+  evaluator.Send(garbler.id(), kMsgGcOtChoices,
+                 std::vector<uint8_t>(nbits * kOtPointBytes));
+  MustReceive(garbler, kMsgGcOtChoices, nbits * kOtPointBytes,
+              "secure_compare: message 2 has the wrong size");
+  garbler.Send(evaluator.id(), kMsgGcTables, std::vector<uint8_t>(msg3_size));
+  MustReceive(evaluator, kMsgGcTables, msg3_size,
+              "secure_compare: message 3 has the wrong size");
+  evaluator.Send(garbler.id(), kMsgGcResult,
+                 {static_cast<uint8_t>(less ? 1 : 0)});
+  MustReceive(garbler, kMsgGcResult, 1,
+              "secure_compare: message 4 has the wrong size");
+  return less;
+}
+
 }  // namespace
 
 bool SecureCompareLess(net::Endpoint& garbler, uint64_t x,
@@ -54,9 +98,15 @@ bool SecureCompareLess(net::Endpoint& garbler, uint64_t x,
   // Message 3: tables, then the garbler's labels, then the corrections.
   const size_t corrections_at = tables_size + nbits * kLabelBytes;
   const size_t msg3_size = corrections_at + nbits * kLabelBytes;
+  // Drawn on both paths, so the caller's rng ends up in one place
+  // whether or not this process computes the compare.
+  const CompareCoins coins = DrawCompareCoins(circuit, rng);
+  if (!garbler.acts() && !evaluator.acts()) {
+    return ObserveCompare(garbler, evaluator, x < y, nbits, msg3_size);
+  }
 
   // ---- Garbler side: open the OT batch --------------------------------
-  const OtSender ot_sender(rng);
+  const OtSender ot_sender(coins.sender);
   garbler.Send(evaluator.id(), kMsgGcOtSetup, ot_sender.Message1());
 
   // ---- Evaluator side: one OT choice per input bit --------------------
@@ -69,7 +119,8 @@ bool SecureCompareLess(net::Endpoint& garbler, uint64_t x,
   std::vector<uint8_t> m2;
   m2.reserve(nbits * kOtPointBytes);
   for (size_t i = 0; i < nbits; ++i) {
-    OtReceiver::Choice choice = ot_receiver.Choose(y_bits[i], rng);
+    OtReceiver::Choice choice =
+        ot_receiver.Choose(y_bits[i], coins.receiver[i]);
     Append(m2, choice.b);
     pads[i].bytes = choice.pad;
   }
@@ -88,7 +139,7 @@ bool SecureCompareLess(net::Endpoint& garbler, uint64_t x,
     label0[i].bytes = p0;
     pad1[i].bytes = p1;
   }
-  const Garbler g(circuit, rng, label0);
+  const Garbler g(circuit, coins.garbler, label0);
   const std::vector<bool> x_bits = ToBits(x, cfg.bits);
   std::vector<uint8_t> m3 = g.tables().Serialize();
   m3.reserve(msg3_size);

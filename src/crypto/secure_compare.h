@@ -24,6 +24,15 @@
 //   4. E -> G : the decoded result bit (both parties learn the output,
 //               as in the paper)
 // At 64 bits that is 33 + 2,112 + 4,097 + 1 payload bytes.
+//
+// Only the processes of the two endpoints compute the compare.  A
+// forked child that acts for neither (net::Transport::Acts) holds both
+// inputs in its replica of the script.  It draws the compare's
+// randomness all the same, so its rng stays in step with the
+// endpoints' processes, posts the four frames to its shadow script at
+// their fixed sizes, so its ledger does too, and returns x < y.  The
+// bit is still checked against the wire: market evaluation has every
+// agent but Hr1 byte-match Hr1's broadcast of the market case.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +56,9 @@ inline constexpr uint32_t kMsgGcResult = 0x4743'0004;
 // and the `evaluator` endpoint (holding y); both must belong to the
 // same transport and to distinct agents.  Both agents' traffic is
 // accounted on their endpoints.  Returns x < y (unsigned comparison
-// over `cfg.bits` bits).
+// over `cfg.bits` bits).  When this process acts for neither endpoint,
+// it draws the same randomness and accounts the same frames without
+// computing them (see above).
 bool SecureCompareLess(net::Endpoint& garbler, uint64_t x,
                        net::Endpoint& evaluator, uint64_t y,
                        const SecureCompareConfig& cfg, Rng& rng);

@@ -28,7 +28,10 @@
 //     every message this agent consumes provably crossed the kernel
 //     byte-identical to what the deterministic protocol demands;
 //   * Send/Receive(other) touch only the shadow: another agent's
-//     traffic is that agent's own process's business.
+//     traffic is that agent's own process's business.  Acts(agent) is
+//     true for the own agent only, so a step between two other agents
+//     whose frames have fixed sizes (the secure comparison) may post
+//     placeholder frames to the shadow instead of computing them.
 // Frames from concurrent senders may physically arrive out of script
 // order (the processes really do run in parallel); a small stash holds
 // early arrivals until the script asks for them, so per-sender FIFO
@@ -79,6 +82,8 @@ class ProcessChildTransport : public Transport {
   double AverageBytesPerAgent() const override;
   void ResetStats() override { shadow_.ResetStats(); }
   void SetObserver(Observer observer) override;
+  // A child computes its own agent's steps only.
+  bool Acts(AgentId agent) const override { return agent == self_; }
 
   // Asserts nothing unconsumed remains: no stashed early arrivals, no
   // partial frame in the decoder, no unread bytes in the kernel buffer.

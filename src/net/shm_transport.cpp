@@ -115,6 +115,7 @@ class ShmChildTransport : public Transport {
   void SetObserver(Observer observer) override {
     shadow_.SetObserver(std::move(observer));
   }
+  bool Acts(AgentId agent) const override { return agent == self_; }
 
   // Asserts every inbound ring is fully consumed — anything left means
   // the rings and the deterministic script diverged.

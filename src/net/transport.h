@@ -150,6 +150,13 @@ class Transport {
 
   virtual void SetObserver(Observer observer) = 0;
 
+  // Whether this process computes `agent`'s protocol steps.  In-process
+  // backends compute every agent's.  A forked child computes only its
+  // own and follows every other agent's traffic on its shadow script,
+  // so a step between two agents it does not act for may post
+  // placeholder frames of the right sizes instead of computing them.
+  virtual bool Acts(AgentId /*agent*/) const { return true; }
+
   // First channel fault observed (closed peer, dead router), if any.
   // Backends without kernel channels can never fault.  Receive() on a
   // faulted transport throws TransportError carrying this description.
@@ -186,6 +193,8 @@ class Endpoint {
   std::optional<Message> Receive() { return transport_->Receive(id_); }
   bool HasMessage() const { return transport_->HasMessage(id_); }
   TrafficStats stats() const { return transport_->stats(id_); }
+  // Whether this process computes the owner's steps (Transport::Acts).
+  bool acts() const { return transport_->Acts(id_); }
 
  private:
   friend class Transport;

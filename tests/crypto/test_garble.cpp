@@ -18,7 +18,8 @@ std::vector<WireLabel> EvaluatorLabels(const Circuit& circuit, Rng& rng) {
 }
 
 Garbler MakeGarbler(const Circuit& circuit, Rng& rng) {
-  return Garbler(circuit, rng, EvaluatorLabels(circuit, rng));
+  const std::vector<WireLabel> label0 = EvaluatorLabels(circuit, rng);
+  return Garbler(circuit, DrawGarblerCoins(circuit, rng), label0);
 }
 
 // Garbles + evaluates `circuit` on (x, y) with trusted label delivery
@@ -136,7 +137,7 @@ TEST(Garble, EvaluatorZeroLabelsAreTheGivenOnes) {
   const Circuit c = BuildLessThanCircuit(8);
   DeterministicRng rng(18);
   const std::vector<WireLabel> given = EvaluatorLabels(c, rng);
-  const Garbler g(c, rng, given);
+  const Garbler g(c, DrawGarblerCoins(c, rng), given);
   const WireLabel delta = given[0].Xor(g.EvaluatorInputLabels(0).second);
   for (size_t i = 0; i < given.size(); ++i) {
     const auto [l0, l1] = g.EvaluatorInputLabels(i);
@@ -198,7 +199,8 @@ TEST(GarbleDeath, WrongGivenLabelCountAborts) {
   const Circuit c = BuildLessThanCircuit(4);
   DeterministicRng rng(19);
   const std::vector<WireLabel> three(3);
-  EXPECT_DEATH((void)Garbler(c, rng, three), "evaluator label count");
+  EXPECT_DEATH((void)Garbler(c, DrawGarblerCoins(c, rng), three),
+               "evaluator label count");
 }
 
 TEST(GarbleDeath, WrongLabelCountAborts) {

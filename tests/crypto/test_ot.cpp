@@ -20,11 +20,12 @@ struct BatchResult {
 
 BatchResult RunBatch(const std::vector<bool>& choices, uint64_t seed) {
   DeterministicRng rng(seed);
-  const OtSender sender(rng);
+  const OtSender sender(DrawOtScalar(rng));
   OtReceiver receiver(sender.Message1());
   BatchResult out;
   for (size_t i = 0; i < choices.size(); ++i) {
-    const OtReceiver::Choice c = receiver.Choose(choices[i], rng);
+    const OtReceiver::Choice c =
+        receiver.Choose(choices[i], DrawOtScalar(rng));
     out.sender.push_back(sender.Pads(i, c.b));
     out.receiver.push_back(c.pad);
   }
@@ -100,9 +101,9 @@ TEST(ObliviousTransfer, SameBAtTwoIndexesGivesDifferentPads) {
   // The pads bind the OT index: a receiver that replays one B at two
   // indexes gets unrelated pads, not one pad twice.
   DeterministicRng rng(11);
-  const OtSender sender(rng);
+  const OtSender sender(DrawOtScalar(rng));
   OtReceiver receiver(sender.Message1());
-  const OtReceiver::Choice c = receiver.Choose(false, rng);
+  const OtReceiver::Choice c = receiver.Choose(false, DrawOtScalar(rng));
   const auto at0 = sender.Pads(0, c.b);
   const auto at1 = sender.Pads(1, c.b);
   EXPECT_EQ(at0.first, c.pad);
@@ -113,16 +114,16 @@ TEST(ObliviousTransfer, SameBAtTwoIndexesGivesDifferentPads) {
 TEST(ObliviousTransfer, Round1ElementsAreGroupSized) {
   // Every point on the wire is a 33-byte compressed P-256 encoding.
   DeterministicRng rng(4);
-  const OtSender sender(rng);
+  const OtSender sender(DrawOtScalar(rng));
   OtReceiver receiver(sender.Message1());
   EXPECT_EQ(sender.Message1().size(), kOtPointBytes);
-  EXPECT_EQ(receiver.Choose(true, rng).b.size(), kOtPointBytes);
-  EXPECT_EQ(receiver.Choose(false, rng).b.size(), kOtPointBytes);
+  EXPECT_EQ(receiver.Choose(true, DrawOtScalar(rng)).b.size(), kOtPointBytes);
+  EXPECT_EQ(receiver.Choose(false, DrawOtScalar(rng)).b.size(), kOtPointBytes);
 }
 
 TEST(ObliviousTransfer, SenderRound1IsStable) {
   DeterministicRng rng(5);
-  const OtSender sender(rng);
+  const OtSender sender(DrawOtScalar(rng));
   EXPECT_EQ(sender.Message1(), sender.Message1());
 }
 
@@ -131,10 +132,10 @@ TEST(ObliviousTransfer, TranscriptIsAFunctionOfTheSeed) {
   // points, different seeds different ones.
   auto points = [](uint64_t seed) {
     DeterministicRng rng(seed);
-    const OtSender sender(rng);
+    const OtSender sender(DrawOtScalar(rng));
     OtReceiver receiver(sender.Message1());
     std::vector<uint8_t> all = sender.Message1();
-    const std::vector<uint8_t> b = receiver.Choose(true, rng).b;
+    const std::vector<uint8_t> b = receiver.Choose(true, DrawOtScalar(rng)).b;
     all.insert(all.end(), b.begin(), b.end());
     return all;
   };
@@ -144,16 +145,16 @@ TEST(ObliviousTransfer, TranscriptIsAFunctionOfTheSeed) {
 
 TEST(ObliviousTransferDeath, BadElementSizeAborts) {
   DeterministicRng rng(6);
-  const OtSender sender(rng);
+  const OtSender sender(DrawOtScalar(rng));
   EXPECT_DEATH((void)sender.Pads(0, UncompressedGenerator()), "wrong size");
 }
 
 TEST(ObliviousTransferDeath, BadRound2SizeAborts) {
   // A round-2 point one byte short is no point at all.
   DeterministicRng rng(7);
-  const OtSender sender(rng);
+  const OtSender sender(DrawOtScalar(rng));
   OtReceiver receiver(sender.Message1());
-  std::vector<uint8_t> b = receiver.Choose(false, rng).b;
+  std::vector<uint8_t> b = receiver.Choose(false, DrawOtScalar(rng)).b;
   b.pop_back();
   EXPECT_DEATH((void)sender.Pads(0, b), "not on P-256");
 }
@@ -172,13 +173,13 @@ TEST(ObliviousTransferDeath, Message1InfinityAborts) {
 
 TEST(ObliviousTransferDeath, Message2OffCurveAborts) {
   DeterministicRng rng(8);
-  const OtSender sender(rng);
+  const OtSender sender(DrawOtScalar(rng));
   EXPECT_DEATH((void)sender.Pads(0, OffCurvePoint()), "not on P-256");
 }
 
 TEST(ObliviousTransferDeath, Message2InfinityAborts) {
   DeterministicRng rng(9);
-  const OtSender sender(rng);
+  const OtSender sender(DrawOtScalar(rng));
   EXPECT_DEATH((void)sender.Pads(0, InfinityPoint()), "infinity");
 }
 

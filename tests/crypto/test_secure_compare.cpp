@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <set>
+#include <vector>
 
 #include "crypto/circuit.h"
 #include "crypto/garble.h"
@@ -144,6 +146,141 @@ TEST(SecureCompare, WorksBetweenArbitraryAgentIds) {
   // Other agents saw no traffic.
   EXPECT_EQ(p.bus.endpoint(0).stats().messages_received, 0u);
   EXPECT_EQ(p.bus.endpoint(5).stats().bytes_sent, 0u);
+}
+
+// --- observer path -----------------------------------------------------
+//
+// A forked child computes only its own agent's steps (net::Transport::
+// Acts).  When it acts for neither endpoint, the compare must leave its
+// rng, its ledger and its result exactly where the full run leaves
+// them, since the rest of the child's script depends on all three.
+
+// The in-process bus as such a child sees it: this process acts only
+// for the agents in `acting`.
+class PartialBus : public net::MessageBus {
+ public:
+  PartialBus(int n, std::set<net::AgentId> acting)
+      : MessageBus(n), acting_(std::move(acting)) {}
+  bool Acts(net::AgentId agent) const override {
+    return acting_.count(agent) > 0;
+  }
+
+ private:
+  std::set<net::AgentId> acting_;
+};
+
+struct ComparePair {
+  uint64_t x = 0;
+  uint64_t y = 0;
+  int bits = 64;
+};
+
+// What one run of a compare sequence leaves behind.
+struct CompareRun {
+  std::vector<bool> results;
+  std::vector<uint64_t> cursors;  // Rng::Cursor() after each compare
+  std::vector<net::TrafficStats> per_agent;
+  std::vector<net::Message> frames;
+};
+
+// Runs `pairs` in order over a 3-agent bus (garbler 0, evaluator 1)
+// whose process acts for `acting`, from seed `seed`.
+CompareRun RunCompares(const std::vector<ComparePair>& pairs, uint64_t seed,
+                       std::set<net::AgentId> acting) {
+  PartialBus bus(3, std::move(acting));
+  CompareRun run;
+  bus.SetObserver([&run](const net::Message& m) { run.frames.push_back(m); });
+  net::Endpoint g = bus.endpoint(0);
+  net::Endpoint e = bus.endpoint(1);
+  DeterministicRng rng(seed);
+  for (const ComparePair& p : pairs) {
+    run.results.push_back(
+        SecureCompareLess(g, p.x, e, p.y, FastConfig(p.bits), rng));
+    run.cursors.push_back(rng.Cursor());
+  }
+  for (net::AgentId a = 0; a < bus.num_agents(); ++a) {
+    run.per_agent.push_back(bus.stats(a));
+  }
+  return run;
+}
+
+// The observer (acting for agent 2 only) against the full run: equal
+// results, cursors and per-agent ledgers, and results equal to x < y.
+void ExpectObserverMatchesFullRun(const std::vector<ComparePair>& pairs,
+                                  uint64_t seed) {
+  const CompareRun full = RunCompares(pairs, seed, {0, 1, 2});
+  const CompareRun observer = RunCompares(pairs, seed, {2});
+  ASSERT_EQ(observer.results.size(), pairs.size());
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    EXPECT_EQ(full.results[i], pairs[i].x < pairs[i].y) << i;
+    EXPECT_EQ(observer.results[i], full.results[i]) << i;
+    EXPECT_EQ(observer.cursors[i], full.cursors[i]) << i;
+  }
+  EXPECT_EQ(observer.per_agent, full.per_agent);
+  // The observer really skipped the work: its OT setup frames are the
+  // zero-filled placeholders, not points.
+  ASSERT_EQ(observer.frames.size(), full.frames.size());
+  for (size_t i = 0; i < observer.frames.size(); ++i) {
+    const net::Message& m = observer.frames[i];
+    EXPECT_EQ(m.type, full.frames[i].type) << i;
+    EXPECT_EQ(m.payload.size(), full.frames[i].payload.size()) << i;
+    if (m.type == kMsgGcOtSetup) {
+      EXPECT_EQ(m.payload, std::vector<uint8_t>(kOtPointBytes, 0)) << i;
+      EXPECT_NE(full.frames[i].payload, m.payload) << i;
+    }
+  }
+}
+
+TEST(SecureCompareObserver, ExhaustiveThreeBitsMatchFullRun) {
+  std::vector<ComparePair> pairs;
+  for (uint64_t x = 0; x < 8; ++x) {
+    for (uint64_t y = 0; y < 8; ++y) pairs.push_back({x, y, 3});
+  }
+  ExpectObserverMatchesFullRun(pairs, 21);
+}
+
+TEST(SecureCompareObserver, EdgeValuesMatchFullRun) {
+  const uint64_t max = ~uint64_t{0};
+  ExpectObserverMatchesFullRun({{0, 0},
+                                {0, 1},
+                                {1, 0},
+                                {1, 1},
+                                {0, max},
+                                {max, 0},
+                                {max, max},
+                                {max - 1, max},
+                                {max, max - 1},
+                                {uint64_t{1} << 63, (uint64_t{1} << 63) - 1}},
+                               22);
+}
+
+TEST(SecureCompareObserver, SeededRandomPairsMatchFullRun) {
+  DeterministicRng values(23);
+  std::vector<ComparePair> pairs;
+  for (int i = 0; i < 8; ++i) {
+    const uint64_t x = values.NextU64();
+    pairs.push_back({x, values.NextU64()});
+    pairs.push_back({x, x});
+  }
+  ExpectObserverMatchesFullRun(pairs, 24);
+}
+
+TEST(SecureCompareObserver, OneActingEndpointRunsFullPath) {
+  // A process acting for either endpoint computes the whole compare:
+  // its frames are byte for byte the full run's.
+  const std::vector<ComparePair> pairs = {{5, 9}, {9, 5}, {7, 7}};
+  const CompareRun full = RunCompares(pairs, 25, {0, 1, 2});
+  for (const std::set<net::AgentId>& acting :
+       {std::set<net::AgentId>{0}, std::set<net::AgentId>{1}}) {
+    const CompareRun one = RunCompares(pairs, 25, acting);
+    EXPECT_EQ(one.results, full.results);
+    EXPECT_EQ(one.cursors, full.cursors);
+    EXPECT_EQ(one.per_agent, full.per_agent);
+    ASSERT_EQ(one.frames.size(), full.frames.size());
+    for (size_t i = 0; i < full.frames.size(); ++i) {
+      EXPECT_TRUE(one.frames[i] == full.frames[i]) << i;
+    }
+  }
 }
 
 TEST(SecureCompareDeath, InputExceedingWidthAborts) {

@@ -25,15 +25,20 @@
 // misses nothing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <functional>
 #include <map>
 #include <memory>
 #include <vector>
 
 #include "core/simulation.h"
+#include "crypto/hash.h"
+#include "crypto/secure_compare.h"
 #include "net/process_transport.h"
 #include "net/shm_transport.h"
 #include "net/tcp_transport.h"
+#include "net/serialize.h"
 #include "net/transport.h"
 #include "protocol/agent_driver.h"
 #include "protocol/pem_protocol.h"
@@ -165,11 +170,21 @@ void ExpectSameTranscriptPerSender(const std::vector<net::Message>& serial,
   }
 }
 
+// Exact agreement of two doubles: equal bits, so no ULP slack, and a
+// NaN matches the same NaN, as in the children's own report check.
+testing::AssertionResult SameBits(double got, double want) {
+  if (std::bit_cast<uint64_t>(got) == std::bit_cast<uint64_t>(want)) {
+    return testing::AssertionSuccess();
+  }
+  return testing::AssertionFailure()
+         << got << " differs from " << want << " in its bits";
+}
+
 void ExpectWindowParity(const WindowRun& serial, const WindowRun& parallel,
                         bool strict_order = true) {
   // Market outcome.
   EXPECT_EQ(parallel.result.type, serial.result.type);
-  EXPECT_DOUBLE_EQ(parallel.result.price, serial.result.price);
+  EXPECT_TRUE(SameBits(parallel.result.price, serial.result.price));
   EXPECT_EQ(parallel.result.bus_bytes, serial.result.bus_bytes);
   // The transport's own total must agree with the per-endpoint delta
   // accounting on every backend.
@@ -188,8 +203,8 @@ void ExpectWindowParity(const WindowRun& serial, const WindowRun& parallel,
     const protocol::Trade& b = parallel.result.trades[i];
     EXPECT_EQ(b.seller_index, a.seller_index) << i;
     EXPECT_EQ(b.buyer_index, a.buyer_index) << i;
-    EXPECT_DOUBLE_EQ(b.energy_kwh, a.energy_kwh) << i;
-    EXPECT_DOUBLE_EQ(b.payment, a.payment) << i;
+    EXPECT_TRUE(SameBits(b.energy_kwh, a.energy_kwh)) << i;
+    EXPECT_TRUE(SameBits(b.payment, a.payment)) << i;
   }
   if (strict_order) {
     ExpectSameTranscript(serial.messages, parallel.messages);
@@ -483,17 +498,17 @@ void ExpectSimParity(const SimRun& serial, const SimRun& other,
     const core::WindowRecord& b = other.result.windows[w];
     EXPECT_EQ(b.window, a.window) << w;
     EXPECT_EQ(b.type, a.type) << w;
-    EXPECT_DOUBLE_EQ(b.price, a.price) << w;
+    EXPECT_TRUE(SameBits(b.price, a.price)) << w;
     EXPECT_EQ(b.bus_bytes, a.bus_bytes) << w;
     EXPECT_EQ(b.num_sellers, a.num_sellers) << w;
     EXPECT_EQ(b.num_buyers, a.num_buyers) << w;
-    EXPECT_DOUBLE_EQ(b.buyer_cost_pem, a.buyer_cost_pem) << w;
-    EXPECT_DOUBLE_EQ(b.supply_total, a.supply_total) << w;
-    EXPECT_DOUBLE_EQ(b.demand_total, a.demand_total) << w;
-    EXPECT_DOUBLE_EQ(b.grid_interaction_pem, a.grid_interaction_pem) << w;
-    EXPECT_DOUBLE_EQ(b.buyer_cost_baseline, a.buyer_cost_baseline) << w;
-    EXPECT_DOUBLE_EQ(b.grid_interaction_baseline,
-                     a.grid_interaction_baseline)
+    EXPECT_TRUE(SameBits(b.buyer_cost_pem, a.buyer_cost_pem)) << w;
+    EXPECT_TRUE(SameBits(b.supply_total, a.supply_total)) << w;
+    EXPECT_TRUE(SameBits(b.demand_total, a.demand_total)) << w;
+    EXPECT_TRUE(SameBits(b.grid_interaction_pem, a.grid_interaction_pem)) << w;
+    EXPECT_TRUE(SameBits(b.buyer_cost_baseline, a.buyer_cost_baseline)) << w;
+    EXPECT_TRUE(
+        SameBits(b.grid_interaction_baseline, a.grid_interaction_baseline))
         << w;
     // The rng stream position after the window's last protocol draw:
     // the strongest cheap witness that no engine, backend, or window
@@ -534,6 +549,35 @@ TEST(TranscriptParity, FullTradingDaySerialVsPhaseParallel) {
   const SimRun serial = RunSim(net::ExecutionPolicy::Serial());
   const SimRun parallel = RunSim(net::ExecutionPolicy::Parallel(4));
   ExpectSimParity(serial, parallel);
+}
+
+TEST(TranscriptParity, PinnedDayDigest) {
+  // Every other row compares one backend or schedule with another, so a
+  // change that moves all of them alike passes the wall.  This row pins
+  // the serial day itself at 512-bit keys: SHA-256 over every delivered
+  // message (sender, receiver, type, payload) in order, then each
+  // window's rng cursor.  A change that moves one wire byte or one
+  // random draw fails here and must re-pin on purpose.
+  const SimRun serial =
+      RunSim(net::ExecutionPolicy::Serial(),
+             [](core::SimulationConfig& c) { c.pem.key_bits = 512; });
+  ASSERT_EQ(serial.result.windows.size(), 6u);
+  // The pin covers the secure comparison only if the day runs one.
+  EXPECT_TRUE(std::any_of(
+      serial.messages.begin(), serial.messages.end(),
+      [](const net::Message& m) { return m.type == crypto::kMsgGcTables; }));
+  net::ByteWriter w;
+  for (const net::Message& m : serial.messages) {
+    w.U32(static_cast<uint32_t>(m.from));
+    w.U32(static_cast<uint32_t>(m.to));
+    w.U32(m.type);
+    w.Bytes(m.payload);
+  }
+  for (const core::WindowRecord& rec : serial.result.windows) {
+    w.U64(rec.rng_cursor);
+  }
+  EXPECT_EQ(crypto::Sha256(w.data()).Hex(),
+            "2101f9cb26d4529d1cb875b1a970e9717516e2c7d1fe4fae52f634421973804e");
 }
 
 TEST(TranscriptParity, FullTradingDaySerialVsProcess) {
