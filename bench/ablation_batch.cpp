@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
 
       const double windows = static_cast<double>(r.windows.size());
       double span_sum = 0.0;
-      for (const core::WindowRecord& rec : r.windows) {
+      for (const protocol::WindowRecord& rec : r.windows) {
         span_sum += rec.runtime_seconds;
       }
       const double total = r.total_runtime_seconds;

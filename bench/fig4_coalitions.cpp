@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
                 {"window", "buyers", "sellers"});
   std::printf("%8s %8s %8s\n", "window", "buyers", "sellers");
   int peak_sellers = 0, peak_buyers = 0;
-  for (const core::WindowRecord& rec : r.windows) {
+  for (const protocol::WindowRecord& rec : r.windows) {
     csv.Row({CsvWriter::Num(int64_t{rec.window}),
              CsvWriter::Num(int64_t{rec.num_buyers}),
              CsvWriter::Num(int64_t{rec.num_sellers})});

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
                 {"window", "price_cents", "market_type"});
   std::printf("%8s %14s %10s\n", "window", "price (c/kWh)", "market");
   int at_retail = 0, at_floor = 0, at_ceiling = 0, interior = 0;
-  for (const core::WindowRecord& rec : r.windows) {
+  for (const protocol::WindowRecord& rec : r.windows) {
     const char* type =
         rec.type == market::MarketType::kGeneral
             ? "general"

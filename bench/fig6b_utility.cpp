@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
               "k=40 PEM", "k=40 base");
   double gain20 = 0, gain40 = 0;
   for (size_t w = 0; w < r.windows.size(); ++w) {
-    const core::WindowRecord& rec = r.windows[w];
+    const protocol::WindowRecord& rec = r.windows[w];
     // A seller trades at p* with PEM; at the grid buyback price
     // without.  Windows where the tracked agent is not a net seller
     // (or no market forms) price both cases at pb — the comparison is

@@ -23,20 +23,21 @@ int main(int argc, char** argv) {
     int active_windows = 0;
     std::printf("\n-- %d parties --\n%8s %12s %12s\n", n, "window",
                 "with PEM", "without");
-    for (const core::WindowRecord& rec : r.windows) {
+    for (size_t i = 0; i < r.windows.size(); ++i) {
+      const protocol::WindowRecord& rec = r.windows[i];
+      const double baseline = r.baselines[i].buyer_total_cost;
       csv.Row({CsvWriter::Num(int64_t{rec.window}), CsvWriter::Num(int64_t{n}),
                CsvWriter::Num(rec.buyer_cost_pem),
-               CsvWriter::Num(rec.buyer_cost_baseline)});
+               CsvWriter::Num(baseline)});
       total_pem += rec.buyer_cost_pem;
-      total_base += rec.buyer_cost_baseline;
-      if (rec.type != market::MarketType::kNoMarket &&
-          rec.buyer_cost_baseline > 0) {
-        savings_ratio_sum += 1.0 - rec.buyer_cost_pem / rec.buyer_cost_baseline;
+      total_base += baseline;
+      if (rec.type != market::MarketType::kNoMarket && baseline > 0) {
+        savings_ratio_sum += 1.0 - rec.buyer_cost_pem / baseline;
         ++active_windows;
       }
       if (rec.window % 120 == 0) {
         std::printf("%8d %12.3f %12.3f\n", rec.window, rec.buyer_cost_pem,
-                    rec.buyer_cost_baseline);
+                    baseline);
       }
     }
     std::printf(

@@ -16,15 +16,17 @@ int main(int argc, char** argv) {
                 {"window", "interaction_pem", "interaction_nopem"});
   std::printf("%8s %14s %14s\n", "window", "with PEM", "without PEM");
   double total_pem = 0, total_base = 0;
-  for (const core::WindowRecord& rec : r.windows) {
+  for (size_t i = 0; i < r.windows.size(); ++i) {
+    const protocol::WindowRecord& rec = r.windows[i];
+    const double baseline = r.baselines[i].GridInteraction();
     csv.Row({CsvWriter::Num(int64_t{rec.window}),
              CsvWriter::Num(rec.grid_interaction_pem),
-             CsvWriter::Num(rec.grid_interaction_baseline)});
+             CsvWriter::Num(baseline)});
     total_pem += rec.grid_interaction_pem;
-    total_base += rec.grid_interaction_baseline;
+    total_base += baseline;
     if (rec.window % 60 == 0) {
       std::printf("%8d %14.3f %14.3f\n", rec.window,
-                  rec.grid_interaction_pem, rec.grid_interaction_baseline);
+                  rec.grid_interaction_pem, baseline);
     }
   }
   std::printf(

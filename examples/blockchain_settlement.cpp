@@ -48,7 +48,8 @@ int main() {
           states[static_cast<size_t>(h)], config.nonce_bound, rng);
     }
     protocol::ProtocolContext ctx{agents, rng, config};
-    const protocol::PemWindowResult out = protocol::RunPemWindow(ctx, parties);
+    const protocol::WindowRecord out =
+        protocol::RunPemWindow(ctx, parties).record;
     const ledger::SettlementReport report = contract.SettleWindow(w, out);
     std::printf("window %d: price %5.1f c/kWh, %3zu trades -> block %zu %s\n",
                 w, out.price * 100, out.trades.size(),
@@ -87,7 +88,7 @@ int main() {
 
   // A forged window (payment not matching price*energy) is refused by
   // the contract before it ever reaches the chain.
-  protocol::PemWindowResult forged;
+  protocol::WindowRecord forged;
   forged.type = market::MarketType::kGeneral;
   forged.price = 1.0;
   forged.supply_total = 1.0;

@@ -37,19 +37,21 @@ int main(int argc, char** argv) {
                  "cost_baseline", "grid_pem", "grid_baseline"});
   double cost_pem = 0, cost_base = 0, grid_pem = 0, grid_base = 0;
   int general = 0, extreme = 0, closed = 0;
-  for (const core::WindowRecord& rec : r.windows) {
+  for (size_t i = 0; i < r.windows.size(); ++i) {
+    const protocol::WindowRecord& rec = r.windows[i];
+    const market::BaselineOutcome& baseline = r.baselines[i];
     csv.Row({CsvWriter::Num(int64_t{rec.window}),
              CsvWriter::Num(rec.price * 100),
              CsvWriter::Num(int64_t{rec.num_sellers}),
              CsvWriter::Num(int64_t{rec.num_buyers}),
              CsvWriter::Num(rec.buyer_cost_pem),
-             CsvWriter::Num(rec.buyer_cost_baseline),
+             CsvWriter::Num(baseline.buyer_total_cost),
              CsvWriter::Num(rec.grid_interaction_pem),
-             CsvWriter::Num(rec.grid_interaction_baseline)});
+             CsvWriter::Num(baseline.GridInteraction())});
     cost_pem += rec.buyer_cost_pem;
-    cost_base += rec.buyer_cost_baseline;
+    cost_base += baseline.buyer_total_cost;
     grid_pem += rec.grid_interaction_pem;
-    grid_base += rec.grid_interaction_baseline;
+    grid_base += baseline.GridInteraction();
     switch (rec.type) {
       case market::MarketType::kGeneral: ++general; break;
       case market::MarketType::kExtreme: ++extreme; break;

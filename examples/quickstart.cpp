@@ -58,20 +58,20 @@ int main() {
 
   // --- 3. Inspect the public outcome ----------------------------------
   const char* market =
-      out.type == market::MarketType::kGeneral
+      out.record.type == market::MarketType::kGeneral
           ? "general (demand > supply; Stackelberg price)"
-          : out.type == market::MarketType::kExtreme
+          : out.record.type == market::MarketType::kExtreme
                 ? "extreme (supply >= demand; floor price)"
                 : "no market";
   std::printf("market case : %s\n", market);
   std::printf("price       : %.1f cents/kWh  (band [%.0f, %.0f])\n",
-              out.price * 100, config.market.price_floor * 100,
+              out.record.price * 100, config.market.price_floor * 100,
               config.market.price_ceiling * 100);
-  std::printf("supply/demand: %.3f / %.3f kWh\n\n", out.supply_total,
-              out.demand_total);
+  std::printf("supply/demand: %.3f / %.3f kWh\n\n", out.record.supply_total,
+              out.record.demand_total);
 
   std::printf("trades:\n");
-  for (const protocol::Trade& t : out.trades) {
+  for (const protocol::Trade& t : out.record.trades) {
     std::printf("  %-12s -> %-12s  %7.4f kWh  for %6.4f $\n",
                 homes[t.seller_index].name, homes[t.buyer_index].name,
                 t.energy_kwh, t.payment);
@@ -89,6 +89,6 @@ int main() {
   std::printf(
       "\nprotocol cost: %.3f s, %llu bytes on the wire "
       "(all private inputs stayed encrypted)\n",
-      out.runtime_seconds, static_cast<unsigned long long>(out.bus_bytes));
+      out.record.runtime_seconds, static_cast<unsigned long long>(out.record.bus_bytes));
   return 0;
 }

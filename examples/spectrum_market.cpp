@@ -68,12 +68,12 @@ int main() {
   const protocol::PemWindowResult out = protocol::RunPemWindow(ctx, parties);
 
   std::printf("spectrum epoch cleared: %s market, %.2f $/MHz\n",
-              out.type == market::MarketType::kGeneral ? "general" : "extreme",
-              out.price);
+              out.record.type == market::MarketType::kGeneral ? "general" : "extreme",
+              out.record.price);
   std::printf("leased %.1f MHz of %.1f offered (demand %.1f MHz)\n\n",
-              std::min(out.supply_total, out.demand_total), out.supply_total,
-              out.demand_total);
-  for (const protocol::Trade& t : out.trades) {
+              std::min(out.record.supply_total, out.record.demand_total), out.record.supply_total,
+              out.record.demand_total);
+  for (const protocol::Trade& t : out.record.trades) {
     std::printf("  %-10s leases %5.2f MHz to %-10s for $%.2f\n",
                 operators[t.seller_index].name, t.energy_kwh,
                 operators[t.buyer_index].name, t.payment);

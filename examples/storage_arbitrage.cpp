@@ -24,7 +24,7 @@ int main() {
 
   std::vector<double> forecast;
   forecast.reserve(day1.windows.size());
-  for (const core::WindowRecord& rec : day1.windows) {
+  for (const protocol::WindowRecord& rec : day1.windows) {
     forecast.push_back(rec.price);
   }
   std::printf("day-1 price curve: min %.2f, max %.2f $/kWh\n",

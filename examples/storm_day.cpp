@@ -67,7 +67,7 @@ int main() {
   std::printf("%-7s %-9s %9s %4s %4s %10s %9s  %s\n", "window", "market",
               "c/kWh", "sell", "buy", "bytes", "runtime", "audit");
   uint64_t audited = 0;
-  for (const core::WindowRecord& rec : r.windows) {
+  for (const protocol::WindowRecord& rec : r.windows) {
     const char* type = rec.type == market::MarketType::kGeneral ? "general"
                        : rec.type == market::MarketType::kExtreme
                            ? "extreme"

@@ -84,11 +84,11 @@ int main() {
     const protocol::PemWindowResult out = protocol::RunPemWindow(ctx, parties);
 
     std::printf("window %zu: %s, price %.1f c/kWh, %zu trades\n", w,
-                out.type == market::MarketType::kGeneral
+                out.record.type == market::MarketType::kGeneral
                     ? "general"
-                    : out.type == market::MarketType::kExtreme ? "extreme"
+                    : out.record.type == market::MarketType::kExtreme ? "extreme"
                                                                : "no market",
-                out.price * 100, out.trades.size());
+                out.record.price * 100, out.record.trades.size());
     for (size_t i = 0; i < fleet.size(); ++i) {
       if (fleet[i].is_ev) {
         ev_revenue += out.money_received[i];

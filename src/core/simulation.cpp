@@ -59,53 +59,6 @@ std::vector<market::AgentWindowInput> BuildWindowInputs(
   return inputs;
 }
 
-// A WindowRecord pre-filled with the window's baseline outcome.
-WindowRecord BaselineRecord(int w,
-                            std::span<const market::AgentWindowInput> inputs,
-                            const SimulationConfig& config) {
-  const market::BaselineOutcome baseline =
-      market::ComputeBaseline(inputs, config.pem.market);
-  WindowRecord rec;
-  rec.window = w;
-  rec.buyer_cost_baseline = baseline.buyer_total_cost;
-  rec.grid_interaction_baseline = baseline.GridInteraction();
-  return rec;
-}
-
-// The plaintext oracle's outcome in the report shape the crypto engine
-// produces, so one function fills every record.
-protocol::WindowReport ClearingReport(int w, const market::MarketOutcome& o) {
-  protocol::WindowReport report;
-  report.window = w;
-  report.type = o.type;
-  report.price = o.price;
-  report.supply_total = o.supply_total;
-  report.demand_total = o.demand_total;
-  report.buyer_total_cost = o.buyer_total_cost;
-  report.grid_import_kwh = o.grid_import_kwh;
-  report.grid_export_kwh = o.grid_export_kwh;
-  report.num_sellers = o.CountRole(grid::Role::kSeller);
-  report.num_buyers = o.CountRole(grid::Role::kBuyer);
-  return report;
-}
-
-// Copies a finished window's public outcome into its record (all but
-// runtime_seconds, which depends on how the engine charges time).
-void FillRecord(WindowRecord& rec, const protocol::WindowReport& report) {
-  PEM_CHECK(rec.window == report.window, "simulation: window mismatch");
-  rec.type = report.type;
-  rec.price = report.price;
-  rec.num_sellers = report.num_sellers;
-  rec.num_buyers = report.num_buyers;
-  rec.supply_total = report.supply_total;
-  rec.demand_total = report.demand_total;
-  rec.buyer_cost_pem = report.buyer_total_cost;
-  rec.grid_interaction_pem = report.grid_import_kwh + report.grid_export_kwh;
-  rec.bus_bytes = report.bus_bytes;
-  rec.rng_cursor = report.rng_cursor;
-  rec.audit = report.audit;
-}
-
 // The protocol state a crypto day evolves: the seeded rng, the parties
 // and their cached keys, the randomness pools, the key directory and
 // the batteries.  The in-process engine drives one replica; under a
@@ -238,34 +191,28 @@ std::unique_ptr<net::AgentSupervisor> LaunchAgents(
 // runs on this thread, through the same replica hooks a forked child's
 // AgentDriver calls.  A window is charged its own protocol time; the
 // idle-time refill stays outside it.
-std::vector<protocol::CollectedWindow> RunInProcessBatch(
+std::vector<protocol::WindowRecord> RunInProcessBatch(
     ProtocolReplica& replica, std::span<net::Endpoint> endpoints,
     protocol::WindowScheduler& scheduler, std::span<const int> batch) {
   protocol::ProtocolContext ctx = replica.Context(endpoints);
   // Fused batches share one persistent worker team across every
   // compute phase; otherwise each phase keeps its per-call pool.
   ctx.scheduler = scheduler.fused() ? &scheduler : nullptr;
-  std::vector<protocol::CollectedWindow> out;
+  std::vector<protocol::WindowRecord> out;
   out.reserve(batch.size());
   for (const int w : batch) {
     replica.Begin(w);
-    const protocol::PemWindowResult result =
-        protocol::RunPemWindow(ctx, replica.parties(), w);
-    protocol::CollectedWindow cw;
-    cw.window = w;
-    cw.report = protocol::MakeWindowReport(w, result, replica.parties());
-    cw.parent_seconds = result.runtime_seconds;
+    out.push_back(protocol::RunPemWindow(ctx, replica.parties(), w).record);
     replica.Refill();
-    out.push_back(std::move(cw));
   }
   return out;
 }
 
 // The parent's prepass: battery dynamics advance through every
-// window, and each sampled window gets its baseline record (the
-// plaintext engine clears its market right here).  The crypto replicas
-// re-resolve their own batteries, so nothing else reads this state.
-// Returns the sampled windows, in order.
+// window, and each sampled window gets its baseline (the plaintext
+// engine clears its market right here).  The crypto replicas re-resolve
+// their own batteries, so nothing else reads this state.  Returns the
+// sampled windows, in order.
 std::vector<int> Prepass(const grid::CommunityTrace& trace,
                          const SimulationConfig& config,
                          SimulationResult& result) {
@@ -277,12 +224,22 @@ std::vector<int> Prepass(const grid::CommunityTrace& trace,
     if (!WindowSampled(config, w)) continue;
     const std::vector<market::AgentWindowInput> inputs =
         BuildWindowInputs(trace, states);
-    WindowRecord rec = BaselineRecord(w, inputs, config);
+    result.baselines.push_back(
+        market::ComputeBaseline(inputs, config.pem.market));
     if (config.engine == Engine::kPlaintext) {
-      FillRecord(rec, ClearingReport(
-                          w, market::ClearMarket(inputs, config.pem.market)));
+      const market::MarketOutcome o =
+          market::ClearMarket(inputs, config.pem.market);
+      protocol::WindowRecord& rec = result.windows.emplace_back();
+      rec.window = w;
+      rec.type = o.type;
+      rec.price = o.price;
+      rec.supply_total = o.supply_total;
+      rec.demand_total = o.demand_total;
+      rec.num_sellers = o.CountRole(grid::Role::kSeller);
+      rec.num_buyers = o.CountRole(grid::Role::kBuyer);
+      rec.buyer_cost_pem = o.buyer_total_cost;
+      rec.grid_interaction_pem = o.GridInteraction();
     }
-    result.windows.push_back(std::move(rec));
     if (config.record_states) {
       result.resolved_states.push_back(std::move(states));
     }
@@ -338,25 +295,22 @@ SimulationResult RunSimulation(const grid::CommunityTrace& trace,
   // nothing, so it spawns no team (and no thread ever precedes a fork).
   protocol::WindowScheduler scheduler(
       {config.windows_in_flight, forked ? 1u : config.policy.worker_count()});
-  size_t next = 0;
   for (const std::vector<int>& batch : protocol::WindowScheduler::PlanBatches(
            sampled, config.windows_in_flight)) {
-    const std::vector<protocol::CollectedWindow> collected =
+    std::vector<protocol::WindowRecord> records =
         forked ? scheduler.RunForkedBatch(*agents, batch)
                : RunInProcessBatch(replica, endpoints, scheduler, batch);
     double batch_seconds = 0.0;
-    for (const protocol::CollectedWindow& cw : collected) {
-      WindowRecord& rec = result.windows[next++];
-      FillRecord(rec, cw.report);
-      rec.runtime_seconds = cw.parent_seconds;
+    for (protocol::WindowRecord& rec : records) {
       // In-process windows run one after another, so their times add
       // up.  Forked windows in flight share the batch's wall clock
       // (dispatch to each window's last report, IPC included), so the
       // day charges each batch once, its max; the sum would
       // double-count the overlap.
-      batch_seconds = forked ? std::max(batch_seconds, cw.parent_seconds)
-                             : batch_seconds + cw.parent_seconds;
+      batch_seconds = forked ? std::max(batch_seconds, rec.runtime_seconds)
+                             : batch_seconds + rec.runtime_seconds;
       result.total_bus_bytes += rec.bus_bytes;
+      result.windows.push_back(std::move(rec));
     }
     result.total_runtime_seconds += batch_seconds;
   }

@@ -13,7 +13,7 @@
 // this to keep full-day sweeps tractable — see EXPERIMENTS.md).
 //
 // Every crypto backend takes one path through a day: a parent prepass
-// resolves the batteries and the baseline records, then one batch loop
+// resolves the batteries and the baselines, then one batch loop
 // runs the sampled windows either on the in-process bus or through the
 // forked agents.  Either way each window is begun, run and followed by
 // the idle-time refill on a replica of the protocol state (the parent's
@@ -107,43 +107,20 @@ struct SimulationConfig {
   std::vector<ChurnEvent> churn;
 };
 
-struct WindowRecord {
-  int window = 0;
-  market::MarketType type = market::MarketType::kNoMarket;
-  double price = 0.0;  // dollars/kWh
-  int num_sellers = 0;
-  int num_buyers = 0;
-  double supply_total = 0.0;
-  double demand_total = 0.0;
-  double buyer_cost_pem = 0.0;
-  double buyer_cost_baseline = 0.0;
-  double grid_interaction_pem = 0.0;
-  double grid_interaction_baseline = 0.0;
-  // Crypto engine only.  In-process, runtime_seconds is the window's
-  // own protocol time and total_runtime_seconds their sum.  On a forked
-  // backend it spans the batch's dispatch to THIS window's completion
-  // in the parent — with windows_in_flight > 1 overlapping windows
-  // share wall clock, and total_runtime_seconds charges each batch once
-  // (its max), so the total never double-counts overlap (total <= Σ
-  // per-window spans).
-  double runtime_seconds = 0.0;
-  uint64_t bus_bytes = 0;
-  // crypto::Rng::Cursor() after the window's last protocol draw: the
-  // stream position every engine, backend, and window schedule must
-  // agree on bit-for-bit (0 for the plaintext engine).
-  uint64_t rng_cursor = 0;
-  // §VI audit outcome for this window (crypto engine with
-  // pem.audit.enabled): whether it was audited, by whom, and any
-  // detected cheats (the cheaters were excluded mid-window).
-  protocol::AuditOutcome audit;
-};
+// perfbench still names the record through this layer.
+using WindowRecord = protocol::WindowRecord;
 
 struct SimulationResult {
-  std::vector<WindowRecord> windows;  // one per *executed* window
+  std::vector<protocol::WindowRecord> windows;  // one per *executed* window
+  // The grid-only baseline of each executed window (aligned with
+  // `windows`): the Fig. 6c/6d comparison the market is measured by.
+  std::vector<market::BaselineOutcome> baselines;
   // resolved_states[w][h]; populated when record_states is set (indexed
   // by executed-window position, aligned with `windows`).
   std::vector<std::vector<grid::WindowState>> resolved_states;
 
+  // Each batch charged once: the sum of in-process windows, the max of
+  // forked windows in flight (they share the batch's wall clock).
   double total_runtime_seconds = 0.0;
   uint64_t total_bus_bytes = 0;
 

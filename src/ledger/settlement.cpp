@@ -7,20 +7,20 @@
 namespace pem::ledger {
 
 SettlementReport SettlementContract::SettleWindow(
-    int32_t window, const protocol::PemWindowResult& result) {
+    int32_t window, const protocol::WindowRecord& record) {
   SettlementReport report;
 
   // --- contract checks -------------------------------------------------
   double market_energy = 0.0;
   double market_money = 0.0;
-  for (const protocol::Trade& t : result.trades) {
+  for (const protocol::Trade& t : record.trades) {
     if (t.energy_kwh < 0.0) {
       report.violations.push_back("negative trade energy");
     }
     if (t.payment < 0.0) {
       report.violations.push_back("negative payment");
     }
-    const double expected = result.price * t.energy_kwh;
+    const double expected = record.price * t.energy_kwh;
     if (std::abs(t.payment - expected) >
         tolerance_ * std::max(1.0, std::abs(expected))) {
       report.violations.push_back("payment != price * energy");
@@ -33,11 +33,11 @@ SettlementReport SettlementContract::SettleWindow(
   }
   // Conservation: the market cannot move more energy than the smaller
   // coalition side offers/demands.
-  const double cap = std::min(result.supply_total, result.demand_total);
+  const double cap = std::min(record.supply_total, record.demand_total);
   if (market_energy > cap * (1.0 + tolerance_) + 1e-9) {
     report.violations.push_back("market energy exceeds min(supply, demand)");
   }
-  if (std::abs(market_money - result.price * market_energy) >
+  if (std::abs(market_money - record.price * market_energy) >
       tolerance_ * std::max(1.0, market_money)) {
     report.violations.push_back("money flow inconsistent with price");
   }
@@ -49,8 +49,8 @@ SettlementReport SettlementContract::SettleWindow(
 
   // --- record -----------------------------------------------------------
   std::vector<Transaction> txs;
-  txs.reserve(result.trades.size());
-  for (const protocol::Trade& t : result.trades) {
+  txs.reserve(record.trades.size());
+  for (const protocol::Trade& t : record.trades) {
     Transaction tx;
     tx.window = window;
     tx.seller = static_cast<int32_t>(t.seller_index);

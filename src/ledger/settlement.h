@@ -1,4 +1,4 @@
-// Settlement "smart contract" (§VI): turns a PEM window result into a
+// Settlement "smart contract" (§VI): turns a PEM window record into a
 // validated block of transactions.
 //
 // The contract enforces the market rules the paper wants the
@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "ledger/chain.h"
-#include "protocol/pem_protocol.h"
+#include "protocol/window_record.h"
 
 namespace pem::ledger {
 
@@ -32,7 +32,7 @@ class SettlementContract {
   // Validates and records one window.  `window` is the trading-window
   // id used as the logical timestamp.
   SettlementReport SettleWindow(int32_t window,
-                                const protocol::PemWindowResult& result);
+                                const protocol::WindowRecord& record);
 
  private:
   Ledger& ledger_;

@@ -55,7 +55,7 @@ namespace pem::net {
 // parent may pipeline several Run commands per child (batched
 // multi-window scheduling), and different children progress through
 // the batch at different rates.  Each report therefore ECHOES the
-// window id it answers (protocol::WindowReport::window); the parent
+// window id it answers (protocol::WindowRecord::window); the parent
 // keys collection on the echo and rejects any mismatch as a stale
 // report, instead of trusting queue position alone.
 inline constexpr uint32_t kCtlCmdRun = 1;       // payload: command-defined
@@ -184,7 +184,7 @@ class AgentSupervisor {
   // the ledger.  The relay-router backends account a frame BEFORE
   // delivering it, so they are always in sync and this is a no-op; the
   // shm backend's parent accounts from a tap cursor that trails the
-  // peer-to-peer delivery, so CollectWindowReports calls this before
+  // peer-to-peer delivery, so CollectWindowReportsBatch calls this before
   // cross-checking the ledger against the children's reports.
   virtual void SyncLedger() {}
 

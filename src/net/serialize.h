@@ -74,25 +74,33 @@ class ByteReader {
     return v;
   }
   std::vector<uint8_t> Bytes() {
-    const uint32_t n = U32();
-    PEM_CHECK(pos_ + n <= data_.size(), "ByteReader: truncated blob");
-    std::vector<uint8_t> out(data_.begin() + pos_, data_.begin() + pos_ + n);
-    pos_ += n;
-    return out;
-  }
-  // Non-aborting variant for parsing untrusted input (key material from
-  // peers): nullopt on truncation instead of PEM_CHECK.
-  std::optional<std::vector<uint8_t>> TryBytes() {
-    if (remaining() < 4) return std::nullopt;
-    const uint32_t n = U32();
-    if (pos_ + n > data_.size()) return std::nullopt;
-    std::vector<uint8_t> out(data_.begin() + pos_, data_.begin() + pos_ + n);
-    pos_ += n;
-    return out;
+    std::optional<std::vector<uint8_t>> b = TryBytes();
+    PEM_CHECK(b.has_value(), "ByteReader: truncated blob");
+    return std::move(*b);
   }
   std::string Str() {
     std::vector<uint8_t> b = Bytes();
     return std::string(b.begin(), b.end());
+  }
+
+  // Non-aborting variants for parsing untrusted input (key material
+  // from peers, a child's window report): nullopt on truncation instead
+  // of PEM_CHECK.
+  std::optional<uint8_t> TryU8() { return TryRaw<uint8_t>(); }
+  std::optional<uint32_t> TryU32() { return TryRaw<uint32_t>(); }
+  std::optional<uint64_t> TryU64() { return TryRaw<uint64_t>(); }
+  std::optional<double> TryF64() { return TryRaw<double>(); }
+  std::optional<std::vector<uint8_t>> TryBytes() {
+    const std::optional<uint32_t> n = TryU32();
+    if (!n || *n > remaining()) return std::nullopt;
+    std::vector<uint8_t> out(data_.begin() + pos_, data_.begin() + pos_ + *n);
+    pos_ += *n;
+    return out;
+  }
+  std::optional<std::string> TryStr() {
+    const std::optional<std::vector<uint8_t>> b = TryBytes();
+    if (!b) return std::nullopt;
+    return std::string(b->begin(), b->end());
   }
 
   bool AtEnd() const { return pos_ == data_.size(); }
@@ -106,6 +114,11 @@ class ByteReader {
     std::memcpy(&v, data_.data() + pos_, sizeof(T));
     pos_ += sizeof(T);
     return v;
+  }
+  template <typename T>
+  std::optional<T> TryRaw() {
+    if (remaining() < sizeof(T)) return std::nullopt;
+    return ReadRaw<T>();
   }
 
   std::span<const uint8_t> data_;

@@ -80,7 +80,7 @@ class ShmTransport : public AgentSupervisor {
 
   // Blocks until the snooper has accounted every published record
   // (snoop == tail on all rings, reorder stash empty).  Called by
-  // CollectWindowReports after all children reported a window, when
+  // CollectWindowReportsBatch after all children reported a window, when
   // the tails are quiesced.
   void SyncLedger() override;
 

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -40,52 +41,25 @@ class ControlChannel;
 namespace pem::protocol {
 
 // One agent's view of a finished window, shipped to the parent over the
-// control channel.  The protocol makes every field public knowledge by
+// control channel.  The protocol makes the record public knowledge by
 // its last step (prices and cases are broadcast, trades are pairwise
 // messages the script derives for everyone), so all children must
-// report identical values — CollectWindowReports asserts exactly that.
-struct WindowReport {
-  // The window this report answers, echoed from the kCtlCmdRun payload.
-  // The parent rejects a mismatch (a slow or replayed report from a
-  // prior window must never be merged silently) — and with several
-  // windows in flight the echo is what keys each report to its
-  // command.  -1 until RunWindow fills it.
-  int window = -1;
-  market::MarketType type = market::MarketType::kNoMarket;
-  double price = 0.0;
-  double supply_total = 0.0;
-  double demand_total = 0.0;
-  double buyer_total_cost = 0.0;
-  double grid_import_kwh = 0.0;
-  double grid_export_kwh = 0.0;
-  int num_sellers = 0;
-  int num_buyers = 0;
-  std::vector<Trade> trades;
-  double runtime_seconds = 0.0;  // this child's wall clock for the window
-  uint64_t bus_bytes = 0;        // canonical ledger delta for the window
-  // crypto::Rng::Cursor() after the window's last draw.  Every child
-  // replays the same deterministic stream, so the cursors must agree
-  // bit-for-bit — and the serial-vs-batched parity wall compares them
-  // across schedules to prove batching never reorders a draw.
-  uint64_t rng_cursor = 0;
-  // §VI audit outcome: derived identically by every replaying child
-  // (the cheat plan is part of the fork-copied config), so it joins the
-  // fields CollectWindowReports requires bit-level agreement on.
-  AuditOutcome audit;
-  // This agent's own per-window counter delta (canonical shadow ledger);
-  // the parent asserts it equals the literal socket bytes its router
-  // moved for this agent.
+// report identical records — CollectWindowReportsBatch asserts exactly
+// that.  The record's window echoes the kCtlCmdRun payload: with
+// several windows in flight the echo is what keys each report to its
+// command, and the parent rejects a mismatch (a slow or replayed report
+// from a prior window must never be merged silently).
+struct AgentReport {
+  WindowRecord record;
+  // This agent's own per-window counter delta (canonical shadow
+  // ledger); the parent asserts it equals the literal socket bytes its
+  // router moved for this agent.
   net::TrafficStats self_stats;
 };
 
-// The public fields of `window`'s report, filled from one finished
-// window (self_stats stays zero).  AgentDriver::RunWindow and the
-// in-process engine of core::RunSimulation both report through it.
-WindowReport MakeWindowReport(int window, const PemWindowResult& result,
-                              std::span<const Party> parties);
-
-std::vector<uint8_t> EncodeWindowReport(const WindowReport& report);
-WindowReport DecodeWindowReport(std::span<const uint8_t> bytes);
+std::vector<uint8_t> EncodeAgentReport(const AgentReport& report);
+// nullopt on a malformed payload (see DecodeRecord) or trailing bytes.
+std::optional<AgentReport> DecodeAgentReport(std::span<const uint8_t> bytes);
 
 // Runs inside a forked child: executes this agent's side of each window
 // the parent schedules, reports the result, and says goodbye on
@@ -107,10 +81,8 @@ class AgentDriver {
   AgentDriver(net::AgentId self, ProtocolContext& ctx,
               std::span<Party> parties, Callbacks callbacks);
 
-  net::AgentId self() const { return self_; }
-
   // One window of this agent's side; also usable in-process (tests).
-  WindowReport RunWindow(int window);
+  AgentReport RunWindow(int window);
 
   // Command loop: kCtlCmdRun (payload: i32 window) runs a window and
   // writes its report; kCtlCmdShutdown writes Done and returns the
@@ -124,26 +96,18 @@ class AgentDriver {
   Callbacks callbacks_;
 };
 
-// One collected window of a (possibly pipelined) batch: the merged,
-// cross-checked report plus the parent-side wall clock from the
-// batch's dispatch to this window's last report.  Overlapping windows
-// share that span, so callers charge a batch's elapsed time once (the
-// max over the batch), never the sum.
-struct CollectedWindow {
-  int window = -1;
-  WindowReport report;
-  double parent_seconds = 0.0;
-};
-
 // Parent side of a batch of pipelined windows: for each entry of
 // `windows` (the commanded order) reads one report from every child,
 // keyed and verified by the echoed window id, and merges them,
 // asserting
-//  (a) each report answers the commanded window — a stale echo is a
+//  (a) each record is a decodable report — anything else (another
+//      tag, a malformed payload) is a kForgedReport fault naming its
+//      sender;
+//  (b) each report answers the commanded window — a stale echo is a
 //      structured kStaleReport fault naming the agent;
-//  (b) all children agree on every public field (including the rng
-//      cursor) — a divergence is a kForgedReport fault;
-//  (c) accounting closes over the batch: each child's summed attested
+//  (c) all children agree on every visited record field, bit for bit
+//      — a divergence is a kForgedReport fault;
+//  (d) accounting closes over the batch: each child's summed attested
 //      deltas equal the literal wire bytes the router relayed for it
 //      since `stats_before`, and the attested per-window totals sum to
 //      the canonical ledger delta.  (Per-window router snapshots are
@@ -152,20 +116,15 @@ struct CollectedWindow {
 //      granularity; a one-window batch is exactly the per-window
 //      check.)
 // `stats_before` is the router's per-agent snapshot taken when the
-// batch was dispatched; `since` (optional) stamps each window's
-// parent_seconds as it completes.  A divergence is an ACTIVE cheat (a
-// child forging or replaying its report), so it surfaces as a
-// ProtocolError naming the deviating agent, not an abort.
-std::vector<CollectedWindow> CollectWindowReportsBatch(
+// batch was dispatched.  Returns one record per entry of `windows`;
+// `since` (optional) stamps each record's runtime_seconds as its window
+// completes, so windows in flight share the batch's wall clock and
+// callers charge a batch once (the max), never the sum.  A divergence
+// is an ACTIVE cheat (a child forging or replaying its report), so it
+// surfaces as a ProtocolError naming the deviating agent, not an abort.
+std::vector<WindowRecord> CollectWindowReportsBatch(
     net::AgentSupervisor& transport,
     std::span<const net::TrafficStats> stats_before,
     std::span<const int> windows, const Stopwatch* since = nullptr);
-
-// One-window wrapper (the serial loop's collector): collects
-// `expected_window` and returns the merged report — the batch
-// collector with a single outstanding window.
-WindowReport CollectWindowReports(
-    net::AgentSupervisor& transport,
-    std::span<const net::TrafficStats> stats_before, int expected_window);
 
 }  // namespace pem::protocol

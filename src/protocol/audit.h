@@ -29,14 +29,12 @@
 
 namespace pem::protocol {
 
-// What the audit round concluded; carried in PemWindowResult /
-// WindowReport so every backend's reports can be cross-checked.
+// What the audit round concluded; carried in the window's WindowRecord
+// so every backend's reports can be cross-checked.
 struct AuditOutcome {
   bool audited = false;      // did an audit round run this window?
   net::AgentId auditor = -1; // who audited (-1 when not audited)
   std::vector<ProtocolFault> faults;  // detected cheats, agent order
-
-  bool operator==(const AuditOutcome&) const = default;
 };
 
 // Runs the audit round over the active market participants.  Excludes

@@ -43,8 +43,8 @@ enum class CheatClass : uint8_t {
   kForgedReport = 6,
   // A child's report echoes a window other than the one the parent
   // commanded — a replayed/stale report, which the window-id echo in
-  // WindowReport exists to reject (and which keys out-of-order
-  // collection when several windows are in flight).
+  // each report's WindowRecord exists to reject (and which keys
+  // out-of-order collection when several windows are in flight).
   kStaleReport = 7,
 };
 
@@ -65,17 +65,12 @@ inline const char* CheatClassName(CheatClass c) {
 
 // A detected deviation, naming the cheater.  `detail` is built from
 // deterministic inputs only, so every independent process derives the
-// identical fault (CollectWindowReports compares them field by field).
+// identical fault (CollectWindowReportsBatch compares them bit for bit).
 struct ProtocolFault {
   net::AgentId cheater = -1;
   CheatClass cheat = CheatClass::kNone;
   int window = -1;
   std::string detail;
-
-  bool operator==(const ProtocolFault& o) const {
-    return cheater == o.cheater && cheat == o.cheat && window == o.window &&
-           detail == o.detail;
-  }
 };
 
 // Thrown when a cheat cannot be survived by exclusion (the equivocated

@@ -17,6 +17,8 @@ PemWindowResult RunPemWindow(ProtocolContext& ctx, std::span<Party> parties,
   const uint64_t bytes_before = net::TotalBytesSent(ctx.endpoints);
 
   PemWindowResult result;
+  WindowRecord& rec = result.record;
+  rec.window = window;
   const size_t n = parties.size();
   result.market_purchase.assign(n, 0.0);
   result.market_sale.assign(n, 0.0);
@@ -25,7 +27,7 @@ PemWindowResult RunPemWindow(ProtocolContext& ctx, std::span<Party> parties,
 
   // §VI audit round: runs before the market, so a detected cheater is
   // excluded and the window completes over the honest survivors.
-  result.audit = RunAuditRound(ctx, parties);
+  rec.audit = RunAuditRound(ctx, parties);
 
   // Protocol 1, line 4: coalition formation.  Formed AFTER the audit —
   // an excluded cheater classifies kOffMarket, so the coalitions (and
@@ -35,30 +37,30 @@ PemWindowResult RunPemWindow(ProtocolContext& ctx, std::span<Party> parties,
   const market::MarketParams& mp = ctx.config.market;
   if (coalitions.sellers.empty() || coalitions.buyers.empty()) {
     // Degenerate market: everyone trades with the main grid only.
-    result.type = market::MarketType::kNoMarket;
-    result.price = mp.retail_price;
+    rec.type = market::MarketType::kNoMarket;
+    rec.price = mp.retail_price;
   } else {
     // Line 5: Private Market Evaluation.
     const MarketEvalResult eval =
         RunPrivateMarketEvaluation(ctx, parties, coalitions);
     if (eval.general_market) {
       // Lines 6-7: Private Pricing.
-      result.type = market::MarketType::kGeneral;
-      result.price = RunPrivatePricing(ctx, parties, coalitions).price;
+      rec.type = market::MarketType::kGeneral;
+      rec.price = RunPrivatePricing(ctx, parties, coalitions).price;
     } else {
       // Line 9: extreme market trades at the floor.
-      result.type = market::MarketType::kExtreme;
-      result.price = mp.price_floor;
+      rec.type = market::MarketType::kExtreme;
+      rec.price = mp.price_floor;
     }
     // Line 10: Private Distribution.
     DistributionResult dist = RunPrivateDistribution(
-        ctx, parties, coalitions, eval.general_market, result.price);
-    result.trades = std::move(dist.trades);
+        ctx, parties, coalitions, eval.general_market, rec.price);
+    rec.trades = std::move(dist.trades);
   }
 
   // Settle: apply trades, then clear each agent's residual with the
   // main grid (public per-agent bookkeeping, not part of the MPC).
-  for (const Trade& t : result.trades) {
+  for (const Trade& t : rec.trades) {
     result.market_sale[t.seller_index] += t.energy_kwh;
     result.market_purchase[t.buyer_index] += t.energy_kwh;
     result.money_received[t.seller_index] += t.payment;
@@ -68,19 +70,21 @@ PemWindowResult RunPemWindow(ProtocolContext& ctx, std::span<Party> parties,
     const Party& p = parties[i];
     switch (p.role()) {
       case grid::Role::kSeller: {
-        result.supply_total += p.net_kwh();
+        ++rec.num_sellers;
+        rec.supply_total += p.net_kwh();
         const double leftover = p.net_kwh() - result.market_sale[i];
         result.grid_export_kwh += leftover;
         result.money_received[i] += mp.buyback_price * leftover;
         break;
       }
       case grid::Role::kBuyer: {
+        ++rec.num_buyers;
         const double demand = -p.net_kwh();
-        result.demand_total += demand;
+        rec.demand_total += demand;
         const double residual = demand - result.market_purchase[i];
         result.grid_import_kwh += residual;
         result.money_paid[i] += mp.retail_price * residual;
-        result.buyer_total_cost += result.money_paid[i];
+        rec.buyer_cost_pem += result.money_paid[i];
         break;
       }
       case grid::Role::kOffMarket:
@@ -88,11 +92,12 @@ PemWindowResult RunPemWindow(ProtocolContext& ctx, std::span<Party> parties,
     }
   }
 
-  result.runtime_seconds = timer.ElapsedSeconds();
-  result.bus_bytes = net::TotalBytesSent(ctx.endpoints) - bytes_before;
+  rec.grid_interaction_pem = result.grid_import_kwh + result.grid_export_kwh;
+  rec.runtime_seconds = timer.ElapsedSeconds();
+  rec.bus_bytes = net::TotalBytesSent(ctx.endpoints) - bytes_before;
   // Measured before the idle-time pool refill (which draws too), so
   // every engine and schedule probes the identical stream position.
-  result.rng_cursor = ctx.rng.Cursor();
+  rec.rng_cursor = ctx.rng.Cursor();
   return result;
 }
 

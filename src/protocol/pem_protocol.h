@@ -10,50 +10,30 @@
 
 #include <span>
 
-#include "market/clearing.h"
-#include "protocol/audit.h"
 #include "protocol/context.h"
-#include "protocol/distribution.h"
+#include "protocol/window_record.h"
 
 namespace pem::protocol {
 
+// One window's public record plus the per-agent bookkeeping behind it.
 struct PemWindowResult {
-  market::MarketType type = market::MarketType::kNoMarket;
-  double price = 0.0;
-  double supply_total = 0.0;  // derived from the public trades
-  double demand_total = 0.0;
-  std::vector<Trade> trades;
+  WindowRecord record;
 
   // Per-agent settlement (indexed like the parties span).
   std::vector<double> market_purchase;
   std::vector<double> market_sale;
   std::vector<double> money_paid;
   std::vector<double> money_received;
-  double buyer_total_cost = 0.0;
+  // record.grid_interaction_pem, split by direction.
   double grid_import_kwh = 0.0;
   double grid_export_kwh = 0.0;
-
-  // Window-level measurements (Figs. 5a-c, Table I).
-  double runtime_seconds = 0.0;
-  uint64_t bus_bytes = 0;
-  // ctx.rng.Cursor() after the window's last draw (0 for
-  // non-deterministic rngs): the serial-vs-batched and cross-backend
-  // parity walls compare these to prove no schedule reorders a draw.
-  uint64_t rng_cursor = 0;
-
-  // §VI audit round result: whether this window was audited, by whom,
-  // and every detected cheat (the cheaters were excluded before the
-  // market ran).
-  AuditOutcome audit;
-
-  double GridInteraction() const { return grid_import_kwh + grid_export_kwh; }
 };
 
 // Runs one window.  Parties must have BeginWindow() applied for this
 // window already.  Reads the per-endpoint counters around the run, so
-// bus_bytes is this window's traffic only.  `window` is the day index
-// of the window (drives the audit domain separation and the cheat
-// plan's trigger); single-window callers may leave it 0.
+// the record's bytes are this window's traffic only.  `window` is the
+// day index of the window (drives the audit domain separation and the
+// cheat plan's trigger); single-window callers may leave it 0.
 PemWindowResult RunPemWindow(ProtocolContext& ctx, std::span<Party> parties,
                              int window = 0);
 

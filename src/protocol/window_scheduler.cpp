@@ -116,7 +116,7 @@ std::vector<std::vector<int>> WindowScheduler::PlanBatches(
   return batches;
 }
 
-std::vector<CollectedWindow> WindowScheduler::RunForkedBatch(
+std::vector<WindowRecord> WindowScheduler::RunForkedBatch(
     net::AgentSupervisor& transport, std::span<const int> windows) {
   PEM_CHECK(!windows.empty(), "window scheduler: empty forked batch");
   PEM_CHECK(windows.size() <= static_cast<size_t>(windows_in_flight_),

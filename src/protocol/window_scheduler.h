@@ -94,14 +94,11 @@ class WindowScheduler {
 
   // Forked-backend batch: pipelines one kCtlCmdRun per window to every
   // child, then collects and cross-checks the reports window by window
-  // (CollectWindowReportsBatch), stamping each window's parent-side
-  // completion time.  Returns one CollectedWindow per entry of
-  // `windows`, in order.  The per-window parent_seconds spans dispatch
-  // of the WHOLE batch to that window's last report, so overlapping
-  // windows share wall clock instead of double-counting it — callers
-  // charge a batch's elapsed time once (the max), not the sum.
-  std::vector<CollectedWindow> RunForkedBatch(net::AgentSupervisor& transport,
-                                              std::span<const int> windows);
+  // (CollectWindowReportsBatch), stamping each record's runtime with
+  // the span from dispatch of the WHOLE batch to that window's last
+  // report.  Returns one record per entry of `windows`, in order.
+  std::vector<WindowRecord> RunForkedBatch(net::AgentSupervisor& transport,
+                                           std::span<const int> windows);
 
  private:
   void WorkerLoop(unsigned worker);

@@ -32,6 +32,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/simulation.h"
@@ -90,12 +91,7 @@ protocol::PemConfig AuditedConfig(protocol::CheatPlan cheat = {}) {
 
 struct AdvRun {
   std::vector<net::Message> messages;
-  protocol::AuditOutcome audit;
-  market::MarketType type = market::MarketType::kNoMarket;
-  int num_sellers = 0;
-  int num_buyers = 0;
-  double price = 0.0;
-  uint64_t bus_bytes = 0;
+  protocol::WindowRecord record;
 };
 
 // One audited window on an in-process backend.  `inactive` marks
@@ -122,23 +118,14 @@ AdvRun RunAuditedWindow(const net::ExecutionPolicy& policy,
   }
   protocol::ProtocolContext ctx{eps,    rng, cfg, nullptr,
                                 policy, &directory};
-  const protocol::PemWindowResult result =
-      protocol::RunPemWindow(ctx, parties, /*window=*/0);
-  run.audit = result.audit;
-  run.type = result.type;
-  for (const protocol::Party& p : parties) {
-    if (p.role() == grid::Role::kSeller) ++run.num_sellers;
-    if (p.role() == grid::Role::kBuyer) ++run.num_buyers;
-  }
-  run.price = result.price;
-  run.bus_bytes = result.bus_bytes;
+  run.record = protocol::RunPemWindow(ctx, parties, /*window=*/0).record;
   return run;
 }
 
 // The same audited window with one forked OS process per agent.  The
 // cheat plan rides in the fork-copied config, so every child replays
 // the identical misbehavior and derives the identical verdict — which
-// CollectWindowReports then cross-checks bit for bit.
+// CollectWindowReportsBatch then cross-checks bit for bit.
 AdvRun RunAuditedWindowForked(net::TransportKind kind,
                               const protocol::PemConfig& cfg,
                               uint64_t seed = 42) {
@@ -189,19 +176,13 @@ AdvRun RunAuditedWindowForked(net::TransportKind kind,
   net::ByteWriter cmd;
   cmd.U32(0);
   owner->CommandAll(net::kCtlCmdRun, cmd.Take());
-  const protocol::WindowReport report =
-      protocol::CollectWindowReports(*owner, before, 0);
+  const int window_zero[] = {0};
+  run.record =
+      protocol::CollectWindowReportsBatch(*owner, before, window_zero).front();
   owner->SetObserver(nullptr);
   owner->Shutdown();
   owner.reset();
   ExpectNoZombies();
-
-  run.audit = report.audit;
-  run.type = report.type;
-  run.num_sellers = report.num_sellers;
-  run.num_buyers = report.num_buyers;
-  run.price = report.price;
-  run.bus_bytes = report.bus_bytes;
   return run;
 }
 
@@ -223,20 +204,20 @@ std::string RunForkedWindowExpectingError(net::TransportKind kind,
 
 void ExpectSingleFault(const AdvRun& run, CheatClass cheat,
                        const char* backend) {
-  EXPECT_TRUE(run.audit.audited) << backend;
-  EXPECT_EQ(run.audit.auditor, kAuditor) << backend;
-  ASSERT_EQ(run.audit.faults.size(), 1u) << backend;
-  const protocol::ProtocolFault& f = run.audit.faults[0];
+  EXPECT_TRUE(run.record.audit.audited) << backend;
+  EXPECT_EQ(run.record.audit.auditor, kAuditor) << backend;
+  ASSERT_EQ(run.record.audit.faults.size(), 1u) << backend;
+  const protocol::ProtocolFault& f = run.record.audit.faults[0];
   EXPECT_EQ(f.cheater, kCheater) << backend;
   EXPECT_EQ(f.cheat, cheat) << backend;
   EXPECT_EQ(f.window, 0) << backend;
   EXPECT_FALSE(f.detail.empty()) << backend;
   // The honest survivors still complete the window: the cheating buyer
   // is excluded mid-window and the market forms without it.
-  EXPECT_NE(run.type, market::MarketType::kNoMarket) << backend;
-  EXPECT_EQ(run.num_sellers, 3) << backend;
-  EXPECT_EQ(run.num_buyers, 2) << backend;
-  EXPECT_GT(run.bus_bytes, 0u) << backend;
+  EXPECT_NE(run.record.type, market::MarketType::kNoMarket) << backend;
+  EXPECT_EQ(run.record.num_sellers, 3) << backend;
+  EXPECT_EQ(run.record.num_buyers, 2) << backend;
+  EXPECT_GT(run.record.bus_bytes, 0u) << backend;
 }
 
 // Every cheat class, every backend: detection is a deterministic
@@ -275,19 +256,19 @@ TEST(AdversarialWall, ForgedByteCountCaughtOnAllBackends) {
 TEST(AdversarialWall, CleanWindowAuditsWithoutFaults) {
   const AdvRun run =
       RunAuditedWindow(net::ExecutionPolicy::Serial(), AuditedConfig());
-  EXPECT_TRUE(run.audit.audited);
-  EXPECT_EQ(run.audit.auditor, kAuditor);
-  EXPECT_TRUE(run.audit.faults.empty());
-  EXPECT_EQ(run.num_sellers, 3);
-  EXPECT_EQ(run.num_buyers, 3);
+  EXPECT_TRUE(run.record.audit.audited);
+  EXPECT_EQ(run.record.audit.auditor, kAuditor);
+  EXPECT_TRUE(run.record.audit.faults.empty());
+  EXPECT_EQ(run.record.num_sellers, 3);
+  EXPECT_EQ(run.record.num_buyers, 3);
 }
 
 TEST(AdversarialWall, AuditDisabledMeansNoAuditTraffic) {
   protocol::PemConfig off = AuditedConfig();
   off.audit.enabled = false;
   const AdvRun run = RunAuditedWindow(net::ExecutionPolicy::Serial(), off);
-  EXPECT_FALSE(run.audit.audited);
-  EXPECT_EQ(run.audit.auditor, -1);
+  EXPECT_FALSE(run.record.audit.audited);
+  EXPECT_EQ(run.record.audit.auditor, -1);
   for (const net::Message& m : run.messages) {
     EXPECT_NE(m.type, protocol::kMsgAuditContribution);
     EXPECT_NE(m.type, protocol::kMsgAuditVerdict);
@@ -331,10 +312,10 @@ TEST(AdversarialWall, HonestTranscriptsByteIdenticalUnderEveryCheat) {
     }
     // Market outcome also matches the cheater-never-joined baseline:
     // exclusion leaves exactly the same survivors trading.
-    EXPECT_EQ(cheated.type, clean.type);
-    EXPECT_DOUBLE_EQ(cheated.price, clean.price);
-    EXPECT_EQ(cheated.num_sellers, clean.num_sellers);
-    EXPECT_EQ(cheated.num_buyers, clean.num_buyers);
+    EXPECT_EQ(cheated.record.type, clean.record.type);
+    EXPECT_DOUBLE_EQ(cheated.record.price, clean.record.price);
+    EXPECT_EQ(cheated.record.num_sellers, clean.record.num_sellers);
+    EXPECT_EQ(cheated.record.num_buyers, clean.record.num_buyers);
   }
 }
 
@@ -357,7 +338,7 @@ TEST(AdversarialWall, AuditCoinFlipIsSeededAndSparse) {
     }
     protocol::ProtocolContext ctx{eps, rng, cfg, nullptr,
                                   net::ExecutionPolicy::Serial(), &directory};
-    audited.push_back(protocol::RunPemWindow(ctx, parties, w).audit.audited);
+    audited.push_back(protocol::RunPemWindow(ctx, parties, w).record.audit.audited);
   }
   const size_t hits =
       static_cast<size_t>(std::count(audited.begin(), audited.end(), true));
@@ -477,9 +458,9 @@ TEST(AdversarialWall, ChurnDayIsDeterministicAndRostersShrink) {
   ASSERT_EQ(a.windows.size(), 6u);
   ASSERT_EQ(b.windows.size(), a.windows.size());
   for (size_t w = 0; w < a.windows.size(); ++w) {
-    EXPECT_EQ(b.windows[w].bus_bytes, a.windows[w].bus_bytes) << w;
-    EXPECT_DOUBLE_EQ(b.windows[w].price, a.windows[w].price) << w;
-    EXPECT_TRUE(b.windows[w].audit == a.windows[w].audit) << w;
+    EXPECT_EQ(protocol::DiffRecords(a.windows[w], b.windows[w]),
+              std::vector<std::string_view>{})
+        << w;
     // The roster bound: every trading seat is an ACTIVE agent.
     int active = 10;
     if (w >= 2 && w < 4) --active;  // agent 3 out
@@ -508,14 +489,10 @@ void ExpectChurnParity(const ChurnRun& serial, const ChurnRun& other,
                        bool strict_order) {
   ASSERT_EQ(other.result.windows.size(), serial.result.windows.size());
   for (size_t w = 0; w < serial.result.windows.size(); ++w) {
-    const core::WindowRecord& a = serial.result.windows[w];
-    const core::WindowRecord& b = other.result.windows[w];
-    EXPECT_EQ(b.type, a.type) << w;
-    EXPECT_DOUBLE_EQ(b.price, a.price) << w;
-    EXPECT_EQ(b.bus_bytes, a.bus_bytes) << w;
-    EXPECT_EQ(b.num_sellers, a.num_sellers) << w;
-    EXPECT_EQ(b.num_buyers, a.num_buyers) << w;
-    EXPECT_TRUE(b.audit == a.audit) << w;
+    EXPECT_EQ(protocol::DiffRecords(serial.result.windows[w],
+                                    other.result.windows[w]),
+              std::vector<std::string_view>{})
+        << w;
   }
   EXPECT_EQ(other.result.total_bus_bytes, serial.result.total_bus_bytes);
   ASSERT_EQ(other.messages.size(), serial.messages.size());
@@ -552,7 +529,7 @@ TEST(AdversarialWall, ChurnDayMatchesAcrossForkedBackends) {
   // Every child replays the churn schedule on its own roster replica,
   // so leaves and rejoins re-form the rings identically in all n
   // processes — and the per-window ledger cross-check inside
-  // CollectWindowReports keeps passing throughout.
+  // CollectWindowReportsBatch keeps passing throughout.
   const ChurnRun serial = RunChurnDay(net::ExecutionPolicy::Serial());
   ExpectChurnParity(serial, RunChurnDay(net::ExecutionPolicy::Process()),
                     /*strict_order=*/false);
@@ -580,7 +557,7 @@ TEST(AdversarialWall, SimulationSurfacesEquivocationOnSerialAndProcess) {
   const core::SimulationResult probe = core::RunSimulation(trace, clean);
   int cheat_window = -1;
   net::AgentId drawn_auditor = -1;
-  for (const core::WindowRecord& rec : probe.windows) {
+  for (const protocol::WindowRecord& rec : probe.windows) {
     if (rec.audit.audited) {
       cheat_window = rec.window;
       drawn_auditor = rec.audit.auditor;
@@ -620,7 +597,7 @@ TEST(AdversarialWall, SimulationRecordsAuditOutcomesPerWindow) {
   cfg.pem.audit.enabled = true;
   const core::SimulationResult r = core::RunSimulation(trace, cfg);
   size_t audited = 0;
-  for (const core::WindowRecord& rec : r.windows) {
+  for (const protocol::WindowRecord& rec : r.windows) {
     if (rec.audit.audited) {
       ++audited;
       EXPECT_GE(rec.audit.auditor, 0) << rec.window;

@@ -52,10 +52,10 @@ market::AgentWindowInput Agent(double g, double l, double b = 0.0,
 void ExpectOutcomesMatch(const PemWindowResult& crypto_out,
                          const market::MarketOutcome& oracle,
                          double tol = 1e-4) {
-  EXPECT_EQ(crypto_out.type, oracle.type);
-  EXPECT_NEAR(crypto_out.price, oracle.price, 1e-5);
-  EXPECT_NEAR(crypto_out.supply_total, oracle.supply_total, tol);
-  EXPECT_NEAR(crypto_out.demand_total, oracle.demand_total, tol);
+  EXPECT_EQ(crypto_out.record.type, oracle.type);
+  EXPECT_NEAR(crypto_out.record.price, oracle.price, 1e-5);
+  EXPECT_NEAR(crypto_out.record.supply_total, oracle.supply_total, tol);
+  EXPECT_NEAR(crypto_out.record.demand_total, oracle.demand_total, tol);
   ASSERT_EQ(crypto_out.market_sale.size(), oracle.market_sale.size());
   for (size_t i = 0; i < oracle.market_sale.size(); ++i) {
     EXPECT_NEAR(crypto_out.market_sale[i], oracle.market_sale[i], tol) << i;
@@ -65,7 +65,7 @@ void ExpectOutcomesMatch(const PemWindowResult& crypto_out,
     EXPECT_NEAR(crypto_out.money_received[i], oracle.money_received[i], tol)
         << i;
   }
-  EXPECT_NEAR(crypto_out.buyer_total_cost, oracle.buyer_total_cost, tol);
+  EXPECT_NEAR(crypto_out.record.buyer_cost_pem, oracle.buyer_total_cost, tol);
   EXPECT_NEAR(crypto_out.grid_import_kwh, oracle.grid_import_kwh, tol);
   EXPECT_NEAR(crypto_out.grid_export_kwh, oracle.grid_export_kwh, tol);
 }
@@ -78,7 +78,7 @@ TEST(EndToEnd, GeneralMarketMatchesOracle) {
   };
   Fixture f(agents, 1);
   const PemWindowResult out = f.Run();
-  ASSERT_EQ(out.type, market::MarketType::kGeneral);
+  ASSERT_EQ(out.record.type, market::MarketType::kGeneral);
   ExpectOutcomesMatch(out, market::ClearMarket(agents, f.cfg.market));
 }
 
@@ -87,7 +87,7 @@ TEST(EndToEnd, ExtremeMarketMatchesOracle) {
       Agent(3.0, 0.3), Agent(2.5, 0.4), Agent(0.0, 1.0), Agent(0.0, 0.5)};
   Fixture f(agents, 2);
   const PemWindowResult out = f.Run();
-  ASSERT_EQ(out.type, market::MarketType::kExtreme);
+  ASSERT_EQ(out.record.type, market::MarketType::kExtreme);
   ExpectOutcomesMatch(out, market::ClearMarket(agents, f.cfg.market));
 }
 
@@ -96,10 +96,10 @@ TEST(EndToEnd, NoSellersFallsBackToGrid) {
                                                         Agent(0.2, 0.8)};
   Fixture f(agents, 3);
   const PemWindowResult out = f.Run();
-  EXPECT_EQ(out.type, market::MarketType::kNoMarket);
-  EXPECT_TRUE(out.trades.empty());
+  EXPECT_EQ(out.record.type, market::MarketType::kNoMarket);
+  EXPECT_TRUE(out.record.trades.empty());
   ExpectOutcomesMatch(out, market::ClearMarket(agents, f.cfg.market));
-  EXPECT_EQ(out.bus_bytes, 0u);  // no protocol traffic at all
+  EXPECT_EQ(out.record.bus_bytes, 0u);  // no protocol traffic at all
 }
 
 TEST(EndToEnd, NoBuyersFallsBackToGrid) {
@@ -107,7 +107,7 @@ TEST(EndToEnd, NoBuyersFallsBackToGrid) {
                                                         Agent(1.0, 0.2)};
   Fixture f(agents, 4);
   const PemWindowResult out = f.Run();
-  EXPECT_EQ(out.type, market::MarketType::kNoMarket);
+  EXPECT_EQ(out.record.type, market::MarketType::kNoMarket);
   ExpectOutcomesMatch(out, market::ClearMarket(agents, f.cfg.market));
 }
 
@@ -127,14 +127,14 @@ TEST(EndToEnd, PriceClampedWindowsMatchOracle) {
       Agent(1.0, 0.1, 0.0, 0.3), Agent(0.0, 2.0)};
   Fixture f_low(low_k, 6);
   const PemWindowResult out_low = f_low.Run();
-  EXPECT_DOUBLE_EQ(out_low.price, f_low.cfg.market.price_floor);
+  EXPECT_DOUBLE_EQ(out_low.record.price, f_low.cfg.market.price_floor);
   ExpectOutcomesMatch(out_low, market::ClearMarket(low_k, f_low.cfg.market));
 
   const std::vector<market::AgentWindowInput> high_k = {
       Agent(1.0, 0.1, 0.0, 5.0), Agent(0.0, 2.0)};
   Fixture f_high(high_k, 7);
   const PemWindowResult out_high = f_high.Run();
-  EXPECT_DOUBLE_EQ(out_high.price, f_high.cfg.market.price_ceiling);
+  EXPECT_DOUBLE_EQ(out_high.record.price, f_high.cfg.market.price_ceiling);
 }
 
 TEST(EndToEnd, BatteriesFlowThroughWholePipeline) {
@@ -154,14 +154,14 @@ TEST(EndToEnd, TradeLedgerConsistentWithAggregates) {
   Fixture f(agents, 9);
   const PemWindowResult out = f.Run();
   double ledger_energy = 0, ledger_money = 0;
-  for (const Trade& t : out.trades) {
+  for (const Trade& t : out.record.trades) {
     ledger_energy += t.energy_kwh;
     ledger_money += t.payment;
   }
   double sales = std::accumulate(out.market_sale.begin(),
                                  out.market_sale.end(), 0.0);
   EXPECT_NEAR(ledger_energy, sales, 1e-9);
-  EXPECT_NEAR(ledger_money, out.price * sales, 1e-9);
+  EXPECT_NEAR(ledger_money, out.record.price * sales, 1e-9);
 }
 
 TEST(EndToEnd, RandomMarketsSweepAgainstOracle) {
@@ -200,8 +200,8 @@ TEST(EndToEnd, RuntimeAndBandwidthAreMeasured) {
       Agent(1.0, 0.2), Agent(0.0, 0.9)};
   Fixture f(agents, 11);
   const PemWindowResult out = f.Run();
-  EXPECT_GT(out.runtime_seconds, 0.0);
-  EXPECT_GT(out.bus_bytes, 1000u);
+  EXPECT_GT(out.record.runtime_seconds, 0.0);
+  EXPECT_GT(out.record.bus_bytes, 1000u);
 }
 
 }  // namespace

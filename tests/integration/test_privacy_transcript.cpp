@@ -36,7 +36,7 @@ market::AgentWindowInput Agent(double g, double l, double k = 1.0) {
 
 struct RecordedRun {
   std::vector<net::Message> messages;
-  PemWindowResult result;
+  WindowRecord record;
   std::vector<int64_t> private_ints;  // per-party net_raw, nonce, k, supply
 };
 
@@ -62,7 +62,7 @@ RecordedRun RunRecorded(const std::vector<market::AgentWindowInput>& in,
     run.private_ints.push_back(p.SupplyTermRaw());
   }
   ProtocolContext ctx{eps, rng, cfg};
-  run.result = RunPemWindow(ctx, parties);
+  run.record = RunPemWindow(ctx, parties).record;
   return run;
 }
 
@@ -128,9 +128,9 @@ TEST(PrivacyTranscript, TranscriptRefreshesAcrossRandomness) {
   const RecordedRun a = RunRecorded(kMarket, 10);
   const RecordedRun b = RunRecorded(kMarket, 11);
   // Public outcome identical...
-  EXPECT_EQ(a.result.type, b.result.type);
-  EXPECT_NEAR(a.result.price, b.result.price, 1e-9);
-  EXPECT_NEAR(a.result.buyer_total_cost, b.result.buyer_total_cost, 1e-6);
+  EXPECT_EQ(a.record.type, b.record.type);
+  EXPECT_NEAR(a.record.price, b.record.price, 1e-9);
+  EXPECT_NEAR(a.record.buyer_cost_pem, b.record.buyer_cost_pem, 1e-6);
   // ...but the encrypted transcript differs (fresh nonces + randomness).
   bool any_hop_differs = false;
   for (const net::Message& ma : a.messages) {
@@ -152,7 +152,7 @@ TEST(PrivacyTranscript, PublicOutputsAreTheOnlyPlaintext) {
       ASSERT_EQ(m.payload.size(), 8u);
       double p;
       std::memcpy(&p, m.payload.data(), 8);
-      EXPECT_DOUBLE_EQ(p, run.result.price);
+      EXPECT_DOUBLE_EQ(p, run.record.price);
     }
     if (m.type == kMsgMarketCase) {
       ASSERT_EQ(m.payload.size(), 1u);
@@ -165,7 +165,7 @@ TEST(PrivacyTranscript, RatiosRevealOnlyQuotients) {
   // E_b.  Check the broadcast ratios match the public quotients and are
   // strictly inside (0, 1).
   const RecordedRun run = RunRecorded(kMarket, 5);
-  ASSERT_EQ(run.result.type, market::MarketType::kGeneral);
+  ASSERT_EQ(run.record.type, market::MarketType::kGeneral);
   for (const net::Message& m : run.messages) {
     if (m.type != kMsgRatioBroadcast) continue;
     net::ByteReader r(m.payload);

@@ -51,8 +51,8 @@ TEST(PublicApi, FullWindowThroughUmbrellaHeader) {
     parties.back().BeginWindow(st, config.nonce_bound, rng);
   }
   pem::protocol::ProtocolContext ctx{eps, rng, config};
-  const pem::protocol::PemWindowResult out =
-      pem::protocol::RunPemWindow(ctx, parties);
+  const pem::protocol::WindowRecord out =
+      pem::protocol::RunPemWindow(ctx, parties).record;
   EXPECT_EQ(out.type, pem::market::MarketType::kGeneral);
   EXPECT_EQ(out.trades.size(), 2u);
 

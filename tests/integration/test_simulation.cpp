@@ -52,7 +52,7 @@ TEST(Simulation, CoalitionSizesAreConsistent) {
   const grid::CommunityTrace trace = grid::GenerateCommunityTrace(SmallTrace());
   SimulationConfig cfg;
   const SimulationResult r = RunSimulation(trace, cfg);
-  for (const WindowRecord& rec : r.windows) {
+  for (const protocol::WindowRecord& rec : r.windows) {
     EXPECT_LE(rec.num_sellers + rec.num_buyers, 16);
     if (rec.type != market::MarketType::kNoMarket) {
       EXPECT_GT(rec.num_sellers, 0);
@@ -66,10 +66,13 @@ TEST(Simulation, PemNeverCostsBuyersMoreThanBaseline) {
       grid::GenerateCommunityTrace(SmallTrace(30, 48));
   SimulationConfig cfg;
   const SimulationResult r = RunSimulation(trace, cfg);
-  for (const WindowRecord& rec : r.windows) {
-    EXPECT_LE(rec.buyer_cost_pem, rec.buyer_cost_baseline + 1e-9)
+  ASSERT_EQ(r.baselines.size(), r.windows.size());
+  for (size_t i = 0; i < r.windows.size(); ++i) {
+    const protocol::WindowRecord& rec = r.windows[i];
+    EXPECT_LE(rec.buyer_cost_pem, r.baselines[i].buyer_total_cost + 1e-9)
         << "window " << rec.window;
-    EXPECT_LE(rec.grid_interaction_pem, rec.grid_interaction_baseline + 1e-9)
+    EXPECT_LE(rec.grid_interaction_pem,
+              r.baselines[i].GridInteraction() + 1e-9)
         << "window " << rec.window;
   }
 }
@@ -80,7 +83,7 @@ TEST(Simulation, PricesRespectMarketBand) {
   SimulationConfig cfg;
   const SimulationResult r = RunSimulation(trace, cfg);
   const market::MarketParams& mp = cfg.pem.market;
-  for (const WindowRecord& rec : r.windows) {
+  for (const protocol::WindowRecord& rec : r.windows) {
     if (rec.type == market::MarketType::kNoMarket) {
       EXPECT_DOUBLE_EQ(rec.price, mp.retail_price);
     } else {

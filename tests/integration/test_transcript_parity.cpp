@@ -30,6 +30,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "core/simulation.h"
@@ -50,7 +51,7 @@ namespace {
 
 struct WindowRun {
   std::vector<net::Message> messages;
-  protocol::PemWindowResult result;
+  protocol::WindowRecord record;
   uint64_t transport_total_bytes = 0;
   // Per-agent counters for the measured window: Table-I's "bandwidth
   // per home" must agree across every backend, not just the total.
@@ -127,7 +128,7 @@ WindowRun RunWindow(const net::ExecutionPolicy& policy, uint64_t seed,
   };
   const size_t factors_before = count_factors();
   bus->ResetStats();
-  run.result = protocol::RunPemWindow(ctx, parties);
+  run.record = protocol::RunPemWindow(ctx, parties).record;
   run.factors_consumed = factors_before - count_factors();
   run.transport_total_bytes = bus->total_bytes();
   for (size_t i = 0; i < kMarket.size(); ++i) {
@@ -183,13 +184,13 @@ testing::AssertionResult SameBits(double got, double want) {
 void ExpectWindowParity(const WindowRun& serial, const WindowRun& parallel,
                         bool strict_order = true) {
   // Market outcome.
-  EXPECT_EQ(parallel.result.type, serial.result.type);
-  EXPECT_TRUE(SameBits(parallel.result.price, serial.result.price));
-  EXPECT_EQ(parallel.result.bus_bytes, serial.result.bus_bytes);
+  EXPECT_EQ(parallel.record.type, serial.record.type);
+  EXPECT_TRUE(SameBits(parallel.record.price, serial.record.price));
+  EXPECT_EQ(parallel.record.bus_bytes, serial.record.bus_bytes);
   // The transport's own total must agree with the per-endpoint delta
   // accounting on every backend.
   EXPECT_EQ(parallel.transport_total_bytes, serial.transport_total_bytes);
-  EXPECT_EQ(serial.transport_total_bytes, serial.result.bus_bytes);
+  EXPECT_EQ(serial.transport_total_bytes, serial.record.bus_bytes);
   // Per-agent byte totals: every backend charges the same bandwidth to
   // the same home (what Table I reports), message by message.
   ASSERT_EQ(parallel.per_agent.size(), serial.per_agent.size());
@@ -197,10 +198,10 @@ void ExpectWindowParity(const WindowRun& serial, const WindowRun& parallel,
     EXPECT_TRUE(parallel.per_agent[a] == serial.per_agent[a])
         << "per-agent traffic diverges for agent " << a;
   }
-  ASSERT_EQ(parallel.result.trades.size(), serial.result.trades.size());
-  for (size_t i = 0; i < serial.result.trades.size(); ++i) {
-    const protocol::Trade& a = serial.result.trades[i];
-    const protocol::Trade& b = parallel.result.trades[i];
+  ASSERT_EQ(parallel.record.trades.size(), serial.record.trades.size());
+  for (size_t i = 0; i < serial.record.trades.size(); ++i) {
+    const protocol::Trade& a = serial.record.trades[i];
+    const protocol::Trade& b = parallel.record.trades[i];
     EXPECT_EQ(b.seller_index, a.seller_index) << i;
     EXPECT_EQ(b.buyer_index, a.buyer_index) << i;
     EXPECT_TRUE(SameBits(b.energy_kwh, a.energy_kwh)) << i;
@@ -289,7 +290,9 @@ WindowRun RunWindowForked(net::TransportKind kind, uint64_t seed,
     cmd.U32(static_cast<uint32_t>(w));
     const std::vector<uint8_t> payload = cmd.Take();
     transport.CommandAll(net::kCtlCmdRun, payload);
-    return protocol::CollectWindowReports(transport, before, w);
+    const int windows[] = {w};
+    return protocol::CollectWindowReportsBatch(transport, before, windows)
+        .front();
   };
   if (pooled) {
     // Warm-up window registers keys and pools; only the second window
@@ -300,7 +303,7 @@ WindowRun RunWindowForked(net::TransportKind kind, uint64_t seed,
   transport.ResetStats();
   transport.SetObserver(
       [&run](const net::Message& m) { run.messages.push_back(m); });
-  const protocol::WindowReport report = run_window(pooled ? 1 : 0);
+  run.record = run_window(pooled ? 1 : 0);
   run.transport_total_bytes = transport.total_bytes();
   for (size_t i = 0; i < kMarket.size(); ++i) {
     run.per_agent.push_back(transport.stats(static_cast<net::AgentId>(i)));
@@ -308,10 +311,6 @@ WindowRun RunWindowForked(net::TransportKind kind, uint64_t seed,
   transport.SetObserver(nullptr);
   transport.Shutdown();
 
-  run.result.type = report.type;
-  run.result.price = report.price;
-  run.result.trades = report.trades;
-  run.result.bus_bytes = report.bus_bytes;
   // Pool-factor accounting lives inside the children; the pooled-branch
   // coverage assertions stay with the in-process rows.
   run.factors_consumed = 0;
@@ -493,37 +492,26 @@ void ExpectSimParity(const SimRun& serial, const SimRun& other,
                      bool strict_order = true) {
   ASSERT_EQ(other.result.windows.size(), serial.result.windows.size());
   ASSERT_FALSE(serial.result.windows.empty());
+  ASSERT_EQ(other.result.baselines.size(), serial.result.baselines.size());
   for (size_t w = 0; w < serial.result.windows.size(); ++w) {
-    const core::WindowRecord& a = serial.result.windows[w];
-    const core::WindowRecord& b = other.result.windows[w];
-    EXPECT_EQ(b.window, a.window) << w;
-    EXPECT_EQ(b.type, a.type) << w;
-    EXPECT_TRUE(SameBits(b.price, a.price)) << w;
-    EXPECT_EQ(b.bus_bytes, a.bus_bytes) << w;
-    EXPECT_EQ(b.num_sellers, a.num_sellers) << w;
-    EXPECT_EQ(b.num_buyers, a.num_buyers) << w;
-    EXPECT_TRUE(SameBits(b.buyer_cost_pem, a.buyer_cost_pem)) << w;
-    EXPECT_TRUE(SameBits(b.supply_total, a.supply_total)) << w;
-    EXPECT_TRUE(SameBits(b.demand_total, a.demand_total)) << w;
-    EXPECT_TRUE(SameBits(b.grid_interaction_pem, a.grid_interaction_pem)) << w;
-    EXPECT_TRUE(SameBits(b.buyer_cost_baseline, a.buyer_cost_baseline)) << w;
-    EXPECT_TRUE(
-        SameBits(b.grid_interaction_baseline, a.grid_interaction_baseline))
+    // Every visited record field, bit for bit: prices, trades, bytes,
+    // the rng stream position (the strongest cheap witness that no
+    // engine, backend, or window schedule moved a single random byte)
+    // and each audit fault.
+    EXPECT_EQ(protocol::DiffRecords(serial.result.windows[w],
+                                    other.result.windows[w]),
+              std::vector<std::string_view>{})
         << w;
-    // The rng stream position after the window's last protocol draw:
-    // the strongest cheap witness that no engine, backend, or window
-    // schedule moved a single random byte.
-    EXPECT_EQ(b.rng_cursor, a.rng_cursor) << w;
-    // Audit outcomes (who audited, what they found) are part of the
-    // transcript too.
-    EXPECT_EQ(b.audit.audited, a.audit.audited) << w;
-    EXPECT_EQ(b.audit.auditor, a.audit.auditor) << w;
-    EXPECT_EQ(b.audit.faults.size(), a.audit.faults.size()) << w;
+    const market::BaselineOutcome& a = serial.result.baselines[w];
+    const market::BaselineOutcome& b = other.result.baselines[w];
+    EXPECT_TRUE(SameBits(b.buyer_total_cost, a.buyer_total_cost)) << w;
+    EXPECT_TRUE(SameBits(b.GridInteraction(), a.GridInteraction())) << w;
   }
   EXPECT_EQ(other.result.total_bus_bytes, serial.result.total_bus_bytes);
   // The resolved window states (battery dynamics included) of every
   // executed window; runtime_seconds is the only record field left
-  // unchecked, since wall clock is not part of the transcript.
+  // unchecked (Visit skips it), since wall clock is not part of the
+  // transcript.
   ASSERT_EQ(other.result.resolved_states.size(),
             serial.result.resolved_states.size());
   for (size_t w = 0; w < serial.result.resolved_states.size(); ++w) {
@@ -573,7 +561,7 @@ TEST(TranscriptParity, PinnedDayDigest) {
     w.U32(m.type);
     w.Bytes(m.payload);
   }
-  for (const core::WindowRecord& rec : serial.result.windows) {
+  for (const protocol::WindowRecord& rec : serial.result.windows) {
     w.U64(rec.rng_cursor);
   }
   EXPECT_EQ(crypto::Sha256(w.data()).Hex(),
@@ -584,7 +572,7 @@ TEST(TranscriptParity, FullTradingDaySerialVsProcess) {
   // Ten agents, ten OS processes, a six-window day: identical window
   // records (prices, trades, BYTES — the process bytes being literal
   // socketpair traffic, cross-checked against the canonical ledger on
-  // every window inside CollectWindowReports) and a per-sender
+  // every window inside CollectWindowReportsBatch) and a per-sender
   // byte-identical wire transcript.
   const SimRun serial = RunSim(net::ExecutionPolicy::Serial());
   const SimRun process = RunSim(net::ExecutionPolicy::Process());
@@ -594,7 +582,7 @@ TEST(TranscriptParity, FullTradingDaySerialVsProcess) {
 TEST(TranscriptParity, FullTradingDaySerialVsTcp) {
   // The same day with every agent behind a loopback TCP connection:
   // the Table-I numbers are now literal network bytes, still equal to
-  // the canonical ledger window by window (CollectWindowReports) and
+  // the canonical ledger window by window (CollectWindowReportsBatch) and
   // agent by agent.
   const SimRun serial = RunSim(net::ExecutionPolicy::Serial());
   const SimRun tcp = RunSim(net::ExecutionPolicy::Tcp());
@@ -644,7 +632,7 @@ TEST(TranscriptParity, BatchedDayMatchesSerialForked) {
   // charges each batch once — so the total can never exceed the sum
   // of per-window spans (the windows genuinely share wall clock).
   double span_sum = 0.0;
-  for (const core::WindowRecord& rec : process.result.windows) {
+  for (const protocol::WindowRecord& rec : process.result.windows) {
     EXPECT_GT(rec.runtime_seconds, 0.0) << rec.window;
     span_sum += rec.runtime_seconds;
   }
@@ -708,7 +696,7 @@ TEST(TranscriptParity, BatchedAuditArmedDayMatchesSerial) {
   ExpectSimParity(serial, process, /*strict_order=*/false);
   // The row is only meaningful if somebody actually audited.
   bool any_audited = false;
-  for (const core::WindowRecord& rec : serial.result.windows) {
+  for (const protocol::WindowRecord& rec : serial.result.windows) {
     any_audited |= rec.audit.audited;
   }
   EXPECT_TRUE(any_audited);
@@ -742,7 +730,7 @@ TEST(TranscriptParity, BatchedChurnedStridedDayMatchesSerial) {
 TEST(TranscriptParity, FullTradingDaySerialVsShm) {
   // The same day over zero-copy shared-memory rings: every frame is
   // written once and consumed in place, yet the Table-I numbers —
-  // accounted from the snoop cursors, synced by CollectWindowReports
+  // accounted from the snoop cursors, synced by CollectWindowReportsBatch
   // before each window's cross-check — still equal the canonical
   // ledger window by window and agent by agent.
   const SimRun serial = RunSim(net::ExecutionPolicy::Serial());

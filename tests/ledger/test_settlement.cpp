@@ -5,9 +5,9 @@
 namespace pem::ledger {
 namespace {
 
-protocol::PemWindowResult MakeResult(double price,
+protocol::WindowRecord MakeResult(double price,
                                      std::vector<protocol::Trade> trades) {
-  protocol::PemWindowResult r;
+  protocol::WindowRecord r;
   r.type = market::MarketType::kGeneral;
   r.price = price;
   for (const protocol::Trade& t : trades) {
@@ -76,7 +76,7 @@ TEST(Settlement, RejectsSelfTrade) {
 TEST(Settlement, RejectsOverAllocation) {
   Ledger chain;
   SettlementContract contract(chain);
-  protocol::PemWindowResult r = MakeResult(1.0, {Trade(0, 1, 0.5, 0.5)});
+  protocol::WindowRecord r = MakeResult(1.0, {Trade(0, 1, 0.5, 0.5)});
   r.supply_total = 0.2;  // claims less supply than was traded
   r.demand_total = 0.4;
   EXPECT_FALSE(contract.SettleWindow(1, r).accepted);

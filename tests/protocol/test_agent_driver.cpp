@@ -2,18 +2,27 @@
 //
 // The transcript-parity suite proves the four-backend equivalence over
 // full windows and days; this suite covers the driver machinery itself:
-// the window-report wire codec, the command loop contract, and a
-// protocol window executed by forked per-agent drivers whose merged
-// report must equal the serial in-process run — with the window's bytes
-// measured from real socketpair traffic by the parent router.
+// the parent's handling of malformed reports, the command loop
+// contract, and a protocol window executed by forked per-agent drivers
+// whose merged record must equal the serial in-process run — with the
+// window's bytes measured from real socketpair traffic by the parent
+// router.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <memory>
+#include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "crypto/rng.h"
 #include "net/bus.h"
 #include "net/process_transport.h"
+#include "net/shm_transport.h"
 #include "protocol/agent_driver.h"
+#include "util/stopwatch.h"
 
 namespace pem::protocol {
 namespace {
@@ -39,44 +48,6 @@ std::vector<Party> MakeParties(const PemConfig& cfg, crypto::Rng& rng) {
     parties.back().BeginWindow(kMarket[i].state, cfg.nonce_bound, rng);
   }
   return parties;
-}
-
-TEST(AgentDriver, WindowReportCodecRoundTrips) {
-  WindowReport report;
-  report.window = 17;
-  report.type = market::MarketType::kGeneral;
-  report.price = 0.3125;
-  report.supply_total = 2.5;
-  report.demand_total = 1.75;
-  report.buyer_total_cost = 0.55;
-  report.grid_import_kwh = 0.25;
-  report.grid_export_kwh = 1.0;
-  report.num_sellers = 2;
-  report.num_buyers = 2;
-  report.trades = {{0, 1, 0.5, 0.15}, {3, 2, 0.25, 0.08}};
-  report.runtime_seconds = 0.0625;
-  report.bus_bytes = 4242;
-  report.rng_cursor = 987654;
-  report.self_stats = {100, 200, 3, 4};
-
-  const WindowReport out = DecodeWindowReport(EncodeWindowReport(report));
-  EXPECT_EQ(out.window, 17);
-  EXPECT_EQ(out.type, report.type);
-  EXPECT_DOUBLE_EQ(out.price, report.price);
-  EXPECT_DOUBLE_EQ(out.supply_total, report.supply_total);
-  EXPECT_DOUBLE_EQ(out.demand_total, report.demand_total);
-  EXPECT_DOUBLE_EQ(out.buyer_total_cost, report.buyer_total_cost);
-  EXPECT_DOUBLE_EQ(out.grid_import_kwh, report.grid_import_kwh);
-  EXPECT_DOUBLE_EQ(out.grid_export_kwh, report.grid_export_kwh);
-  EXPECT_EQ(out.num_sellers, 2);
-  EXPECT_EQ(out.num_buyers, 2);
-  ASSERT_EQ(out.trades.size(), 2u);
-  EXPECT_EQ(out.trades[1].seller_index, 3u);
-  EXPECT_DOUBLE_EQ(out.trades[1].payment, 0.08);
-  EXPECT_DOUBLE_EQ(out.runtime_seconds, 0.0625);
-  EXPECT_EQ(out.bus_bytes, 4242u);
-  EXPECT_EQ(out.rng_cursor, 987654u);
-  EXPECT_TRUE(out.self_stats == report.self_stats);
 }
 
 TEST(AgentDriver, ForkedWindowMatchesSerialWindow) {
@@ -124,28 +95,182 @@ TEST(AgentDriver, ForkedWindowMatchesSerialWindow) {
   for (net::AgentId a = 0; a < transport.num_agents(); ++a) {
     before.push_back(transport.stats(a));
   }
-  const std::vector<uint8_t> window_zero = {0, 0, 0, 0};
-  transport.CommandAll(net::kCtlCmdRun, window_zero);
-  const WindowReport report = CollectWindowReports(transport, before, 0);
+  transport.CommandAll(net::kCtlCmdRun, std::vector<uint8_t>{0, 0, 0, 0});
+  const int window_zero[] = {0};
+  const WindowRecord report =
+      CollectWindowReportsBatch(transport, before, window_zero).front();
   transport.Shutdown();
 
-  EXPECT_EQ(report.window, 0);
-  EXPECT_EQ(report.type, serial.type);
-  EXPECT_DOUBLE_EQ(report.price, serial.price);
-  EXPECT_EQ(report.bus_bytes, serial.bus_bytes);
-  EXPECT_EQ(report.rng_cursor, serial.rng_cursor);
+  // Every visited field, bit for bit: type, price, trades, bytes, rng
+  // cursor, audit.
+  EXPECT_EQ(DiffRecords(report, serial.record),
+            std::vector<std::string_view>{});
   // The report's bytes were cross-checked against the router's literal
-  // socket ledger inside CollectWindowReports; check the totals too.
-  EXPECT_EQ(transport.total_bytes(), serial.bus_bytes);
-  ASSERT_EQ(report.trades.size(), serial.trades.size());
-  for (size_t i = 0; i < serial.trades.size(); ++i) {
-    EXPECT_EQ(report.trades[i].seller_index, serial.trades[i].seller_index);
-    EXPECT_EQ(report.trades[i].buyer_index, serial.trades[i].buyer_index);
-    EXPECT_DOUBLE_EQ(report.trades[i].energy_kwh,
-                     serial.trades[i].energy_kwh);
-    EXPECT_DOUBLE_EQ(report.trades[i].payment, serial.trades[i].payment);
-  }
+  // socket ledger inside CollectWindowReportsBatch; check the totals too.
+  EXPECT_EQ(transport.total_bytes(), serial.record.bus_bytes);
+  EXPECT_FALSE(serial.record.trades.empty());
 }
+
+// --- malformed reports ------------------------------------------------
+//
+// A child's report is untrusted input to the parent.  Whatever bytes a
+// child sends, the parent must come back with a structured
+// kForgedReport fault naming that child — never an abort, never an
+// allocation sized by a forged count — and within the watchdog.
+
+// A valid report for window 0 with no traffic; it carries a trade and
+// an audit fault, so every count and enum of the record is on the wire.
+AgentReport ValidReport() {
+  AgentReport report;
+  report.record.trades = {{0, 1, 0.5, 0.15}};
+  report.record.audit.audited = true;
+  report.record.audit.faults = {
+      {1, CheatClass::kCommitmentMismatch, 0, "opening"}};
+  return report;
+}
+
+// The valid encoding with `bytes` written over it where `touch` first
+// changes the encoding, i.e. where the touched field starts.  Nothing
+// here knows the layout: Visit order decides it.
+std::vector<uint8_t> Overwrite(void (*touch)(WindowRecord&),
+                               std::vector<uint8_t> bytes) {
+  std::vector<uint8_t> out = EncodeAgentReport(ValidReport());
+  AgentReport touched = ValidReport();
+  touch(touched.record);
+  const std::vector<uint8_t> other = EncodeAgentReport(touched);
+  const size_t at = static_cast<size_t>(
+      std::mismatch(out.begin(), out.end(), other.begin(), other.end()).first -
+      out.begin());
+  PEM_CHECK(at + bytes.size() <= out.size(), "test: overwrite past the end");
+  std::copy(bytes.begin(), bytes.end(), out.begin() + static_cast<long>(at));
+  return out;
+}
+
+const std::vector<uint8_t> kHugeCount = {0xff, 0xff, 0xff, 0x7f};  // 2^31-1
+
+struct Malformation {
+  const char* name;
+  std::vector<uint8_t> (*payload)();
+  uint32_t tag = net::kCtlRepWindow;
+};
+
+const Malformation kMalformations[] = {
+    {"unknown_tag", [] { return EncodeAgentReport(ValidReport()); }, 77},
+    {"truncated",
+     [] {
+       std::vector<uint8_t> b = EncodeAgentReport(ValidReport());
+       b.resize(b.size() - 3);
+       return b;
+     }},
+    {"trailing_byte",
+     [] {
+       std::vector<uint8_t> b = EncodeAgentReport(ValidReport());
+       b.push_back(0);
+       return b;
+     }},
+    {"empty", [] { return std::vector<uint8_t>{}; }},
+    {"huge_trade_count",
+     [] {
+       return Overwrite([](WindowRecord& r) { r.trades.push_back({}); },
+                        kHugeCount);
+     }},
+    {"huge_fault_count",
+     [] {
+       return Overwrite(
+           [](WindowRecord& r) { r.audit.faults.push_back({}); }, kHugeCount);
+     }},
+    {"huge_detail_length",
+     [] {
+       return Overwrite(
+           [](WindowRecord& r) { r.audit.faults[0].detail += "!"; },
+           kHugeCount);
+     }},
+    {"bad_market_type",
+     [] {
+       return Overwrite(
+           [](WindowRecord& r) { r.type = market::MarketType::kGeneral; },
+           {0x7f});
+     }},
+    {"bad_cheat_class",
+     [] {
+       return Overwrite(
+           [](WindowRecord& r) {
+             r.audit.faults[0].cheat = CheatClass::kForgedReport;
+           },
+           {0xff});
+     }},
+    {"bad_bool",
+     [] {
+       return Overwrite([](WindowRecord& r) { r.audit.audited = false; },
+                        {2});
+     }},
+};
+
+class MalformedReport
+    : public ::testing::TestWithParam<std::tuple<net::TransportKind, size_t>> {
+};
+
+TEST_P(MalformedReport, ParentRaisesForgedReportNamingSender) {
+  const auto [kind, which] = GetParam();
+  const Malformation& m = kMalformations[which];
+  const std::vector<uint8_t> bad = m.payload();
+  const std::vector<uint8_t> good = EncodeAgentReport(ValidReport());
+  ASSERT_TRUE(DecodeAgentReport(good).has_value());
+  if (m.tag == net::kCtlRepWindow) {
+    EXPECT_FALSE(DecodeAgentReport(bad).has_value());
+  }
+
+  // Hand-written children: agent 0 answers the run command with the
+  // valid report, agent 1 with the malformed one; both then idle until
+  // the supervisor tears them down.
+  net::AgentSupervisor::ChildMain child_main =
+      [&m, &bad, &good](net::AgentId self, net::Transport&,
+                        net::ControlChannel& ctl) -> int {
+    (void)ctl.Read(30'000);
+    if (self == 1) {
+      ctl.Write(m.tag, bad);
+    } else {
+      ctl.Write(net::kCtlRepWindow, good);
+    }
+    (void)ctl.Read(30'000);
+    return 0;
+  };
+  constexpr int kWatchdogMs = 10'000;
+  std::unique_ptr<net::AgentSupervisor> owner;
+  if (kind == net::TransportKind::kShm) {
+    owner = std::make_unique<net::ShmTransport>(
+        2, child_main, net::ShmTransport::Options{kWatchdogMs, 1u << 16});
+  } else {
+    net::ProcessTransport::Options opts;
+    opts.watchdog_ms = kWatchdogMs;
+    owner = std::make_unique<net::ProcessTransport>(2, child_main, opts);
+  }
+  const std::vector<net::TrafficStats> before(2);
+  const int window_zero[] = {0};
+  const Stopwatch timer;
+  owner->CommandAll(net::kCtlCmdRun, std::vector<uint8_t>{0, 0, 0, 0});
+  try {
+    (void)CollectWindowReportsBatch(*owner, before, window_zero);
+    ADD_FAILURE() << "malformed report was merged";
+  } catch (const ProtocolError& e) {
+    EXPECT_EQ(e.fault().cheater, 1);
+    EXPECT_EQ(e.fault().cheat, CheatClass::kForgedReport);
+    EXPECT_EQ(e.fault().window, 0);
+  }
+  EXPECT_LT(timer.ElapsedSeconds() * 1000.0, kWatchdogMs);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Payloads, MalformedReport,
+    ::testing::Combine(::testing::Values(net::TransportKind::kProcess,
+                                         net::TransportKind::kShm),
+                       ::testing::Range<size_t>(0, std::size(kMalformations))),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param) == net::TransportKind::kShm
+                             ? "shm_"
+                             : "process_") +
+             kMalformations[std::get<1>(info.param)].name;
+    });
 
 }  // namespace
 }  // namespace pem::protocol

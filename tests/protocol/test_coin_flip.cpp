@@ -118,13 +118,13 @@ TEST(SelectAgent, FullWindowOutcomeUnchanged) {
     Harness h(6, seed);
     h.cfg.collusion_resistant_selection = resistant;
     ProtocolContext ctx = h.Ctx();
-    return RunPemWindow(ctx, h.parties);
+    return RunPemWindow(ctx, h.parties).record;
   };
-  const PemWindowResult plain = run(false, 9);
-  const PemWindowResult resistant = run(true, 9);
+  const WindowRecord plain = run(false, 9);
+  const WindowRecord resistant = run(true, 9);
   EXPECT_EQ(resistant.type, plain.type);
   EXPECT_NEAR(resistant.price, plain.price, 1e-9);
-  EXPECT_NEAR(resistant.buyer_total_cost, plain.buyer_total_cost, 1e-6);
+  EXPECT_NEAR(resistant.buyer_cost_pem, plain.buyer_cost_pem, 1e-6);
   EXPECT_GT(resistant.bus_bytes, plain.bus_bytes);  // coin-flip traffic
 }
 

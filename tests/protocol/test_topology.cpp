@@ -311,7 +311,7 @@ TEST(TopologyExecution, PlanRingTopologyFollowsConfigAndWindow) {
 
 struct WindowRun {
   std::vector<net::Message> messages;
-  PemWindowResult result;
+  WindowRecord record;
   uint64_t transport_total_bytes = 0;
   std::vector<net::TrafficStats> per_agent;
 };
@@ -357,7 +357,7 @@ WindowRun RunWindowInProcess(const net::ExecutionPolicy& policy,
   }
   ProtocolContext ctx{eps, rng, cfg, nullptr, policy};
   bus->ResetStats();
-  run.result = RunPemWindow(ctx, parties);
+  run.record = RunPemWindow(ctx, parties).record;
   run.transport_total_bytes = bus->total_bytes();
   for (size_t i = 0; i < kMarket.size(); ++i) {
     run.per_agent.push_back(bus->stats(static_cast<net::AgentId>(i)));
@@ -417,34 +417,32 @@ WindowRun RunWindowForked(net::TransportKind kind,
   net::ByteWriter cmd;
   cmd.U32(0);
   transport.CommandAll(net::kCtlCmdRun, cmd.Take());
-  const WindowReport report = CollectWindowReports(transport, before, 0);
+  const int window_zero[] = {0};
+  run.record =
+      CollectWindowReportsBatch(transport, before, window_zero).front();
   run.transport_total_bytes = transport.total_bytes();
   for (size_t i = 0; i < kMarket.size(); ++i) {
     run.per_agent.push_back(transport.stats(static_cast<net::AgentId>(i)));
   }
   transport.SetObserver(nullptr);
   transport.Shutdown();
-  run.result.type = report.type;
-  run.result.price = report.price;
-  run.result.trades = report.trades;
-  run.result.bus_bytes = report.bus_bytes;
   return run;
 }
 
 // Identical market outcome — the plan-shape-independent core.
 void ExpectSameMarketOutcome(const WindowRun& a, const WindowRun& b) {
-  EXPECT_EQ(b.result.type, a.result.type);
-  EXPECT_DOUBLE_EQ(b.result.price, a.result.price);
-  ASSERT_EQ(b.result.trades.size(), a.result.trades.size());
-  for (size_t i = 0; i < a.result.trades.size(); ++i) {
-    EXPECT_EQ(b.result.trades[i].seller_index, a.result.trades[i].seller_index)
+  EXPECT_EQ(b.record.type, a.record.type);
+  EXPECT_DOUBLE_EQ(b.record.price, a.record.price);
+  ASSERT_EQ(b.record.trades.size(), a.record.trades.size());
+  for (size_t i = 0; i < a.record.trades.size(); ++i) {
+    EXPECT_EQ(b.record.trades[i].seller_index, a.record.trades[i].seller_index)
         << i;
-    EXPECT_EQ(b.result.trades[i].buyer_index, a.result.trades[i].buyer_index)
+    EXPECT_EQ(b.record.trades[i].buyer_index, a.record.trades[i].buyer_index)
         << i;
-    EXPECT_DOUBLE_EQ(b.result.trades[i].energy_kwh,
-                     a.result.trades[i].energy_kwh)
+    EXPECT_DOUBLE_EQ(b.record.trades[i].energy_kwh,
+                     a.record.trades[i].energy_kwh)
         << i;
-    EXPECT_DOUBLE_EQ(b.result.trades[i].payment, a.result.trades[i].payment)
+    EXPECT_DOUBLE_EQ(b.record.trades[i].payment, a.record.trades[i].payment)
         << i;
   }
 }
@@ -471,11 +469,11 @@ void ExpectSameTranscriptPerSender(const std::vector<net::Message>& serial,
 void ExpectFullParity(const WindowRun& serial, const WindowRun& other,
                       bool strict_order) {
   ExpectSameMarketOutcome(serial, other);
-  EXPECT_EQ(other.result.bus_bytes, serial.result.bus_bytes);
+  EXPECT_EQ(other.record.bus_bytes, serial.record.bus_bytes);
   EXPECT_EQ(other.transport_total_bytes, serial.transport_total_bytes);
   // Ledger-accounted: the transport's own total equals the canonical
   // per-window accounting, hierarchy or not.
-  EXPECT_EQ(serial.transport_total_bytes, serial.result.bus_bytes);
+  EXPECT_EQ(serial.transport_total_bytes, serial.record.bus_bytes);
   ASSERT_EQ(other.per_agent.size(), serial.per_agent.size());
   for (size_t a = 0; a < serial.per_agent.size(); ++a) {
     EXPECT_TRUE(other.per_agent[a] == serial.per_agent[a])
