@@ -65,6 +65,7 @@ struct PaillierPublicKey::FixedBase {
   std::once_flag once;
   BigInt h_s;
   std::vector<BigInt> table;
+  BigInt top;  // h_s^(16^table.size())
 };
 
 PaillierPublicKey::PaillierPublicKey(BigInt n, int key_bits)
@@ -97,6 +98,8 @@ const PaillierPublicKey::FixedBase& PaillierPublicKey::fixed_base() const {
       t = fb.table[i - 1];
       for (int s = 0; s < kDigitBits; ++s) t = t.MulMod(t, n2_);
     }
+    fb.top = fb.table.back();
+    for (int s = 0; s < kDigitBits; ++s) fb.top = fb.top.MulMod(fb.top, n2_);
   });
   return fb;
 }
@@ -152,6 +155,10 @@ bool PaillierPublicKey::IsRandomness(const BigInt& r) const {
 
 BigInt PaillierPublicKey::RandomnessFactor(const BigInt& r) const {
   PEM_CHECK(IsRandomness(r), "encryption randomness must be in [1, 2^l)");
+  return TablePow(r);
+}
+
+BigInt PaillierPublicKey::TablePow(const BigInt& r) const {
   const FixedBase& fb = fixed_base();
   // Fixed-base exponentiation (Brickell-Gordon-McCurley-Wilson): with
   // r = sum d_i 16^i, h_s^r = prod_{j=15..1} (prod_{d_i >= j} T_i), so
@@ -175,6 +182,41 @@ BigInt PaillierPublicKey::RandomnessFactor(const BigInt& r) const {
     mpz_tdiv_r(acc.raw(), t.raw(), n2_.raw());
   }
   return acc;
+}
+
+BigInt PaillierPublicKey::OpeningFactor(const BigInt& r) const {
+  PEM_CHECK(!r.IsNegative() &&
+                r.BitLength() <= static_cast<size_t>(randomness_bits() +
+                                                     key_bits_),
+            "opening randomness must be in [0, 2^(l + key_bits))");
+  const FixedBase& fb = fixed_base();
+  BigInt acc = TablePow(r);
+  // A sum of k draws exceeds the table by about log2(k) bits: the high
+  // part is a short exponent of the next power past the table.
+  BigInt high;
+  mpz_tdiv_q_2exp(high.raw(), r.raw(),
+                  static_cast<mp_bitcnt_t>(fb.table.size() * kDigitBits));
+  if (!high.IsZero()) acc = acc.MulMod(fb.top.PowMod(high, n2_), n2_);
+  return acc;
+}
+
+PaillierCiphertext PaillierPublicKey::EncryptOpening(
+    const PaillierOpening& o) const {
+  return EncryptWithFactor(o.m, o.f.MulMod(OpeningFactor(o.r), n2_));
+}
+
+PaillierOpening PaillierPublicKey::AddOpenings(const PaillierOpening& a,
+                                               const PaillierOpening& b) const {
+  return PaillierOpening{a.m.AddMod(b.m, n_), a.r + b.r, a.f.MulMod(b.f, n2_)};
+}
+
+PaillierOpening PaillierPublicKey::ScaleOpening(const PaillierOpening& o,
+                                                const BigInt& k) const {
+  PEM_CHECK(!k.IsNegative(), "opening scalar must be non-negative");
+  // Without pooled factors f is 1; skip the exponentiation then.
+  const BigInt one(1);
+  return PaillierOpening{o.m.MulMod(k, n_), o.r * k,
+                         o.f == one ? one : o.f.PowMod(k, n2_)};
 }
 
 BigInt PaillierPublicKey::SampleRandomnessFactor(Rng& rng) const {
@@ -215,28 +257,25 @@ PaillierCiphertext PaillierPublicKey::Rerandomize(const PaillierCiphertext& c,
 PaillierPrivateKey::PaillierPrivateKey(const PaillierPublicKey& pk, BigInt p,
                                        BigInt q)
     : pk_(pk), p_(std::move(p)), q_(std::move(q)) {
-  const BigInt p1 = p_ - BigInt(1);
-  const BigInt q1 = q_ - BigInt(1);
-  lambda_ = p1.Lcm(q1);
-  // With g = n+1, L(g^lambda mod n^2) = lambda mod n, so mu = lambda^-1.
-  // Computed via the generic formula to stay correct if g changes.
-  const BigInt u = pk_.n().AddMod(BigInt(1), pk_.n_squared())
-                       .PowMod(lambda_, pk_.n_squared());
-  mu_ = LFunction(u, pk_.n()).InvMod(pk_.n());
+  // g = n + 1, so (1 + n)^x = 1 + x*n mod n^2 and every L value below
+  // is a product: L(g^lambda mod n^2) = lambda mod n, and
+  // L_p(g^(p-1) mod p^2) = (p-1)*q = -q mod p (likewise for q).  No
+  // exponentiation is needed; test_paillier keeps the generic formulas
+  // as the oracle.
+  k_.lambda = (p_ - BigInt(1)).Lcm(q_ - BigInt(1));
+  k_.mu = k_.lambda.InvMod(pk_.n());
+  k_.hp = (p_ - q_ % p_).InvMod(p_);
+  k_.hq = (q_ - p_ % q_).InvMod(q_);
 
   // CRT tables: decrypt mod p^2 and q^2 then recombine.
   p2_ = p_ * p_;
   q2_ = q_ * q_;
-  const BigInt gp = pk_.n().AddMod(BigInt(1), p2_).PowMod(p1, p2_);
-  hp_ = LFunction(gp, p_).InvMod(p_);
-  const BigInt gq = pk_.n().AddMod(BigInt(1), q2_).PowMod(q1, q2_);
-  hq_ = LFunction(gq, q_).InvMod(q_);
   q_inv_mod_p_ = q_.InvMod(p_);
 }
 
 BigInt PaillierPrivateKey::DecryptPlain(const PaillierCiphertext& c) const {
-  const BigInt u = c.value.PowMod(lambda_, pk_.n_squared());
-  return LFunction(u, pk_.n()).MulMod(mu_, pk_.n());
+  const BigInt u = c.value.PowMod(k_.lambda, pk_.n_squared());
+  return LFunction(u, pk_.n()).MulMod(k_.mu, pk_.n());
 }
 
 BigInt PaillierPrivateKey::DecryptCrt(const PaillierCiphertext& c) const {
@@ -244,9 +283,9 @@ BigInt PaillierPrivateKey::DecryptCrt(const PaillierCiphertext& c) const {
   const BigInt q1 = q_ - BigInt(1);
   // m_p = L_p(c^{p-1} mod p^2) * hp mod p
   const BigInt mp =
-      LFunction((c.value % p2_).PowMod(p1, p2_), p_).MulMod(hp_, p_);
+      LFunction((c.value % p2_).PowMod(p1, p2_), p_).MulMod(k_.hp, p_);
   const BigInt mq =
-      LFunction((c.value % q2_).PowMod(q1, q2_), q_).MulMod(hq_, q_);
+      LFunction((c.value % q2_).PowMod(q1, q2_), q_).MulMod(k_.hq, q_);
   // Garner recombination: m = mq + q * ((mp - mq) * q^-1 mod p).
   const BigInt diff = mp.SubMod(mq % p_, p_);
   const BigInt h = diff.MulMod(q_inv_mod_p_, p_);

@@ -44,6 +44,19 @@ struct PaillierCiphertext {
   bool operator==(const PaillierCiphertext& o) const { return value == o.value; }
 };
 
+// What a ciphertext opens to: c = (1 + m*n) * f * h_s^r mod n^2, with
+// m in [0, n) its plaintext, r >= 0 a sum of encryption randomness and
+// f a product of precomputed factors h_s^r' (1 when none).  Openings
+// add and scale like the ciphertexts they open, so whoever fixed every
+// share's randomness can rebuild an aggregate's exact bytes
+// (PaillierPublicKey::EncryptOpening) and read its plaintext without
+// the private key.
+struct PaillierOpening {
+  BigInt m;
+  BigInt r;
+  BigInt f{1};
+};
+
 class PaillierPublicKey {
  public:
   PaillierPublicKey() = default;
@@ -76,6 +89,16 @@ class PaillierPublicKey {
   // Assembles a ciphertext from a plaintext and a precomputed factor.
   PaillierCiphertext EncryptWithFactor(const BigInt& m,
                                        const BigInt& factor) const;
+
+  // The ciphertext `o` opens: bit for bit the product of the
+  // ciphertexts whose openings were combined into it.
+  PaillierCiphertext EncryptOpening(const PaillierOpening& o) const;
+  // The opening of Add(a, b), given openings of a and b.
+  PaillierOpening AddOpenings(const PaillierOpening& a,
+                              const PaillierOpening& b) const;
+  // The opening of ScalarMul(c, k) for k >= 0, given c's opening.
+  PaillierOpening ScaleOpening(const PaillierOpening& o,
+                               const BigInt& k) const;
 
   // Homomorphic addition of plaintexts.
   PaillierCiphertext Add(const PaillierCiphertext& a,
@@ -119,12 +142,19 @@ class PaillierPublicKey {
   }
 
  private:
-  // h_s and its 4-bit fixed-base table h_s^(16^i), i < ceil(l / 4).
+  // h_s, its 4-bit fixed-base table h_s^(16^i), i < ceil(l / 4), and
+  // the next power past the table, h_s^(16^ceil(l / 4)).
   // Built on first use, once, however many copies of the key share it
   // and whichever thread gets there first; a key that only travels
   // (a deserialized announcement) never pays for it.
   struct FixedBase;
   const FixedBase& fixed_base() const;
+  // h_s^(r mod 16^ceil(l / 4)): the table's digits of r.
+  BigInt TablePow(const BigInt& r) const;
+  // h_s^r for the summed randomness of an opening: any r in
+  // [0, 2^(l + key_bits)), through the same table as RandomnessFactor
+  // (whose [1, 2^l) check stays as it is).
+  BigInt OpeningFactor(const BigInt& r) const;
 
   BigInt n_;
   BigInt n2_;
@@ -139,6 +169,17 @@ class PaillierPrivateKey {
 
   BigInt Decrypt(const PaillierCiphertext& c) const;
   int64_t DecryptSigned(const PaillierCiphertext& c) const;
+
+  // What decryption precomputes from (p, q).  With g = n + 1 each has a
+  // closed form: lambda = lcm(p-1, q-1), mu = lambda^-1 mod n,
+  // hp = (-q)^-1 mod p and hq = (-p)^-1 mod q.
+  struct Constants {
+    BigInt lambda;
+    BigInt mu;  // (L(g^lambda mod n^2))^-1 mod n
+    BigInt hp;  // (L_p(g^(p-1) mod p^2))^-1 mod p
+    BigInt hq;  // (L_q(g^(q-1) mod q^2))^-1 mod q
+  };
+  const Constants& constants() const { return k_; }
 
   // Toggle CRT decryption (ablation: bench/ablation_crt).
   void set_use_crt(bool use_crt) { use_crt_ = use_crt; }
@@ -158,11 +199,9 @@ class PaillierPrivateKey {
 
   PaillierPublicKey pk_;
   BigInt p_, q_;
-  BigInt lambda_;  // lcm(p-1, q-1)
-  BigInt mu_;      // (L(g^lambda mod n^2))^-1 mod n
+  Constants k_;
   // CRT precomputation.
   BigInt p2_, q2_;        // p^2, q^2
-  BigInt hp_, hq_;        // per-prime mu values
   BigInt q_inv_mod_p_;    // CRT (Garner) recombination coefficient
   bool use_crt_ = true;
 };

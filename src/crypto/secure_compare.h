@@ -27,7 +27,9 @@
 //
 // Only the processes of the two endpoints compute the compare.  A
 // forked child that acts for neither (net::Transport::Acts) holds both
-// inputs in its replica of the script.  It draws the compare's
+// inputs in its replica of the script: market evaluation reads the
+// blinded sums from the ring's openings (protocol/context.h), since
+// only each sum's key owner decrypts.  It draws the compare's
 // randomness all the same, so its rng stays in step with the
 // endpoints' processes, posts the four frames to its shadow script at
 // their fixed sizes, so its ledger does too, and returns x < y.  The

@@ -29,9 +29,13 @@
 //     byte-identical to what the deterministic protocol demands;
 //   * Send/Receive(other) touch only the shadow: another agent's
 //     traffic is that agent's own process's business.  Acts(agent) is
-//     true for the own agent only, so a step between two other agents
-//     whose frames have fixed sizes (the secure comparison) may post
-//     placeholder frames to the shadow instead of computing them.
+//     true for the own agent only, and protocol code computes only the
+//     steps of agents it acts for.  A Paillier frame another agent
+//     sends to this one is rebuilt from the replica's opening of the
+//     ciphertext (protocol/context.h), and the byte-match above checks
+//     it against the wire; a frame between two other agents, a ring
+//     hop or a secure-comparison message, is a zero-filled placeholder
+//     of its fixed size; and only the key owner's process decrypts.
 // Frames from concurrent senders may physically arrive out of script
 // order (the processes really do run in parallel); a small stash holds
 // early arrivals until the script asks for them, so per-sender FIFO

@@ -154,7 +154,9 @@ class Transport {
   // backends compute every agent's.  A forked child computes only its
   // own and follows every other agent's traffic on its shadow script,
   // so a step between two agents it does not act for may post
-  // placeholder frames of the right sizes instead of computing them.
+  // placeholder frames of the right sizes instead of computing them,
+  // and a frame it receives from another agent may be rebuilt from
+  // what its replica knows (a ciphertext's opening).
   virtual bool Acts(AgentId /*agent*/) const { return true; }
 
   // First channel fault observed (closed peer, dead router), if any.

@@ -50,6 +50,18 @@ EncryptionSlot PrepareEncryption(ProtocolContext& ctx,
   return slot;
 }
 
+crypto::PaillierOpening OpenSlot(const crypto::PaillierPublicKey& pk,
+                                 const EncryptionSlot& slot) {
+  crypto::PaillierOpening o;
+  o.m = pk.EncodeSigned(slot.value);
+  if (slot.pooled_factor.has_value()) {
+    o.f = *slot.pooled_factor;
+  } else {
+    o.r = slot.randomness;
+  }
+  return o;
+}
+
 crypto::PaillierCiphertext ComputeEncryption(
     const crypto::PaillierPublicKey& pk, const EncryptionSlot& slot) {
   const crypto::BigInt m = pk.EncodeSigned(slot.value);
@@ -63,7 +75,9 @@ std::vector<crypto::PaillierCiphertext> ComputeEncryptions(
     const ProtocolContext& ctx, const crypto::PaillierPublicKey& pk,
     std::span<const EncryptionSlot> slots) {
   std::vector<crypto::PaillierCiphertext> out(slots.size());
-  const auto compute = [&](size_t i) { out[i] = ComputeEncryption(pk, slots[i]); };
+  const auto compute = [&](size_t i) {
+    if (slots[i].acts) out[i] = ComputeEncryption(pk, slots[i]);
+  };
   if (ctx.scheduler != nullptr && ctx.scheduler->fused()) {
     // Batched scheduling: the fan-out runs on the scheduler's
     // persistent team, amortizing fork/join across every compute phase
@@ -85,28 +99,74 @@ net::Message ExpectMessage(net::Endpoint& ep, uint32_t expected_type) {
   return std::move(*m);
 }
 
+FrameSource SourceOfFrame(const ProtocolContext& ctx, net::AgentId from,
+                          net::AgentId to) {
+  if (ctx.ep(from).acts()) return FrameSource::kSender;
+  if (ctx.ep(to).acts()) return FrameSource::kOpening;
+  return FrameSource::kNone;
+}
+
+void WriteRingCiphertext(net::ByteWriter& w, const ProtocolContext& ctx,
+                         const crypto::PaillierPublicKey& pk,
+                         net::AgentId from, net::AgentId to,
+                         const RingCiphertext& c) {
+  switch (SourceOfFrame(ctx, from, to)) {
+    case FrameSource::kSender:
+      WriteCiphertext(w, pk, c.ct);
+      return;
+    case FrameSource::kOpening:
+      WriteCiphertext(w, pk, pk.EncryptOpening(c.opening));
+      return;
+    case FrameSource::kNone:
+      w.Bytes(std::vector<uint8_t>(pk.ciphertext_bytes()));
+      return;
+  }
+}
+
+crypto::BigInt OwnerDecrypt(const ProtocolContext& ctx, const Party& owner,
+                            const crypto::PaillierCiphertext& ct,
+                            const crypto::BigInt& opened) {
+  if (!ctx.ep(owner.id()).acts()) return opened;
+  crypto::BigInt m = owner.private_key().Decrypt(ct);
+  PEM_CHECK(m == opened, "decryption disagrees with the replica's opening");
+  return m;
+}
+
+int64_t OwnerDecryptSigned(const ProtocolContext& ctx, const Party& owner,
+                           const RingCiphertext& c) {
+  return owner.public_key().DecodeSigned(
+      OwnerDecrypt(ctx, owner, c.ct, c.opening.m));
+}
+
 namespace {
 
-// Phase 3: the sequential ring-multiply/forward pass over
-// pre-computed member ciphertexts.
-crypto::PaillierCiphertext ForwardRing(
-    ProtocolContext& ctx, const crypto::PaillierPublicKey& pk,
-    std::span<Party> parties, std::span<const size_t> ring,
-    std::span<const crypto::PaillierCiphertext> shares,
-    net::AgentId final_recipient) {
-  crypto::PaillierCiphertext running;
+// Phase 3: the sequential ring-multiply/forward pass over the members'
+// shares.  Every process carries the running opening; only a process
+// acting for a member multiplies that member's ciphertext in.
+RingCiphertext ForwardRing(ProtocolContext& ctx,
+                           const crypto::PaillierPublicKey& pk,
+                           std::span<Party> parties,
+                           std::span<const size_t> ring,
+                           std::span<const RingCiphertext> shares,
+                           net::AgentId final_recipient) {
+  RingCiphertext running;
   for (size_t pos = 0; pos < ring.size(); ++pos) {
     Party& member = parties[ring[pos]];
     // Each member multiplies its (pre-encrypted) contribution in.
-    const crypto::PaillierCiphertext& mine = shares[pos];
-    running = (pos == 0) ? mine : pk.Add(running, mine);
+    const RingCiphertext& mine = shares[pos];
+    if (pos == 0) {
+      running = mine;
+    } else {
+      running.opening = pk.AddOpenings(running.opening, mine.opening);
+      if (ctx.ep(member.id()).acts()) running.ct = pk.Add(running.ct, mine.ct);
+    }
 
     const bool last = pos + 1 == ring.size();
     const net::AgentId next =
         last ? final_recipient : parties[ring[pos + 1]].id();
     if (member.id() == next) continue;  // the recipient already holds it
     net::ByteWriter w;
-    WriteCiphertext(w, pk, running);
+    WriteRingCiphertext(w, ctx, pk, member.id(), next, running);
     ctx.ep(member.id()).Send(next, last ? kMsgRingFinal : kMsgRingHop,
                              w.Take());
     if (!last) {
@@ -114,7 +174,7 @@ crypto::PaillierCiphertext ForwardRing(
       // share (sequential execution of the ring).
       net::Message m = ExpectMessage(ctx.ep(next), kMsgRingHop);
       net::ByteReader r(m.payload);
-      running = ReadCiphertext(r);
+      running.ct = ReadCiphertext(r);
     }
   }
   // Deliver to the final recipient's inbox (unless it was the last ring
@@ -123,7 +183,7 @@ crypto::PaillierCiphertext ForwardRing(
   if (last_member != final_recipient) {
     net::Message m = ExpectMessage(ctx.ep(final_recipient), kMsgRingFinal);
     net::ByteReader r(m.payload);
-    running = ReadCiphertext(r);
+    running.ct = ReadCiphertext(r);
   }
   return running;
 }
@@ -135,18 +195,18 @@ AggregationTopology PlanRingTopology(const ProtocolContext& ctx,
   return AggregationTopology::Build(members, ctx.config.topology, ctx.window);
 }
 
-crypto::PaillierCiphertext RingAggregate(
+RingCiphertext RingAggregate(
     ProtocolContext& ctx, const crypto::PaillierPublicKey& pk,
     std::span<Party> parties, const AggregationTopology& topology,
     const std::function<int64_t(const Party&)>& value_of,
     net::AgentId final_recipient) {
   const std::function<int64_t(const Party&)> fns[] = {value_of};
-  std::vector<crypto::PaillierCiphertext> aggs =
+  std::vector<RingCiphertext> aggs =
       RingAggregateBatch(ctx, pk, parties, topology, fns, final_recipient);
   return std::move(aggs.front());
 }
 
-crypto::PaillierCiphertext RingAggregate(
+RingCiphertext RingAggregate(
     ProtocolContext& ctx, const crypto::PaillierPublicKey& pk,
     std::span<Party> parties, std::span<const size_t> ring,
     const std::function<int64_t(const Party&)>& value_of,
@@ -155,7 +215,7 @@ crypto::PaillierCiphertext RingAggregate(
                        value_of, final_recipient);
 }
 
-std::vector<crypto::PaillierCiphertext> RingAggregateBatch(
+std::vector<RingCiphertext> RingAggregateBatch(
     ProtocolContext& ctx, const crypto::PaillierPublicKey& pk,
     std::span<Party> parties, const AggregationTopology& topology,
     std::span<const std::function<int64_t(const Party&)>> value_fns,
@@ -176,14 +236,19 @@ std::vector<crypto::PaillierCiphertext> RingAggregateBatch(
   for (const auto& value_of : value_fns) {
     for (size_t member : leaf_members) {
       slots.push_back(PrepareEncryption(ctx, pk, value_of(parties[member])));
+      slots.back().acts = ctx.ep(parties[member].id()).acts();
     }
   }
 
   // Phase 2 (compute, policy-driven): the dominant crypto cost — one
-  // h_s^r exponentiation per slot — fans out across workers, fused over
-  // every lane and every leaf ring.
-  const std::vector<crypto::PaillierCiphertext> shares =
+  // h_s^r exponentiation per slot this process acts for — fans out
+  // across workers, fused over every lane and every leaf ring.
+  const std::vector<crypto::PaillierCiphertext> cts =
       ComputeEncryptions(ctx, pk, slots);
+  std::vector<RingCiphertext> shares(slots.size());
+  for (size_t i = 0; i < slots.size(); ++i) {
+    shares[i] = RingCiphertext{cts[i], OpenSlot(pk, slots[i])};
+  }
 
   // Phase 3 (forward, sequential): per lane, run every ring of every
   // level bottom-up.  Leaf rings aggregate their members' fresh
@@ -191,23 +256,24 @@ std::vector<crypto::PaillierCiphertext> RingAggregateBatch(
   // aggregate the partials their members (the level below's leaders)
   // already hold — no fresh encryption, no RNG draw (topology.h
   // invariant 2) — and the root ring delivers to the final recipient.
-  std::vector<crypto::PaillierCiphertext> results;
+  // Upper rings carry the partials' openings along with them.
+  std::vector<RingCiphertext> results;
   results.reserve(value_fns.size());
   const std::vector<TopologyLevel>& levels = topology.levels();
   for (size_t lane = 0; lane < value_fns.size(); ++lane) {
-    const std::span<const crypto::PaillierCiphertext> lane_shares(
+    const std::span<const RingCiphertext> lane_shares(
         shares.data() + lane * leaf_members.size(), leaf_members.size());
-    std::vector<crypto::PaillierCiphertext> partials;
+    std::vector<RingCiphertext> partials;
     size_t leaf_offset = 0;
     for (size_t l = 0; l < levels.size(); ++l) {
       const bool root = l + 1 == levels.size();
-      std::vector<crypto::PaillierCiphertext> next;
+      std::vector<RingCiphertext> next;
       next.reserve(levels[l].rings.size());
       size_t child = 0;  // partial index: level l's rings list level
                          // l-1's leaders contiguously, in ring order
       for (const TopologyRing& ring : levels[l].rings) {
         const size_t m = ring.members.size();
-        std::span<const crypto::PaillierCiphertext> ring_shares;
+        std::span<const RingCiphertext> ring_shares;
         if (l == 0) {
           ring_shares = lane_shares.subspan(leaf_offset, m);
           leaf_offset += m;
@@ -227,7 +293,7 @@ std::vector<crypto::PaillierCiphertext> RingAggregateBatch(
   return results;
 }
 
-std::vector<crypto::PaillierCiphertext> RingAggregateBatch(
+std::vector<RingCiphertext> RingAggregateBatch(
     ProtocolContext& ctx, const crypto::PaillierPublicKey& pk,
     std::span<Party> parties, std::span<const size_t> ring,
     std::span<const std::function<int64_t(const Party&)>> value_fns,

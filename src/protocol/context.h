@@ -7,11 +7,14 @@
 //   1. prepare  (sequential)  — fix each leaf member's encryption
 //      randomness: a pooled h_s^r factor when a PaillierRandomnessPool
 //      is attached and non-dry, otherwise a fresh r drawn from the
-//      context RNG;
-//   2. compute  (policy-driven) — produce each member's ciphertext
-//      from its fixed randomness; with ExecutionPolicy::threads > 1
-//      the ciphertexts are computed by ParallelFor workers, mirroring
-//      the paper's one-container-per-agent deployment;
+//      context RNG.  Every process fixes every member's, so each
+//      share's opening (crypto::PaillierOpening) is known everywhere;
+//   2. compute  (policy-driven) — encrypt the shares of the members
+//      this process acts for (net::Transport::Acts: every member on
+//      the in-process bus, its own agent in a forked child); with
+//      ExecutionPolicy::threads > 1 the ciphertexts are computed by
+//      ParallelFor workers, mirroring the paper's one-container-per-
+//      agent deployment;
 //   3. forward  (sequential)  — the ring-multiply/forward passes over
 //      the transport, hop by hop: leaf rings aggregate shard-locally
 //      and deliver to their elected leaders, leaders re-aggregate up
@@ -24,6 +27,16 @@
 // hierarchical plan's prices and trades are bit-identical to the flat
 // ring's (the plan invariants in topology.h; test_topology asserts it
 // across all five transport backends).
+//
+// Who computes a ciphertext frame (WriteRingCiphertext).  A process
+// that acts for the sender computes it honestly from the ciphertext
+// the sender holds; one that acts only for the receiver rebuilds the
+// same bytes from the opening with one fixed-base exponentiation (and
+// a forked child's transport byte-matches them against the wire); one
+// that acts for neither posts a zero-filled frame of the same width to
+// its shadow script.  Only the key owner's process decrypts
+// (OwnerDecrypt); every other process reads the plaintext from the
+// opening.
 #pragma once
 
 #include <functional>
@@ -112,6 +125,9 @@ struct EncryptionSlot {
   // Exactly one of the two is set: a pooled h_s^r factor, or fresh r.
   std::optional<crypto::BigInt> pooled_factor;
   crypto::BigInt randomness;
+  // Whether this process computes the ciphertext in phase 2: it acts
+  // for the member the slot encrypts for.  Other slots stay openings.
+  bool acts = true;
 };
 
 // Sequentially fixes the randomness for one encryption of `value`
@@ -120,19 +136,59 @@ EncryptionSlot PrepareEncryption(ProtocolContext& ctx,
                                  const crypto::PaillierPublicKey& pk,
                                  int64_t value);
 
+// The opening of the slot's ciphertext.
+crypto::PaillierOpening OpenSlot(const crypto::PaillierPublicKey& pk,
+                                 const EncryptionSlot& slot);
+
 // Phase-2 work for a single prepared slot.  Thread-safe for distinct
 // slots; callers embedding extra per-item work in their own fan-out
 // (e.g. Protocol 4's ScalarMul) use this directly.
 crypto::PaillierCiphertext ComputeEncryption(
     const crypto::PaillierPublicKey& pk, const EncryptionSlot& slot);
 
-// Computes slots[i] -> out[i] under the context policy: ParallelFor
-// across workers when policy.threads > 1, a plain loop otherwise.  The
-// result is independent of the worker count because every slot's
-// randomness was fixed in phase 1.
+// Computes slots[i] -> out[i] for every slot this process acts for,
+// under the context policy: ParallelFor across workers when
+// policy.threads > 1, a plain loop otherwise; other entries stay
+// empty.  The result is independent of the worker count because every
+// slot's randomness was fixed in phase 1.
 std::vector<crypto::PaillierCiphertext> ComputeEncryptions(
     const ProtocolContext& ctx, const crypto::PaillierPublicKey& pk,
     std::span<const EncryptionSlot> slots);
+
+// A ciphertext as this process holds it: the bytes, meaningful only
+// where the process acts for the agent holding them, and the opening,
+// known everywhere.
+struct RingCiphertext {
+  crypto::PaillierCiphertext ct;
+  crypto::PaillierOpening opening;
+};
+
+// Where the bytes of a ciphertext frame from `from` to `to` come from
+// in this process (see the top of this header).
+enum class FrameSource {
+  kSender,   // acts for the sender: the ciphertext it holds
+  kOpening,  // acts only for the receiver: rebuilt from the opening
+  kNone,     // acts for neither: zero-filled
+};
+FrameSource SourceOfFrame(const ProtocolContext& ctx, net::AgentId from,
+                          net::AgentId to);
+
+// Writes `c` as the ciphertext of a frame from `from` to `to`, taking
+// its bytes from SourceOfFrame.  Same width on every path.
+void WriteRingCiphertext(net::ByteWriter& w, const ProtocolContext& ctx,
+                         const crypto::PaillierPublicKey& pk,
+                         net::AgentId from, net::AgentId to,
+                         const RingCiphertext& c);
+
+// The plaintext of `ct` under `owner`'s key, whose opening's plaintext
+// is `opened`.  Only the owner's process decrypts, and checks the
+// result against `opened`; every other process returns `opened`.
+// Protocol code reaches a private key through this alone.
+crypto::BigInt OwnerDecrypt(const ProtocolContext& ctx, const Party& owner,
+                            const crypto::PaillierCiphertext& ct,
+                            const crypto::BigInt& opened);
+int64_t OwnerDecryptSigned(const ProtocolContext& ctx, const Party& owner,
+                           const RingCiphertext& c);
 
 // --- ring aggregation -------------------------------------------------
 
@@ -167,10 +223,11 @@ AggregationTopology PlanRingTopology(const ProtocolContext& ctx,
 // ciphertext, forwarding hop-by-hop over the bus; leaders carry the
 // partials up the tree, and the root ring's last holder sends the
 // product to `final_recipient`, who is returned the ciphertext of
-// Σ value_of.  Every hop's bytes are accounted.  Runs the three-phase
-// schedule described at the top of this header.  A one-lane wrapper
-// over RingAggregateBatch — there is exactly one executor.
-crypto::PaillierCiphertext RingAggregate(
+// Σ value_of with its opening.  Every hop's bytes are accounted.  Runs
+// the three-phase schedule described at the top of this header.  A
+// one-lane wrapper over RingAggregateBatch — there is exactly one
+// executor.
+RingCiphertext RingAggregate(
     ProtocolContext& ctx, const crypto::PaillierPublicKey& pk,
     std::span<Party> parties, const AggregationTopology& topology,
     const std::function<int64_t(const Party&)>& value_of,
@@ -179,7 +236,7 @@ crypto::PaillierCiphertext RingAggregate(
 // Flat-plan shorthand: aggregates over `ring` as a single flat ring,
 // whatever ctx.config.topology says.  Equivalent to passing
 // AggregationTopology::Flat(ring).
-crypto::PaillierCiphertext RingAggregate(
+RingCiphertext RingAggregate(
     ProtocolContext& ctx, const crypto::PaillierPublicKey& pk,
     std::span<Party> parties, std::span<const size_t> ring,
     const std::function<int64_t(const Party&)>& value_of,
@@ -192,14 +249,14 @@ crypto::PaillierCiphertext RingAggregate(
 // sums (Σ k_i and Σ supply_i) would otherwise pay the fork/join cost
 // twice.  Transcript-equivalent to calling RingAggregate per lane in
 // order.
-std::vector<crypto::PaillierCiphertext> RingAggregateBatch(
+std::vector<RingCiphertext> RingAggregateBatch(
     ProtocolContext& ctx, const crypto::PaillierPublicKey& pk,
     std::span<Party> parties, const AggregationTopology& topology,
     std::span<const std::function<int64_t(const Party&)>> value_fns,
     net::AgentId final_recipient);
 
 // Flat-plan shorthand for the batched variant.
-std::vector<crypto::PaillierCiphertext> RingAggregateBatch(
+std::vector<RingCiphertext> RingAggregateBatch(
     ProtocolContext& ctx, const crypto::PaillierPublicKey& pk,
     std::span<Party> parties, std::span<const size_t> ring,
     std::span<const std::function<int64_t(const Party&)>> value_fns,

@@ -29,21 +29,26 @@ std::vector<double> ComputeRatios(ProtocolContext& ctx,
 
   // Lines 3-5: ring-aggregate the encrypted coalition total (shaped by
   // the configured aggregation topology); the last member broadcasts
-  // it within the coalition.
+  // it within the coalition.  Each member keeps its own copy: the
+  // ring's result for the last member, the broadcast for the others.
   auto share_of = [](const Party& p) { return std::abs(p.net_raw()); };
-  const size_t last = ratio_members.back();
-  const crypto::PaillierCiphertext enc_total =
+  const net::AgentId last = parties[ratio_members.back()].id();
+  const RingCiphertext enc_total =
       RingAggregate(ctx, pk, parties, PlanRingTopology(ctx, ratio_members),
-                    share_of, parties[last].id());
-  {
-    net::ByteWriter w;
-    WriteCiphertext(w, pk, enc_total);
-    const std::vector<uint8_t> payload = w.Take();
-    for (size_t m : ratio_members) {
-      if (m == last) continue;
-      ctx.ep(parties[last].id()).Send(parties[m].id(), kMsgEncTotal, payload);
-      (void)ExpectMessage(ctx.ep(parties[m].id()), kMsgEncTotal);
+                    share_of, last);
+  std::vector<crypto::PaillierCiphertext> totals(ratio_members.size());
+  for (size_t i = 0; i < ratio_members.size(); ++i) {
+    const net::AgentId member = parties[ratio_members[i]].id();
+    if (member == last) {
+      totals[i] = enc_total.ct;
+      continue;
     }
+    net::ByteWriter w;
+    WriteRingCiphertext(w, ctx, pk, last, member, enc_total);
+    ctx.ep(last).Send(member, kMsgEncTotal, w.Take());
+    const net::Message m = ExpectMessage(ctx.ep(member), kMsgEncTotal);
+    net::ByteReader r(m.payload);
+    totals[i] = ReadCiphertext(r);
   }
 
   // Lines 6-7: each member sends Enc(total * K / share) to the
@@ -69,12 +74,29 @@ std::vector<double> ComputeRatios(ProtocolContext& ctx,
     // randomness pool like every ring encryption does.
     rerand_slots.push_back(PrepareEncryption(ctx, pk, 0));
   }
-  std::vector<crypto::PaillierCiphertext> ratio_cts(ratio_members.size());
+  // Every process knows each ratio's plaintext; the ciphertext is
+  // computed by the member's process, and its opening only where the
+  // aggregator's process must rebuild the frame.
+  std::vector<RingCiphertext> ratio_cts(ratio_members.size());
   const auto compute_ratio = [&](size_t i) {
-    // Enc(0) hides the scalar from the wire; one fused fan-out covers
-    // both exponentiations per member.
-    ratio_cts[i] = pk.Add(pk.ScalarMul(enc_total, scalars[i]),
-                          ComputeEncryption(pk, rerand_slots[i]));
+    RingCiphertext& out = ratio_cts[i];
+    out.opening.m = enc_total.opening.m.MulMod(scalars[i], pk.n());
+    switch (SourceOfFrame(ctx, parties[ratio_members[i]].id(),
+                          aggregator.id())) {
+      case FrameSource::kSender:
+        // Enc(0) hides the scalar from the wire; one fused fan-out
+        // covers both exponentiations per member.
+        out.ct = pk.Add(pk.ScalarMul(totals[i], scalars[i]),
+                        ComputeEncryption(pk, rerand_slots[i]));
+        break;
+      case FrameSource::kOpening:
+        out.opening =
+            pk.AddOpenings(pk.ScaleOpening(enc_total.opening, scalars[i]),
+                           OpenSlot(pk, rerand_slots[i]));
+        break;
+      case FrameSource::kNone:
+        break;
+    }
   };
   if (ctx.scheduler != nullptr && ctx.scheduler->fused()) {
     // Batched scheduling: reuse the scheduler's persistent team (see
@@ -90,7 +112,8 @@ std::vector<double> ComputeRatios(ProtocolContext& ctx,
     net::ByteWriter w;
     w.U32(static_cast<uint32_t>(m));
     w.I64(big_k);
-    WriteCiphertext(w, pk, ratio_cts[i]);
+    WriteRingCiphertext(w, ctx, pk, parties[m].id(), aggregator.id(),
+                        ratio_cts[i]);
     ctx.ep(parties[m].id()).Send(aggregator.id(), kMsgRatioCipher, w.Take());
   }
 
@@ -104,19 +127,15 @@ std::vector<double> ComputeRatios(ProtocolContext& ctx,
     const uint32_t member_index = r.U32();
     const int64_t k_received = r.I64();
     const crypto::PaillierCiphertext ct = ReadCiphertext(r);
-    const double v = aggregator.private_key().Decrypt(ct).ToDouble();
-    PEM_CHECK(v > 0.0, "ratio ciphertext decrypted to non-positive value");
-    const double ratio = static_cast<double>(k_received) / v;  // share/total
     // Map back to the ratio_members slot.
-    bool found = false;
-    for (size_t j = 0; j < ratio_members.size(); ++j) {
-      if (ratio_members[j] == member_index) {
-        ratios[j] = ratio;
-        found = true;
-        break;
-      }
-    }
-    PEM_CHECK(found, "ratio message from unknown coalition member");
+    size_t j = 0;
+    while (j < ratio_members.size() && ratio_members[j] != member_index) ++j;
+    PEM_CHECK(j < ratio_members.size(),
+              "ratio message from unknown coalition member");
+    const double v =
+        OwnerDecrypt(ctx, aggregator, ct, ratio_cts[j].opening.m).ToDouble();
+    PEM_CHECK(v > 0.0, "ratio ciphertext decrypted to non-positive value");
+    ratios[j] = static_cast<double>(k_received) / v;  // share/total
   }
 
   // Broadcast the ratio vector within the counterpart coalition (the

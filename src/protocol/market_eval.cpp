@@ -30,7 +30,7 @@ MarketEvalResult RunPrivateMarketEvaluation(ProtocolContext& ctx,
   for (size_t s : coalitions.sellers) {
     if (s != hr1) ring1.push_back(s);
   }
-  const crypto::PaillierCiphertext agg1 = RingAggregate(
+  const RingCiphertext agg1 = RingAggregate(
       ctx, seller_hr1.public_key(), parties, PlanRingTopology(ctx, ring1),
       [](const Party& p) {
         if (p.role() == grid::Role::kBuyer) return -p.net_raw() + p.nonce();
@@ -38,7 +38,7 @@ MarketEvalResult RunPrivateMarketEvaluation(ProtocolContext& ctx,
       },
       seller_hr1.id());
   const int64_t rb =
-      seller_hr1.private_key().DecryptSigned(agg1) + seller_hr1.nonce();
+      OwnerDecryptSigned(ctx, seller_hr1, agg1) + seller_hr1.nonce();
 
   // --- Round 2: aggregate blinded supply under a random buyer's key ---
   const size_t hr2 = SelectAgent(ctx, parties, coalitions.buyers);
@@ -51,7 +51,7 @@ MarketEvalResult RunPrivateMarketEvaluation(ProtocolContext& ctx,
   for (size_t b : coalitions.buyers) {
     if (b != hr2) ring2.push_back(b);
   }
-  const crypto::PaillierCiphertext agg2 = RingAggregate(
+  const RingCiphertext agg2 = RingAggregate(
       ctx, buyer_hr2.public_key(), parties, PlanRingTopology(ctx, ring2),
       [](const Party& p) {
         if (p.role() == grid::Role::kSeller) return p.net_raw() + p.nonce();
@@ -59,7 +59,7 @@ MarketEvalResult RunPrivateMarketEvaluation(ProtocolContext& ctx,
       },
       buyer_hr2.id());
   const int64_t rs =
-      buyer_hr2.private_key().DecryptSigned(agg2) + buyer_hr2.nonce();
+      OwnerDecryptSigned(ctx, buyer_hr2, agg2) + buyer_hr2.nonce();
 
   // Both blinded sums carry the same Σ nonces, so [Rs < Rb] iff
   // [E_s < E_b].  They are non-negative and bounded well below 2^63.

@@ -30,11 +30,10 @@ PricingResult RunPrivatePricing(ProtocolContext& ctx,
       [](const Party& p) { return p.PreferenceRaw(); },
       [](const Party& p) { return p.SupplyTermRaw(); },
   };
-  const std::vector<crypto::PaillierCiphertext> sums = RingAggregateBatch(
+  const std::vector<RingCiphertext> sums = RingAggregateBatch(
       ctx, buyer_hb.public_key(), parties, plan, lanes, buyer_hb.id());
-  const int64_t sum_k_raw = buyer_hb.private_key().DecryptSigned(sums[0]);
-  const int64_t sum_supply_raw =
-      buyer_hb.private_key().DecryptSigned(sums[1]);
+  const int64_t sum_k_raw = OwnerDecryptSigned(ctx, buyer_hb, sums[0]);
+  const int64_t sum_supply_raw = OwnerDecryptSigned(ctx, buyer_hb, sums[1]);
 
   // Lines 8-9: Hb derives p̂ and clamps to [pl, ph].
   result.sums.sum_k = FixedPoint::FromRaw(sum_k_raw).ToDouble();

@@ -779,5 +779,51 @@ TEST(PaillierSerialization, RejectsCompositeFactors) {
   EXPECT_FALSE(PaillierPrivateKey::Deserialize(w.data()).ok());
 }
 
+// The private key's constants come from closed forms that hold for
+// g = n + 1 (see PaillierPrivateKey's constructor).  The generic
+// formulas, each an exponentiation and an L, stay here as the oracle.
+class PaillierKeygenClosedForm : public ::testing::TestWithParam<int> {};
+
+TEST_P(PaillierKeygenClosedForm, MatchesGenericFormula) {
+  const int bits = GetParam();
+  DeterministicRng rng(3500 + static_cast<uint64_t>(bits));
+  const PaillierKeyPair kp = GeneratePaillierKeyPair(bits, rng);
+  const std::vector<uint8_t> secret = kp.priv.Serialize();
+  net::ByteReader r(secret);
+  (void)r.Bytes();  // the public key
+  const BigInt p = BigInt::FromBytes(r.Bytes());
+  const BigInt q = BigInt::FromBytes(r.Bytes());
+  const BigInt n = kp.pub.n();
+  const BigInt n2 = kp.pub.n_squared();
+  const BigInt g = n + BigInt(1);
+  const auto L = [](const BigInt& x, const BigInt& d) {
+    return (x - BigInt(1)) / d;
+  };
+
+  const BigInt lambda = (p - BigInt(1)).Lcm(q - BigInt(1));
+  const BigInt mu = L(g.PowMod(lambda, n2), n).InvMod(n);
+  const BigInt p2 = p * p;
+  const BigInt q2 = q * q;
+  const BigInt hp = L((g % p2).PowMod(p - BigInt(1), p2), p).InvMod(p);
+  const BigInt hq = L((g % q2).PowMod(q - BigInt(1), q2), q).InvMod(q);
+
+  const PaillierPrivateKey::Constants& k = kp.priv.constants();
+  EXPECT_EQ(k.lambda, lambda);
+  EXPECT_EQ(k.mu, mu);
+  EXPECT_EQ(k.hp, hp);
+  EXPECT_EQ(k.hq, hq);
+  // Both decryption paths still invert encryption under them.
+  PaillierPrivateKey plain = kp.priv;
+  plain.set_use_crt(false);
+  for (int64_t v : {int64_t{0}, int64_t{1}, int64_t{-7}, int64_t{1} << 40}) {
+    const PaillierCiphertext c = kp.pub.EncryptSigned(v, rng);
+    EXPECT_EQ(kp.priv.DecryptSigned(c), v);
+    EXPECT_EQ(plain.DecryptSigned(c), v);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(KeySizes, PaillierKeygenClosedForm,
+                         ::testing::Values(512, 1024, 2048));
+
 }  // namespace
 }  // namespace pem::crypto

@@ -14,6 +14,7 @@
 #include "crypto/hash.h"
 #include "crypto/ot.h"
 #include "crypto/rng.h"
+#include "support/partial_bus.h"
 
 namespace pem::crypto {
 namespace {
@@ -155,19 +156,7 @@ TEST(SecureCompare, WorksBetweenArbitraryAgentIds) {
 // rng, its ledger and its result exactly where the full run leaves
 // them, since the rest of the child's script depends on all three.
 
-// The in-process bus as such a child sees it: this process acts only
-// for the agents in `acting`.
-class PartialBus : public net::MessageBus {
- public:
-  PartialBus(int n, std::set<net::AgentId> acting)
-      : MessageBus(n), acting_(std::move(acting)) {}
-  bool Acts(net::AgentId agent) const override {
-    return acting_.count(agent) > 0;
-  }
-
- private:
-  std::set<net::AgentId> acting_;
-};
+using testutil::PartialBus;
 
 struct ComparePair {
   uint64_t x = 0;

@@ -76,11 +76,11 @@ TEST(RingAggregate, SumsAllContributions) {
   const PemConfig cfg = TestConfig();
   ProtocolContext ctx{eps, rng, cfg};
   const std::vector<size_t> ring = {1, 2, 3};
-  const crypto::PaillierCiphertext agg =
+  const RingCiphertext agg =
       RingAggregate(ctx, parties[0].public_key(), parties, ring,
                     [](const Party& p) { return p.net_raw(); },
                     parties[0].id());
-  EXPECT_EQ(parties[0].private_key().DecryptSigned(agg), 9'000'000);
+  EXPECT_EQ(parties[0].private_key().DecryptSigned(agg.ct), 9'000'000);
 }
 
 TEST(RingAggregate, SingleMemberRing) {
@@ -92,11 +92,11 @@ TEST(RingAggregate, SingleMemberRing) {
   const PemConfig cfg = TestConfig();
   ProtocolContext ctx{eps, rng, cfg};
   const std::vector<size_t> ring = {0};
-  const crypto::PaillierCiphertext agg =
+  const RingCiphertext agg =
       RingAggregate(ctx, parties[1].public_key(), parties, ring,
                     [](const Party& p) { return p.net_raw(); },
                     parties[1].id());
-  EXPECT_EQ(parties[1].private_key().DecryptSigned(agg), 5'000'000);
+  EXPECT_EQ(parties[1].private_key().DecryptSigned(agg.ct), 5'000'000);
 }
 
 TEST(RingAggregate, HandlesNegativeContributions) {
@@ -108,11 +108,11 @@ TEST(RingAggregate, HandlesNegativeContributions) {
   const PemConfig cfg = TestConfig();
   ProtocolContext ctx{eps, rng, cfg};
   const std::vector<size_t> ring = {0, 1};
-  const crypto::PaillierCiphertext agg =
+  const RingCiphertext agg =
       RingAggregate(ctx, parties[2].public_key(), parties, ring,
                     [](const Party& p) { return p.net_raw(); },
                     parties[2].id());
-  EXPECT_EQ(parties[2].private_key().DecryptSigned(agg), -4'000'000);
+  EXPECT_EQ(parties[2].private_key().DecryptSigned(agg.ct), -4'000'000);
 }
 
 TEST(RingAggregate, EveryHopIsAccounted) {
@@ -143,11 +143,11 @@ TEST(RingAggregate, FinalRecipientInRingSkipsLastSend) {
   ProtocolContext ctx{eps, rng, cfg};
   // Ring ends at party 1, which is also the final recipient.
   const std::vector<size_t> ring = {0, 1};
-  const crypto::PaillierCiphertext agg =
+  const RingCiphertext agg =
       RingAggregate(ctx, parties[1].public_key(), parties, ring,
                     [](const Party& p) { return p.net_raw(); },
                     parties[1].id());
-  EXPECT_EQ(parties[1].private_key().DecryptSigned(agg), 3'000'000);
+  EXPECT_EQ(parties[1].private_key().DecryptSigned(agg.ct), 3'000'000);
   EXPECT_EQ(bus.total_messages(), 1u);  // only the 0 -> 1 hop
 }
 

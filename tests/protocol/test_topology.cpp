@@ -260,7 +260,8 @@ TEST(TopologyExecution, HierarchicalSumEqualsFlatBitForBit) {
     ProtocolContext ctx{eps, rng, cfg};
     out = RingAggregate(ctx, parties[0].public_key(), parties, plan,
                         [](const Party& p) { return p.net_raw(); },
-                        parties[0].id());
+                        parties[0].id())
+              .ct;
     EXPECT_EQ(parties[0].private_key().DecryptSigned(out), 36'000'000);
     next_draw = rng.NextU64();
   };
