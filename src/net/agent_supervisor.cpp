@@ -19,6 +19,9 @@ namespace {
 
 // Sanity bound on control payloads (window reports are kilobytes).
 constexpr uint32_t kMaxControlPayload = uint32_t{1} << 26;
+// The router's reusable drain buffer: one recv of this size takes a
+// whole burst of frames, so it crosses the router in a few syscalls.
+constexpr size_t kRouterScratchBytes = 64 * 1024;
 
 // How long the supervisor waits to reap a child it believes is dying,
 // and how long a child may stay silent once ANOTHER agent has been
@@ -277,7 +280,7 @@ void AgentSupervisor::RouterLoop() {
   }
   std::vector<bool> registered(static_cast<size_t>(n), true);
   std::vector<bool> out_armed(static_cast<size_t>(n), false);
-  std::vector<uint8_t> scratch(opts_.router_scratch_bytes);
+  std::vector<uint8_t> scratch(kRouterScratchBytes);
   std::vector<epoll_event> events(static_cast<size_t>(n) + 1);
 
   for (;;) {

@@ -139,10 +139,6 @@ class AgentSupervisor {
     // structured error after this long, instead of hanging until an
     // outer ctest TIMEOUT / CI runner kill.
     int watchdog_ms = 120'000;
-    // Reusable router drain buffer: one recv of this size replaces the
-    // old per-iteration 4-16 KiB stack nibbles, so a burst of frames
-    // crosses the router in a handful of syscalls.
-    size_t router_scratch_bytes = 64 * 1024;
   };
 
   // SIGKILLs and reaps any child still running; closes every fd.

@@ -1,16 +1,14 @@
 #include "net/shm_transport.h"
 
-#include <signal.h>
 #include <sys/mman.h>
-#include <sys/prctl.h>
 #include <unistd.h>
 
 #include <chrono>
-#include <cstring>
+#include <memory>
 #include <new>
 #include <utility>
 
-#include "net/bus.h"
+#include "net/child_transport.h"
 #include "util/error.h"
 
 namespace pem::net {
@@ -34,110 +32,88 @@ inline uint64_t LoadU64(const uint8_t* p) {
 
 // --- child side -------------------------------------------------------
 
-// The Transport a forked child drives: shadow MessageBus for the
-// deterministic script (exactly like ProcessChildTransport), but this
-// agent's own frames go straight into the per-pair rings — no wire fd,
-// no router.  Receives need no reorder stash: ring(s -> self) IS
-// sender s's FIFO toward this agent.  Every consumed frame is
-// byte-matched against the script, as on the socket backends.
-class ShmChildTransport : public Transport {
+// The shm medium under a forked child's ChildTransport: this agent's
+// frames go straight into the per-pair rings — no wire fd, no router —
+// and ring(sender -> self) IS sender's FIFO toward this agent.  A
+// record another process wrote is untrusted input: one that fails its
+// checks throws a TransportError naming the ring's sender.
+class RingGrid final : public ChildWire {
  public:
-  ShmChildTransport(int num_agents, AgentId self, std::vector<SpscRing> rings,
-                    std::atomic<uint32_t>* epoch)
-      : shadow_(num_agents),
-        self_(self),
-        rings_(std::move(rings)),
-        epoch_(epoch) {
-    PEM_CHECK(self >= 0 && self < num_agents,
-              "shm child transport: self id out of range");
+  RingGrid(int num_agents, AgentId self, std::vector<SpscRing> rings,
+           std::atomic<uint32_t>* epoch)
+      : n_(num_agents), self_(self), rings_(std::move(rings)), epoch_(epoch) {
     PEM_CHECK(rings_.size() ==
                   static_cast<size_t>(num_agents) * static_cast<size_t>(num_agents),
-              "shm child transport: ring grid size mismatch");
+              "shm ring grid: size mismatch");
   }
 
-  int num_agents() const override { return shadow_.num_agents(); }
-
-  void Send(Message msg) override {
-    if (msg.from == self_) {
-      // Own traffic is real: the canonical frame is written ONCE into
-      // ring(self -> recipient) and consumed there in place.  A
-      // broadcast fans out into n-1 per-recipient copies with `to`
-      // rewritten, in recipient order — byte-identical to what the
-      // relay routers put on their wires.
-      const int n = num_agents();
-      if (msg.to == kBroadcast) {
-        for (AgentId to = 0; to < n; ++to) {
-          if (to == self_) continue;
-          Message copy = msg;
-          copy.to = to;
-          WriteRecord(copy);
-        }
-      } else {
-        PEM_CHECK(msg.to >= 0 && msg.to < n,
-                  "shm child transport: bad receiver id");
-        WriteRecord(msg);
+  void Write(const Message& msg) override {
+    // The canonical frame is written ONCE into ring(self -> recipient)
+    // and consumed there in place.  A broadcast fans out into n-1
+    // per-recipient copies with `to` rewritten, in recipient order —
+    // byte-identical to what the relay routers put on their wires.
+    if (msg.to == kBroadcast) {
+      for (AgentId to = 0; to < n_; ++to) {
+        if (to == self_) continue;
+        Message copy = msg;
+        copy.to = to;
+        WriteRecord(copy);
       }
+    } else {
+      PEM_CHECK(msg.to >= 0 && msg.to < n_, "shm ring grid: bad receiver id");
+      WriteRecord(msg);
     }
-    shadow_.Send(std::move(msg));
   }
 
-  std::optional<Message> Receive(AgentId agent) override {
-    std::optional<Message> expected = shadow_.Receive(agent);
-    if (agent != self_ || !expected.has_value()) return expected;
-    // The script names the sender whose frame this agent consumes
-    // next; that sender's ring toward us is its FIFO, so the front
-    // record is the frame — no stash, unlike the socket backends where
-    // concurrent senders interleave on one stream.
-    Message wire = ReadRecord(expected->from);
-    if (!(wire == *expected)) {
-      throw TransportError(TransportFault{
-          self_, ErrorCode::kProtocolViolation,
-          "shm child transport: agent " + std::to_string(self_) +
-              " consumed a frame from sender " +
-              std::to_string(expected->from) +
-              " that diverges from the deterministic script"});
+  Message Next(AgentId src) override {
+    SpscRing& ring = Ring(src, self_);
+    while (ring.ReadableBytes() < kShmRecordHeaderBytes) {
+      ring.WaitReadable(kDoorbellTickMs);
     }
-    return expected;
+    uint8_t rh[kShmRecordHeaderBytes];
+    ring.Peek(0, rh, sizeof rh);
+    const uint32_t frame_len = LoadU32(rh);
+    // Records are published whole (one release store of tail), so a
+    // visible header implies the full record is visible.
+    if (frame_len < kFrameHeaderBytes ||
+        frame_len > FramedSize(kMaxFramePayloadBytes) ||
+        ring.ReadableBytes() < kShmRecordHeaderBytes + frame_len) {
+      ThrowBadRecord(src, "has an insane length");
+    }
+    scratch_.resize(frame_len);
+    ring.Peek(kShmRecordHeaderBytes, scratch_.data(), frame_len);
+    FrameDecodeResult d = DecodeFrame(std::span<const uint8_t>(scratch_));
+    if (d.status != FrameDecodeStatus::kFrame || d.consumed != frame_len) {
+      ThrowBadRecord(src, "fails frame decode");
+    }
+    ring.Consume(kShmRecordHeaderBytes + frame_len);
+    if (d.frame.from != src || d.frame.to != self_) {
+      ThrowBadRecord(src, "names pair " + std::to_string(d.frame.from) +
+                              "->" + std::to_string(d.frame.to));
+    }
+    return std::move(d.frame);
   }
 
-  bool HasMessage(AgentId agent) const override {
-    return shadow_.HasMessage(agent);
-  }
-  TrafficStats stats(AgentId agent) const override {
-    return shadow_.stats(agent);
-  }
-  uint64_t total_bytes() const override { return shadow_.total_bytes(); }
-  uint64_t total_messages() const override { return shadow_.total_messages(); }
-  double AverageBytesPerAgent() const override {
-    return shadow_.AverageBytesPerAgent();
-  }
-  void ResetStats() override { shadow_.ResetStats(); }
-  void SetObserver(Observer observer) override {
-    shadow_.SetObserver(std::move(observer));
-  }
-  bool Acts(AgentId agent) const override { return agent == self_; }
-
-  // Asserts every inbound ring is fully consumed — anything left means
-  // the rings and the deterministic script diverged.
-  void VerifyQuiescent() const {
-    const int n = num_agents();
-    for (AgentId src = 0; src < n; ++src) {
-      if (src == self_) continue;
-      PEM_CHECK(Ring(src, self_).ReadableBytes() == 0,
-                "shm child transport: unconsumed ring records at teardown");
+  void VerifyDrained() override {
+    for (AgentId src = 0; src < n_; ++src) {
+      if (src == self_ || Ring(src, self_).ReadableBytes() == 0) continue;
+      ThrowBadRecord(src, "was never consumed — rings and deterministic "
+                          "script diverged");
     }
   }
 
  private:
-  const SpscRing& Ring(AgentId from, AgentId to) const {
-    return rings_[static_cast<size_t>(from) *
-                      static_cast<size_t>(num_agents()) +
+  SpscRing& Ring(AgentId from, AgentId to) {
+    return rings_[static_cast<size_t>(from) * static_cast<size_t>(n_) +
                   static_cast<size_t>(to)];
   }
-  SpscRing& Ring(AgentId from, AgentId to) {
-    return rings_[static_cast<size_t>(from) *
-                      static_cast<size_t>(num_agents()) +
-                  static_cast<size_t>(to)];
+
+  [[noreturn]] void ThrowBadRecord(AgentId src, const std::string& what) {
+    throw TransportError(TransportFault{
+        src, ErrorCode::kProtocolViolation,
+        "shm ring grid: agent " + std::to_string(self_) +
+            " read a ring record from sender " + std::to_string(src) +
+            " that " + what});
   }
 
   void WriteRecord(const Message& copy) {
@@ -171,70 +147,13 @@ class ShmChildTransport : public Transport {
     FutexWake(epoch_);
   }
 
-  Message ReadRecord(AgentId src) {
-    SpscRing& ring = Ring(src, self_);
-    while (ring.ReadableBytes() < kShmRecordHeaderBytes) {
-      ring.WaitReadable(kDoorbellTickMs);
-    }
-    uint8_t rh[kShmRecordHeaderBytes];
-    ring.Peek(0, rh, sizeof rh);
-    const uint32_t frame_len = LoadU32(rh);
-    PEM_CHECK(frame_len >= kFrameHeaderBytes &&
-                  frame_len <= FramedSize(kMaxFramePayloadBytes),
-              "shm child transport: insane ring record length");
-    // Records are published whole (one release store of tail), so a
-    // visible header implies the full record is visible.
-    PEM_CHECK(ring.ReadableBytes() >= kShmRecordHeaderBytes + frame_len,
-              "shm child transport: torn ring record");
-    scratch_.resize(frame_len);
-    ring.Peek(kShmRecordHeaderBytes, scratch_.data(), frame_len);
-    FrameDecodeResult d = DecodeFrame(std::span<const uint8_t>(scratch_));
-    PEM_CHECK(d.status == FrameDecodeStatus::kFrame &&
-                  d.consumed == frame_len,
-              "shm child transport: ring record failed frame decode");
-    ring.Consume(kShmRecordHeaderBytes + frame_len);
-    PEM_CHECK(d.frame.from == src && d.frame.to == self_,
-              "shm child transport: ring record routed to the wrong pair");
-    return std::move(d.frame);
-  }
-
-  MessageBus shadow_;
+  int n_;
   AgentId self_;
   std::vector<SpscRing> rings_;
   std::atomic<uint32_t>* epoch_;
   uint64_t seq_ = 0;  // this sender's global send counter, all rings
   std::vector<uint8_t> scratch_;
 };
-
-// Mirrors RunAdoptedChild for a ring-backed child: PDEATHSIG, control
-// channel, error record on exception, _exit.
-[[noreturn]] void RunShmChild(AgentId self, int num_agents,
-                              const std::vector<SpscRing>& rings,
-                              std::atomic<uint32_t>* epoch, int ctl_fd,
-                              const AgentSupervisor::ChildMain& child_main) {
-  prctl(PR_SET_PDEATHSIG, SIGKILL);
-  ControlChannel ctl(ctl_fd, self);
-  int code = 127;
-  try {
-    ShmChildTransport wire(num_agents, self, rings, epoch);
-    code = child_main(self, wire, ctl);
-    wire.VerifyQuiescent();
-  } catch (const std::exception& e) {
-    try {
-      const char* what = e.what();
-      ctl.Write(kCtlRepError,
-                std::span<const uint8_t>(
-                    reinterpret_cast<const uint8_t*>(what),
-                    std::strlen(what)));
-    } catch (...) {
-      // Parent gone too; the wait status is all that is left to say.
-    }
-    _exit(1);
-  } catch (...) {
-    _exit(2);
-  }
-  _exit(code);
-}
 
 }  // namespace
 
@@ -282,8 +201,10 @@ ShmTransport::ShmTransport(int num_agents, ChildMain child_main, Options opts)
         CloseIfOpen(ctl_parent[j]);
         if (j != i) CloseIfOpen(ctl_child[j]);
       }
-      RunShmChild(static_cast<AgentId>(i), num_agents, rings_, epoch_,
-                  ctl_child[i], child_main);
+      RunChild(static_cast<AgentId>(i), num_agents,
+               std::make_unique<RingGrid>(num_agents, static_cast<AgentId>(i),
+                                          rings_, epoch_),
+               ctl_child[i], child_main);
     }
     AdoptChild(static_cast<AgentId>(i), pid, /*wire_fd=*/-1, ctl_parent[i]);
     close(ctl_child[i]);

@@ -29,9 +29,11 @@
 // the parity tests assert, and the observer transcript needs).  Every
 // ring record therefore carries a per-sender sequence number, and the
 // snooper merges each sender's records back into exact send order
-// with a small reorder stash.  Receivers need no such machinery:
-// ring(s -> r) IS sender s's FIFO toward r, which is the only order
-// two independent parties can observe.
+// with a small reorder stash.  A child receives through the same
+// ChildTransport as the socket backends (net/child_transport.h), with
+// the ring grid as its medium: ring(s -> r) IS sender s's FIFO toward
+// r, so the next frame from the sender the script names is the front
+// record of that one ring.
 //
 // Record layout inside a ring (all integers little-endian):
 //   [u32 frame_len | u32 reserved | u64 sender_seq] frame

@@ -14,7 +14,7 @@
 #include <chrono>
 #include <cstring>
 
-#include "net/process_transport.h"
+#include "net/child_transport.h"
 #include "util/error.h"
 
 namespace pem::net {
@@ -310,7 +310,9 @@ namespace {
     const TcpAgentSockets s =
         ConnectTcpAgent(opts.host, port, self, opts.connect_timeout_ms,
                         opts.socket_buffer_bytes);
-    RunAdoptedChild(self, num_agents, s.wire_fd, s.ctl_fd, child_main);
+    RunChild(self, num_agents,
+             std::make_unique<SocketStream>(num_agents, self, s.wire_fd),
+             s.ctl_fd, child_main);
   } catch (...) {
     // Could not even reach the rendezvous; the parent's accept timeout
     // (or the control-channel hangup) reports the loss.

@@ -33,9 +33,10 @@
 // tests/net/test_tcp_transport.cpp exist precisely because this
 // backend is the first to exercise those paths.
 //
-// Children run the same ProcessChildTransport as the socketpair
-// backend, so every frame a child consumes is byte-matched against its
-// deterministic shadow script here too.
+// Children run the same ChildTransport over a SocketStream as the
+// socketpair backend (net/child_transport.h), so every frame a child
+// consumes is byte-matched against its deterministic shadow script here
+// too, and a frame that differs fails the receive at once.
 #pragma once
 
 #include <cstdint>

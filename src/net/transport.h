@@ -13,7 +13,9 @@
 //                         process per agent (the paper's one-container-
 //                         per-agent deployment), supervised by
 //                         net::AgentSupervisor and driven through
-//                         core::RunSimulation.
+//                         core::RunSimulation; each child acts
+//                         through one ChildTransport
+//                         (net/child_transport.h).
 // All backends account identical bytes for identical message
 // sequences — exactly FramedSize(msg) per delivered copy — which is
 // what lets test_transcript_parity assert a four-way parity of the

@@ -9,10 +9,11 @@
 // sequence number, a record squatting in another pair's ring.  Every
 // one must surface as a structured TransportFault naming the
 // compromised channel — never an abort, never silent acceptance into
-// the ledger — while the surviving channels keep flowing.  (A replayed
-// but well-formed frame on a forked wire is caught one layer up: the
-// receiving child's shadow verification and the parent's per-window
-// ledger cross-check, exercised by the adversarial wall.)
+// the ledger — while the surviving channels keep flowing.  A
+// well-formed frame that differs from the script, or a replayed one,
+// passes the parent and is caught by the receiving child, which
+// byte-matches each sender's frames in order: the divergence rows below
+// assert it reports the sender at once on every forked backend.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -23,9 +24,11 @@
 #include <thread>
 #include <vector>
 
+#include "net/child_transport.h"
 #include "net/frame.h"
 #include "net/process_transport.h"
 #include "net/shm_transport.h"
+#include "net/tcp_transport.h"
 
 namespace pem::net {
 namespace {
@@ -60,6 +63,18 @@ std::optional<TransportFault> AwaitFault(const AgentSupervisor& t) {
   return t.fault();
 }
 
+// Writes `bytes` raw onto a process or TCP child's own wire.
+void WriteRaw(Transport& wire, const std::vector<uint8_t>& bytes) {
+  static_cast<SocketStream&>(static_cast<ChildTransport&>(wire).wire())
+      .WriteWireBytesForTest(bytes);
+}
+
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
 // --- ProcessTransport relay-router ingress ---------------------------
 
 // Control commands the injection children obey: agent 1 writes the
@@ -83,7 +98,7 @@ AgentSupervisor::ChildMain InjectingChild(std::vector<uint8_t> bytes) {
       }
       std::vector<uint8_t> report;
       if (rec.payload.at(0) == kInject) {
-        static_cast<ProcessChildTransport&>(wire).WriteWireBytesForTest(bytes);
+        WriteRaw(wire, bytes);
       } else {
         wire.Send(SurvivorFrame());  // real for 0, shadow-only for 2
         if (self == 2) report = EncodeFrame(*wire.Receive(2));
@@ -157,8 +172,7 @@ TEST(FrameInjection, ProcessSurvivorBlockedOnConvictedAgentReportsIt) {
                                              ControlChannel& ctl) -> int {
     (void)ctl.Read(/*timeout_ms=*/120'000);  // the one Run command
     if (self == kInjector) {
-      static_cast<ProcessChildTransport&>(wire).WriteWireBytesForTest(
-          EncodeFrame(Msg(2, 0)));
+      WriteRaw(wire, EncodeFrame(Msg(2, 0)));
     }
     if (self != 0) {
       wire.Send(real);  // real for 1, shadow-only for 2
@@ -182,10 +196,124 @@ TEST(FrameInjection, ProcessSurvivorBlockedOnConvictedAgentReportsIt) {
                 std::string::npos)
           << e.what();
     }
-    EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            start)
-                  .count(),
-              5.0);
+    EXPECT_LT(SecondsSince(start), 5.0);
+  }
+  ExpectNoZombies();
+}
+
+// --- divergence: a plausible frame with the wrong payload -------------
+
+// Agents 0 and 1 script one exchange: 0 sends Scripted() to 1.  What 0
+// really puts on the medium is Diverged(): the scripted header (from,
+// to, type) with another payload, which only the receiver's byte-match
+// can tell apart.
+Message Scripted() { return Msg(0, 1, 0x4200, {1, 2, 3}); }
+Message Diverged() { return Msg(0, 1, 0x4200, {1, 2, 4}); }
+
+// On the socket backends agent 0 writes Diverged() raw on its wire; on
+// shm it stays quiescent and the parent writes the record into its ring.
+AgentSupervisor::ChildMain DivergingExchange(bool sender_writes_raw) {
+  return [sender_writes_raw](AgentId self, Transport& wire,
+                             ControlChannel& ctl) -> int {
+    (void)ctl.Read(/*timeout_ms=*/120'000);  // the one Run command
+    if (self == 0 && sender_writes_raw) WriteRaw(wire, EncodeFrame(Diverged()));
+    if (self == 1) {
+      wire.Send(Scripted());  // shadow-only: advances 1's script
+      (void)wire.Receive(1);
+    }
+    ctl.Write(kCtlRepWindow);
+    for (;;) pause();  // the parent's teardown SIGKILLs every child
+  };
+}
+
+// The receiver must fail its receive at once and report an error that
+// names the sender, well inside the 60 s watchdog.
+void ExpectReceiverReportsDivergence(AgentSupervisor& t,
+                                     std::chrono::steady_clock::time_point start) {
+  try {
+    (void)t.ReadRecord(1);
+    FAIL() << "agent 1 consumed a frame that differs from its script";
+  } catch (const TransportError& e) {
+    EXPECT_EQ(e.fault().agent, 1) << e.what();
+    EXPECT_NE(std::string(e.what()).find("reported:"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("sender 0"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_LT(SecondsSince(start), 5.0);
+}
+
+TEST(FrameInjection, ProcessTransportDivergedFrameFailsTheReceiveAtOnce) {
+  {
+    ProcessTransport::Options opts;
+    opts.watchdog_ms = 60'000;
+    ProcessTransport pt(2, DivergingExchange(true), opts);
+    const auto start = std::chrono::steady_clock::now();
+    pt.CommandAll(kCtlCmdRun);
+    ExpectReceiverReportsDivergence(pt, start);
+  }
+  ExpectNoZombies();
+}
+
+TEST(FrameInjection, ProcessTransportReplayedFrameIsRejectedAtQuiescence) {
+  // Agent 0 puts the scripted frame on its wire twice in one write;
+  // agent 1 consumes one copy and ends its script.  The copy it never
+  // consumed fails the child's drain check, which names the sender.
+  AgentSupervisor::ChildMain script = [](AgentId self, Transport& wire,
+                                         ControlChannel& ctl) -> int {
+    (void)ctl.Read(/*timeout_ms=*/120'000);  // the one Run command
+    if (self == 0) {
+      std::vector<uint8_t> twice = EncodeFrame(Scripted());
+      AppendFrame(twice, Scripted());
+      WriteRaw(wire, twice);
+      for (;;) pause();  // the parent's teardown SIGKILLs every child
+    }
+    wire.Send(Scripted());  // shadow-only: advances 1's script
+    (void)wire.Receive(1);
+    return 0;
+  };
+  {
+    ProcessTransport::Options opts;
+    opts.watchdog_ms = 60'000;
+    ProcessTransport pt(2, script, opts);
+    pt.CommandAll(kCtlCmdRun);
+    try {
+      (void)pt.ReadRecord(1);
+      FAIL() << "agent 1 left a replayed frame unconsumed without a report";
+    } catch (const TransportError& e) {
+      EXPECT_EQ(e.fault().agent, 1) << e.what();
+      EXPECT_NE(std::string(e.what()).find(
+                    "never consumed 1 frame(s) from sender 0"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  ExpectNoZombies();
+}
+
+TEST(FrameInjection, TcpFaultDivergedFrameFailsTheReceiveAtOnce) {
+  {
+    TcpTransport::Options opts;
+    opts.watchdog_ms = 60'000;
+    TcpTransport tt(2, DivergingExchange(true), opts);
+    const auto start = std::chrono::steady_clock::now();
+    tt.CommandAll(kCtlCmdRun);
+    ExpectReceiverReportsDivergence(tt, start);
+  }
+  ExpectNoZombies();
+}
+
+TEST(FrameInjection, ShmFaultDivergedRecordFailsTheReceiveAtOnce) {
+  {
+    ShmTransport::Options opts;
+    opts.watchdog_ms = 60'000;
+    ShmTransport shm(2, DivergingExchange(false), opts);
+    const auto start = std::chrono::steady_clock::now();
+    shm.CommandAll(kCtlCmdRun);
+    // Agent 0 never writes its rings, so the parent may produce into
+    // ring 0 -> 1 in its place.
+    shm.InjectRingRecordForTest(0, 1, /*seq=*/0, Diverged());
+    ExpectReceiverReportsDivergence(shm, start);
   }
   ExpectNoZombies();
 }
@@ -273,6 +401,33 @@ TEST(FrameInjection, ShmDuplicateStashedSequenceIsAReplay) {
   EXPECT_EQ(fault->agent, 0);
   EXPECT_NE(fault->detail.find("replayed ring record"), std::string::npos)
       << fault->detail;
+  ExpectNoZombies();
+}
+
+TEST(FrameInjection, ShmFaultCorruptRecordIsReportedByTheReadingChild) {
+  // The child that reads a record failing frame decode names the ring's
+  // sender in its own error report, rather than aborting and leaving
+  // the parent nothing to say but the signal that killed it.
+  {
+    ShmTransport::Options opts;
+    opts.watchdog_ms = 60'000;
+    ShmTransport shm(2, DivergingExchange(false), opts);
+    shm.CommandAll(kCtlCmdRun);
+    shm.InjectRingRecordForTest(0, 1, /*seq=*/0, Scripted(),
+                                /*corrupt_frame=*/true);
+    try {
+      (void)shm.ReadRecord(1);
+      FAIL() << "agent 1 consumed a corrupt ring record";
+    } catch (const TransportError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(e.fault().agent, 1) << what;
+      EXPECT_NE(what.find("reported:"), std::string::npos) << what;
+      EXPECT_NE(what.find("from sender 0 that fails frame decode"),
+                std::string::npos)
+          << what;
+      EXPECT_EQ(what.find("signal"), std::string::npos) << what;
+    }
+  }
   ExpectNoZombies();
 }
 
