@@ -4,12 +4,14 @@
 #include <signal.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstring>
 
 #include "util/error.h"
@@ -17,18 +19,18 @@
 namespace pem::net {
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
 // Sanity bound on control payloads (window reports are kilobytes).
 constexpr uint32_t kMaxControlPayload = uint32_t{1} << 26;
 // The router's reusable drain buffer: one recv of this size takes a
 // whole burst of frames, so it crosses the router in a few syscalls.
 constexpr size_t kRouterScratchBytes = 64 * 1024;
 
-// How long the supervisor waits to reap a child it believes is dying,
-// and how long a child may stay silent once ANOTHER agent has been
-// convicted before that conviction is reported in its place.
+// How long a child may stay silent once ANOTHER agent has been
+// convicted before that conviction is reported in its place, and how
+// long an ended child's last control bytes may take to arrive.
 constexpr int kGraceMs = 2000;
-// How often ReadRecord looks for a newly latched fault while it waits.
-constexpr int kFaultPollMs = 100;
 
 ControlTimeout WatchdogTimeout(AgentId peer, int timeout_ms) {
   return ControlTimeout(TransportFault{
@@ -36,6 +38,32 @@ ControlTimeout WatchdogTimeout(AgentId peer, int timeout_ms) {
       "control channel: watchdog timeout after " +
           std::to_string(timeout_ms) + "ms waiting on agent " +
           std::to_string(peer)});
+}
+
+// Milliseconds left until `deadline`, rounded up; 0 once it has passed.
+int MsUntil(Clock::time_point deadline) {
+  const int64_t left =
+      std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now())
+          .count();
+  return static_cast<int>(std::clamp<int64_t>(left, 0, INT_MAX));
+}
+
+bool PollIn(int fd, int timeout_ms) {
+  pollfd pfd{fd, POLLIN, 0};
+  const int r = poll(&pfd, 1, timeout_ms);
+  PEM_CHECK(r >= 0 || errno == EINTR, "control channel: poll failed");
+  return r > 0;
+}
+
+std::string ChildFailure(AgentId agent, const std::string& why) {
+  return "agent supervisor: agent " + std::to_string(agent) +
+         " child process " + why;
+}
+
+// `code` and `status` as waitid reports them in si_code and si_status.
+std::string DescribeExit(int code, int status) {
+  return (code == CLD_EXITED ? "exited with status " : "killed by signal ") +
+         std::to_string(status);
 }
 
 }  // namespace
@@ -61,65 +89,63 @@ void ControlChannel::Write(uint32_t tag, std::span<const uint8_t> payload) {
 }
 
 ControlRecord ControlChannel::Read(int timeout_ms) {
-  std::optional<ControlRecord> rec = TryRead(timeout_ms);
-  if (!rec.has_value()) throw WatchdogTimeout(peer_, timeout_ms);
-  return std::move(*rec);
-}
-
-std::optional<ControlRecord> ControlChannel::TryRead(int timeout_ms) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  ControlRecord rec;
+  const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
   for (;;) {
-    if (rxbuf_.size() >= 8) {
-      rec.tag = LoadU32(rxbuf_.data());
-      const uint32_t len = LoadU32(rxbuf_.data() + 4);
-      if (len >= kMaxControlPayload) {
-        throw TransportError(TransportFault{
-            peer_, ErrorCode::kSerialization,
-            "control channel: insane record length from agent " +
-                std::to_string(peer_)});
-      }
-      const size_t need = 8 + len;
-      if (rxbuf_.size() >= need) {
-        rec.payload.assign(rxbuf_.begin() + 8,
-                           rxbuf_.begin() + static_cast<ptrdiff_t>(need));
-        // One recv may have coalesced several records; keep the rest
-        // buffered for the next Read.
-        rxbuf_.erase(rxbuf_.begin(),
-                     rxbuf_.begin() + static_cast<ptrdiff_t>(need));
-        return rec;
-      }
-    }
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) return std::nullopt;
-    pollfd pfd{fd_, POLLIN, 0};
-    const int wait_ms = static_cast<int>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now)
-            .count());
-    const int pr = poll(&pfd, 1, wait_ms > 0 ? wait_ms : 1);
-    if (pr < 0) {
-      PEM_CHECK(errno == EINTR, "control channel: poll failed");
-      continue;
-    }
-    if (pr == 0) continue;  // deadline check above fires next pass
-    uint8_t chunk[4096];
-    const ssize_t n = recv(fd_, chunk, sizeof chunk, MSG_DONTWAIT);
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) continue;
-      throw TransportError(TransportFault{
-          peer_, ErrorCode::kProtocolViolation,
-          std::string("control channel: recv failed (") +
-              std::strerror(errno) + ")"});
-    }
-    if (n == 0) {
+    if (std::optional<ControlRecord> rec = Pop()) return std::move(*rec);
+    if (hung_up_) {
       throw TransportError(TransportFault{
           peer_, ErrorCode::kProtocolViolation,
           "control channel: peer hung up (agent " + std::to_string(peer_) +
               " closed its end)"});
     }
-    rxbuf_.insert(rxbuf_.end(), chunk, chunk + n);
+    const int wait_ms = MsUntil(deadline);
+    if (wait_ms == 0) throw WatchdogTimeout(peer_, timeout_ms);
+    if (PollIn(fd_, wait_ms)) Fill();
   }
+}
+
+std::optional<ControlRecord> ControlChannel::Pop() {
+  if (rxbuf_.size() < 8) return std::nullopt;
+  const uint32_t len = LoadU32(rxbuf_.data() + 4);
+  if (len >= kMaxControlPayload) {
+    throw TransportError(TransportFault{
+        peer_, ErrorCode::kSerialization,
+        "control channel: insane record length from agent " +
+            std::to_string(peer_)});
+  }
+  if (rxbuf_.size() < 8 + size_t{len}) return std::nullopt;
+  const auto end = rxbuf_.begin() + 8 + static_cast<ptrdiff_t>(len);
+  ControlRecord rec{LoadU32(rxbuf_.data()), {rxbuf_.begin() + 8, end}};
+  // One recv may have coalesced several records; keep the rest
+  // buffered for the next Pop.
+  rxbuf_.erase(rxbuf_.begin(), end);
+  return rec;
+}
+
+void ControlChannel::Fill() {
+  uint8_t chunk[4096];
+  const ssize_t n = recv(fd_, chunk, sizeof chunk, MSG_DONTWAIT);
+  if (n > 0) {
+    rxbuf_.insert(rxbuf_.end(), chunk, chunk + n);
+  } else if (n == 0 ||
+             (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR)) {
+    hung_up_ = true;
+  }
+}
+
+std::optional<std::vector<uint8_t>> ControlChannel::Buffered(
+    uint32_t tag) const {
+  for (size_t off = 0; off + 8 <= rxbuf_.size();) {
+    const size_t end = off + 8 + LoadU32(rxbuf_.data() + off + 4);
+    if (end > rxbuf_.size()) break;
+    if (LoadU32(rxbuf_.data() + off) == tag) {
+      return std::vector<uint8_t>(
+          rxbuf_.begin() + static_cast<ptrdiff_t>(off + 8),
+          rxbuf_.begin() + static_cast<ptrdiff_t>(end));
+    }
+    off = end;
+  }
+  return std::nullopt;
 }
 
 // --- AgentSupervisor --------------------------------------------------
@@ -144,17 +170,40 @@ AgentSupervisor::~AgentSupervisor() {
     c.ctl.reset();
   }
   wake_.Close();
+  fault_wake_.Close();
 }
 
-void AgentSupervisor::AdoptChild(AgentId agent, pid_t pid, int wire_fd,
-                                 int ctl_fd) {
+void AgentSupervisor::RegisterChild(AgentId agent, pid_t pid) {
+  PEM_CHECK(agent >= 0 && agent < num_agents() && pid > 0,
+            "register: bad agent id or pid");
+  children_[static_cast<size_t>(agent)].pid = pid;
+}
+
+void AgentSupervisor::AdoptChild(AgentId agent, int wire_fd, int ctl_fd) {
   PEM_CHECK(agent >= 0 && agent < num_agents(), "adopt: bad agent id");
   PEM_CHECK(!router_started_, "adopt: router already running");
   Child& c = children_[static_cast<size_t>(agent)];
   PEM_CHECK(c.wire_fd < 0 && c.ctl == nullptr, "adopt: agent already adopted");
-  c.pid = pid;
   c.wire_fd = wire_fd;
   c.ctl = std::make_unique<ControlChannel>(ctl_fd, agent);
+}
+
+void AgentSupervisor::WatchChildren() {
+  fault_wake_.Open();
+  for (AgentId a = 0; a < num_agents(); ++a) {
+    Child& c = children_[static_cast<size_t>(a)];
+    if (c.pid <= 0) continue;
+    // The raw syscall: some glibc releases ship sys/pidfd.h without C
+    // linkage.
+    c.pidfd = static_cast<int>(syscall(SYS_pidfd_open, c.pid, 0));
+    if (c.pidfd < 0) {
+      throw TransportError(TransportFault{
+          a, ErrorCode::kProtocolViolation,
+          "agent supervisor: pidfd_open for agent " + std::to_string(a) +
+              " failed (" + std::strerror(errno) +
+              "); Linux >= 5.4 is required"});
+    }
+  }
 }
 
 void AgentSupervisor::StartRouter() {
@@ -163,20 +212,22 @@ void AgentSupervisor::StartRouter() {
     PEM_CHECK(c.wire_fd >= 0 && c.ctl != nullptr,
               "router start: an agent was never adopted");
   }
-  // Opened after any forking so no child inherits it.
+  // Opened after any forking so no child inherits them.
+  WatchChildren();
   wake_.Open();
   for (Child& c : children_) SetNonBlocking(c.wire_fd);
   router_started_ = true;
   router_ = std::thread([this] { RouterLoop(); });
 }
 
-void AgentSupervisor::WakeRouter() { wake_.Wake(); }
-
 void AgentSupervisor::RecordFault(AgentId agent, std::string detail) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (fault_.has_value()) return;  // first fault wins
-  fault_ = TransportFault{agent, ErrorCode::kProtocolViolation,
-                          std::move(detail)};
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (fault_.has_value()) return;  // first fault wins
+    fault_ = TransportFault{agent, ErrorCode::kProtocolViolation,
+                            std::move(detail)};
+  }
+  fault_wake_.Wake();
 }
 
 void AgentSupervisor::AccountDeliveredCopy(const Message& copy) {
@@ -232,28 +283,13 @@ void AgentSupervisor::RouteFrame(const Message& frame) {
 }
 
 void AgentSupervisor::FlushPending(AgentId dest) {
-  PendingBuf& p = pending_[static_cast<size_t>(dest)];
-  if (closed_[static_cast<size_t>(dest)]) {
-    p.Clear();
-    return;
-  }
-  if (FlushPendingBuf(children_[static_cast<size_t>(dest)].wire_fd, p) ==
-      FlushResult::kPeerClosed) {
-    // Routed frames with nowhere to go: a child that exited cleanly
-    // has consumed everything addressed to it, so an EPIPE with data
-    // pending is a crash unless Done already arrived.
-    bool clean;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      clean = children_[static_cast<size_t>(dest)].done;
-      children_[static_cast<size_t>(dest)].wire_eof = true;
-    }
-    if (!clean) {
-      RecordFault(dest, "agent supervisor: agent " + std::to_string(dest) +
-                            " wire write failed with frames pending — "
-                            "peer gone?");
-    }
-    closed_[static_cast<size_t>(dest)] = true;
+  const size_t d = static_cast<size_t>(dest);
+  // A wire that hung up takes nothing more; whether its owner crashed is
+  // for its pidfd to say.
+  if (closed_[d] || FlushPendingBuf(children_[d].wire_fd, pending_[d]) ==
+                        FlushResult::kPeerClosed) {
+    pending_[d].Clear();
+    closed_[d] = true;
   }
 }
 
@@ -331,25 +367,11 @@ void AgentSupervisor::RouterLoop() {
         for (;;) {
           const ssize_t r = recv(children_[i].wire_fd, scratch.data(),
                                  scratch.size(), MSG_DONTWAIT);
-          if (r < 0) {
-            if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-            if (errno == EINTR) continue;
-            RecordFault(a, "agent supervisor: agent " + std::to_string(a) +
-                               " wire read failed (" + std::strerror(errno) +
-                               ")");
-            closed_[i] = true;
-            break;
-          }
-          if (r == 0) {
-            // Hangup.  The router cannot judge crash vs. clean exit
-            // here: a child closes its wire the instant it _exits after
-            // writing Done, usually before the main thread's ReadRecord
-            // loop has marked it done.  Record the bare fact; fault()
-            // and the control plane judge it against `done` when asked.
-            {
-              std::lock_guard<std::mutex> lock(mu_);
-              children_[i].wire_eof = true;
-            }
+          if (r < 0 && errno == EINTR) continue;
+          if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+          if (r <= 0) {
+            // Hangup or a failed read: the wire carries nothing more.
+            // Whether its owner crashed is for its pidfd to say.
             closed_[i] = true;
             break;
           }
@@ -378,129 +400,133 @@ void AgentSupervisor::CommandAll(uint32_t tag,
 
 void AgentSupervisor::ThrowChildFailure(AgentId agent,
                                         const std::string& why) {
-  TransportFault fault{agent, ErrorCode::kProtocolViolation,
-                       "agent supervisor: agent " + std::to_string(agent) +
-                           " child process " + why};
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!fault_.has_value()) fault_ = fault;
-  }
-  throw TransportError(std::move(fault));
+  const std::string detail = ChildFailure(agent, why);
+  RecordFault(agent, detail);
+  throw TransportError(
+      TransportFault{agent, ErrorCode::kProtocolViolation, detail});
 }
 
 ControlRecord AgentSupervisor::ReadRecord(AgentId agent) {
   PEM_CHECK(agent >= 0 && agent < num_agents(), "bad agent id");
   Child& c = children_[static_cast<size_t>(agent)];
-  using Clock = std::chrono::steady_clock;
   const auto deadline =
       Clock::now() + std::chrono::milliseconds(opts_.watchdog_ms);
-  // Once ANOTHER agent is convicted (by the router, or by crashing),
-  // this one may be silent only because it waits on frames it lost.
-  // It gets kGraceMs from then to report; after that the conviction
-  // (the first cause, as RecordFault rules) is the report, not this
-  // agent's watchdog timeout.
+  // Once ANOTHER agent is convicted (by the router, or by ending badly),
+  // this one may be silent only because it waits on frames it lost.  It
+  // gets kGraceMs from then to report; after that the conviction (the
+  // first cause, as RecordFault rules) is the report, not this agent's
+  // watchdog timeout.
   std::optional<Clock::time_point> grace_end;
-  std::optional<ControlRecord> next;
-  while (!next.has_value()) {
+  for (;;) {
+    if (std::optional<ControlRecord> rec = c.ctl->Pop()) {
+      if (rec->tag == kCtlRepError) {
+        ThrowChildFailure(agent, "reported: " + std::string(
+                                                    rec->payload.begin(),
+                                                    rec->payload.end()));
+      }
+      if (rec->tag == kCtlRepDone) c.done = true;
+      return std::move(*rec);
+    }
+    if (c.reaped) {
+      ThrowChildFailure(agent, DescribeExit(c.exit_code, c.exit_status) +
+                                   " before reporting");
+    }
+    // An external agent has no process to watch: its hangup IS the
+    // disconnect.
+    if (c.pid <= 0 && c.ctl->hung_up()) {
+      ThrowChildFailure(agent, "disconnected before reporting");
+    }
+    std::optional<TransportFault> convicted;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (fault_.has_value() && fault_->agent != agent) convicted = fault_;
+    }
     const auto now = Clock::now();
-    const std::optional<TransportFault> convicted = LatchedFaultOfOther(agent);
     if (convicted.has_value() && !grace_end.has_value()) {
       grace_end = now + std::chrono::milliseconds(kGraceMs);
     }
     if (grace_end.has_value() && now >= *grace_end) {
       throw TransportError(*convicted);
     }
-    if (now >= deadline) {
-      // Watchdog expiry with the channel still open: the peer is alive
-      // but silent.  A local child might nonetheless have died without
-      // the hangup reaching us yet — say how if so; otherwise surface
-      // the timeout itself (the destructor will kill and reap local
-      // stragglers; an external agent being slow is not a disconnect).
-      if (c.pid > 0 && ReapChild(agent, kGraceMs)) {
-        ThrowChildFailure(agent, DescribeWaitStatus(c.wait_status) +
-                                     " before reporting");
-      }
-      throw WatchdogTimeout(agent, opts_.watchdog_ms);
-    }
-    const auto until =
-        std::min({deadline, grace_end.value_or(deadline),
-                  now + std::chrono::milliseconds(kFaultPollMs)});
-    const int slice_ms = static_cast<int>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(until - now)
-            .count());
-    try {
-      next = c.ctl->TryRead(std::max(slice_ms, 1));
-    } catch (const TransportError&) {
-      // Hangup or recv failure: the peer is gone.  If it was a local
-      // child, say exactly how it died; an external agent has no
-      // process to interrogate — its hangup IS the disconnect.
-      if (c.pid <= 0) {
-        ThrowChildFailure(agent, "disconnected before reporting");
-      }
-      if (ReapChild(agent, kGraceMs)) {
-        ThrowChildFailure(agent, DescribeWaitStatus(c.wait_status) +
-                                     " before reporting");
-      }
-      throw;
-    }
+    if (now >= deadline) throw WatchdogTimeout(agent, opts_.watchdog_ms);
+    Await(agent, std::min(deadline, grace_end.value_or(deadline)));
   }
-  ControlRecord rec = std::move(*next);
-  if (rec.tag == kCtlRepError) {
-    (void)ReapChild(agent, kGraceMs);
-    ThrowChildFailure(
-        agent, "reported: " + std::string(rec.payload.begin(),
-                                          rec.payload.end()));
-  }
-  if (rec.tag == kCtlRepDone) {
-    std::lock_guard<std::mutex> lock(mu_);
-    c.done = true;
-  }
-  return rec;
 }
 
-bool AgentSupervisor::ReapChild(AgentId agent, int timeout_ms) {
+void AgentSupervisor::Await(AgentId reading, Clock::time_point until) {
+  // Slot a is child a's pidfd, then the reading channel, then the fault
+  // latch's wake; poll skips a slot whose fd is -1.
+  const size_t n = children_.size();
+  std::vector<pollfd> fds(n + 2, pollfd{-1, POLLIN, 0});
+  for (size_t a = 0; a < n; ++a) fds[a].fd = children_[a].pidfd;
+  ControlChannel* ctl =
+      reading >= 0 ? children_[static_cast<size_t>(reading)].ctl.get()
+                   : nullptr;
+  if (ctl != nullptr && !ctl->hung_up()) fds[n].fd = ctl->fd();
+  {
+    // A latched fault leaves the wake readable for good: skip it then.
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!fault_.has_value()) fds[n + 1].fd = fault_wake_.recv_fd;
+  }
+  const int r = poll(fds.data(), fds.size(), MsUntil(until));
+  PEM_CHECK(r >= 0 || errno == EINTR, "agent supervisor: poll failed");
+  if (r <= 0) return;
+  if (fds[n].revents != 0) ctl->Fill();
+  for (size_t a = 0; a < n; ++a) {
+    if (fds[a].revents != 0) Collect(static_cast<AgentId>(a));
+  }
+}
+
+void AgentSupervisor::Collect(AgentId agent) {
   Child& c = children_[static_cast<size_t>(agent)];
-  if (c.reaped) return true;
-  if (c.pid <= 0) {
-    // Externally launched: no local process, nothing to collect.
-    c.reaped = true;
-    c.wait_status = 0;
-    return true;
+  siginfo_t info{};
+  if (waitid(P_PIDFD, static_cast<id_t>(c.pidfd), &info, WEXITED | WNOHANG) !=
+      0) {
+    // Collected elsewhere: nothing is known against it.
+    info.si_code = CLD_EXITED;
+    info.si_status = 0;
+  } else if (info.si_pid == 0) {
+    return;  // still running
   }
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  for (;;) {
-    int status = 0;
-    const pid_t r = waitpid(c.pid, &status, WNOHANG);
-    if (r == c.pid) {
-      c.reaped = true;
-      c.wait_status = status;
-      return true;
-    }
-    if (r < 0) {
-      // ECHILD: someone else collected it; treat as reaped-clean.
-      c.reaped = true;
-      c.wait_status = 0;
-      return true;
-    }
-    if (std::chrono::steady_clock::now() >= deadline) return false;
-    usleep(2000);
+  c.reaped = true;
+  c.exit_code = info.si_code;
+  c.exit_status = info.si_status;
+  close(c.pidfd);
+  c.pidfd = -1;
+  // The child's last records precede its exit on the channel.
+  const auto deadline = Clock::now() + std::chrono::milliseconds(kGraceMs);
+  while (!c.ctl->hung_up() && PollIn(c.ctl->fd(), MsUntil(deadline))) {
+    c.ctl->Fill();
   }
+  if (std::optional<std::string> why = ExitVerdict(agent)) {
+    RecordFault(agent, ChildFailure(agent, *why));
+  }
+}
+
+std::optional<std::string> AgentSupervisor::ExitVerdict(AgentId agent) const {
+  const Child& c = children_[static_cast<size_t>(agent)];
+  if (std::optional<std::vector<uint8_t>> error =
+          c.ctl->Buffered(kCtlRepError)) {
+    return "reported: " + std::string(error->begin(), error->end());
+  }
+  if (!c.reaped || (c.exit_code == CLD_EXITED && c.exit_status == 0)) {
+    return std::nullopt;
+  }
+  const bool before_done = !c.done && !c.ctl->Buffered(kCtlRepDone);
+  return DescribeExit(c.exit_code, c.exit_status) +
+         (before_done ? " before reporting" : "");
 }
 
 void AgentSupervisor::KillAndReapAll() {
-  for (AgentId a = 0; a < num_agents(); ++a) {
-    Child& c = children_[static_cast<size_t>(a)];
-    if (c.reaped || c.pid <= 0) continue;
-    kill(c.pid, SIGKILL);
+  for (const Child& c : children_) {
+    if (c.pid > 0 && !c.reaped) kill(c.pid, SIGKILL);
   }
-  for (AgentId a = 0; a < num_agents(); ++a) {
-    Child& c = children_[static_cast<size_t>(a)];
-    if (c.reaped || c.pid <= 0) continue;
-    int status = 0;
+  for (Child& c : children_) {
     // SIGKILL cannot be caught; the blocking wait returns promptly.
-    if (waitpid(c.pid, &status, 0) == c.pid) c.wait_status = status;
+    if (c.pid > 0 && !c.reaped) (void)waitpid(c.pid, nullptr, 0);
     c.reaped = true;
+    CloseIfOpen(c.pidfd);
+    c.pidfd = -1;
   }
 }
 
@@ -510,7 +536,7 @@ void AgentSupervisor::StopRouter() {
     std::lock_guard<std::mutex> lock(mu_);
     shutdown_ = true;
   }
-  WakeRouter();
+  wake_.Wake();
   if (router_.joinable()) router_.join();
   router_stopped_ = true;
 }
@@ -525,14 +551,20 @@ void AgentSupervisor::Shutdown() {
                                " where Done was expected");
     }
   }
+  // Each child exits after its Done, and that exit is judged like any
+  // other: an Error it wrote after Done (a failed drain check, say) is
+  // the report, in its own words.
+  const auto deadline =
+      Clock::now() + std::chrono::milliseconds(opts_.watchdog_ms);
   for (AgentId a = 0; a < num_agents(); ++a) {
-    Child& c = children_[static_cast<size_t>(a)];
-    if (!ReapChild(a, opts_.watchdog_ms)) {
-      ThrowChildFailure(a, "did not exit within the watchdog after Done");
+    while (!reaped(a)) {
+      if (Clock::now() >= deadline) {
+        ThrowChildFailure(a, "did not exit within the watchdog after Done");
+      }
+      Await(-1, deadline);
     }
-    if (c.pid > 0 &&
-        (!WIFEXITED(c.wait_status) || WEXITSTATUS(c.wait_status) != 0)) {
-      ThrowChildFailure(a, DescribeWaitStatus(c.wait_status));
+    if (std::optional<std::string> why = ExitVerdict(a)) {
+      ThrowChildFailure(a, *why);
     }
   }
   StopRouter();
@@ -570,49 +602,9 @@ void AgentSupervisor::SetObserver(Transport::Observer observer) {
   observer_ = std::move(observer);
 }
 
-std::optional<TransportFault> AgentSupervisor::LatchedFaultOfOther(
-    AgentId agent) {
-  // A crashed peer is a conviction too.  Its exit is judged by a
-  // non-blocking reap of every other local child not yet Done, not by
-  // its wire: shm children never cross the router, so their crashes
-  // leave no hangup to see.  A child that exits cleanly may do so before
-  // the main thread reads its Done, so only an unclean exit convicts.
-  for (AgentId a = 0; a < num_agents(); ++a) {
-    Child& c = children_[static_cast<size_t>(a)];
-    if (a == agent || c.pid <= 0) continue;
-    bool done = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      done = c.done;
-    }
-    if (done || !ReapChild(a, /*timeout_ms=*/0)) continue;
-    if (WIFEXITED(c.wait_status) && WEXITSTATUS(c.wait_status) == 0) continue;
-    RecordFault(a, "agent supervisor: agent " + std::to_string(a) +
-                       " child process " + DescribeWaitStatus(c.wait_status) +
-                       " before reporting");
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (fault_.has_value() && fault_->agent != agent) return fault_;
-  return std::nullopt;
-}
-
 std::optional<TransportFault> AgentSupervisor::fault() const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (fault_.has_value()) return fault_;
-  // A wire hangup is judged lazily against `done`: the router sees EOF
-  // even on a clean exit (the child closes its fds the instant it
-  // _exits after writing Done, typically before the main thread has
-  // read the Done record), so only an EOF with no Done is a crash.
-  for (size_t a = 0; a < children_.size(); ++a) {
-    const Child& c = children_[a];
-    if (c.wire_eof && !c.done) {
-      return TransportFault{
-          static_cast<AgentId>(a), ErrorCode::kProtocolViolation,
-          "agent supervisor: agent " + std::to_string(a) +
-              " hung up its wire before reporting Done (peer crashed?)"};
-    }
-  }
-  return std::nullopt;
+  return fault_;
 }
 
 bool AgentSupervisor::reaped(AgentId agent) const {

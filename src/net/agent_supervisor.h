@@ -18,17 +18,24 @@
 // Child lifecycle.  Children are commanded over the control channel
 // (length-prefixed records) and report results the same way.  A child
 // that exits cleanly writes a Done record first; one that throws writes
-// an Error record; one that crashes is detected by control-channel
-// hangup, reaped with waitpid, and surfaced as a structured
-// TransportError naming the agent and its exit status or signal —
-// within the watchdog timeout, never as a silent hang.  The destructor
-// SIGKILLs and reaps whatever is still running, so no orphans or
-// zombies survive a failed run, and every inherited descriptor is
-// closed (asserted by the fd-stability lifecycle tests).
+// an Error record.  That a child has ended is learned from the process
+// itself, never from a hangup: the supervisor holds a pidfd per local
+// child (pidfd_open, Linux >= 5.3; collected with waitid(P_PIDFD),
+// Linux >= 5.4), which turns readable the moment the child exits, crash
+// or not.  The exit is judged against what the child's control channel
+// still holds: an Error record is the fault, in the child's own words;
+// otherwise an unclean exit is a structured TransportError naming the
+// agent and its exit status or signal ("before reporting" if it came
+// before Done); a clean exit is no fault.  So a crash surfaces within
+// the watchdog, whether or not the child's frames cross the parent.  The
+// destructor SIGKILLs and reaps whatever is still running, so no
+// orphans or zombies survive a failed run, and every inherited
+// descriptor is closed (asserted by the fd-stability lifecycle tests).
 #pragma once
 
 #include <sys/types.h>
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -83,8 +90,7 @@ class ControlTimeout : public TransportError {
 // Length-prefixed records ([u32 tag | u32 len | bytes]) over one end of
 // a stream socket (a socketpair end or a connected TCP socket).  Owns
 // the descriptor.  Reads are deadline-bounded and surface hangup /
-// timeout as structured TransportError (never a silent nullopt) — this
-// is how a crashed child becomes a report instead of a 6-hour CI hang.
+// timeout as structured TransportError (never a silent nullopt).
 class ControlChannel {
  public:
   // `peer` names the agent on the other end (for error messages).
@@ -95,15 +101,23 @@ class ControlChannel {
 
   void Write(uint32_t tag, std::span<const uint8_t> payload = {});
   ControlRecord Read(int timeout_ms);
-  // Read without the timeout throw: nullopt when `timeout_ms` passes
-  // with no whole record (hangups still throw).
-  std::optional<ControlRecord> TryRead(int timeout_ms);
+
+  // The nonblocking pieces Read is built from, for a reader that waits
+  // on this channel beside other descriptors.  Pop takes the next whole
+  // buffered record; Fill takes in what one recv finds (a hangup or a
+  // failed recv marks the channel hung up); Buffered is the payload of
+  // the first whole buffered record tagged `tag`, left in place.
+  std::optional<ControlRecord> Pop();
+  void Fill();
+  std::optional<std::vector<uint8_t>> Buffered(uint32_t tag) const;
+  bool hung_up() const { return hung_up_; }
 
   int fd() const { return fd_; }
 
  private:
   int fd_ = -1;
   AgentId peer_ = -1;
+  bool hung_up_ = false;
   // Receive accumulator: one recv may coalesce several records (e.g. a
   // child's Done immediately followed by an Error); bytes beyond the
   // record being returned stay buffered for the next Read.
@@ -120,8 +134,9 @@ class ControlChannel {
 //
 // Concrete backends (ProcessTransport, TcpTransport, ShmTransport)
 // differ only in how each child comes to exist and how its descriptors
-// reach the parent; their constructors fill the child table via
-// AdoptChild and then StartRouter.
+// reach the parent; their constructors register each child's pid as it
+// forks, fill the child table via AdoptChild, and then StartRouter (or
+// WatchChildren, for a backend without a router).
 class AgentSupervisor {
  public:
   // Runs a child's agent.  Return value becomes the child's exit code.
@@ -152,17 +167,21 @@ class AgentSupervisor {
   void Command(AgentId agent, uint32_t tag,
                std::span<const uint8_t> payload = {});
   void CommandAll(uint32_t tag, std::span<const uint8_t> payload = {});
-  // Next record from `agent`, watchdog-bounded.  A kCtlRepError record,
-  // a hangup, or a timeout is thrown as TransportError; if the child
-  // already died, the message names its exit status or fatal signal.
-  // Once a fault naming another agent has latched (a convicted wire, or
-  // a child that crashed before Done), `agent` gets a 2 s grace to
-  // report; then that latched fault is thrown, naming the convicted
-  // agent, instead of waiting out the watchdog on a survivor blocked on
-  // the dropped frames.
+  // Next record from `agent`.  It waits in one poll on the agent's
+  // control channel, the pidfd of every child not yet reaped and the
+  // fault latch, until the watchdog.  A kCtlRepError record, a timeout,
+  // or the agent's own exit is thrown as TransportError naming it (an
+  // exit by its status or fatal signal; an external agent's hangup as a
+  // disconnect).  Any other child that ends meanwhile is judged at once
+  // (see the lifecycle paragraph above).  Once a fault naming another
+  // agent has latched (a convicted wire, or a child that ended badly),
+  // `agent` gets a 2 s grace to hand in a record it already wrote; then
+  // that latched fault is thrown, naming the convicted agent, instead
+  // of waiting out the watchdog on a survivor blocked on its frames.
   ControlRecord ReadRecord(AgentId agent);
   // Clean teardown: Shutdown command to every child, Done record from
-  // each, then reap; throws on a nonzero exit.  Idempotent.
+  // each, then each exit, judged like any other (an Error a child wrote
+  // after its Done is the report); throws on a fault.  Idempotent.
   void Shutdown();
 
   // Wire ledger: literal bytes the router moved between processes.
@@ -191,22 +210,28 @@ class AgentSupervisor {
   // Test hook: severs `agent`'s wire from the parent side as a broken
   // network/crashed peer would (shutdown(2), so no fd-reuse race with
   // the router thread).  The child's next blocked Receive() throws a
-  // structured TransportError; the router latches the fault and keeps
-  // routing the survivors.  Never called outside tests.
+  // structured TransportError, which it reports; the router closes the
+  // wire and keeps routing the survivors.  Never called outside tests.
   void SeverWireForTest(AgentId agent);
 
  protected:
   AgentSupervisor(int num_agents, Options opts);
 
-  // Hands `agent`'s child to the supervisor: a local pid (or -1 for an
-  // externally launched agent), the parent end of its wire, and the
-  // parent end of its control channel.  Constructor phase only, before
-  // StartRouter.
-  void AdoptChild(AgentId agent, pid_t pid, int wire_fd, int ctl_fd);
-  // All children adopted: open the wake pipe, flip the wire fds
-  // nonblocking, and start the relay router.  Call once, last.  A
-  // backend whose frames never cross the parent (ShmTransport) skips
-  // this and runs its own accounting thread instead.
+  // Records `agent`'s local child the moment it is forked, so the
+  // destructor kills and reaps it even if the constructor fails later.
+  void RegisterChild(AgentId agent, pid_t pid);
+  // Hands the supervisor the parent ends of `agent`'s wire and control
+  // channel (a pid of -1, never registered, is an externally launched
+  // agent).  Constructor phase only, before StartRouter.
+  void AdoptChild(AgentId agent, int wire_fd, int ctl_fd);
+  // Every child forked: open a pidfd per local child and the fault
+  // latch's wake, after the last fork so that no child inherits a
+  // sibling's.  A failed pidfd_open is a TransportError naming the agent.
+  void WatchChildren();
+  // All children adopted: WatchChildren, open the wake pipe, flip the
+  // wire fds nonblocking, and start the relay router.  Call once, last.
+  // A backend whose frames never cross the parent (ShmTransport) calls
+  // WatchChildren instead and runs its own accounting thread.
   void StartRouter();
 
   // Ledger + observer entry for one delivered copy, under the
@@ -216,10 +241,11 @@ class AgentSupervisor {
   void AccountDeliveredCopy(const Message& copy);
 
   // Latches the first fault (later ones are dropped: the first cause is
-  // the report, cascading symptoms are noise).  Exposed to backends so
-  // a derived accounting thread (the shm snooper) can surface forged or
-  // replayed ring records as the same structured fault the relay router
-  // raises for severed wires.
+  // the report, cascading symptoms are noise) and wakes a ReadRecord
+  // blocked on a survivor.  Exposed to backends so a derived accounting
+  // thread (the shm snooper) can surface forged or replayed ring records
+  // as the same structured fault the relay router raises for a
+  // convicted wire.
   void RecordFault(AgentId agent, std::string detail);
 
   // Teardown halves, exposed so a derived destructor can stop the
@@ -231,37 +257,44 @@ class AgentSupervisor {
  private:
   struct Child {
     pid_t pid = -1;    // -1: externally launched, nothing to reap
+    int pidfd = -1;    // readable once the child has ended; -1 once reaped
     int wire_fd = -1;  // parent end; nonblocking, router thread reads
     std::unique_ptr<ControlChannel> ctl;
-    bool done = false;      // clean Done record received (mu_)
-    bool wire_eof = false;  // router saw the wire hang up (mu_)
-    bool reaped = false;    // waitpid collected (or nothing to collect)
-    int wait_status = 0;
+    bool done = false;    // clean Done record read
+    bool reaped = false;  // waitid collected the exit below
+    int exit_code = 0;    // CLD_EXITED, CLD_KILLED or CLD_DUMPED
+    int exit_status = 0;  // exit status, or the fatal signal
   };
 
   // Router thread only.  A child's wire bytes are untrusted input, and
   // its wire is its identity: a corrupt frame, a forged sender id or an
   // out-of-range recipient convicts the wire's owner — the fault is
   // latched naming it, the wire is closed, nothing of the bad frame is
-  // accounted — while the router keeps serving the other children.
-  // RouteBufferedFrames returns false once `owner` is convicted.
+  // accounted — while the router keeps serving the other children.  A
+  // wire that hangs up is closed without a fault: whether its owner
+  // crashed is for its pidfd to say.  RouteBufferedFrames returns false
+  // once `owner` is convicted.
   void RouterLoop();
   bool RouteBufferedFrames(AgentId owner);
   bool ConvictWire(AgentId owner, const std::string& what);  // -> false
   void RouteFrame(const Message& frame);  // validated frames only
   void FlushPending(AgentId dest);        // router thread only
-  void WakeRouter();
-  // waitpid with deadline; marks reaped.  Returns false on timeout.
-  bool ReapChild(AgentId agent, int timeout_ms);
-  // The latched fault_ if it names an agent other than `agent`, after
-  // latching any other local child not yet Done whose non-blocking reap
-  // shows an unclean exit.
-  std::optional<TransportFault> LatchedFaultOfOther(AgentId agent);
+  // One poll until `until` on `reading`'s control channel (none if
+  // -1), the fault latch's wake and every unreaped child's pidfd; takes
+  // in what the channel holds and collects every child that ended.
+  void Await(AgentId reading, std::chrono::steady_clock::time_point until);
+  // `agent`'s pidfd is readable: reap it, take in everything it wrote,
+  // and latch its ExitVerdict, if any, as a fault.
+  void Collect(AgentId agent);
+  // Why an ended child failed, or nullopt for a clean end: a buffered
+  // Error record in its own words, else an unclean exit status.
+  std::optional<std::string> ExitVerdict(AgentId agent) const;
   [[noreturn]] void ThrowChildFailure(AgentId agent, const std::string& why);
 
   std::vector<Child> children_;
   Options opts_;
-  WakePipe wake_;
+  WakePipe wake_;        // unparks the router thread
+  WakePipe fault_wake_;  // unparks Await once a fault latches
   bool finished_ = false;  // Shutdown() completed cleanly
   bool router_started_ = false;
   bool router_stopped_ = false;

@@ -59,8 +59,8 @@ ProcessTransport::ProcessTransport(int num_agents, ChildMain child_main,
     if (pid == 0) {
       RunForkedChild(static_cast<AgentId>(i), num_agents, fds, child_main);
     }
-    AdoptChild(static_cast<AgentId>(i), pid, fds[i].wire_parent,
-               fds[i].ctl_parent);
+    RegisterChild(static_cast<AgentId>(i), pid);
+    AdoptChild(static_cast<AgentId>(i), fds[i].wire_parent, fds[i].ctl_parent);
     close(fds[i].wire_child);
     close(fds[i].ctl_child);
     fds[i].wire_child = fds[i].ctl_child = -1;

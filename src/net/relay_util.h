@@ -6,15 +6,14 @@
 // PendingBuf and are flushed with nonblocking writes, and the main
 // thread unparks a router sleeping in epoll through a wake
 // socketpair.  This header holds that machinery plus the descriptor
-// helpers (nonblocking toggles, fully retried writes, wait-status
-// pretty printing) every out-of-process backend needs, so no backend
-// keeps a hand-synced copy of relay plumbing.
+// helpers (nonblocking toggles, fully retried writes) every
+// out-of-process backend needs, so no backend keeps a hand-synced copy
+// of relay plumbing.
 #pragma once
 
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -96,16 +95,6 @@ inline void SendAllOrThrow(int fd, const uint8_t* data, size_t len,
     data += n;
     len -= static_cast<size_t>(n);
   }
-}
-
-inline std::string DescribeWaitStatus(int status) {
-  if (WIFEXITED(status)) {
-    return "exited with status " + std::to_string(WEXITSTATUS(status));
-  }
-  if (WIFSIGNALED(status)) {
-    return "killed by signal " + std::to_string(WTERMSIG(status));
-  }
-  return "ended with raw wait status " + std::to_string(status);
 }
 
 // Bytes routed to a destination but not yet flushed into its (full)

@@ -206,10 +206,12 @@ ShmTransport::ShmTransport(int num_agents, ChildMain child_main, Options opts)
                                           rings_, epoch_),
                ctl_child[i], child_main);
     }
-    AdoptChild(static_cast<AgentId>(i), pid, /*wire_fd=*/-1, ctl_parent[i]);
+    RegisterChild(static_cast<AgentId>(i), pid);
+    AdoptChild(static_cast<AgentId>(i), /*wire_fd=*/-1, ctl_parent[i]);
     close(ctl_child[i]);
     ctl_child[i] = -1;
   }
+  WatchChildren();
 
   // No relay router: frames never cross the parent.  The snooper tails
   // every ring through its snoop cursor and feeds the shared

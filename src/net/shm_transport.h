@@ -45,8 +45,8 @@
 // Failure model.  Children die with the parent (PDEATHSIG) and the
 // parent SIGKILLs stragglers in its destructor, so a writer parked on
 // a dead receiver's full ring is always resolved by teardown.  A
-// crashed child surfaces exactly as in the socket backends: its
-// control channel hangs up, ReadRecord reaps it and throws a
+// crashed child surfaces exactly as in the socket backends: its pidfd
+// turns readable, the supervisor reaps it and ReadRecord throws a
 // structured TransportError naming the agent and its fatal signal
 // within the watchdog — asserted by tests/net/test_shm_transport.cpp.
 #pragma once

@@ -7,7 +7,6 @@
 #include <signal.h>
 #include <sys/prctl.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -315,7 +314,7 @@ namespace {
              s.ctl_fd, child_main);
   } catch (...) {
     // Could not even reach the rendezvous; the parent's accept timeout
-    // (or the control-channel hangup) reports the loss.
+    // reports the loss.
     _exit(3);
   }
 }
@@ -326,8 +325,7 @@ TcpTransport::TcpTransport(int num_agents, Options opts)
     : AgentSupervisor(num_agents, {opts.watchdog_ms}),
       listener_(opts.host, opts.port, /*backlog=*/2 * num_agents + 8,
                 opts.socket_buffer_bytes),
-      opts_(std::move(opts)),
-      pids_(static_cast<size_t>(num_agents), -1) {}
+      opts_(std::move(opts)) {}
 
 TcpTransport::TcpTransport(int num_agents, ChildMain child_main, Options opts)
     : TcpTransport(num_agents, std::move(opts)) {
@@ -342,26 +340,11 @@ TcpTransport::TcpTransport(int num_agents, ChildMain child_main, Options opts)
       RunTcpChild(static_cast<AgentId>(i), num_agents, listener_.fd(),
                   listener_.port(), opts_, child_main);
     }
-    pids_[static_cast<size_t>(i)] = pid;
+    RegisterChild(static_cast<AgentId>(i), pid);
   }
-  try {
-    WaitForAgents();
-  } catch (...) {
-    // The constructor is the only owner the forked children ever had:
-    // on a failed rendezvous, kill and reap them here (the base class
-    // never learned their pids).
-    KillForkedChildren(pids_);
-    throw;
-  }
-}
-
-void TcpTransport::KillForkedChildren(const std::vector<pid_t>& pids) {
-  for (const pid_t pid : pids) {
-    if (pid > 0) kill(pid, SIGKILL);
-  }
-  for (const pid_t pid : pids) {
-    if (pid > 0) (void)waitpid(pid, nullptr, 0);
-  }
+  // A failed rendezvous throws from here; the base destructor kills and
+  // reaps the children registered above.
+  WaitForAgents();
 }
 
 void TcpTransport::WaitForAgents() {
@@ -435,8 +418,7 @@ void TcpTransport::WaitForAgents() {
     throw;
   }
   for (AgentId a = 0; a < n; ++a) {
-    AdoptChild(a, pids_[static_cast<size_t>(a)],
-               wire_fds[static_cast<size_t>(a)],
+    AdoptChild(a, wire_fds[static_cast<size_t>(a)],
                ctl_fds[static_cast<size_t>(a)]);
   }
   StartRouter();

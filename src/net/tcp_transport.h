@@ -41,7 +41,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "net/agent_supervisor.h"
 
@@ -152,11 +151,8 @@ class TcpTransport : public AgentSupervisor {
   void WaitForAgents();
 
  private:
-  void KillForkedChildren(const std::vector<pid_t>& pids);
-
   TcpListener listener_;
   Options opts_;
-  std::vector<pid_t> pids_;  // forked mode; -1 per agent in external mode
   bool accepted_ = false;
 };
 

@@ -291,6 +291,52 @@ TEST(FrameInjection, ProcessTransportReplayedFrameIsRejectedAtQuiescence) {
   ExpectNoZombies();
 }
 
+TEST(FrameInjection, ProcessTransportReplayedFrameAfterDoneIsNamedAtShutdown) {
+  // Both children serve Run and Shutdown; agent 0 puts the scripted
+  // frame on its wire twice.  Agent 1 consumes one copy, reports its
+  // window and its Done, and only then fails its drain check: the Error
+  // it writes after Done must be Shutdown's report, not its bare exit
+  // status.
+  AgentSupervisor::ChildMain serve = [](AgentId self, Transport& wire,
+                                        ControlChannel& ctl) -> int {
+    for (;;) {
+      const ControlRecord rec = ctl.Read(/*timeout_ms=*/120'000);
+      if (rec.tag == kCtlCmdShutdown) {
+        ctl.Write(kCtlRepDone);
+        return 0;
+      }
+      if (self == 0) {
+        std::vector<uint8_t> twice = EncodeFrame(Scripted());
+        AppendFrame(twice, Scripted());
+        WriteRaw(wire, twice);
+      } else {
+        wire.Send(Scripted());  // shadow-only: advances 1's script
+        (void)wire.Receive(1);
+      }
+      ctl.Write(kCtlRepWindow);
+    }
+  };
+  {
+    ProcessTransport::Options opts;
+    opts.watchdog_ms = 60'000;
+    ProcessTransport pt(2, serve, opts);
+    pt.CommandAll(kCtlCmdRun);
+    EXPECT_EQ(pt.ReadRecord(0).tag, kCtlRepWindow);
+    EXPECT_EQ(pt.ReadRecord(1).tag, kCtlRepWindow);
+    try {
+      pt.Shutdown();
+      FAIL() << "agent 1 left a replayed frame unconsumed without a report";
+    } catch (const TransportError& e) {
+      EXPECT_EQ(e.fault().agent, 1) << e.what();
+      EXPECT_NE(std::string(e.what()).find(
+                    "never consumed 1 frame(s) from sender 0"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  ExpectNoZombies();
+}
+
 TEST(FrameInjection, TcpFaultDivergedFrameFailsTheReceiveAtOnce) {
   {
     TcpTransport::Options opts;

@@ -179,14 +179,14 @@ TEST(ProcessLifecycle, CrashedChildSurfacesExitStatusFast) {
     ASSERT_TRUE(transport.fault().has_value());
     EXPECT_EQ(transport.fault()->agent, 1);
   }
-  // Fail-fast: hangup detection, not watchdog expiry, drove this.
+  // Fail-fast: exit detection, not watchdog expiry, drove this.
   EXPECT_LT(ElapsedSeconds(start), 8.0);
   ExpectNoChildrenLeft();
 }
 
 TEST(ProcessLifecycle, SurvivorBlockedOnCrashedPeerNamesTheCrash) {
   // Agent 1 crashes on Run; agent 2 waits forever on a frame agent 1
-  // never sends.  The router sees only agent 1's wire hang up, yet the
+  // never sends.  The router sees only agent 1's wire hang up, and the
   // parent must treat the unclean exit as a conviction: agent 2's read
   // fails within the post-conviction grace, naming agent 1, instead of
   // sitting out the watchdog and blaming the blocked survivor.

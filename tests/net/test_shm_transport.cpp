@@ -12,8 +12,8 @@
 //   * fault    — a SIGKILLed child mid-window latches a structured
 //     TransportFault naming the agent and signal within the watchdog,
 //     survivors keep exchanging through their own rings, and teardown
-//     leaves no zombies, a stable fd table, AND a stable mapping count
-//     (the mmap region must not leak across cycles);
+//     leaves no zombies, a stable fd table, AND a stable shared-mapping
+//     count (the mmap region must not leak across cycles);
 //   * ledger   — SyncLedger drains the accounting tap to the write
 //     cursors, so the parent ledger equals the canonical per-copy
 //     accounting even though no frame ever crossed the parent.
@@ -47,33 +47,22 @@ int CountOpenFds() {
   return count - 3;
 }
 
-// ThreadSanitizer keeps per-thread shadow mappings alive after the
-// thread exits (each snooper thread grows /proc/self/maps), so the
-// mapping-count stability assertions only hold on non-TSan builds.
-#if defined(__SANITIZE_THREAD__)
-constexpr bool kTsanActive = true;
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-constexpr bool kTsanActive = true;
-#else
-constexpr bool kTsanActive = false;
-#endif
-#else
-constexpr bool kTsanActive = false;
-#endif
-
-// Lines in /proc/self/maps: a leaked mmap region shows up here even
-// though it costs no file descriptor.
-int CountMappings() {
+// Shared mappings in /proc/self/maps (the fourth permission letter is
+// 's'): a leaked shm region shows up here even though it costs no file
+// descriptor.  Only shared ones are counted, because the sanitizers'
+// allocators and per-thread shadows grow the private mappings of a
+// process that leaks nothing.
+int CountSharedMappings() {
   std::FILE* f = std::fopen("/proc/self/maps", "r");
   EXPECT_NE(f, nullptr);
-  int lines = 0;
-  int c;
-  while ((c = std::fgetc(f)) != EOF) {
-    if (c == '\n') ++lines;
+  int shared = 0;
+  char line[4096];
+  while (std::fgets(line, sizeof line, f) != nullptr) {
+    const char* perms = std::strchr(line, ' ');
+    if (perms != nullptr && perms[4] == 's') ++shared;
   }
   std::fclose(f);
-  return lines;
+  return shared;
 }
 
 void ExpectNoChildrenLeft() {
@@ -397,7 +386,7 @@ TEST(ShmFault, KilledChildMidWindowSurfacesWithinWatchdog) {
     EXPECT_EQ(transport.total_messages(), 1u);
     EXPECT_EQ(transport.total_bytes(), FramedSize(2));
   }
-  // Hangup detection, not watchdog expiry (and certainly not a ctest
+  // Exit detection, not watchdog expiry (and certainly not a ctest
   // TIMEOUT), drove the whole sequence — destructor teardown included.
   EXPECT_LT(ElapsedSeconds(start), 8.0);
   ExpectNoChildrenLeft();
@@ -407,7 +396,7 @@ TEST(ShmFault, SurvivorBlockedOnCrashedPeerNamesTheCrash) {
   // Agent 1 crashes on Run; agent 2 waits forever on agent 1's ring for
   // a frame agent 1 never writes.  Shm frames never cross the parent,
   // so no wire hangup reveals the crash: the supervisor must find it by
-  // reaping, fail agent 2's read within the post-conviction grace
+  // its pidfd, fail agent 2's read within the post-conviction grace
   // naming agent 1, and not sit out the watchdog blaming agent 2.
   AgentSupervisor::ChildMain script = [](AgentId self, Transport& wire,
                                          ControlChannel& ctl) -> int {
@@ -509,15 +498,13 @@ TEST(ShmFault, NoZombiesStableFdsAndStableMappingsAcrossCycles) {
   }
   ExpectNoChildrenLeft();
   const int fds_before = CountOpenFds();
-  const int maps_before = CountMappings();
+  const int maps_before = CountSharedMappings();
   for (int cycle = 0; cycle < 3; ++cycle) {
     ShmTransport transport(2, IdleChild);
     transport.Shutdown();
   }
   EXPECT_EQ(CountOpenFds(), fds_before);
-  if (!kTsanActive) {
-    EXPECT_EQ(CountMappings(), maps_before) << "the shm region leaked";
-  }
+  EXPECT_EQ(CountSharedMappings(), maps_before) << "the shm region leaked";
   ExpectNoChildrenLeft();
 
   // A failed run must clean up just as thoroughly: crash one child,
@@ -532,10 +519,8 @@ TEST(ShmFault, NoZombiesStableFdsAndStableMappingsAcrossCycles) {
     EXPECT_THROW((void)transport.ReadRecord(1), TransportError);
   }
   EXPECT_EQ(CountOpenFds(), fds_before);
-  if (!kTsanActive) {
-    EXPECT_EQ(CountMappings(), maps_before)
-        << "a failed run leaked the region";
-  }
+  EXPECT_EQ(CountSharedMappings(), maps_before)
+      << "a failed run leaked the region";
   ExpectNoChildrenLeft();
 }
 

@@ -310,6 +310,16 @@ TEST(TcpHandshake, ConnectTimeoutNamesTheMissingAgent) {
   dialer.join();
 }
 
+TEST(TcpHandshake, FailedForkedRendezvousLeavesNoChildren) {
+  // The forked constructor's rendezvous fails before any child can dial
+  // in: the children it already forked must be killed and reaped on the
+  // way out, not left running or as zombies.
+  TcpTransport::Options opts;
+  opts.connect_timeout_ms = 0;
+  EXPECT_THROW(TcpTransport(4, IdleChild, opts), TransportError);
+  ExpectNoChildrenLeft();
+}
+
 TEST(TcpHandshake, GarbageBeforeHelloRejected) {
   TcpTransport::Options opts;
   opts.connect_timeout_ms = 10'000;
@@ -570,7 +580,7 @@ TEST(TcpFault, KilledChildMidWindowSurfacesWithinWatchdog) {
     EXPECT_EQ(transport.ReadRecord(0).tag, kCtlRepWindow);
     EXPECT_EQ(transport.ReadRecord(2).tag, kCtlRepWindow);
   }
-  // Hangup detection, not watchdog expiry (and certainly not a ctest
+  // Exit detection, not watchdog expiry (and certainly not a ctest
   // TIMEOUT), drove the whole sequence.
   EXPECT_LT(ElapsedSeconds(start), 8.0);
   ExpectNoChildrenLeft();
@@ -611,6 +621,45 @@ TEST(TcpFault, SeveredConnectionMidWindowFaultsFast) {
     EXPECT_EQ(transport.ReadRecord(2).tag, kCtlRepWindow);
   }
   EXPECT_LT(ElapsedSeconds(start), 8.0);
+  ExpectNoChildrenLeft();
+}
+
+TEST(TcpFault, SurvivorBlockedOnCrashedPeerNamesTheCrash) {
+  // Agent 1 crashes on Run; agent 2 waits forever on a frame agent 1
+  // never sends.  The parent must treat the unclean exit as a
+  // conviction: agent 2's read fails within the post-conviction grace,
+  // naming agent 1, instead of sitting out the watchdog and blaming the
+  // blocked survivor.
+  AgentSupervisor::ChildMain script = [](AgentId self, Transport& wire,
+                                         ControlChannel& ctl) -> int {
+    (void)ctl.Read(/*timeout_ms=*/60'000);  // the one Run command
+    if (self == 1) _exit(1);
+    if (self == 2) {
+      // The script's send from agent 1 (shadow only here), then the
+      // real wire read that agent 1's crash leaves blocked.
+      wire.Send(Message{1, 2, /*type=*/0x4100, {9}});
+      (void)wire.Receive(2);
+    }
+    ctl.Write(kCtlRepWindow);
+    for (;;) pause();  // the parent's teardown SIGKILLs every child
+  };
+  {
+    TcpTransport::Options opts;
+    opts.watchdog_ms = 6'000;
+    TcpTransport transport(3, script, opts);
+    transport.CommandAll(kCtlCmdRun);
+    const auto start = std::chrono::steady_clock::now();
+    try {
+      (void)transport.ReadRecord(2);
+      FAIL() << "agent 2 cannot report: its peer crashed";
+    } catch (const TransportError& e) {
+      EXPECT_EQ(e.fault().agent, 1) << e.what();
+      EXPECT_NE(std::string(e.what()).find("status 1"), std::string::npos)
+          << e.what();
+    }
+    // The 2 s grace plus slack, well short of the 6 s watchdog.
+    EXPECT_LT(ElapsedSeconds(start), 4.5);
+  }
   ExpectNoChildrenLeft();
 }
 
