@@ -10,6 +10,7 @@
 #include "crypto/rng.h"
 #include "crypto/secure_compare.h"
 #include "net/bus.h"
+#include "tests/support/partial_bus.h"
 
 namespace {
 
@@ -223,6 +224,31 @@ void BM_SecureCompare64(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SecureCompare64)->Unit(benchmark::kMillisecond);
+
+// One endpoint's half of BM_SecureCompare64: the bus acts for the
+// garbler (agent 0) or the evaluator (agent 1) only, as that agent's
+// forked child does, and rebuilds the other half's frames.
+void SecureCompare64Half(benchmark::State& state, pem::net::AgentId acting) {
+  DeterministicRng rng(9);
+  const SecureCompareConfig cfg;
+  for (auto _ : state) {
+    pem::testutil::PartialBus bus(2, {acting});
+    pem::net::Endpoint garbler = bus.endpoint(0);
+    pem::net::Endpoint evaluator = bus.endpoint(1);
+    benchmark::DoNotOptimize(
+        SecureCompareLess(garbler, 123456, evaluator, 654321, cfg, rng));
+  }
+}
+
+void BM_SecureCompare64GarblerHalf(benchmark::State& state) {
+  SecureCompare64Half(state, 0);
+}
+BENCHMARK(BM_SecureCompare64GarblerHalf)->Unit(benchmark::kMillisecond);
+
+void BM_SecureCompare64EvaluatorHalf(benchmark::State& state) {
+  SecureCompare64Half(state, 1);
+}
+BENCHMARK(BM_SecureCompare64EvaluatorHalf)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -33,6 +33,8 @@ using Scalar = std::unique_ptr<BIGNUM, BnFree>;
 using BnCtx = std::unique_ptr<BN_CTX, BnCtxFree>;
 using Point = std::unique_ptr<EC_POINT, PointFree>;
 
+thread_local P256MulCount t_muls;
+
 // Built on the first OT, not at load time, so runs that never compare
 // pay nothing.  Read-only afterwards, hence shareable across threads.
 const EC_GROUP* P256() {
@@ -69,6 +71,7 @@ Scalar ToScalar(const OtScalar& s) {
 
 // kG, through OpenSSL's fixed-base path.
 Point MulBase(const BIGNUM* k, BN_CTX* ctx) {
+  ++t_muls.fixed_base;
   Point r = NewPoint();
   PEM_CHECK(EC_POINT_mul(P256(), r.get(), k, nullptr, nullptr, ctx) == 1,
             "OT: EC_POINT_mul failed");
@@ -77,6 +80,7 @@ Point MulBase(const BIGNUM* k, BN_CTX* ctx) {
 
 // kP.
 Point Mul(const EC_POINT* p, const BIGNUM* k, BN_CTX* ctx) {
+  ++t_muls.variable_base;
   Point r = NewPoint();
   PEM_CHECK(EC_POINT_mul(P256(), r.get(), nullptr, p, k, ctx) == 1,
             "OT: EC_POINT_mul failed");
@@ -88,6 +92,14 @@ Point Add(const EC_POINT* a, const EC_POINT* b, BN_CTX* ctx) {
   PEM_CHECK(EC_POINT_add(P256(), r.get(), a, b, ctx) == 1,
             "OT: EC_POINT_add failed");
   return r;
+}
+
+// The receiver's B for key b: bG (choice 0) or A + bG (choice 1).
+Point ReceiverB(const EC_POINT* big_a, const BIGNUM* b, bool choice,
+                BN_CTX* ctx) {
+  Point big_b = MulBase(b, ctx);
+  if (choice) big_b = Add(big_a, big_b.get(), ctx);
+  return big_b;
 }
 
 std::vector<uint8_t> Encode(const EC_POINT* p, BN_CTX* ctx) {
@@ -126,6 +138,8 @@ OtPad Pad(uint64_t index, std::span<const uint8_t> a,
 
 }  // namespace
 
+P256MulCount P256MulsOnThisThread() { return t_muls; }
+
 OtScalar::~OtScalar() { OPENSSL_cleanse(bytes.data(), bytes.size()); }
 
 OtScalar DrawOtScalar(Rng& rng) {
@@ -152,23 +166,29 @@ OtScalar DrawOtScalar(Rng& rng) {
 struct OtSender::State {
   BnCtx ctx = NewCtx();
   Scalar a;
-  std::vector<uint8_t> big_a;  // A = aG, encoded
-  Point neg_aa;                // -aA, so aB - aA is one addition
+  Point big_a;                       // A = aG
+  std::vector<uint8_t> big_a_bytes;  // A, encoded
+  Point aa;                          // aA
+  Point neg_aa;                      // -aA, so aB - aA is one addition
 };
 
 OtSender::OtSender(const OtScalar& a) : s_(std::make_unique<State>()) {
   BN_CTX* ctx = s_->ctx.get();
   s_->a = ToScalar(a);
-  const Point big_a = MulBase(s_->a.get(), ctx);
-  s_->big_a = Encode(big_a.get(), ctx);
-  s_->neg_aa = Mul(big_a.get(), s_->a.get(), ctx);
+  s_->big_a = MulBase(s_->a.get(), ctx);
+  s_->big_a_bytes = Encode(s_->big_a.get(), ctx);
+  s_->aa = Mul(s_->big_a.get(), s_->a.get(), ctx);
+  s_->neg_aa.reset(EC_POINT_dup(s_->aa.get(), P256()));
+  PEM_CHECK(s_->neg_aa != nullptr, "OT: EC_POINT_dup failed");
   PEM_CHECK(EC_POINT_invert(P256(), s_->neg_aa.get(), ctx) == 1,
             "OT: EC_POINT_invert failed");
 }
 
 OtSender::~OtSender() = default;
 
-const std::vector<uint8_t>& OtSender::Message1() const { return s_->big_a; }
+const std::vector<uint8_t>& OtSender::Message1() const {
+  return s_->big_a_bytes;
+}
 
 std::pair<OtPad, OtPad> OtSender::Pads(
     uint64_t index, std::span<const uint8_t> receiver_b) const {
@@ -176,8 +196,15 @@ std::pair<OtPad, OtPad> OtSender::Pads(
   const Point big_b = Decode(receiver_b, ctx);
   const Point ab = Mul(big_b.get(), s_->a.get(), ctx);
   const Point ab_minus_aa = Add(ab.get(), s_->neg_aa.get(), ctx);
-  return {Pad(index, s_->big_a, receiver_b, ab.get(), ctx),
-          Pad(index, s_->big_a, receiver_b, ab_minus_aa.get(), ctx)};
+  return {Pad(index, s_->big_a_bytes, receiver_b, ab.get(), ctx),
+          Pad(index, s_->big_a_bytes, receiver_b, ab_minus_aa.get(), ctx)};
+}
+
+std::vector<uint8_t> OtSender::ReceiverPoint(bool choice,
+                                             const OtScalar& b) const {
+  BN_CTX* ctx = s_->ctx.get();
+  const Scalar k = ToScalar(b);
+  return Encode(ReceiverB(s_->big_a.get(), k.get(), choice, ctx).get(), ctx);
 }
 
 struct OtReceiver::State {
@@ -195,15 +222,28 @@ OtReceiver::OtReceiver(std::span<const uint8_t> sender_a)
 
 OtReceiver::~OtReceiver() = default;
 
-OtReceiver::Choice OtReceiver::Choose(bool choice, const OtScalar& key) {
+OtReceiver::Choice OtReceiver::Choose(bool choice, const OtScalar& key,
+                                      const OtSender* sender) {
   BN_CTX* ctx = s_->ctx.get();
   const Scalar b = ToScalar(key);
-  Point big_b = MulBase(b.get(), ctx);
-  if (choice) big_b = Add(s_->big_a.get(), big_b.get(), ctx);
-  Choice out{Encode(big_b.get(), ctx), {}};
+  const uint64_t index = s_->next_index++;
+  Choice out;
+  out.b = Encode(ReceiverB(s_->big_a.get(), b.get(), choice, ctx).get(), ctx);
   // b_iA = aB_i (choice 0) = aB_i - aA (choice 1): the chosen pad.
   const Point ba = Mul(s_->big_a.get(), b.get(), ctx);
-  out.pad = Pad(s_->next_index++, s_->big_a_bytes, out.b, ba.get(), ctx);
+  out.pad = Pad(index, s_->big_a_bytes, out.b, ba.get(), ctx);
+  if (sender != nullptr) {
+    const OtSender::State& s = *sender->s_;
+    PEM_CHECK(s.big_a_bytes == s_->big_a_bytes,
+              "OT: the sender given to Choose runs another batch");
+    // The unchosen pad: aB_i = b_iA + aA (choice 1), and
+    // aB_i - aA = b_iA - aA (choice 0).
+    const Point other =
+        Add(ba.get(), choice ? s.aa.get() : s.neg_aa.get(), ctx);
+    const OtPad unchosen = Pad(index, s_->big_a_bytes, out.b, other.get(), ctx);
+    out.sender_pads = choice ? std::pair{unchosen, out.pad}
+                             : std::pair{out.pad, unchosen};
+  }
   return out;
 }
 

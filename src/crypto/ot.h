@@ -18,6 +18,14 @@
 // Binding the pads to the index and the transcript points keeps two
 // OTs of one batch independent even when the receiver repeats a B.
 //
+// A process that holds both keys (a forked child rebuilding the frames
+// of the party it does not act for, crypto/secure_compare.h) needs no
+// more than the party it acts for: the sender rebuilds each B_i with
+// ReceiverPoint (one fixed-base multiplication, no pad), and the
+// receiver gets both sender pads from the b_iA it computes anyway, since
+// aB_i = b_iA + c_i·aA (one point addition, no decode of B_i and no
+// multiplication by a).
+//
 // Every point travels as a 33-byte compressed SEC1 encoding; every
 // received point is decoded (which checks it lies on the curve) and
 // the point at infinity is refused.  Scalars come only from
@@ -32,6 +40,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -58,6 +67,16 @@ struct OtScalar {
 // The only place an OT key's draw schedule is written down.
 OtScalar DrawOtScalar(Rng& rng);
 
+// P-256 scalar multiplications run on the calling thread so far:
+// fixed-base (kG) and variable-base (kP).  A deterministic work count,
+// read before and after a call to show which steps of an OT a process
+// ran.
+struct P256MulCount {
+  uint64_t fixed_base = 0;
+  uint64_t variable_base = 0;
+};
+P256MulCount P256MulsOnThisThread();
+
 class OtSender {
  public:
   // Uses `a` as the batch's sender key.
@@ -73,7 +92,12 @@ class OtSender {
   std::pair<OtPad, OtPad> Pads(uint64_t index,
                                std::span<const uint8_t> receiver_b) const;
 
+  // The receiver's message 2 for one OT of this batch, B = bG (choice
+  // 0) or A + bG (choice 1), rebuilt from its key b without its pad.
+  std::vector<uint8_t> ReceiverPoint(bool choice, const OtScalar& b) const;
+
  private:
+  friend class OtReceiver;
   struct State;
   std::unique_ptr<State> s_;
 };
@@ -89,12 +113,18 @@ class OtReceiver {
   struct Choice {
     std::vector<uint8_t> b;  // message 2 for this OT
     OtPad pad;               // p_choice
+    // (p0, p1) exactly as `sender.Pads(index, b)` gives them; set only
+    // when Choose is given the batch's sender.
+    std::optional<std::pair<OtPad, OtPad>> sender_pads;
   };
 
   // The next OT of the batch (index = number of earlier calls) with key
   // b: returns B = bG (choice 0) or A + bG (choice 1) with the chosen
-  // pad.
-  Choice Choose(bool choice, const OtScalar& b);
+  // pad.  Given `sender`, the batch's own sender (same A), it also
+  // returns both of the sender's pads, at the cost of one point
+  // addition.
+  Choice Choose(bool choice, const OtScalar& b,
+                const OtSender* sender = nullptr);
 
  private:
   struct State;

@@ -25,16 +25,27 @@
 //               as in the paper)
 // At 64 bits that is 33 + 2,112 + 4,097 + 1 payload bytes.
 //
-// Only the processes of the two endpoints compute the compare.  A
-// forked child that acts for neither (net::Transport::Acts) holds both
-// inputs in its replica of the script: market evaluation reads the
-// blinded sums from the ring's openings (protocol/context.h), since
-// only each sum's key owner decrypts.  It draws the compare's
-// randomness all the same, so its rng stays in step with the
-// endpoints' processes, posts the four frames to its shadow script at
-// their fixed sizes, so its ledger does too, and returns x < y.  The
-// bit is still checked against the wire: market evaluation has every
-// agent but Hr1 byte-match Hr1's broadcast of the market case.
+// Each process computes only the half of the endpoint it acts for
+// (net::Endpoint::acts).  A forked child holds both inputs in its
+// replica of the script (market evaluation reads the blinded sums from
+// the ring's openings, protocol/context.h) and draws all of the
+// compare's randomness up front, so every frame follows one rule: the
+// sender's process computes it, a process that only receives it
+// rebuilds it from the drawn coins, and any other process zero-fills it
+// at its fixed size.
+//   * Garbler's process: builds the OT sender, rebuilds each B_i of
+//     message 2 from the evaluator's keys (one fixed-base
+//     multiplication per bit, crypto/ot.h), garbles, and takes the
+//     result bit for x < y instead of evaluating.
+//   * Evaluator's process: rebuilds A from the sender key, chooses, and
+//     rebuilds message 3 from the garbler's coins, with both sender
+//     pads derived from its own b_iA (one point addition per bit).
+//   * Neither: zero-filled frames but for the result bit, x < y.
+// Every frame a process consumes for its own agent is still
+// byte-matched against the wire (net/child_transport.h), and market
+// evaluation has every agent but Hr1 byte-match Hr1's broadcast of the
+// market case.  The in-process bus acts for both endpoints and runs
+// both halves whole.
 #pragma once
 
 #include <cstdint>
@@ -58,9 +69,9 @@ inline constexpr uint32_t kMsgGcResult = 0x4743'0004;
 // and the `evaluator` endpoint (holding y); both must belong to the
 // same transport and to distinct agents.  Both agents' traffic is
 // accounted on their endpoints.  Returns x < y (unsigned comparison
-// over `cfg.bits` bits).  When this process acts for neither endpoint,
-// it draws the same randomness and accounts the same frames without
-// computing them (see above).
+// over `cfg.bits` bits).  Whichever endpoints this process acts for,
+// it draws the same randomness and accounts the same frames, computing
+// only the acting endpoints' halves (see above).
 bool SecureCompareLess(net::Endpoint& garbler, uint64_t x,
                        net::Endpoint& evaluator, uint64_t y,
                        const SecureCompareConfig& cfg, Rng& rng);

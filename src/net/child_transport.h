@@ -18,12 +18,15 @@
 //   * Send/Receive(other) touch only the shadow: another agent's
 //     traffic is that agent's own process's business.  Acts(agent) is
 //     true for the own agent only, and protocol code computes only the
-//     steps of agents it acts for.  A Paillier frame another agent
-//     sends to this one is rebuilt from the replica's opening of the
-//     ciphertext (protocol/context.h), and the byte-match above checks
-//     it against the wire; a frame between two other agents, a ring
-//     hop or a secure-comparison message, is a zero-filled placeholder
-//     of its fixed size; and only the key owner's process decrypts.
+//     steps of agents it acts for.  A frame another agent sends to
+//     this one is rebuilt, and the byte-match above checks it against
+//     the wire: a Paillier frame from the replica's opening of the
+//     ciphertext (protocol/context.h), a secure-comparison frame from
+//     the compare's drawn coins (crypto/secure_compare.h), so each
+//     compare endpoint's process computes only its own half.  A frame
+//     between two other agents, a ring hop or a secure-comparison
+//     message, is a zero-filled placeholder of its fixed size; and
+//     only the key owner's process decrypts.
 //
 // Receive rule.  Senders run in parallel, so frames from different
 // senders reach this agent in any order; each sender's FIFO toward it

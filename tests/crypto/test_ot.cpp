@@ -143,6 +143,53 @@ TEST(ObliviousTransfer, TranscriptIsAFunctionOfTheSeed) {
   EXPECT_NE(points(12), points(13));
 }
 
+TEST(ObliviousTransfer, SenderRebuildsTheReceiversPoints) {
+  // ReceiverPoint gives the B that Choose puts on the wire, for both
+  // choices at every index, from the receiver's key alone.
+  DeterministicRng rng(14);
+  const OtSender sender(DrawOtScalar(rng));
+  OtReceiver receiver(sender.Message1());
+  for (size_t i = 0; i < 8; ++i) {
+    const bool choice = (i % 3) == 1;
+    const OtScalar key = DrawOtScalar(rng);
+    EXPECT_EQ(sender.ReceiverPoint(choice, key),
+              receiver.Choose(choice, key).b)
+        << i;
+  }
+}
+
+TEST(ObliviousTransfer, ReceiverGivenTheSenderGetsBothSenderPads) {
+  // Given the batch's sender, Choose returns exactly the pads the
+  // sender's Pads derives from B, for both choices, and the same B and
+  // chosen pad as without it.
+  DeterministicRng rng(15);
+  DeterministicRng same(15);
+  const OtSender sender(DrawOtScalar(rng));
+  const OtSender twin(DrawOtScalar(same));
+  OtReceiver with_sender(sender.Message1());
+  OtReceiver alone(twin.Message1());
+  for (size_t i = 0; i < 8; ++i) {
+    const bool choice = (i % 2) == 0;
+    const OtReceiver::Choice c =
+        with_sender.Choose(choice, DrawOtScalar(rng), &sender);
+    const OtReceiver::Choice plain = alone.Choose(choice, DrawOtScalar(same));
+    ASSERT_TRUE(c.sender_pads.has_value()) << i;
+    EXPECT_FALSE(plain.sender_pads.has_value()) << i;
+    EXPECT_EQ(*c.sender_pads, sender.Pads(i, c.b)) << i;
+    EXPECT_EQ(c.b, plain.b) << i;
+    EXPECT_EQ(c.pad, plain.pad) << i;
+  }
+}
+
+TEST(ObliviousTransferDeath, ReceiverGivenAnotherBatchsSenderAborts) {
+  DeterministicRng rng(16);
+  const OtSender sender(DrawOtScalar(rng));
+  const OtSender other(DrawOtScalar(rng));
+  OtReceiver receiver(sender.Message1());
+  EXPECT_DEATH((void)receiver.Choose(true, DrawOtScalar(rng), &other),
+               "another batch");
+}
+
 TEST(ObliviousTransferDeath, BadElementSizeAborts) {
   DeterministicRng rng(6);
   const OtSender sender(DrawOtScalar(rng));

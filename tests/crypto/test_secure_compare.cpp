@@ -149,12 +149,13 @@ TEST(SecureCompare, WorksBetweenArbitraryAgentIds) {
   EXPECT_EQ(p.bus.endpoint(5).stats().bytes_sent, 0u);
 }
 
-// --- observer path -----------------------------------------------------
+// --- projections ---------------------------------------------------------
 //
 // A forked child computes only its own agent's steps (net::Transport::
-// Acts).  When it acts for neither endpoint, the compare must leave its
-// rng, its ledger and its result exactly where the full run leaves
-// them, since the rest of the child's script depends on all three.
+// Acts): the garbler's half, the evaluator's half, or neither.  Each
+// projection must leave its rng, its ledger, its frames and its result
+// exactly where the full run leaves them, since the rest of the
+// child's script depends on all four.
 
 using testutil::PartialBus;
 
@@ -193,24 +194,35 @@ CompareRun RunCompares(const std::vector<ComparePair>& pairs, uint64_t seed,
   return run;
 }
 
-// The observer (acting for agent 2 only) against the full run: equal
+const std::set<net::AgentId> kGarblerOnly = {0};
+const std::set<net::AgentId> kEvaluatorOnly = {1};
+const std::set<net::AgentId> kNeither = {2};
+
+// The projection acting for `acting` against the full run: equal
 // results, cursors and per-agent ledgers, and results equal to x < y.
-void ExpectObserverMatchesFullRun(const std::vector<ComparePair>& pairs,
-                                  uint64_t seed) {
+// A projection acting for an endpoint rebuilds every frame byte for
+// byte; the one acting for neither zero-fills them, so its OT setup
+// frames are placeholders, not points.
+void ExpectProjectionMatchesFullRun(const std::vector<ComparePair>& pairs,
+                                    uint64_t seed,
+                                    const std::set<net::AgentId>& acting) {
   const CompareRun full = RunCompares(pairs, seed, {0, 1, 2});
-  const CompareRun observer = RunCompares(pairs, seed, {2});
-  ASSERT_EQ(observer.results.size(), pairs.size());
+  const CompareRun part = RunCompares(pairs, seed, acting);
+  ASSERT_EQ(part.results.size(), pairs.size());
   for (size_t i = 0; i < pairs.size(); ++i) {
     EXPECT_EQ(full.results[i], pairs[i].x < pairs[i].y) << i;
-    EXPECT_EQ(observer.results[i], full.results[i]) << i;
-    EXPECT_EQ(observer.cursors[i], full.cursors[i]) << i;
+    EXPECT_EQ(part.results[i], full.results[i]) << i;
+    EXPECT_EQ(part.cursors[i], full.cursors[i]) << i;
   }
-  EXPECT_EQ(observer.per_agent, full.per_agent);
-  // The observer really skipped the work: its OT setup frames are the
-  // zero-filled placeholders, not points.
-  ASSERT_EQ(observer.frames.size(), full.frames.size());
-  for (size_t i = 0; i < observer.frames.size(); ++i) {
-    const net::Message& m = observer.frames[i];
+  EXPECT_EQ(part.per_agent, full.per_agent);
+  ASSERT_EQ(part.frames.size(), full.frames.size());
+  const bool neither = acting == kNeither;
+  for (size_t i = 0; i < part.frames.size(); ++i) {
+    const net::Message& m = part.frames[i];
+    if (!neither) {
+      EXPECT_TRUE(m == full.frames[i]) << i;
+      continue;
+    }
     EXPECT_EQ(m.type, full.frames[i].type) << i;
     EXPECT_EQ(m.payload.size(), full.frames[i].payload.size()) << i;
     if (m.type == kMsgGcOtSetup) {
@@ -220,30 +232,29 @@ void ExpectObserverMatchesFullRun(const std::vector<ComparePair>& pairs,
   }
 }
 
-TEST(SecureCompareObserver, ExhaustiveThreeBitsMatchFullRun) {
+std::vector<ComparePair> ExhaustiveThreeBitPairs() {
   std::vector<ComparePair> pairs;
   for (uint64_t x = 0; x < 8; ++x) {
     for (uint64_t y = 0; y < 8; ++y) pairs.push_back({x, y, 3});
   }
-  ExpectObserverMatchesFullRun(pairs, 21);
+  return pairs;
 }
 
-TEST(SecureCompareObserver, EdgeValuesMatchFullRun) {
+std::vector<ComparePair> EdgePairs() {
   const uint64_t max = ~uint64_t{0};
-  ExpectObserverMatchesFullRun({{0, 0},
-                                {0, 1},
-                                {1, 0},
-                                {1, 1},
-                                {0, max},
-                                {max, 0},
-                                {max, max},
-                                {max - 1, max},
-                                {max, max - 1},
-                                {uint64_t{1} << 63, (uint64_t{1} << 63) - 1}},
-                               22);
+  return {{0, 0},
+          {0, 1},
+          {1, 0},
+          {1, 1},
+          {0, max},
+          {max, 0},
+          {max, max},
+          {max - 1, max},
+          {max, max - 1},
+          {uint64_t{1} << 63, (uint64_t{1} << 63) - 1}};
 }
 
-TEST(SecureCompareObserver, SeededRandomPairsMatchFullRun) {
+std::vector<ComparePair> SeededRandomPairs() {
   DeterministicRng values(23);
   std::vector<ComparePair> pairs;
   for (int i = 0; i < 8; ++i) {
@@ -251,23 +262,71 @@ TEST(SecureCompareObserver, SeededRandomPairsMatchFullRun) {
     pairs.push_back({x, values.NextU64()});
     pairs.push_back({x, x});
   }
-  ExpectObserverMatchesFullRun(pairs, 24);
+  return pairs;
 }
 
-TEST(SecureCompareObserver, OneActingEndpointRunsFullPath) {
-  // A process acting for either endpoint computes the whole compare:
-  // its frames are byte for byte the full run's.
-  const std::vector<ComparePair> pairs = {{5, 9}, {9, 5}, {7, 7}};
-  const CompareRun full = RunCompares(pairs, 25, {0, 1, 2});
-  for (const std::set<net::AgentId>& acting :
-       {std::set<net::AgentId>{0}, std::set<net::AgentId>{1}}) {
-    const CompareRun one = RunCompares(pairs, 25, acting);
-    EXPECT_EQ(one.results, full.results);
-    EXPECT_EQ(one.cursors, full.cursors);
-    EXPECT_EQ(one.per_agent, full.per_agent);
-    ASSERT_EQ(one.frames.size(), full.frames.size());
-    for (size_t i = 0; i < full.frames.size(); ++i) {
-      EXPECT_TRUE(one.frames[i] == full.frames[i]) << i;
+// All three pair sets under one projection.  The projection acting for
+// neither endpoint has one SecureCompareObserver row per pair set.
+void ExpectProjectionMatchesFullRunOnEveryPairSet(
+    const std::set<net::AgentId>& acting) {
+  {
+    SCOPED_TRACE("exhaustive 3-bit pairs");
+    ExpectProjectionMatchesFullRun(ExhaustiveThreeBitPairs(), 21, acting);
+  }
+  {
+    SCOPED_TRACE("64-bit edges");
+    ExpectProjectionMatchesFullRun(EdgePairs(), 22, acting);
+  }
+  {
+    SCOPED_TRACE("seeded random pairs");
+    ExpectProjectionMatchesFullRun(SeededRandomPairs(), 24, acting);
+  }
+}
+
+TEST(SecureCompareObserver, ExhaustiveThreeBitsMatchFullRun) {
+  ExpectProjectionMatchesFullRun(ExhaustiveThreeBitPairs(), 21, kNeither);
+}
+
+TEST(SecureCompareObserver, EdgeValuesMatchFullRun) {
+  ExpectProjectionMatchesFullRun(EdgePairs(), 22, kNeither);
+}
+
+TEST(SecureCompareObserver, SeededRandomPairsMatchFullRun) {
+  ExpectProjectionMatchesFullRun(SeededRandomPairs(), 24, kNeither);
+}
+
+TEST(SecureCompareProjection, GarblerOnlyMatchesFullRun) {
+  ExpectProjectionMatchesFullRunOnEveryPairSet(kGarblerOnly);
+}
+
+TEST(SecureCompareProjection, EvaluatorOnlyMatchesFullRun) {
+  ExpectProjectionMatchesFullRunOnEveryPairSet(kEvaluatorOnly);
+}
+
+TEST(SecureCompareProjection, EachProcessRunsOnlyItsOwnHalf) {
+  // P-256 multiplications per compare at b bits, fixed-base and
+  // variable-base: A = aG and aA for the sender, b_iG per bit for the
+  // receiver's points, b_iA per bit for the receiver's pads and aB_i
+  // per bit for the sender's.  A process acting for one endpoint pays
+  // that endpoint's multiplications and none of the other's.
+  for (const int b : {3, 16, 64}) {
+    const uint64_t n = static_cast<uint64_t>(b);
+    const std::vector<std::pair<std::set<net::AgentId>, P256MulCount>> rows = {
+        {kNeither, {0, 0}},
+        {kGarblerOnly, {1 + n, 1 + n}},
+        {kEvaluatorOnly, {1 + n, 1 + n}},
+        {{0, 1, 2}, {1 + n, 1 + 2 * n}},
+    };
+    const uint64_t max = b == 64 ? ~uint64_t{0} : (uint64_t{1} << b) - 1;
+    for (const auto& [acting, expected] : rows) {
+      const P256MulCount before = P256MulsOnThisThread();
+      (void)RunCompares({{max / 3, max / 2, b}}, 26, acting);
+      const P256MulCount after = P256MulsOnThisThread();
+      EXPECT_EQ(after.fixed_base - before.fixed_base, expected.fixed_base)
+          << b << " bits, acting for " << acting.size();
+      EXPECT_EQ(after.variable_base - before.variable_base,
+                expected.variable_base)
+          << b << " bits, acting for " << acting.size();
     }
   }
 }
