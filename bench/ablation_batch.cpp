@@ -2,14 +2,14 @@
 //
 // The paper's Fig. 5 runtime story leaves idle time on the table
 // between windows: the serial loop finishes window w everywhere before
-// window w+1 draws its first byte.  protocol::WindowScheduler keeps up
-// to windows_in_flight sampled windows in flight — in-process the
-// compute phases of a batch share one persistent worker team (no
-// per-phase thread spawn/join), on the forked backends the parent
-// pipelines kCtlCmdRun dispatch so the children overlap whole windows.
-// Randomness and sends stay sequential per window, so the transcript
-// is bit-identical to the serial loop's (the serial-vs-batched parity
-// wall in tests/integration/test_transcript_parity.cpp).
+// window w+1 draws its first byte.  On the forked backends
+// protocol::WindowScheduler keeps up to windows_in_flight sampled
+// windows in flight: the parent pipelines kCtlCmdRun dispatch so the
+// children overlap whole windows.  In-process days run window after
+// window whatever windows_in_flight says.  Randomness and sends stay
+// sequential per window, so the transcript is bit-identical to the
+// serial loop's (the serial-vs-batched parity wall in
+// tests/integration/test_transcript_parity.cpp).
 //
 // This bench sweeps windows_in_flight x engine and reports crypto
 // throughput, the attributed total (charged once per batch), and the
@@ -52,8 +52,8 @@ int main(int argc, char** argv) {
     net::ExecutionPolicy policy;
   };
   const Row rows[] = {
-      // In-process fused compute: batching amortizes the per-fan-out
-      // thread spawn/join onto one persistent team.
+      // In-process control row: windows run one after another
+      // whatever windows_in_flight says.
       {"serial x4", net::ExecutionPolicy::Parallel(4)},
       // Forked + pipelined dispatch: children overlap whole windows.
       {"process", net::ExecutionPolicy::Process()},
@@ -97,9 +97,9 @@ int main(int argc, char** argv) {
     std::printf(
         "\ntakeaway: bytes per window are identical down the whole column "
         "(batching moves WHEN work runs, never what goes on the wire); on "
-        "multi-core hosts total_s drops below span_sum_s as windows overlap "
-        "— on a 1-core CI runner the two stay close and the win is the "
-        "amortized thread spawn/join alone\n");
+        "multi-core hosts the forked total_s drops below span_sum_s as "
+        "windows overlap; the in-process rows run window after window, so "
+        "there the two stay equal\n");
   }
   return 0;
 }

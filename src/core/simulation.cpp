@@ -188,16 +188,13 @@ std::unique_ptr<net::AgentSupervisor> LaunchAgents(
 }
 
 // One batch on the in-process bus: every agent's side of each window
-// runs on this thread, through the same replica hooks a forked child's
-// AgentDriver calls.  A window is charged its own protocol time; the
-// idle-time refill stays outside it.
+// runs on this thread, window after window, through the same replica
+// hooks a forked child's AgentDriver calls.  A window is charged its
+// own protocol time; the idle-time refill stays outside it.
 std::vector<protocol::WindowRecord> RunInProcessBatch(
     ProtocolReplica& replica, std::span<net::Endpoint> endpoints,
-    protocol::WindowScheduler& scheduler, std::span<const int> batch) {
+    std::span<const int> batch) {
   protocol::ProtocolContext ctx = replica.Context(endpoints);
-  // Fused batches share one persistent worker team across every
-  // compute phase; otherwise each phase keeps its per-call pool.
-  ctx.scheduler = scheduler.fused() ? &scheduler : nullptr;
   std::vector<protocol::WindowRecord> out;
   out.reserve(batch.size());
   for (const int w : batch) {
@@ -289,17 +286,14 @@ SimulationResult RunSimulation(const grid::CommunityTrace& trace,
   // The prepass runs after the fork, so the children inherit none of
   // its records and start up while it runs.
   const std::vector<int> sampled = Prepass(trace, config, result);
-  // Batches keep up to windows_in_flight sampled windows in flight:
-  // in-process they share one compute team, forked they pipeline the
-  // run commands so the children overlap.  A forked parent computes
-  // nothing, so it spawns no team (and no thread ever precedes a fork).
-  protocol::WindowScheduler scheduler(
-      {config.windows_in_flight, forked ? 1u : config.policy.worker_count()});
+  // Forked batches keep up to windows_in_flight run commands in flight
+  // so the children overlap; in-process batches run window after window.
+  protocol::WindowScheduler scheduler({config.windows_in_flight});
   for (const std::vector<int>& batch : protocol::WindowScheduler::PlanBatches(
            sampled, config.windows_in_flight)) {
     std::vector<protocol::WindowRecord> records =
         forked ? scheduler.RunForkedBatch(*agents, batch)
-               : RunInProcessBatch(replica, endpoints, scheduler, batch);
+               : RunInProcessBatch(replica, endpoints, batch);
     double batch_seconds = 0.0;
     for (protocol::WindowRecord& rec : records) {
       // In-process windows run one after another, so their times add

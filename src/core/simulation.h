@@ -84,15 +84,14 @@ struct SimulationConfig {
   // runs skip the inactive early-morning windows.
   int window_stride = 1;
   int window_offset = 0;
-  // Batched multi-window scheduling (protocol::WindowScheduler): up to
-  // this many sampled windows are kept in flight (>= 1).  Randomness
-  // and sends stay sequential per window — every window's wire
-  // transcript, prices, trades, ledger bytes, and rng cursors are
-  // bit-identical to the serial loop's (the serial-vs-batched parity
-  // wall) — but compute phases share one persistent worker fan-out
-  // in-process, and the forked backends pipeline kCtlCmdRun dispatch
-  // so children overlap across windows.  1 (the default) is exactly
-  // the serial loop.
+  // Batched multi-window scheduling (protocol::WindowScheduler): the
+  // forked backends keep up to this many kCtlCmdRun commands in flight
+  // (>= 1) so children overlap across windows.  Randomness and sends
+  // stay sequential per window — every window's wire transcript,
+  // prices, trades, ledger bytes, and rng cursors are bit-identical to
+  // the serial loop's (the serial-vs-batched parity wall).  In-process
+  // days run window after window whatever the value.  1 (the default)
+  // is exactly the serial loop.
   int windows_in_flight = 1;
   // Record each home's resolved WindowState (needed by the utility
   // figure); costs memory on big traces.
@@ -107,7 +106,7 @@ struct SimulationConfig {
   std::vector<ChurnEvent> churn;
 };
 
-// perfbench still names the record through this layer.
+// perfbench still names the record through this layer (ROADMAP item 20).
 using WindowRecord = protocol::WindowRecord;
 
 struct SimulationResult {

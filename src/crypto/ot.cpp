@@ -136,6 +136,20 @@ OtPad Pad(uint64_t index, std::span<const uint8_t> a,
   return pad;
 }
 
+// The sender's pads of OT `index` for the receiver's point B (encoded
+// as `b_bytes`): p0 = H(i, A, B, aB) and p1 = H(i, A, B, aB - aA).
+std::pair<OtPad, OtPad> SenderPads(uint64_t index, const BIGNUM* a,
+                                   std::span<const uint8_t> a_bytes,
+                                   const EC_POINT* neg_aa,
+                                   const EC_POINT* big_b,
+                                   std::span<const uint8_t> b_bytes,
+                                   BN_CTX* ctx) {
+  const Point ab = Mul(big_b, a, ctx);
+  const Point ab_minus_aa = Add(ab.get(), neg_aa, ctx);
+  return {Pad(index, a_bytes, b_bytes, ab.get(), ctx),
+          Pad(index, a_bytes, b_bytes, ab_minus_aa.get(), ctx)};
+}
+
 }  // namespace
 
 P256MulCount P256MulsOnThisThread() { return t_muls; }
@@ -193,18 +207,20 @@ const std::vector<uint8_t>& OtSender::Message1() const {
 std::pair<OtPad, OtPad> OtSender::Pads(
     uint64_t index, std::span<const uint8_t> receiver_b) const {
   BN_CTX* ctx = s_->ctx.get();
-  const Point big_b = Decode(receiver_b, ctx);
-  const Point ab = Mul(big_b.get(), s_->a.get(), ctx);
-  const Point ab_minus_aa = Add(ab.get(), s_->neg_aa.get(), ctx);
-  return {Pad(index, s_->big_a_bytes, receiver_b, ab.get(), ctx),
-          Pad(index, s_->big_a_bytes, receiver_b, ab_minus_aa.get(), ctx)};
+  return SenderPads(index, s_->a.get(), s_->big_a_bytes, s_->neg_aa.get(),
+                    Decode(receiver_b, ctx).get(), receiver_b, ctx);
 }
 
-std::vector<uint8_t> OtSender::ReceiverPoint(bool choice,
-                                             const OtScalar& b) const {
+OtSender::Rebuilt OtSender::ReceiverPoint(uint64_t index, bool choice,
+                                          const OtScalar& b) const {
   BN_CTX* ctx = s_->ctx.get();
   const Scalar k = ToScalar(b);
-  return Encode(ReceiverB(s_->big_a.get(), k.get(), choice, ctx).get(), ctx);
+  const Point big_b = ReceiverB(s_->big_a.get(), k.get(), choice, ctx);
+  Rebuilt out;
+  out.b = Encode(big_b.get(), ctx);
+  out.pads = SenderPads(index, s_->a.get(), s_->big_a_bytes,
+                        s_->neg_aa.get(), big_b.get(), out.b, ctx);
+  return out;
 }
 
 struct OtReceiver::State {

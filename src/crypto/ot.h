@@ -21,8 +21,9 @@
 // A process that holds both keys (a forked child rebuilding the frames
 // of the party it does not act for, crypto/secure_compare.h) needs no
 // more than the party it acts for: the sender rebuilds each B_i with
-// ReceiverPoint (one fixed-base multiplication, no pad), and the
-// receiver gets both sender pads from the b_iA it computes anyway, since
+// ReceiverPoint (one fixed-base multiplication) and derives its pads
+// from that point, so it never decodes a received B_i; the receiver
+// gets both sender pads from the b_iA it computes anyway, since
 // aB_i = b_iA + c_i·aA (one point addition, no decode of B_i and no
 // multiplication by a).
 //
@@ -92,9 +93,15 @@ class OtSender {
   std::pair<OtPad, OtPad> Pads(uint64_t index,
                                std::span<const uint8_t> receiver_b) const;
 
-  // The receiver's message 2 for one OT of this batch, B = bG (choice
-  // 0) or A + bG (choice 1), rebuilt from its key b without its pad.
-  std::vector<uint8_t> ReceiverPoint(bool choice, const OtScalar& b) const;
+  // The receiver's message 2 for OT `index` of this batch, B = bG
+  // (choice 0) or A + bG (choice 1), rebuilt from its key b, with both
+  // pads exactly as Pads(index, B) gives them.  The pads come from the
+  // rebuilt point, so B is never decoded.
+  struct Rebuilt {
+    std::vector<uint8_t> b;
+    std::pair<OtPad, OtPad> pads;
+  };
+  Rebuilt ReceiverPoint(uint64_t index, bool choice, const OtScalar& b) const;
 
  private:
   friend class OtReceiver;

@@ -116,8 +116,15 @@ bool SecureCompareLess(net::Endpoint& garbler, uint64_t x,
       }
     }
   } else if (g_acts) {
+    // Acting alone, the garbler's process rebuilds each B_i and takes
+    // both pads from the rebuilt point; its transport byte-matches the
+    // real frame against these bytes.
     for (size_t i = 0; i < nbits; ++i) {
-      Append(m2, ot_sender->ReceiverPoint(y_bits[i], coins.receiver[i]));
+      const OtSender::Rebuilt rebuilt =
+          ot_sender->ReceiverPoint(i, y_bits[i], coins.receiver[i]);
+      Append(m2, rebuilt.b);
+      label0[i].bytes = rebuilt.pads.first;
+      pad1[i].bytes = rebuilt.pads.second;
     }
   } else {
     m2.resize(nbits * kOtPointBytes);
@@ -129,7 +136,7 @@ bool SecureCompareLess(net::Endpoint& garbler, uint64_t x,
 
   // ---- 3. G -> E: garbled tables, G's labels, OT corrections ----------
   std::vector<uint8_t> m3;
-  if (g_acts) {
+  if (g_acts && e_acts) {
     const std::span<const uint8_t> points(msg2.payload);
     for (size_t i = 0; i < nbits; ++i) {
       const auto [p0, p1] = ot_sender->Pads(

@@ -35,8 +35,9 @@
 // at its fixed size.
 //   * Garbler's process: builds the OT sender, rebuilds each B_i of
 //     message 2 from the evaluator's keys (one fixed-base
-//     multiplication per bit, crypto/ot.h), garbles, and takes the
-//     result bit for x < y instead of evaluating.
+//     multiplication per bit, crypto/ot.h) and takes both pads from
+//     the rebuilt points rather than decoding message 2, garbles, and
+//     takes the result bit for x < y instead of evaluating.
 //   * Evaluator's process: rebuilds A from the sender key, chooses, and
 //     rebuilds message 3 from the garbler's coins, with both sender
 //     pads derived from its own b_iA (one point addition per bit).

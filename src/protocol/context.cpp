@@ -1,7 +1,6 @@
 #include "protocol/context.h"
 
 #include "protocol/key_directory.h"
-#include "protocol/window_scheduler.h"
 #include "util/error.h"
 #include "util/parallel.h"
 
@@ -78,15 +77,7 @@ std::vector<crypto::PaillierCiphertext> ComputeEncryptions(
   const auto compute = [&](size_t i) {
     if (slots[i].acts) out[i] = ComputeEncryption(pk, slots[i]);
   };
-  if (ctx.scheduler != nullptr && ctx.scheduler->fused()) {
-    // Batched scheduling: the fan-out runs on the scheduler's
-    // persistent team, amortizing fork/join across every compute phase
-    // of the in-flight windows.  Identical iteration results either
-    // way — phase 1 fixed all randomness already.
-    ctx.scheduler->ParallelFor(0, slots.size(), compute);
-  } else {
-    ParallelFor(0, slots.size(), ctx.policy.worker_count(), compute);
-  }
+  ParallelFor(0, slots.size(), ctx.policy.worker_count(), compute);
   return out;
 }
 
@@ -200,49 +191,26 @@ RingCiphertext RingAggregate(
     std::span<Party> parties, const AggregationTopology& topology,
     const std::function<int64_t(const Party&)>& value_of,
     net::AgentId final_recipient) {
-  const std::function<int64_t(const Party&)> fns[] = {value_of};
-  std::vector<RingCiphertext> aggs =
-      RingAggregateBatch(ctx, pk, parties, topology, fns, final_recipient);
-  return std::move(aggs.front());
-}
-
-RingCiphertext RingAggregate(
-    ProtocolContext& ctx, const crypto::PaillierPublicKey& pk,
-    std::span<Party> parties, std::span<const size_t> ring,
-    const std::function<int64_t(const Party&)>& value_of,
-    net::AgentId final_recipient) {
-  return RingAggregate(ctx, pk, parties, AggregationTopology::Flat(ring),
-                       value_of, final_recipient);
-}
-
-std::vector<RingCiphertext> RingAggregateBatch(
-    ProtocolContext& ctx, const crypto::PaillierPublicKey& pk,
-    std::span<Party> parties, const AggregationTopology& topology,
-    std::span<const std::function<int64_t(const Party&)>> value_fns,
-    net::AgentId final_recipient) {
   PEM_CHECK(topology.num_members() > 0,
             "ring aggregation needs at least one member");
-  PEM_CHECK(!value_fns.empty(), "ring aggregation needs a value function");
   const std::vector<size_t> leaf_members = topology.LeafMembers();
 
-  // Phase 1 (prepare, sequential): fix every lane x member encryption's
+  // Phase 1 (prepare, sequential): fix every member encryption's
   // randomness in a deterministic order, so the transcript does not
   // depend on how phase 2 is scheduled.  Leaf rings are contiguous
   // chunks of the member list (topology.h invariant 1), so this order —
   // and with it every later ctx.rng draw — is identical to the flat
   // ring's.
   std::vector<EncryptionSlot> slots;
-  slots.reserve(value_fns.size() * leaf_members.size());
-  for (const auto& value_of : value_fns) {
-    for (size_t member : leaf_members) {
-      slots.push_back(PrepareEncryption(ctx, pk, value_of(parties[member])));
-      slots.back().acts = ctx.ep(parties[member].id()).acts();
-    }
+  slots.reserve(leaf_members.size());
+  for (size_t member : leaf_members) {
+    slots.push_back(PrepareEncryption(ctx, pk, value_of(parties[member])));
+    slots.back().acts = ctx.ep(parties[member].id()).acts();
   }
 
   // Phase 2 (compute, policy-driven): the dominant crypto cost — one
   // h_s^r exponentiation per slot this process acts for — fans out
-  // across workers, fused over every lane and every leaf ring.
+  // across workers, over every leaf ring at once.
   const std::vector<crypto::PaillierCiphertext> cts =
       ComputeEncryptions(ctx, pk, slots);
   std::vector<RingCiphertext> shares(slots.size());
@@ -250,56 +218,40 @@ std::vector<RingCiphertext> RingAggregateBatch(
     shares[i] = RingCiphertext{cts[i], OpenSlot(pk, slots[i])};
   }
 
-  // Phase 3 (forward, sequential): per lane, run every ring of every
-  // level bottom-up.  Leaf rings aggregate their members' fresh
-  // ciphertexts and deliver to their elected leaders; upper rings
-  // aggregate the partials their members (the level below's leaders)
-  // already hold — no fresh encryption, no RNG draw (topology.h
-  // invariant 2) — and the root ring delivers to the final recipient.
-  // Upper rings carry the partials' openings along with them.
-  std::vector<RingCiphertext> results;
-  results.reserve(value_fns.size());
+  // Phase 3 (forward, sequential): run every ring of every level
+  // bottom-up.  Leaf rings aggregate their members' fresh ciphertexts
+  // and deliver to their elected leaders; upper rings aggregate the
+  // partials their members (the level below's leaders) already hold —
+  // no fresh encryption, no RNG draw (topology.h invariant 2) — and the
+  // root ring delivers to the final recipient.  Upper rings carry the
+  // partials' openings along with them.
   const std::vector<TopologyLevel>& levels = topology.levels();
-  for (size_t lane = 0; lane < value_fns.size(); ++lane) {
-    const std::span<const RingCiphertext> lane_shares(
-        shares.data() + lane * leaf_members.size(), leaf_members.size());
-    std::vector<RingCiphertext> partials;
-    size_t leaf_offset = 0;
-    for (size_t l = 0; l < levels.size(); ++l) {
-      const bool root = l + 1 == levels.size();
-      std::vector<RingCiphertext> next;
-      next.reserve(levels[l].rings.size());
-      size_t child = 0;  // partial index: level l's rings list level
-                         // l-1's leaders contiguously, in ring order
-      for (const TopologyRing& ring : levels[l].rings) {
-        const size_t m = ring.members.size();
-        std::span<const RingCiphertext> ring_shares;
-        if (l == 0) {
-          ring_shares = lane_shares.subspan(leaf_offset, m);
-          leaf_offset += m;
-        } else {
-          ring_shares = {partials.data() + child, m};
-          child += m;
-        }
-        const net::AgentId sink =
-            root ? final_recipient : parties[ring.leader()].id();
-        next.push_back(
-            ForwardRing(ctx, pk, parties, ring.members, ring_shares, sink));
+  std::vector<RingCiphertext> partials;
+  size_t leaf_offset = 0;
+  for (size_t l = 0; l < levels.size(); ++l) {
+    const bool root = l + 1 == levels.size();
+    std::vector<RingCiphertext> next;
+    next.reserve(levels[l].rings.size());
+    size_t child = 0;  // partial index: level l's rings list level
+                       // l-1's leaders contiguously, in ring order
+    for (const TopologyRing& ring : levels[l].rings) {
+      const size_t m = ring.members.size();
+      std::span<const RingCiphertext> ring_shares;
+      if (l == 0) {
+        ring_shares = {shares.data() + leaf_offset, m};
+        leaf_offset += m;
+      } else {
+        ring_shares = {partials.data() + child, m};
+        child += m;
       }
-      partials = std::move(next);
+      const net::AgentId sink =
+          root ? final_recipient : parties[ring.leader()].id();
+      next.push_back(
+          ForwardRing(ctx, pk, parties, ring.members, ring_shares, sink));
     }
-    results.push_back(std::move(partials.front()));
+    partials = std::move(next);
   }
-  return results;
-}
-
-std::vector<RingCiphertext> RingAggregateBatch(
-    ProtocolContext& ctx, const crypto::PaillierPublicKey& pk,
-    std::span<Party> parties, std::span<const size_t> ring,
-    std::span<const std::function<int64_t(const Party&)>> value_fns,
-    net::AgentId final_recipient) {
-  return RingAggregateBatch(ctx, pk, parties, AggregationTopology::Flat(ring),
-                            value_fns, final_recipient);
+  return std::move(partials.front());
 }
 
 namespace {

@@ -13,8 +13,9 @@
 //      this process acts for (net::Transport::Acts: every member on
 //      the in-process bus, its own agent in a forked child); with
 //      ExecutionPolicy::threads > 1 the ciphertexts are computed by
-//      ParallelFor workers, mirroring the paper's one-container-per-
-//      agent deployment;
+//      pem::ParallelFor workers (util/parallel.h, the engine's one
+//      compute fan-out), mirroring the paper's one-container-per-agent
+//      deployment;
 //   3. forward  (sequential)  — the ring-multiply/forward passes over
 //      the transport, hop by hop: leaf rings aggregate shard-locally
 //      and deliver to their elected leaders, leaders re-aggregate up
@@ -100,12 +101,7 @@ struct ProtocolContext {
   // The window RunPemWindow is currently executing (set by it); the
   // audit round and the cheat plan key off this.
   int window = 0;
-  // Batched multi-window scheduler (protocol/window_scheduler.h).
-  // When set and fused(), the compute phases (ComputeEncryptions and
-  // Private Distribution's ratio fan-out) run on its persistent worker
-  // team instead of forking a fresh pem::ParallelFor pool per call —
-  // the fork/join amortization across in-flight windows.  Null (the
-  // default): per-call pools, the pre-batching engine exactly.
+  // Unread: perfbench still sets it (ROADMAP item 20).
   WindowScheduler* scheduler = nullptr;
 
   // The handle of the agent currently acting.
@@ -225,41 +221,11 @@ AggregationTopology PlanRingTopology(const ProtocolContext& ctx,
 // product to `final_recipient`, who is returned the ciphertext of
 // Σ value_of with its opening.  Every hop's bytes are accounted.  Runs
 // the three-phase schedule described at the top of this header.  A
-// one-lane wrapper over RingAggregateBatch — there is exactly one
-// executor.
+// flat ring over `ring` is AggregationTopology::Flat(ring).
 RingCiphertext RingAggregate(
     ProtocolContext& ctx, const crypto::PaillierPublicKey& pk,
     std::span<Party> parties, const AggregationTopology& topology,
     const std::function<int64_t(const Party&)>& value_of,
-    net::AgentId final_recipient);
-
-// Flat-plan shorthand: aggregates over `ring` as a single flat ring,
-// whatever ctx.config.topology says.  Equivalent to passing
-// AggregationTopology::Flat(ring).
-RingCiphertext RingAggregate(
-    ProtocolContext& ctx, const crypto::PaillierPublicKey& pk,
-    std::span<Party> parties, std::span<const size_t> ring,
-    const std::function<int64_t(const Party&)>& value_of,
-    net::AgentId final_recipient);
-
-// Batched variant: runs `value_fns.size()` independent aggregations
-// over the same plan and key with ONE fused compute phase (all
-// lanes' ciphertexts are produced by the same ParallelFor fan-out),
-// then one forward pass per lane.  Used by Private Pricing, whose two
-// sums (Σ k_i and Σ supply_i) would otherwise pay the fork/join cost
-// twice.  Transcript-equivalent to calling RingAggregate per lane in
-// order.
-std::vector<RingCiphertext> RingAggregateBatch(
-    ProtocolContext& ctx, const crypto::PaillierPublicKey& pk,
-    std::span<Party> parties, const AggregationTopology& topology,
-    std::span<const std::function<int64_t(const Party&)>> value_fns,
-    net::AgentId final_recipient);
-
-// Flat-plan shorthand for the batched variant.
-std::vector<RingCiphertext> RingAggregateBatch(
-    ProtocolContext& ctx, const crypto::PaillierPublicKey& pk,
-    std::span<Party> parties, std::span<const size_t> ring,
-    std::span<const std::function<int64_t(const Party&)>> value_fns,
     net::AgentId final_recipient);
 
 // Pops the endpoint's next message, asserting the expected type.

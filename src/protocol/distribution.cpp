@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "protocol/coin_flip.h"
-#include "protocol/window_scheduler.h"
 #include "util/error.h"
 #include "util/fixed_point.h"
 #include "util/parallel.h"
@@ -84,7 +83,7 @@ std::vector<double> ComputeRatios(ProtocolContext& ctx,
     switch (SourceOfFrame(ctx, parties[ratio_members[i]].id(),
                           aggregator.id())) {
       case FrameSource::kSender:
-        // Enc(0) hides the scalar from the wire; one fused fan-out
+        // Enc(0) hides the scalar from the wire; one fan-out
         // covers both exponentiations per member.
         out.ct = pk.Add(pk.ScalarMul(totals[i], scalars[i]),
                         ComputeEncryption(pk, rerand_slots[i]));
@@ -98,15 +97,8 @@ std::vector<double> ComputeRatios(ProtocolContext& ctx,
         break;
     }
   };
-  if (ctx.scheduler != nullptr && ctx.scheduler->fused()) {
-    // Batched scheduling: reuse the scheduler's persistent team (see
-    // ComputeEncryptions) — randomness was fixed above, sends follow
-    // sequentially, so the transcript cannot move.
-    ctx.scheduler->ParallelFor(0, ratio_members.size(), compute_ratio);
-  } else {
-    ParallelFor(0, ratio_members.size(), ctx.policy.worker_count(),
-                compute_ratio);
-  }
+  ParallelFor(0, ratio_members.size(), ctx.policy.worker_count(),
+              compute_ratio);
   for (size_t i = 0; i < ratio_members.size(); ++i) {
     const size_t m = ratio_members[i];
     net::ByteWriter w;

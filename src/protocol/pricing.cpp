@@ -19,21 +19,21 @@ PricingResult RunPrivatePricing(ProtocolContext& ctx,
   buyer_hb.EnsureKeys(ctx.config.key_bits, ctx.rng);
   BroadcastPublicKey(ctx, buyer_hb);
 
-  // Lines 2-7: ring-aggregate Σ k_i and Σ (g_i + 1 + ε_i b_i − b_i)
+  // Lines 2-7: ring-aggregate Σ k_i, then Σ (g_i + 1 + ε_i b_i − b_i),
   // over the seller coalition, shaped by the configured aggregation
-  // topology.  Both sums run under the same key and plan, so their 2m
-  // encryptions are fused into one compute phase (one ParallelFor
-  // fan-out) before the two sequential forward passes.
+  // topology.  Both sums run under the same key and plan, Σ k_i first:
+  // the order of their randomness draws and frames is part of the
+  // pinned transcript (TranscriptParity.PinnedDayDigest).
   const AggregationTopology plan =
       PlanRingTopology(ctx, coalitions.sellers);
-  const std::function<int64_t(const Party&)> lanes[] = {
-      [](const Party& p) { return p.PreferenceRaw(); },
-      [](const Party& p) { return p.SupplyTermRaw(); },
-  };
-  const std::vector<RingCiphertext> sums = RingAggregateBatch(
-      ctx, buyer_hb.public_key(), parties, plan, lanes, buyer_hb.id());
-  const int64_t sum_k_raw = OwnerDecryptSigned(ctx, buyer_hb, sums[0]);
-  const int64_t sum_supply_raw = OwnerDecryptSigned(ctx, buyer_hb, sums[1]);
+  const RingCiphertext sum_k = RingAggregate(
+      ctx, buyer_hb.public_key(), parties, plan,
+      [](const Party& p) { return p.PreferenceRaw(); }, buyer_hb.id());
+  const RingCiphertext sum_supply = RingAggregate(
+      ctx, buyer_hb.public_key(), parties, plan,
+      [](const Party& p) { return p.SupplyTermRaw(); }, buyer_hb.id());
+  const int64_t sum_k_raw = OwnerDecryptSigned(ctx, buyer_hb, sum_k);
+  const int64_t sum_supply_raw = OwnerDecryptSigned(ctx, buyer_hb, sum_supply);
 
   // Lines 8-9: Hb derives p̂ and clamps to [pl, ph].
   result.sums.sum_k = FixedPoint::FromRaw(sum_k_raw).ToDouble();

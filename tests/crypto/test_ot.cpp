@@ -145,16 +145,19 @@ TEST(ObliviousTransfer, TranscriptIsAFunctionOfTheSeed) {
 
 TEST(ObliviousTransfer, SenderRebuildsTheReceiversPoints) {
   // ReceiverPoint gives the B that Choose puts on the wire, for both
-  // choices at every index, from the receiver's key alone.
+  // choices at every index, from the receiver's key alone, and the
+  // pads Pads derives from that B.
   DeterministicRng rng(14);
   const OtSender sender(DrawOtScalar(rng));
   OtReceiver receiver(sender.Message1());
   for (size_t i = 0; i < 8; ++i) {
     const bool choice = (i % 3) == 1;
     const OtScalar key = DrawOtScalar(rng);
-    EXPECT_EQ(sender.ReceiverPoint(choice, key),
-              receiver.Choose(choice, key).b)
-        << i;
+    const OtSender::Rebuilt rebuilt = sender.ReceiverPoint(i, choice, key);
+    const OtReceiver::Choice c = receiver.Choose(choice, key);
+    EXPECT_EQ(rebuilt.b, c.b) << i;
+    EXPECT_EQ(rebuilt.pads, sender.Pads(i, c.b)) << i;
+    EXPECT_EQ(choice ? rebuilt.pads.second : rebuilt.pads.first, c.pad) << i;
   }
 }
 

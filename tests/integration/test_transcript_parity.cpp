@@ -30,6 +30,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -466,12 +467,18 @@ struct SimRun {
 // Optional per-test knob hook (batching width, pools, audits, churn).
 using ConfigTweak = std::function<void(core::SimulationConfig&)>;
 
-SimRun RunSim(const net::ExecutionPolicy& policy,
-              const ConfigTweak& tweak = {}) {
+// The parity day: ten homes, six windows.
+grid::TraceConfig ParityDay() {
   grid::TraceConfig tc;
   tc.num_homes = 10;
   tc.windows_per_day = 6;
   tc.seed = 13;
+  return tc;
+}
+
+SimRun RunSim(const net::ExecutionPolicy& policy,
+              const ConfigTweak& tweak = {},
+              const grid::TraceConfig& tc = ParityDay()) {
   const grid::CommunityTrace trace = grid::GenerateCommunityTrace(tc);
 
   SimRun run;
@@ -539,33 +546,68 @@ TEST(TranscriptParity, FullTradingDaySerialVsPhaseParallel) {
   ExpectSimParity(serial, parallel);
 }
 
-TEST(TranscriptParity, PinnedDayDigest) {
-  // Every other row compares one backend or schedule with another, so a
-  // change that moves all of them alike passes the wall.  This row pins
-  // the serial day itself at 512-bit keys: SHA-256 over every delivered
-  // message (sender, receiver, type, payload) in order, then each
-  // window's rng cursor.  A change that moves one wire byte or one
-  // random draw fails here and must re-pin on purpose.
-  const SimRun serial =
-      RunSim(net::ExecutionPolicy::Serial(),
-             [](core::SimulationConfig& c) { c.pem.key_bits = 512; });
-  ASSERT_EQ(serial.result.windows.size(), 6u);
-  // The pin covers the secure comparison only if the day runs one.
-  EXPECT_TRUE(std::any_of(
-      serial.messages.begin(), serial.messages.end(),
-      [](const net::Message& m) { return m.type == crypto::kMsgGcTables; }));
+bool Carries(const SimRun& run, uint32_t type) {
+  return std::any_of(run.messages.begin(), run.messages.end(),
+                     [type](const net::Message& m) { return m.type == type; });
+}
+
+// SHA-256 over every delivered message (sender, receiver, type,
+// payload) in order, then each window's rng cursor.
+std::string DayDigest(const SimRun& run) {
   net::ByteWriter w;
-  for (const net::Message& m : serial.messages) {
+  for (const net::Message& m : run.messages) {
     w.U32(static_cast<uint32_t>(m.from));
     w.U32(static_cast<uint32_t>(m.to));
     w.U32(m.type);
     w.Bytes(m.payload);
   }
-  for (const protocol::WindowRecord& rec : serial.result.windows) {
+  for (const protocol::WindowRecord& rec : run.result.windows) {
     w.U64(rec.rng_cursor);
   }
-  EXPECT_EQ(crypto::Sha256(w.data()).Hex(),
+  return crypto::Sha256(w.data()).Hex();
+}
+
+TEST(TranscriptParity, PinnedDayDigest) {
+  // Every other row compares one backend or schedule with another, so a
+  // change that moves all of them alike passes the wall.  This row pins
+  // the serial day itself at 512-bit keys (DayDigest).  A change that
+  // moves one wire byte or one random draw fails here and must re-pin
+  // on purpose.
+  const SimRun serial =
+      RunSim(net::ExecutionPolicy::Serial(),
+             [](core::SimulationConfig& c) { c.pem.key_bits = 512; });
+  ASSERT_EQ(serial.result.windows.size(), 6u);
+  // The pin covers the secure comparison only if the day runs one.
+  EXPECT_TRUE(Carries(serial, crypto::kMsgGcTables));
+  // Every market of this day is extreme or empty, so it never runs
+  // Private Pricing: PinnedGeneralMarketDigest pins that.
+  EXPECT_FALSE(Carries(serial, protocol::kMsgPrice));
+  EXPECT_EQ(DayDigest(serial),
             "2101f9cb26d4529d1cb875b1a970e9717516e2c7d1fe4fae52f634421973804e");
+}
+
+TEST(TranscriptParity, PinnedGeneralMarketDigest) {
+  // PinnedDayDigest's pin for a day that prices general markets: a
+  // 24-window day sampled at windows 3, 11 and 19 (general, extreme,
+  // general) at 512-bit keys.  Private Pricing's two ring sums and the
+  // Stackelberg price broadcast are on the wire only here, so this row
+  // is what fails if their order or bytes move.
+  grid::TraceConfig day = ParityDay();
+  day.windows_per_day = 24;
+  const SimRun serial = RunSim(
+      net::ExecutionPolicy::Serial(),
+      [](core::SimulationConfig& c) {
+        c.pem.key_bits = 512;
+        c.window_offset = 3;
+        c.window_stride = 8;
+      },
+      day);
+  ASSERT_EQ(serial.result.windows.size(), 3u);
+  EXPECT_TRUE(Carries(serial, crypto::kMsgGcTables));
+  // The day prices a general market.
+  EXPECT_TRUE(Carries(serial, protocol::kMsgPrice));
+  EXPECT_EQ(DayDigest(serial),
+            "96fe990c874151bcbf66c5a234cdaf2f30f7365fd2dc548993cc1a07af711ec5");
 }
 
 TEST(TranscriptParity, FullTradingDaySerialVsProcess) {
@@ -592,12 +634,13 @@ TEST(TranscriptParity, FullTradingDaySerialVsTcp) {
 // --- serial-vs-batched parity (windows_in_flight > 1) -----------------
 //
 // The batched scheduler (protocol::WindowScheduler) keeps several
-// sampled windows in flight: in-process it fuses their compute phases
-// onto one persistent worker team, on the forked backends it pipelines
-// kCtlCmdRun dispatch so children overlap across windows.  Randomness
-// and sends stay sequential per window, so every row below must be
-// BIT-identical to the windows_in_flight = 1 run: prices, trades,
-// per-window ledger bytes, and rng cursors.
+// sampled windows in flight on the forked backends: it pipelines
+// kCtlCmdRun dispatch so children overlap across windows.  In-process
+// days run window after window whatever windows_in_flight says, with
+// each window's compute on pem::ParallelFor.  Randomness and sends stay
+// sequential per window, so every row below must be BIT-identical to
+// the windows_in_flight = 1 run: prices, trades, per-window ledger
+// bytes, and rng cursors.
 
 const ConfigTweak kBatch4 = [](core::SimulationConfig& c) {
   c.windows_in_flight = 4;
@@ -605,14 +648,13 @@ const ConfigTweak kBatch4 = [](core::SimulationConfig& c) {
 
 TEST(TranscriptParity, BatchedDayMatchesSerialInProcess) {
   // The serial bus at 1 and 4 threads, both batched 4 wide, against
-  // the windows_in_flight = 1 serial baseline.  The 4-thread row is the
-  // fused one (batched AND parallel compute); the 1-thread row proves
-  // the scheduler is inert when there is no team to fuse onto.
+  // the windows_in_flight = 1 serial baseline: in-process, the batch
+  // width and the compute fan-out's worker count move no byte.
   const SimRun serial = RunSim(net::ExecutionPolicy::Serial());
   const SimRun bus = RunSim(net::ExecutionPolicy::Serial(), kBatch4);
-  const SimRun fused = RunSim(net::ExecutionPolicy::Parallel(4), kBatch4);
+  const SimRun parallel = RunSim(net::ExecutionPolicy::Parallel(4), kBatch4);
   ExpectSimParity(serial, bus);
-  ExpectSimParity(serial, fused);
+  ExpectSimParity(serial, parallel);
 }
 
 TEST(TranscriptParity, BatchedDayMatchesSerialForked) {
@@ -650,9 +692,9 @@ TEST(TranscriptParity, BatchedPooledDayMatchesSerial) {
       RunSim(net::ExecutionPolicy::Serial(), [](core::SimulationConfig& c) {
         c.pem.precompute_encryption = true;
       });
-  const SimRun fused = RunSim(net::ExecutionPolicy::Parallel(4), pooled);
+  const SimRun parallel = RunSim(net::ExecutionPolicy::Parallel(4), pooled);
   const SimRun process = RunSim(net::ExecutionPolicy::Process(), pooled);
-  ExpectSimParity(serial, fused);
+  ExpectSimParity(serial, parallel);
   ExpectSimParity(serial, process, /*strict_order=*/false);
 }
 
@@ -672,9 +714,9 @@ TEST(TranscriptParity, BatchedCrtDayMatchesSerial) {
     c.windows_in_flight = 4;
   };
   const SimRun base = RunSim(net::ExecutionPolicy::Serial(), crt_serial);
-  const SimRun fused = RunSim(net::ExecutionPolicy::Parallel(4), crt_b4);
+  const SimRun parallel = RunSim(net::ExecutionPolicy::Parallel(4), crt_b4);
   const SimRun shm = RunSim(net::ExecutionPolicy::Shm(), crt_b4);
-  ExpectSimParity(base, fused);
+  ExpectSimParity(base, parallel);
   ExpectSimParity(base, shm, /*strict_order=*/false);
 }
 
@@ -690,9 +732,9 @@ TEST(TranscriptParity, BatchedAuditArmedDayMatchesSerial) {
     c.windows_in_flight = 4;
   };
   const SimRun serial = RunSim(net::ExecutionPolicy::Serial(), audited);
-  const SimRun fused = RunSim(net::ExecutionPolicy::Parallel(4), audited_b4);
+  const SimRun parallel = RunSim(net::ExecutionPolicy::Parallel(4), audited_b4);
   const SimRun process = RunSim(net::ExecutionPolicy::Process(), audited_b4);
-  ExpectSimParity(serial, fused);
+  ExpectSimParity(serial, parallel);
   ExpectSimParity(serial, process, /*strict_order=*/false);
   // The row is only meaningful if somebody actually audited.
   bool any_audited = false;
@@ -720,11 +762,11 @@ TEST(TranscriptParity, BatchedChurnedStridedDayMatchesSerial) {
   const SimRun process = RunSim(net::ExecutionPolicy::Process(), churned);
   const SimRun process_b3 =
       RunSim(net::ExecutionPolicy::Process(), churned_b3);
-  const SimRun fused = RunSim(net::ExecutionPolicy::Parallel(4), churned_b3);
+  const SimRun parallel = RunSim(net::ExecutionPolicy::Parallel(4), churned_b3);
   ASSERT_EQ(serial.result.windows.size(), 3u);  // windows 1, 3, 5
   ExpectSimParity(serial, process, /*strict_order=*/false);
   ExpectSimParity(serial, process_b3, /*strict_order=*/false);
-  ExpectSimParity(serial, fused);
+  ExpectSimParity(serial, parallel);
 }
 
 TEST(TranscriptParity, FullTradingDaySerialVsShm) {

@@ -1,18 +1,12 @@
-// WindowScheduler: the persistent compute team and the batch planner.
+// WindowScheduler: the batch planner and its in-flight bounds.
 //
 // The serial-vs-batched transcript-parity rows prove the end-to-end
-// equivalence claim; this suite covers the scheduler machinery itself:
-// in-flight bounds, the pem::ParallelFor contract over the persistent
-// team (results, strides, degenerate sizes), exception delivery that
-// leaves the team reusable (one window's failure must not corrupt its
-// in-flight siblings), and the windows_in_flight = 1 degeneration to
-// today's serial loop.
+// equivalence claim; this suite covers the planner itself: consecutive
+// grouping, the windows_in_flight = 1 degeneration to the serial loop,
+// and the bounds.  pem::ParallelFor, the compute fan-out, has its own
+// suite (tests/util/test_parallel.cpp).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <numeric>
-#include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "protocol/window_scheduler.h"
@@ -53,96 +47,6 @@ TEST(WindowSchedulerDeath, InFlightBoundsEnforced) {
   EXPECT_DEATH((WindowScheduler({0, 2})), "windows_in_flight");
   EXPECT_DEATH((void)WindowScheduler::PlanBatches({{1}}, 0),
                "windows_in_flight");
-}
-
-TEST(WindowScheduler, FusedOnlyWhenBatchedAndParallel) {
-  EXPECT_FALSE(WindowScheduler({1, 8}).fused());   // no batching
-  EXPECT_FALSE(WindowScheduler({8, 1}).fused());   // no parallel compute
-  EXPECT_FALSE(WindowScheduler({8, 0}).fused());   // threads clamped to 1
-  EXPECT_TRUE(WindowScheduler({2, 2}).fused());
-}
-
-TEST(WindowScheduler, ParallelForComputesEveryIndexOnce) {
-  WindowScheduler sched({4, 4});
-  ASSERT_TRUE(sched.fused());
-  std::vector<int> hits(1000, 0);
-  sched.ParallelFor(0, hits.size(),
-                    [&](size_t i) { hits[i] += static_cast<int>(i); });
-  for (size_t i = 0; i < hits.size(); ++i) {
-    ASSERT_EQ(hits[i], static_cast<int>(i));
-  }
-}
-
-TEST(WindowScheduler, ParallelForHandlesDegenerateRanges) {
-  WindowScheduler sched({2, 3});
-  std::atomic<int> calls{0};
-  sched.ParallelFor(5, 5, [&](size_t) { ++calls; });  // empty
-  EXPECT_EQ(calls.load(), 0);
-  sched.ParallelFor(7, 8, [&](size_t i) {  // single index: runs inline
-    EXPECT_EQ(i, 7u);
-    ++calls;
-  });
-  EXPECT_EQ(calls.load(), 1);
-  // Fewer items than workers: every index still runs exactly once.
-  std::vector<int> hits(2, 0);
-  sched.ParallelFor(0, hits.size(), [&](size_t i) { ++hits[i]; });
-  EXPECT_EQ(hits[0], 1);
-  EXPECT_EQ(hits[1], 1);
-}
-
-TEST(WindowScheduler, ManySequentialJobsReuseTheTeam) {
-  // The whole point of the persistent team: many fan-outs, one
-  // spawn/join.  Sizes vary to exercise the generation handshake.
-  WindowScheduler sched({4, 4});
-  for (int round = 0; round < 50; ++round) {
-    const size_t n = static_cast<size_t>(1 + (round * 37) % 97);
-    std::vector<uint64_t> out(n, 0);
-    sched.ParallelFor(0, n, [&](size_t i) { out[i] = i * i; });
-    uint64_t sum = 0;
-    for (const uint64_t v : out) sum += v;
-    ASSERT_EQ(sum, (n - 1) * n * (2 * n - 1) / 6);
-  }
-}
-
-TEST(WindowScheduler, ExceptionRethrownAndTeamSurvives) {
-  // One in-flight window's compute throwing must reach its caller as
-  // the first captured exception — and must NOT corrupt the team: the
-  // sibling windows' subsequent fan-outs run to completion on the same
-  // workers.
-  WindowScheduler sched({2, 4});
-  EXPECT_THROW(
-      sched.ParallelFor(0, 100,
-                        [&](size_t i) {
-                          if (i == 37) throw std::runtime_error("window 37");
-                        }),
-      std::runtime_error);
-  std::vector<int> hits(100, 0);
-  sched.ParallelFor(0, hits.size(), [&](size_t i) { ++hits[i]; });
-  EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 100);
-  // And again: repeated failures keep being survivable.
-  for (int round = 0; round < 3; ++round) {
-    EXPECT_THROW(sched.ParallelFor(0, 8,
-                                   [&](size_t) {
-                                     throw std::runtime_error("every index");
-                                   }),
-                 std::runtime_error);
-    std::atomic<int> ok{0};
-    sched.ParallelFor(0, 8, [&](size_t) { ++ok; });
-    EXPECT_EQ(ok.load(), 8);
-  }
-}
-
-TEST(WindowScheduler, NonFusedParallelForRunsSerially) {
-  // Degenerate configuration: no team, the loop runs inline on the
-  // caller (the pre-batching engine exactly).
-  WindowScheduler sched({1, 8});
-  const auto tid = std::this_thread::get_id();
-  std::vector<int> hits(16, 0);
-  sched.ParallelFor(0, hits.size(), [&](size_t i) {
-    EXPECT_EQ(std::this_thread::get_id(), tid);
-    ++hits[i];
-  });
-  EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 16);
 }
 
 }  // namespace
