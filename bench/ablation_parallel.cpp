@@ -45,13 +45,12 @@ int main(int argc, char** argv) {
                 net::TransportKindName(policy.transport_kind), threads,
                 cost.avg_runtime_seconds, speedup);
   }
-  // Forked backends: one OS process per agent, frames over real
-  // socketpairs (process) or loopback TCP connections (tcp) through
-  // the parent router.  Swept at a smaller community: each child
-  // re-derives the full deterministic schedule (shadow compute) while
-  // performing only its own wire I/O, so the point of these backends
-  // is deployment realism — literal cross-process / network Table-I
-  // bytes, real fork/IPC/TCP cost in the wall clock — not speedup.
+  // Forked backend: one OS process per agent, frames over real
+  // socketpairs through the parent router.  Swept at a smaller
+  // community: each child re-derives the public schedule (shadow
+  // bus) while performing only its own wire I/O, so the point of this
+  // backend is deployment realism — literal cross-process Table-I
+  // bytes, real fork/IPC cost in the wall clock — not speedup.
   const int process_homes = homes < 12 ? homes : 12;
   const grid::CommunityTrace process_trace =
       bench::MakeTrace(process_homes, flags.windows);
@@ -59,15 +58,13 @@ int main(int argc, char** argv) {
               process_homes);
   std::printf("%12s %10s %24s %16s\n", "transport", "threads",
               "avg runtime/window (s)", "avg bytes/window");
-  for (const net::TransportKind kind :
-       {net::TransportKind::kProcess, net::TransportKind::kTcp}) {
-    for (const int threads : {1, 4}) {
-      const bench::CryptoWindowCost cost = bench::MeasureCryptoWindows(
-          process_trace, key_bits, flags.samples,
-          net::ExecutionPolicy{kind, threads});
-      std::printf("%12s %10d %24.3f %16.0f\n", net::TransportKindName(kind),
-                  threads, cost.avg_runtime_seconds, cost.avg_bus_bytes);
-    }
+  for (const int threads : {1, 4}) {
+    const net::ExecutionPolicy policy = net::ExecutionPolicy::Process(threads);
+    const bench::CryptoWindowCost cost = bench::MeasureCryptoWindows(
+        process_trace, key_bits, flags.samples, policy);
+    std::printf("%12s %10d %24.3f %16.0f\n",
+                net::TransportKindName(policy.transport_kind), threads,
+                cost.avg_runtime_seconds, cost.avg_bus_bytes);
   }
 
   std::printf(
@@ -76,10 +73,9 @@ int main(int argc, char** argv) {
       "scales down with workers until the sequential forward pass and the GC\n"
       "comparison dominate — the paper's ~1 s/window on 8 ARM cores is\n"
       "consistent with the 8-thread point on comparable hardware; the\n"
-      "forked backends (fork-per-agent socketpairs, and loopback\n"
-      "TCP with rendezvous + TCP_NODELAY) pay the syscall + frame-codec\n"
-      "cost of a real per-container deployment plus shadow re-derivation\n"
-      "per child — their bytes, not their wall clock, are the\n"
+      "forked backend (fork-per-agent socketpairs) pays the syscall +\n"
+      "frame-codec cost of a real per-container deployment plus shadow\n"
+      "re-derivation per child — its bytes, not its wall clock, are the\n"
       "paper-faithful number\n",
       hw);
   return 0;

@@ -35,7 +35,6 @@
 #include "net/process_transport.h"
 #include "net/serialize.h"
 #include "net/shm_transport.h"
-#include "net/tcp_transport.h"
 #include "net/transport.h"
 
 namespace pem {
@@ -111,9 +110,6 @@ RunStats RunForked(const Config& c) {
     case net::TransportKind::kProcess:
       owner = std::make_unique<net::ProcessTransport>(c.agents, child_main);
       break;
-    case net::TransportKind::kTcp:
-      owner = std::make_unique<net::TcpTransport>(c.agents, child_main);
-      break;
     case net::TransportKind::kShm:
       owner = std::make_unique<net::ShmTransport>(c.agents, child_main);
       break;
@@ -135,8 +131,7 @@ RunStats RunForked(const Config& c) {
 }
 
 bool Forked(net::TransportKind k) {
-  return k == net::TransportKind::kProcess ||
-         k == net::TransportKind::kTcp || k == net::TransportKind::kShm;
+  return k == net::TransportKind::kProcess || k == net::TransportKind::kShm;
 }
 
 }  // namespace
@@ -178,7 +173,6 @@ int main(int argc, char** argv) {
   const std::vector<std::pair<net::TransportKind, const char*>> kBackends = {
       {net::TransportKind::kSerialBus, "serial"},
       {net::TransportKind::kProcess, "process"},
-      {net::TransportKind::kTcp, "tcp"},
       {net::TransportKind::kShm, "shm"},
   };
   const std::vector<size_t> kFrameSizes = {64, 4096, 64 * 1024};

@@ -90,19 +90,7 @@ int main(int argc, char** argv) {
   std::printf("  avg window : %.3f s end-to-end, %.0f bytes on the wire\n",
               pr.AverageRuntimeSeconds(), pr.AverageBusBytes());
 
-  // The same market again with every agent behind a loopback TCP
-  // connection (parent rendezvous listener, per-agent wire + control
-  // dial-ins): the bytes are now literal network traffic, and they
-  // must equal the socketpair run's to the byte.
-  pcfg.policy = net::ExecutionPolicy::Tcp();
-  const core::SimulationResult tr = core::RunSimulation(small, pcfg);
-  std::printf("tcp deployment (same homes and windows, port auto-assigned):\n");
-  std::printf("  avg window : %.3f s end-to-end, %.0f bytes on the network\n",
-              tr.AverageRuntimeSeconds(), tr.AverageBusBytes());
-  std::printf("  byte parity: %s\n",
-              tr.total_bus_bytes == pr.total_bus_bytes ? "exact" : "DIVERGED");
-
-  // And once more over shared memory: the same forked processes, but
+  // The same market again over shared memory: the same forked processes, but
   // every frame now travels through a per-pair ring mapped into both
   // address spaces — zero kernel copies, no router hop.  The parent's
   // snoop cursor taps the rings for accounting, so the byte count must

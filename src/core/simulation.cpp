@@ -6,7 +6,6 @@
 #include "crypto/rng.h"
 #include "net/process_transport.h"
 #include "net/shm_transport.h"
-#include "net/tcp_transport.h"
 #include "protocol/agent_driver.h"
 #include "protocol/key_directory.h"
 #include "protocol/window_scheduler.h"
@@ -147,7 +146,7 @@ class ProtocolReplica {
 };
 
 // Forks one agent process per home on the policy's backend (inherited
-// socketpairs, a loopback TCP rendezvous, or shared-memory rings).
+// socketpairs or shared-memory rings).
 // Each child serves the parent's window commands with an AgentDriver
 // over its fork copy of `replica`; the parent never runs protocol code
 // — it schedules windows, routes frames and merges the reports (see
@@ -168,14 +167,6 @@ std::unique_ptr<net::AgentSupervisor> LaunchAgents(
   };
 
   const net::TransportOptions& topts = config.policy.transport;
-  if (config.policy.transport_kind == net::TransportKind::kTcp) {
-    net::TcpTransport::Options opts;
-    opts.watchdog_ms = topts.watchdog_ms;
-    opts.host = topts.tcp_host;
-    opts.port = topts.tcp_port;
-    return std::make_unique<net::TcpTransport>(num_homes, child_main,
-                                               std::move(opts));
-  }
   if (config.policy.transport_kind == net::TransportKind::kShm) {
     net::ShmTransport::Options opts;
     opts.watchdog_ms = topts.watchdog_ms;
@@ -252,6 +243,8 @@ SimulationResult RunSimulation(const grid::CommunityTrace& trace,
   PEM_CHECK(config.window_stride >= 1, "window stride must be >= 1");
   PEM_CHECK(config.window_offset >= 0, "window offset must be >= 0");
   PEM_CHECK(config.windows_in_flight >= 1, "windows_in_flight must be >= 1");
+  PEM_CHECK(config.policy.transport_kind != net::TransportKind::kTcp,
+            "simulation: TransportKind::kTcp selects no backend");
   for (const ChurnEvent& e : config.churn) {
     PEM_CHECK(e.agent >= 0 && e.agent < trace.num_homes(),
               "churn event names an agent outside the trace");

@@ -59,11 +59,11 @@ struct SimulationConfig {
   // paper's per-container deployment — each child runs its own agent's
   // side of every phase over its inherited socketpair end, the parent
   // routes frames and collects results, and bus_bytes are literal
-  // cross-process socket bytes (Tcp() and Shm() are the same model
-  // over loopback TCP and shared-memory rings).  Backend tuning lives
-  // in policy.transport.  The wire transcript and market outcomes are
-  // policy-invariant (asserted by test_transcript_parity's four-way
-  // serial/process/tcp/shm matrix, the serial bus at 1 and 4 threads).
+  // cross-process socket bytes (Shm() is the same model over
+  // shared-memory rings).  Backend tuning lives in policy.transport.
+  // The wire transcript and market outcomes are policy-invariant
+  // (asserted by test_transcript_parity's three-way serial/process/shm
+  // matrix, the serial bus at 1 and 4 threads).
   // The between-window randomness-pool refill
   // (pem.precompute_encryption) fans out across the same worker count —
   // the paper's "executed in parallel during idle time" — without

@@ -192,7 +192,7 @@ void AgentSupervisor::WatchChildren() {
   fault_wake_.Open();
   for (AgentId a = 0; a < num_agents(); ++a) {
     Child& c = children_[static_cast<size_t>(a)];
-    if (c.pid <= 0) continue;
+    PEM_CHECK(c.pid > 0, "watch: an agent was never registered");
     // The raw syscall: some glibc releases ship sys/pidfd.h without C
     // linkage.
     c.pidfd = static_cast<int>(syscall(SYS_pidfd_open, c.pid, 0));
@@ -431,11 +431,6 @@ ControlRecord AgentSupervisor::ReadRecord(AgentId agent) {
       ThrowChildFailure(agent, DescribeExit(c.exit_code, c.exit_status) +
                                    " before reporting");
     }
-    // An external agent has no process to watch: its hangup IS the
-    // disconnect.
-    if (c.pid <= 0 && c.ctl->hung_up()) {
-      ThrowChildFailure(agent, "disconnected before reporting");
-    }
     std::optional<TransportFault> convicted;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -609,8 +604,7 @@ std::optional<TransportFault> AgentSupervisor::fault() const {
 
 bool AgentSupervisor::reaped(AgentId agent) const {
   PEM_CHECK(agent >= 0 && agent < num_agents(), "bad agent id");
-  const Child& c = children_[static_cast<size_t>(agent)];
-  return c.reaped || c.pid <= 0;
+  return children_[static_cast<size_t>(agent)].reaped;
 }
 
 void AgentSupervisor::SeverWireForTest(AgentId agent) {

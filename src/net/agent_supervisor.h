@@ -1,13 +1,13 @@
 // Parent-side supervision of out-of-process agents — the control
-// plane every forked/remote backend shares.
+// plane every forked backend shares.
 //
 // The parent-side machinery — the child table, the relay router, the
 // control plane, the watchdog, the reaping — never looks at HOW a
 // child's descriptors came to be (inherited socketpair ends in
-// net/process_transport.h, accepted TCP connections in
-// net/tcp_transport.h, a pre-fork shared mapping in
+// net/process_transport.h, a pre-fork shared mapping in
 // net/shm_transport.h), so it lives here and the concrete backends
-// only differ in their constructors.
+// only differ in their constructors.  Every agent is a local child
+// this process forked.
 //
 // This header is deliberately free of any concrete transport: protocol
 // code that drives children (protocol/agent_driver.cpp) depends on the
@@ -19,7 +19,7 @@
 // (length-prefixed records) and report results the same way.  A child
 // that exits cleanly writes a Done record first; one that throws writes
 // an Error record.  That a child has ended is learned from the process
-// itself, never from a hangup: the supervisor holds a pidfd per local
+// itself, never from a hangup: the supervisor holds a pidfd per
 // child (pidfd_open, Linux >= 5.3; collected with waitid(P_PIDFD),
 // Linux >= 5.4), which turns readable the moment the child exits, crash
 // or not.  The exit is judged against what the child's control channel
@@ -76,21 +76,19 @@ struct ControlRecord {
   std::vector<uint8_t> payload;
 };
 
-// Thrown by ControlChannel::Read when the watchdog deadline expires
-// with the peer still connected — a distinct type from the hangup /
-// recv-failure TransportError so the supervisor can tell "alive but
-// slow" (surface the timeout) from "gone" (report a disconnect).  An
-// externally launched agent on a distant host makes the difference
-// matter: a slow window report is not a dead peer.
+// Thrown by ControlChannel::Read and AgentSupervisor::ReadRecord when
+// the watchdog deadline expires with the peer still connected — a
+// distinct type from the hangup / recv-failure TransportError, so a
+// caller can tell "alive but slow" from "gone".
 class ControlTimeout : public TransportError {
  public:
   using TransportError::TransportError;
 };
 
 // Length-prefixed records ([u32 tag | u32 len | bytes]) over one end of
-// a stream socket (a socketpair end or a connected TCP socket).  Owns
-// the descriptor.  Reads are deadline-bounded and surface hangup /
-// timeout as structured TransportError (never a silent nullopt).
+// a stream socketpair.  Owns the descriptor.  Reads are
+// deadline-bounded and surface hangup / timeout as structured
+// TransportError (never a silent nullopt).
 class ControlChannel {
  public:
   // `peer` names the agent on the other end (for error messages).
@@ -132,7 +130,7 @@ class ControlChannel {
 // is an operator, not an agent — it cannot Send or Receive, only
 // command children, collect their reports, and read the wire ledger.
 //
-// Concrete backends (ProcessTransport, TcpTransport, ShmTransport)
+// Concrete backends (ProcessTransport, ShmTransport)
 // differ only in how each child comes to exist and how its descriptors
 // reach the parent; their constructors register each child's pid as it
 // forks, fill the child table via AdoptChild, and then StartRouter (or
@@ -171,13 +169,13 @@ class AgentSupervisor {
   // control channel, the pidfd of every child not yet reaped and the
   // fault latch, until the watchdog.  A kCtlRepError record, a timeout,
   // or the agent's own exit is thrown as TransportError naming it (an
-  // exit by its status or fatal signal; an external agent's hangup as a
-  // disconnect).  Any other child that ends meanwhile is judged at once
-  // (see the lifecycle paragraph above).  Once a fault naming another
-  // agent has latched (a convicted wire, or a child that ended badly),
-  // `agent` gets a 2 s grace to hand in a record it already wrote; then
-  // that latched fault is thrown, naming the convicted agent, instead
-  // of waiting out the watchdog on a survivor blocked on its frames.
+  // exit by its status or fatal signal).  Any other child that ends
+  // meanwhile is judged at once (see the lifecycle paragraph above).
+  // Once a fault naming another agent has latched (a convicted wire, or
+  // a child that ended badly), `agent` gets a 2 s grace to hand in a
+  // record it already wrote; then that latched fault is thrown, naming
+  // the convicted agent, instead of waiting out the watchdog on a
+  // survivor blocked on its frames.
   ControlRecord ReadRecord(AgentId agent);
   // Clean teardown: Shutdown command to every child, Done record from
   // each, then each exit, judged like any other (an Error a child wrote
@@ -203,13 +201,12 @@ class AgentSupervisor {
   // cross-checking the ledger against the children's reports.
   virtual void SyncLedger() {}
 
-  // Whether `agent`'s child has been reaped (test introspection; true
-  // for externally launched agents, which have no local pid).
+  // Whether `agent`'s child has been reaped (test introspection).
   bool reaped(AgentId agent) const;
 
   // Test hook: severs `agent`'s wire from the parent side as a broken
-  // network/crashed peer would (shutdown(2), so no fd-reuse race with
-  // the router thread).  The child's next blocked Receive() throws a
+  // link would (shutdown(2), so no fd-reuse race with the router
+  // thread).  The child's next blocked Receive() throws a
   // structured TransportError, which it reports; the router closes the
   // wire and keeps routing the survivors.  Never called outside tests.
   void SeverWireForTest(AgentId agent);
@@ -221,12 +218,12 @@ class AgentSupervisor {
   // destructor kills and reaps it even if the constructor fails later.
   void RegisterChild(AgentId agent, pid_t pid);
   // Hands the supervisor the parent ends of `agent`'s wire and control
-  // channel (a pid of -1, never registered, is an externally launched
-  // agent).  Constructor phase only, before StartRouter.
+  // channel.  Constructor phase only, before StartRouter.
   void AdoptChild(AgentId agent, int wire_fd, int ctl_fd);
-  // Every child forked: open a pidfd per local child and the fault
-  // latch's wake, after the last fork so that no child inherits a
-  // sibling's.  A failed pidfd_open is a TransportError naming the agent.
+  // Every child forked: open a pidfd per child and the fault latch's
+  // wake, after the last fork so that no child inherits a sibling's.
+  // An agent never registered is a PEM_CHECK failure; a failed
+  // pidfd_open is a TransportError naming the agent.
   void WatchChildren();
   // All children adopted: WatchChildren, open the wake pipe, flip the
   // wire fds nonblocking, and start the relay router.  Call once, last.
@@ -256,7 +253,7 @@ class AgentSupervisor {
 
  private:
   struct Child {
-    pid_t pid = -1;    // -1: externally launched, nothing to reap
+    pid_t pid = -1;    // -1 until RegisterChild
     int pidfd = -1;    // readable once the child has ended; -1 once reaped
     int wire_fd = -1;  // parent end; nonblocking, router thread reads
     std::unique_ptr<ControlChannel> ctl;

@@ -35,7 +35,7 @@
 // the script names, and one that is not byte-equal to the script's
 // fails at once with a TransportError naming this agent, the sender
 // and the frame type.  The medium is a ChildWire: SocketStream for the
-// process and TCP backends, the ring grid in net/shm_transport.cpp.
+// process backend, the ring grid in net/shm_transport.cpp.
 #pragma once
 
 #include <cstdint>
@@ -67,7 +67,7 @@ class ChildWire {
   virtual void VerifyDrained() = 0;
 };
 
-// Process and TCP medium: one stream socket to the parent's relay
+// Process medium: one stream socket to the parent's relay
 // router, which fans broadcasts out and convicts any wire whose frames
 // forge their sender, so `from` on an arriving frame is trusted and
 // names the queue it joins.  Takes ownership of `fd`.

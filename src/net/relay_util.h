@@ -1,8 +1,8 @@
 // Shared scaffolding for the relay router and the forked backends.
 //
-// ProcessTransport (fork-per-agent) and TcpTransport (TCP rendezvous)
-// share one relay router (net::AgentSupervisor) that must never block
-// on one slow peer: routed frames queue in a per-destination
+// ProcessTransport's children (one forked process per agent) reach
+// each other through one relay router (net::AgentSupervisor) that must
+// never block on one slow peer: routed frames queue in a per-destination
 // PendingBuf and are flushed with nonblocking writes, and the main
 // thread unparks a router sleeping in epoll through a wake
 // socketpair.  This header holds that machinery plus the descriptor
@@ -31,7 +31,7 @@ namespace pem::net {
 
 // Little-endian u32 load/store for the small fixed-layout records the
 // out-of-process backends exchange beside the frame codec (control
-// records, TCP hellos).  One copy, used by every transport.
+// records).  One copy, used by every transport.
 inline uint32_t LoadU32(const uint8_t* p) {
   return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
          static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
@@ -54,8 +54,7 @@ inline void MakeSocketPair(int* a, int* b) {
   int fds[2];
   // SOCK_CLOEXEC: a forked child inherits exactly the ends its launcher
   // hands over (fork keeps fds regardless); anything that ever exec()s
-  // — a future ssh/k8s agent launcher — must not leak wire fds into
-  // the new program.
+  // must not leak wire fds into the new program.
   PEM_CHECK(socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) == 0,
             "relay: socketpair failed");
   *a = fds[0];
@@ -76,11 +75,12 @@ struct FdGuard {
   int fd = -1;
 };
 
-// Blocking FULL write: a short send() — routine on TCP, where the
-// kernel takes whatever fits in SO_SNDBUF — is retried until every
-// byte is queued, and a dead peer surfaces as a structured error
-// (MSG_NOSIGNAL keeps EPIPE an errno, not a SIGPIPE).  `agent` and
-// `what` only flavor the error message.
+// Blocking FULL write: a short send() — the kernel takes whatever fits
+// in SO_SNDBUF, so a frame larger than the socket buffer always
+// crosses in pieces — is retried until every byte is queued, and a
+// dead peer surfaces as a structured error (MSG_NOSIGNAL keeps EPIPE
+// an errno, not a SIGPIPE).  `agent` and `what` only flavor the error
+// message.
 inline void SendAllOrThrow(int fd, const uint8_t* data, size_t len,
                            AgentId agent, const char* what) {
   while (len > 0) {

@@ -17,11 +17,7 @@ std::unique_ptr<Transport> MakeTransport(TransportKind kind, int num_agents) {
                 "directly (RunSimulation does for ExecutionPolicy::Process())");
       return nullptr;
     case TransportKind::kTcp:
-      PEM_CHECK(false,
-                "MakeTransport: kTcp launches one child per agent over a TCP "
-                "rendezvous and needs a child entry point; construct "
-                "net::TcpTransport directly (RunSimulation does for "
-                "ExecutionPolicy::Tcp())");
+      PEM_CHECK(false, "MakeTransport: kTcp selects no backend");
       return nullptr;
     case TransportKind::kShm:
       PEM_CHECK(false,

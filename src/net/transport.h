@@ -9,17 +9,17 @@
 // threading and process model:
 //   * MessageBus        — the in-process FIFO bus behind one mutex,
 //                         for serial and phase-parallel runs alike;
-//   * ProcessTransport, TcpTransport, ShmTransport — one forked OS
-//                         process per agent (the paper's one-container-
-//                         per-agent deployment), supervised by
+//   * ProcessTransport, ShmTransport — one forked OS process per
+//                         agent (the paper's one-container-per-agent
+//                         deployment), supervised by
 //                         net::AgentSupervisor and driven through
 //                         core::RunSimulation; each child acts
 //                         through one ChildTransport
 //                         (net/child_transport.h).
 // All backends account identical bytes for identical message
 // sequences — exactly FramedSize(msg) per delivered copy — which is
-// what lets test_transcript_parity assert a four-way parity of the
-// wire transcript.
+// what lets test_transcript_parity assert a three-way
+// (serial/process/shm) parity of the wire transcript.
 #pragma once
 
 #include <cstdint>
@@ -234,7 +234,7 @@ inline uint64_t TotalBytesSent(std::span<const Endpoint> endpoints) {
 enum class TransportKind {
   kSerialBus,  // MessageBus: in-process, any thread count
   kProcess,    // ProcessTransport: one forked OS process per agent
-  kTcp,        // TcpTransport: one process per agent over TCP
+  kTcp,        // no backend: perfbench still names it (ROADMAP item 20)
   kShm,        // ShmTransport: one process per agent over shared-
                // memory SPSC rings (zero kernel copies)
 };
@@ -258,17 +258,11 @@ inline const char* TransportKindName(TransportKind k) {
 // Fields a backend does not use are ignored by it; the defaults
 // reproduce every backend's stock behavior.
 struct TransportOptions {
-  // Process/TCP/Shm: upper bound on any wait for a child (a window
+  // Process/Shm: upper bound on any wait for a child (a window
   // report, an exit).  A crashed or deadlocked agent process fails the
   // run with a structured error naming the child after this long,
   // instead of hanging until a ctest TIMEOUT or CI runner kill.
   int watchdog_ms = 120'000;
-  // TCP only: where the parent's rendezvous listener binds and the
-  // forked children dial.  Port 0 auto-assigns; the default loopback
-  // host keeps the run on one machine while still pushing every frame
-  // through the network stack.
-  std::string tcp_host = "127.0.0.1";
-  uint16_t tcp_port = 0;
   // Shm only: data capacity of each directed per-pair ring (power of
   // two).  The default comfortably holds a window's largest frame
   // burst; raise it for communities with very large ciphertext
@@ -308,15 +302,6 @@ struct ExecutionPolicy {
   static ExecutionPolicy Process(int threads = 1) {
     return {TransportKind::kProcess, threads};
   }
-  // One OS process per agent over real TCP connections (loopback by
-  // default): children dial the parent's rendezvous listener instead
-  // of inheriting a socketpair, so per-agent bytes are literal network
-  // bytes and the agents could as well live on other hosts
-  // (net/tcp_transport.h).  `threads` sets each child's compute
-  // fan-out.
-  static ExecutionPolicy Tcp(int threads = 1) {
-    return {TransportKind::kTcp, threads};
-  }
   // One forked OS process per agent exchanging frames through shared-
   // memory SPSC rings (net/shm_transport.h): zero kernel copies and no
   // router hop for co-located agents, with the parent accounting every
@@ -331,7 +316,8 @@ struct ExecutionPolicy {
 // agent count — a zero-agent transport can only hide bugs.  Only
 // kSerialBus is constructible here: forking children requires a child
 // entry point, so the driver must build the forked backends directly
-// (as core::RunSimulation does for ExecutionPolicy::Process()).
+// (as core::RunSimulation does for ExecutionPolicy::Process()), and
+// kTcp selects no backend at all.
 std::unique_ptr<Transport> MakeTransport(TransportKind kind, int num_agents);
 
 }  // namespace pem::net

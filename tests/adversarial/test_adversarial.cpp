@@ -9,7 +9,7 @@
 //   * every scripted cheat class (mis-encrypted contribution,
 //     commitment mismatch, replayed contribution, forged byte count)
 //     is detected and NAMED — identical structured ProtocolFault — on
-//     serial (1 and 4 threads) / process / tcp / shm;
+//     serial (1 and 4 threads) / process / shm;
 //   * the window still completes for the honest survivors: the cheater
 //     is excluded mid-window and the coalitions re-form without it;
 //   * honest agents' wire bytes are byte-identical to a cheat-free run
@@ -38,7 +38,6 @@
 #include "core/simulation.h"
 #include "net/process_transport.h"
 #include "net/shm_transport.h"
-#include "net/tcp_transport.h"
 #include "net/transport.h"
 #include "protocol/agent_driver.h"
 #include "protocol/audit.h"
@@ -158,10 +157,7 @@ AdvRun RunAuditedWindowForked(net::TransportKind kind,
 
   std::unique_ptr<net::AgentSupervisor> owner;
   const int n = static_cast<int>(kMarket.size());
-  if (kind == net::TransportKind::kTcp) {
-    owner = std::make_unique<net::TcpTransport>(n, child_main,
-                                                net::TcpTransport::Options{});
-  } else if (kind == net::TransportKind::kShm) {
+  if (kind == net::TransportKind::kShm) {
     owner = std::make_unique<net::ShmTransport>(n, child_main,
                                                 net::ShmTransport::Options{});
   } else {
@@ -222,7 +218,7 @@ void ExpectSingleFault(const AdvRun& run, CheatClass cheat,
 
 // Every cheat class, every backend: detection is a deterministic
 // function of the transcript, so the SAME named fault must come out of
-// all four transports (the serial bus at 1 and 4 threads).
+// all three transports (the serial bus at 1 and 4 threads).
 void ExpectCheatCaughtEverywhere(CheatClass cheat) {
   const protocol::PemConfig cfg = AuditedConfig({kCheater, cheat, 0});
   ExpectSingleFault(RunAuditedWindow(net::ExecutionPolicy::Serial(), cfg),
@@ -231,8 +227,6 @@ void ExpectCheatCaughtEverywhere(CheatClass cheat) {
                     cheat, "serial x4");
   ExpectSingleFault(RunAuditedWindowForked(net::TransportKind::kProcess, cfg),
                     cheat, "process");
-  ExpectSingleFault(RunAuditedWindowForked(net::TransportKind::kTcp, cfg),
-                    cheat, "tcp");
   ExpectSingleFault(RunAuditedWindowForked(net::TransportKind::kShm, cfg),
                     cheat, "shm");
 }
@@ -371,8 +365,7 @@ TEST(AdversarialWall, EquivocationNamedOverForkedBackends) {
   const protocol::PemConfig cfg =
       AuditedConfig({kAuditor, CheatClass::kKeyEquivocation, 0});
   for (net::TransportKind kind :
-       {net::TransportKind::kProcess, net::TransportKind::kTcp,
-        net::TransportKind::kShm}) {
+       {net::TransportKind::kProcess, net::TransportKind::kShm}) {
     const std::string what = RunForkedWindowExpectingError(kind, cfg);
     EXPECT_NE(what.find("protocol_violation"), std::string::npos) << what;
     EXPECT_NE(what.find("key_equivocation"), std::string::npos) << what;
@@ -388,8 +381,7 @@ TEST(AdversarialWall, ForgedReportCaughtByParentOnEveryForkedBackend) {
   const protocol::PemConfig cfg =
       AuditedConfig({kCheater, CheatClass::kForgedReport, 0});
   for (net::TransportKind kind :
-       {net::TransportKind::kProcess, net::TransportKind::kTcp,
-        net::TransportKind::kShm}) {
+       {net::TransportKind::kProcess, net::TransportKind::kShm}) {
     try {
       (void)RunAuditedWindowForked(kind, cfg);
       FAIL() << "forged report not detected";
@@ -410,8 +402,7 @@ TEST(AdversarialWall, StaleReportEchoRejectedOnEveryForkedBackend) {
   const protocol::PemConfig cfg =
       AuditedConfig({kCheater, CheatClass::kStaleReport, 0});
   for (net::TransportKind kind :
-       {net::TransportKind::kProcess, net::TransportKind::kTcp,
-        net::TransportKind::kShm}) {
+       {net::TransportKind::kProcess, net::TransportKind::kShm}) {
     try {
       (void)RunAuditedWindowForked(kind, cfg);
       FAIL() << "stale report echo not detected";
@@ -532,9 +523,6 @@ TEST(AdversarialWall, ChurnDayMatchesAcrossForkedBackends) {
   // CollectWindowReportsBatch keeps passing throughout.
   const ChurnRun serial = RunChurnDay(net::ExecutionPolicy::Serial());
   ExpectChurnParity(serial, RunChurnDay(net::ExecutionPolicy::Process()),
-                    /*strict_order=*/false);
-  ExpectNoZombies();
-  ExpectChurnParity(serial, RunChurnDay(net::ExecutionPolicy::Tcp()),
                     /*strict_order=*/false);
   ExpectNoZombies();
   ExpectChurnParity(serial, RunChurnDay(net::ExecutionPolicy::Shm()),

@@ -28,7 +28,6 @@
 #include "net/frame.h"
 #include "net/process_transport.h"
 #include "net/shm_transport.h"
-#include "net/tcp_transport.h"
 
 namespace pem::net {
 namespace {
@@ -63,7 +62,7 @@ std::optional<TransportFault> AwaitFault(const AgentSupervisor& t) {
   return t.fault();
 }
 
-// Writes `bytes` raw onto a process or TCP child's own wire.
+// Writes `bytes` raw onto a process child's own wire.
 void WriteRaw(Transport& wire, const std::vector<uint8_t>& bytes) {
   static_cast<SocketStream&>(static_cast<ChildTransport&>(wire).wire())
       .WriteWireBytesForTest(bytes);
@@ -210,7 +209,7 @@ TEST(FrameInjection, ProcessSurvivorBlockedOnConvictedAgentReportsIt) {
 Message Scripted() { return Msg(0, 1, 0x4200, {1, 2, 3}); }
 Message Diverged() { return Msg(0, 1, 0x4200, {1, 2, 4}); }
 
-// On the socket backends agent 0 writes Diverged() raw on its wire; on
+// On the process backend agent 0 writes Diverged() raw on its wire; on
 // shm it stays quiescent and the parent writes the record into its ring.
 AgentSupervisor::ChildMain DivergingExchange(bool sender_writes_raw) {
   return [sender_writes_raw](AgentId self, Transport& wire,
@@ -333,18 +332,6 @@ TEST(FrameInjection, ProcessTransportReplayedFrameAfterDoneIsNamedAtShutdown) {
                 std::string::npos)
           << e.what();
     }
-  }
-  ExpectNoZombies();
-}
-
-TEST(FrameInjection, TcpFaultDivergedFrameFailsTheReceiveAtOnce) {
-  {
-    TcpTransport::Options opts;
-    opts.watchdog_ms = 60'000;
-    TcpTransport tt(2, DivergingExchange(true), opts);
-    const auto start = std::chrono::steady_clock::now();
-    tt.CommandAll(kCtlCmdRun);
-    ExpectReceiverReportsDivergence(tt, start);
   }
   ExpectNoZombies();
 }

@@ -228,6 +228,16 @@ TEST(SimulationDeath, BadStrideAborts) {
   EXPECT_DEATH((void)RunSimulation(trace, cfg), "stride");
 }
 
+TEST(SimulationDeath, TcpKindAborts) {
+  // kTcp names no backend; a forked run must not fall through to
+  // another one.
+  const grid::CommunityTrace trace =
+      grid::GenerateCommunityTrace(SmallTrace(4, 2));
+  SimulationConfig cfg = FastCrypto();
+  cfg.policy = net::ExecutionPolicy{net::TransportKind::kTcp, 1};
+  EXPECT_DEATH((void)RunSimulation(trace, cfg), "kTcp selects no backend");
+}
+
 TEST(SimulationDeath, ChurnAgentOutsideTraceAborts) {
   // Churn changes who participates, never the community size: an agent
   // the trace does not have is a config error, not a silent no-op.

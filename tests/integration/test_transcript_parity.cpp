@@ -4,25 +4,24 @@
 // (transport backend + compute workers) changes WHO computes each
 // ciphertext, WHEN, and over WHICH medium — the in-process FIFO bus
 // (at 1 or 4 compute workers), one forked OS process per agent over
-// inherited socketpairs, one process per agent over loopback TCP, or
-// one process per agent over zero-copy shared-memory rings — but never
-// WHAT goes on the wire.  With the same seed, every backend must
-// produce identical prices, trades, bus bytes, PER-AGENT byte totals,
-// and an identical transcript (the serial/process/tcp/shm FOUR-way
-// matrix below, its serial row at 1 and 4 threads).
+// inherited socketpairs, or one process per agent over zero-copy
+// shared-memory rings — but never WHAT goes on the wire.  With the
+// same seed, every backend must produce identical prices, trades, bus
+// bytes, PER-AGENT byte totals, and an identical transcript (the
+// serial/process/shm three-way matrix below, its serial row at 1 and
+// 4 threads).
 //
-// Transcript ordering caveat for the forked backends (process, tcp,
-// shm): their agents really run concurrently, so the parent observes
+// Transcript ordering caveat for the forked backends (process, shm):
+// their agents really run concurrently, so the parent observes
 // frames in physical arrival order — only per-sender FIFO order is
 // defined, exactly as on a real network.  Those rows therefore compare
 // per-sender message sequences (plus total counts); the message-level
 // byte equality is additionally enforced INSIDE every child, which
 // byte-matches each frame it consumes against the deterministic
 // schedule (net/process_transport.h, net/shm_transport.h).  The shm
-// row is special in one more way: no frame
-// ever crosses the parent, so its ledger and observer transcript come
-// from the rings' snoop cursors — this matrix is what proves that tap
-// misses nothing.
+// row is special in one more way: no frame ever crosses the parent, so
+// its ledger and observer transcript come from the rings' snoop
+// cursors — this matrix is what proves that tap misses nothing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -39,7 +38,6 @@
 #include "crypto/secure_compare.h"
 #include "net/process_transport.h"
 #include "net/shm_transport.h"
-#include "net/tcp_transport.h"
 #include "net/serialize.h"
 #include "net/transport.h"
 #include "protocol/agent_driver.h"
@@ -218,10 +216,10 @@ void ExpectWindowParity(const WindowRun& serial, const WindowRun& parallel,
 
 // Forked-backend window run: the same market and seed as RunWindow,
 // but with one OS process per agent — over inherited socketpairs
-// (kProcess) or dialed loopback TCP connections (kTcp).  The
-// transcript is what the parent router physically relayed between the
-// children's sockets; bytes are the router ledger's literal socket
-// (respectively network) bytes.
+// (kProcess) or shared-memory rings (kShm).  The transcript is what
+// the parent router physically relayed between the children's
+// sockets, or what its snoop cursors read off the rings; bytes are
+// the parent ledger's literal bytes.
 WindowRun RunWindowForked(net::TransportKind kind, uint64_t seed,
                           bool pooled = false, bool crt = true,
                           int threads = 1) {
@@ -269,11 +267,7 @@ WindowRun RunWindowForked(net::TransportKind kind, uint64_t seed,
   };
 
   std::unique_ptr<net::AgentSupervisor> owner;
-  if (kind == net::TransportKind::kTcp) {
-    owner = std::make_unique<net::TcpTransport>(
-        static_cast<int>(kMarket.size()), child_main,
-        net::TcpTransport::Options{});
-  } else if (kind == net::TransportKind::kShm) {
+  if (kind == net::TransportKind::kShm) {
     owner = std::make_unique<net::ShmTransport>(
         static_cast<int>(kMarket.size()), child_main,
         net::ShmTransport::Options{});
@@ -319,22 +313,20 @@ WindowRun RunWindowForked(net::TransportKind kind, uint64_t seed,
 }
 
 TEST(TranscriptParity, WindowFourWayMatrix) {
-  // serial (1 and 4 threads) / process / tcp / shm: same seed, same
+  // serial (1 and 4 threads) / process / shm: same seed, same
   // transcript, same per-agent bytes.
   const WindowRun serial = RunWindow(net::ExecutionPolicy::Serial(), 42);
   const WindowRun parallel = RunWindow(net::ExecutionPolicy::Parallel(4), 42);
   const WindowRun process =
       RunWindowForked(net::TransportKind::kProcess, 42);
-  const WindowRun tcp = RunWindowForked(net::TransportKind::kTcp, 42);
   const WindowRun shm = RunWindowForked(net::TransportKind::kShm, 42);
   ExpectWindowParity(serial, parallel);
   // Forked agents: identical outcome and bytes, per-sender-identical
   // transcript (their frames really interleave on arrival) — over
-  // inherited socketpairs, loopback TCP, and shared-memory rings
-  // alike.  The shm bytes were never routed: the snoop-cursor ledger
-  // must equal the canonical accounting agent by agent.
+  // inherited socketpairs and shared-memory rings alike.  The shm
+  // bytes were never routed: the snoop-cursor ledger must equal the
+  // canonical accounting agent by agent.
   ExpectWindowParity(serial, process, /*strict_order=*/false);
-  ExpectWindowParity(serial, tcp, /*strict_order=*/false);
   ExpectWindowParity(serial, shm, /*strict_order=*/false);
 }
 
@@ -346,15 +338,6 @@ TEST(TranscriptParity, ProcessWithComputeWorkersAlsoMatches) {
       RunWindowForked(net::TransportKind::kProcess, 7, /*pooled=*/false,
                       /*crt=*/true, /*threads=*/2);
   ExpectWindowParity(serial, process, /*strict_order=*/false);
-}
-
-TEST(TranscriptParity, TcpWithComputeWorkersAlsoMatches) {
-  // Same independence over real TCP connections.
-  const WindowRun serial = RunWindow(net::ExecutionPolicy::Serial(), 7);
-  const WindowRun tcp =
-      RunWindowForked(net::TransportKind::kTcp, 7, /*pooled=*/false,
-                      /*crt=*/true, /*threads=*/2);
-  ExpectWindowParity(serial, tcp, /*strict_order=*/false);
 }
 
 TEST(TranscriptParity, ShmWithComputeWorkersAlsoMatches) {
@@ -382,13 +365,10 @@ TEST(TranscriptParity, WindowParityWithRandomnessPools) {
       RunWindow(net::ExecutionPolicy::Parallel(4), 11, /*pooled=*/true);
   const WindowRun process =
       RunWindowForked(net::TransportKind::kProcess, 11, /*pooled=*/true);
-  const WindowRun tcp =
-      RunWindowForked(net::TransportKind::kTcp, 11, /*pooled=*/true);
   const WindowRun shm =
       RunWindowForked(net::TransportKind::kShm, 11, /*pooled=*/true);
   ExpectWindowParity(serial, parallel);
   ExpectWindowParity(serial, process, /*strict_order=*/false);
-  ExpectWindowParity(serial, tcp, /*strict_order=*/false);
   ExpectWindowParity(serial, shm, /*strict_order=*/false);
   // The parity must cover the pooled EncryptWithFactor branch, not just
   // the fresh-randomness fallback: all engines must actually draw
@@ -429,16 +409,12 @@ TEST(TranscriptParity, CrtAndConcurrentRefillMatrix) {
   const WindowRun crt_process =
       RunWindowForked(net::TransportKind::kProcess, 11, /*pooled=*/true,
                       /*crt=*/true, /*threads=*/2);
-  const WindowRun crt_tcp =
-      RunWindowForked(net::TransportKind::kTcp, 11, /*pooled=*/true,
-                      /*crt=*/true, /*threads=*/2);
   const WindowRun crt_shm =
       RunWindowForked(net::TransportKind::kShm, 11, /*pooled=*/true,
                       /*crt=*/true, /*threads=*/2);
   ExpectWindowParity(base, crt_serial);
   ExpectWindowParity(base, crt_parallel);
   ExpectWindowParity(base, crt_process, /*strict_order=*/false);
-  ExpectWindowParity(base, crt_tcp, /*strict_order=*/false);
   ExpectWindowParity(base, crt_shm, /*strict_order=*/false);
   // All in-process runs must exercise the pooled branch, equally (the
   // forked rows count factors inside the children).
@@ -621,16 +597,6 @@ TEST(TranscriptParity, FullTradingDaySerialVsProcess) {
   ExpectSimParity(serial, process, /*strict_order=*/false);
 }
 
-TEST(TranscriptParity, FullTradingDaySerialVsTcp) {
-  // The same day with every agent behind a loopback TCP connection:
-  // the Table-I numbers are now literal network bytes, still equal to
-  // the canonical ledger window by window (CollectWindowReportsBatch) and
-  // agent by agent.
-  const SimRun serial = RunSim(net::ExecutionPolicy::Serial());
-  const SimRun tcp = RunSim(net::ExecutionPolicy::Tcp());
-  ExpectSimParity(serial, tcp, /*strict_order=*/false);
-}
-
 // --- serial-vs-batched parity (windows_in_flight > 1) -----------------
 //
 // The batched scheduler (protocol::WindowScheduler) keeps several
@@ -658,16 +624,14 @@ TEST(TranscriptParity, BatchedDayMatchesSerialInProcess) {
 }
 
 TEST(TranscriptParity, BatchedDayMatchesSerialForked) {
-  // process / tcp / shm with four windows of control traffic in
+  // process / shm with four windows of control traffic in
   // flight: children overlap whole windows, reports come back keyed by
   // their echoed window id, and the day still reads exactly like the
   // serial one.
   const SimRun serial = RunSim(net::ExecutionPolicy::Serial());
   const SimRun process = RunSim(net::ExecutionPolicy::Process(), kBatch4);
-  const SimRun tcp = RunSim(net::ExecutionPolicy::Tcp(), kBatch4);
   const SimRun shm = RunSim(net::ExecutionPolicy::Shm(), kBatch4);
   ExpectSimParity(serial, process, /*strict_order=*/false);
-  ExpectSimParity(serial, tcp, /*strict_order=*/false);
   ExpectSimParity(serial, shm, /*strict_order=*/false);
   // Runtime attribution under overlap: each window's span runs from
   // its batch's dispatch to its own completion, and the day total

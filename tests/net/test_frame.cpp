@@ -114,7 +114,7 @@ TEST(FrameDecoderStream, ReassemblesChunkedFrameSequence) {
 }
 
 TEST(FrameDecoderStream, OneBytePerFeedReassembles) {
-  // The TCP worst case, distilled: the stream arrives one byte at a
+  // The stream worst case, distilled: it arrives one byte at a
   // time, so every header and payload boundary is split.  Next() must
   // stay kNeedMore-silent until each frame completes, then pop it
   // bit-exactly.
@@ -139,7 +139,7 @@ TEST(FrameDecoderStream, OneBytePerFeedReassembles) {
 }
 
 TEST(FrameDecoderStream, ManyFramesInOneFeedAllPop) {
-  // The TCP opposite extreme: one recv() pulls a whole burst of
+  // The opposite extreme: one recv() pulls a whole burst of
   // coalesced frames; a single Feed must yield every one, in order.
   constexpr int kFrames = 40;
   std::vector<Message> msgs;

@@ -2,22 +2,28 @@
 // socketpairs.
 //
 // Covers the wire path (frames really cross the kernel between forked
-// processes, accounted by the parent router), the control plane, and —
-// the part that pages people at 3am — child lifecycle: a crashed child
-// surfaces a structured error naming its exit status within the
-// watchdog, teardown leaves no zombie processes (asserted via waitpid)
-// and no leaked descriptors (asserted by counting /proc/self/fd across
-// construct/destroy cycles).
+// processes, accounted by the parent router), the router's stream
+// handling (a frame dripped one byte per write, a burst of frames in
+// one write, a frame far larger than a socket buffer), the control
+// plane, and — the part that pages people at 3am — child lifecycle: a
+// crashed child or a severed wire surfaces a structured error naming
+// the agent within the watchdog, teardown leaves no zombie processes
+// (asserted via waitpid) and no leaked descriptors (asserted by
+// counting /proc/self/fd across construct/destroy cycles).
 #include <gtest/gtest.h>
 
 #include <dirent.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <span>
+#include <vector>
 
+#include "net/child_transport.h"
 #include "net/frame.h"
 #include "net/process_transport.h"
 
@@ -147,6 +153,105 @@ TEST(ProcessTransport, BroadcastFansOutAtTheRouter) {
   ExpectNoChildrenLeft();
 }
 
+// --- the router's stream handling ------------------------------------
+
+// Writes `bytes` raw onto a child's own wire, bypassing its shadow:
+// how a test shapes the stream the router reads.
+void WriteRaw(Transport& wire, std::span<const uint8_t> bytes) {
+  static_cast<SocketStream&>(static_cast<ChildTransport&>(wire).wire())
+      .WriteWireBytesForTest(bytes);
+}
+
+// Agent 0 writes the encoding of `frames` raw onto its wire in pieces
+// of at most `piece` bytes; agent 1 receives every frame, each
+// byte-matched against its script, and reports them re-encoded.
+// Returns that report after a clean shutdown, with the router's ledger
+// checked against the stream.
+std::vector<uint8_t> CrossRawStream(const std::vector<Message>& frames,
+                                    size_t piece) {
+  std::vector<uint8_t> stream;
+  for (const Message& m : frames) AppendFrame(stream, m);
+  ProcessTransport::ChildMain script =
+      [&frames, &stream, piece](AgentId self, Transport& wire,
+                                ControlChannel& ctl) -> int {
+    (void)ctl.Read(/*timeout_ms=*/60'000);  // the one Run command
+    std::vector<uint8_t> report;
+    if (self == 0) {
+      for (size_t off = 0; off < stream.size(); off += piece) {
+        WriteRaw(wire, std::span<const uint8_t>(stream).subspan(
+                           off, std::min(piece, stream.size() - off)));
+      }
+    } else {
+      for (const Message& m : frames) {
+        wire.Send(m);  // shadow-only: advances 1's script
+        AppendFrame(report, *wire.Receive(1));
+      }
+    }
+    ctl.Write(kCtlRepWindow, report);
+    return IdleChild(self, wire, ctl);
+  };
+  std::vector<uint8_t> got;
+  {
+    ProcessTransport::Options opts;
+    opts.watchdog_ms = 20'000;
+    ProcessTransport transport(2, script, opts);
+    transport.CommandAll(kCtlCmdRun);
+    EXPECT_EQ(transport.ReadRecord(0).tag, kCtlRepWindow);
+    got = transport.ReadRecord(1).payload;
+    transport.Shutdown();
+    EXPECT_FALSE(transport.fault().has_value());
+    EXPECT_EQ(transport.total_messages(), frames.size());
+    EXPECT_EQ(transport.total_bytes(), stream.size());
+    EXPECT_EQ(transport.stats(0).bytes_sent, stream.size());
+    EXPECT_EQ(transport.stats(1).bytes_received, stream.size());
+  }
+  ExpectNoChildrenLeft();
+  return got;
+}
+
+TEST(ProcessTransport, OneByteWritesReassembleAtTheRouter) {
+  // One byte per send(): the router's ingress sees the stream cut at
+  // arbitrary, mostly one-byte boundaries and must reassemble it.
+  std::vector<uint8_t> payload(257);
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<uint8_t>(i * 13 + 5);
+  }
+  const Message sent{0, 1, /*type=*/31, payload};
+  EXPECT_EQ(CrossRawStream({sent}, /*piece=*/1), EncodeFrame(sent));
+}
+
+TEST(ProcessTransport, CoalescedFramesAllDecodeInOrder) {
+  // One write of 64 frames: a single router recv() pulls several at
+  // once and must decode them all, keeping the sender's FIFO order.
+  std::vector<Message> frames;
+  std::vector<uint8_t> burst;
+  for (int i = 0; i < 64; ++i) {
+    std::vector<uint8_t> payload(static_cast<size_t>(i % 7) + 1,
+                                 static_cast<uint8_t>(i));
+    frames.push_back(Message{0, 1, static_cast<uint32_t>(100 + i),
+                             std::move(payload)});
+    AppendFrame(burst, frames.back());
+  }
+  EXPECT_EQ(CrossRawStream(frames, /*piece=*/burst.size()), burst);
+}
+
+TEST(ProcessTransport, FramesLargerThanTheSocketBufferCrossIntact) {
+  // A 4 MiB frame, many times a socketpair's default buffer (about
+  // 208 KiB): the sender's write, the router's ingress and its flush
+  // toward the receiver (PendingBuf, resumed on EPOLLOUT) all go in
+  // pieces, and the frame must still arrive byte-identical.
+  constexpr size_t kPayload = size_t{4} << 20;
+  static_assert(kPayload < kMaxFramePayloadBytes);
+  std::vector<uint8_t> payload(kPayload);
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<uint8_t>(i * 31 + 7);
+  }
+  const Message sent{0, 1, /*type=*/77, std::move(payload)};
+  const std::vector<uint8_t> frame = EncodeFrame(sent);
+  EXPECT_TRUE(CrossRawStream({sent}, /*piece=*/frame.size()) == frame)
+      << "large frame corrupted in transit";
+}
+
 TEST(ProcessTransport, MakeTransportRefusesProcessKind) {
   EXPECT_DEATH((void)MakeTransport(TransportKind::kProcess, 3),
                "child entry point");
@@ -220,6 +325,69 @@ TEST(ProcessLifecycle, SurvivorBlockedOnCrashedPeerNamesTheCrash) {
     // The 2 s grace plus slack, well short of the 6 s watchdog.
     EXPECT_LT(ElapsedSeconds(start), 4.5);
   }
+  ExpectNoChildrenLeft();
+}
+
+TEST(ProcessLifecycle, SeveredWireMidWindowFaultsFast) {
+  // Phase 0: the parent severs agent 1's wire, and agent 1's script
+  // receives a frame from agent 0 on it.  Phase 1: the survivors
+  // exchange a real frame.
+  ProcessTransport::ChildMain script = [](AgentId self, Transport& wire,
+                                          ControlChannel& ctl) -> int {
+    std::vector<Endpoint> eps = wire.endpoints();
+    for (;;) {
+      const ControlRecord cmd = ctl.Read(/*timeout_ms=*/60'000);
+      if (cmd.tag == kCtlCmdShutdown) {
+        ctl.Write(kCtlRepDone);
+        return 0;
+      }
+      PEM_CHECK(cmd.tag == kCtlCmdRun && cmd.payload.size() == 1,
+                "test: bad command");
+      if (cmd.payload[0] == 0 && self == 1) {
+        // The script's send from agent 0 (shadow only here), then the
+        // real read on the severed wire: a structured error.
+        eps[0].Send(1, /*type=*/50, {1});
+        (void)eps[1].Receive();
+      } else if (cmd.payload[0] == 1) {
+        eps[0].Send(2, /*type=*/51, {4, 2});
+        std::optional<Message> m = eps[2].Receive();
+        PEM_CHECK(m.has_value() && m->from == 0 && m->type == 51,
+                  "test: survivor exchange failed");
+      }
+      ctl.Write(kCtlRepWindow);
+    }
+  };
+  const auto start = std::chrono::steady_clock::now();
+  {
+    ProcessTransport::Options opts;
+    opts.watchdog_ms = 10'000;
+    ProcessTransport transport(3, script, opts);
+    transport.SeverWireForTest(1);
+    const uint8_t phase0[] = {0};
+    transport.CommandAll(kCtlCmdRun, phase0);
+    EXPECT_EQ(transport.ReadRecord(0).tag, kCtlRepWindow);
+    EXPECT_EQ(transport.ReadRecord(2).tag, kCtlRepWindow);
+    try {
+      (void)transport.ReadRecord(1);
+      FAIL() << "a severed wire must not produce a clean record";
+    } catch (const TransportError& e) {
+      // The child saw its wire die and reported the structured error
+      // over its (still healthy) control channel.
+      EXPECT_EQ(e.fault().agent, 1);
+      EXPECT_NE(std::string(e.what()).find("agent 1"), std::string::npos)
+          << e.what();
+    }
+    ASSERT_TRUE(transport.fault().has_value());
+    EXPECT_EQ(transport.fault()->agent, 1);
+
+    // Survivors keep routing around the severed peer.
+    const uint8_t phase1[] = {1};
+    transport.Command(0, kCtlCmdRun, phase1);
+    transport.Command(2, kCtlCmdRun, phase1);
+    EXPECT_EQ(transport.ReadRecord(0).tag, kCtlRepWindow);
+    EXPECT_EQ(transport.ReadRecord(2).tag, kCtlRepWindow);
+  }
+  EXPECT_LT(ElapsedSeconds(start), 8.0);
   ExpectNoChildrenLeft();
 }
 

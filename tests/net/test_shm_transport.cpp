@@ -1,6 +1,6 @@
 // ShmTransport: the co-located zero-copy deployment.
 //
-// Mirrors the TCP transport wall for the transport that replaces the
+// Mirrors the process transport wall for the transport that replaces the
 // kernel with shared memory:
 //   * wire     — frames really cross the per-pair SPSC rings between
 //     forked processes, accounted exactly once by the parent snooper

@@ -41,6 +41,11 @@ TEST(MakeTransportDeath, NonPositiveAgentCountAborts) {
   EXPECT_DEATH((void)MakeTransport(TransportKind::kSerialBus, -1), "positive");
 }
 
+TEST(MakeTransportDeath, RefusesTcpKind) {
+  EXPECT_DEATH((void)MakeTransport(TransportKind::kTcp, 3),
+               "kTcp selects no backend");
+}
+
 TEST(TransportKindNames, EveryBackendHasAName) {
   EXPECT_STREQ(TransportKindName(TransportKind::kSerialBus), "serial");
   EXPECT_STREQ(TransportKindName(TransportKind::kProcess), "process");
