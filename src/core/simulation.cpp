@@ -1,6 +1,5 @@
 #include "core/simulation.h"
 
-#include <algorithm>
 #include <memory>
 
 #include "crypto/rng.h"
@@ -8,7 +7,6 @@
 #include "net/shm_transport.h"
 #include "protocol/agent_driver.h"
 #include "protocol/key_directory.h"
-#include "protocol/window_scheduler.h"
 #include "util/error.h"
 
 namespace pem::core {
@@ -146,7 +144,7 @@ class ProtocolReplica {
 };
 
 // Forks one agent process per home on the policy's backend (inherited
-// socketpairs or shared-memory rings).
+// socketpairs or shared-memory rings), each with its default options.
 // Each child serves the parent's window commands with an AgentDriver
 // over its fork copy of `replica`; the parent never runs protocol code
 // — it schedules windows, routes frames and merges the reports (see
@@ -166,34 +164,10 @@ std::unique_ptr<net::AgentSupervisor> LaunchAgents(
     return 0;
   };
 
-  const net::TransportOptions& topts = config.policy.transport;
   if (config.policy.transport_kind == net::TransportKind::kShm) {
-    net::ShmTransport::Options opts;
-    opts.watchdog_ms = topts.watchdog_ms;
-    opts.ring_bytes = topts.shm_ring_bytes;
-    return std::make_unique<net::ShmTransport>(num_homes, child_main, opts);
+    return std::make_unique<net::ShmTransport>(num_homes, child_main);
   }
-  net::ProcessTransport::Options opts;
-  opts.watchdog_ms = topts.watchdog_ms;
-  return std::make_unique<net::ProcessTransport>(num_homes, child_main, opts);
-}
-
-// One batch on the in-process bus: every agent's side of each window
-// runs on this thread, window after window, through the same replica
-// hooks a forked child's AgentDriver calls.  A window is charged its
-// own protocol time; the idle-time refill stays outside it.
-std::vector<protocol::WindowRecord> RunInProcessBatch(
-    ProtocolReplica& replica, std::span<net::Endpoint> endpoints,
-    std::span<const int> batch) {
-  protocol::ProtocolContext ctx = replica.Context(endpoints);
-  std::vector<protocol::WindowRecord> out;
-  out.reserve(batch.size());
-  for (const int w : batch) {
-    replica.Begin(w);
-    out.push_back(protocol::RunPemWindow(ctx, replica.parties(), w).record);
-    replica.Refill();
-  }
-  return out;
+  return std::make_unique<net::ProcessTransport>(num_homes, child_main);
 }
 
 // The parent's prepass: battery dynamics advance through every
@@ -242,7 +216,6 @@ SimulationResult RunSimulation(const grid::CommunityTrace& trace,
                                const SimulationConfig& config) {
   PEM_CHECK(config.window_stride >= 1, "window stride must be >= 1");
   PEM_CHECK(config.window_offset >= 0, "window offset must be >= 0");
-  PEM_CHECK(config.windows_in_flight >= 1, "windows_in_flight must be >= 1");
   PEM_CHECK(config.policy.transport_kind != net::TransportKind::kTcp,
             "simulation: TransportKind::kTcp selects no backend");
   for (const ChurnEvent& e : config.churn) {
@@ -279,27 +252,24 @@ SimulationResult RunSimulation(const grid::CommunityTrace& trace,
   // The prepass runs after the fork, so the children inherit none of
   // its records and start up while it runs.
   const std::vector<int> sampled = Prepass(trace, config, result);
-  // Forked batches keep up to windows_in_flight run commands in flight
-  // so the children overlap; in-process batches run window after window.
-  protocol::WindowScheduler scheduler({config.windows_in_flight});
-  for (const std::vector<int>& batch : protocol::WindowScheduler::PlanBatches(
-           sampled, config.windows_in_flight)) {
-    std::vector<protocol::WindowRecord> records =
-        forked ? scheduler.RunForkedBatch(*agents, batch)
-               : RunInProcessBatch(replica, endpoints, batch);
-    double batch_seconds = 0.0;
-    for (protocol::WindowRecord& rec : records) {
-      // In-process windows run one after another, so their times add
-      // up.  Forked windows in flight share the batch's wall clock
-      // (dispatch to each window's last report, IPC included), so the
-      // day charges each batch once, its max; the sum would
-      // double-count the overlap.
-      batch_seconds = forked ? std::max(batch_seconds, rec.runtime_seconds)
-                             : batch_seconds + rec.runtime_seconds;
-      result.total_bus_bytes += rec.bus_bytes;
-      result.windows.push_back(std::move(rec));
+  // One window at a time.  In-process, every agent's side runs on this
+  // thread through the same replica hooks a forked child's AgentDriver
+  // calls, and the idle-time refill stays outside the window's time;
+  // forked, the children run the window lock-step and the parent
+  // cross-checks their reports.
+  for (const int w : sampled) {
+    protocol::WindowRecord rec;
+    if (forked) {
+      rec = protocol::RunForkedWindow(*agents, w);
+    } else {
+      protocol::ProtocolContext ctx = replica.Context(endpoints);
+      replica.Begin(w);
+      rec = protocol::RunPemWindow(ctx, replica.parties(), w).record;
+      replica.Refill();
     }
-    result.total_runtime_seconds += batch_seconds;
+    result.total_runtime_seconds += rec.runtime_seconds;
+    result.total_bus_bytes += rec.bus_bytes;
+    result.windows.push_back(std::move(rec));
   }
   if (agents) agents->Shutdown();
   return result;

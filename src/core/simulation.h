@@ -13,11 +13,11 @@
 // this to keep full-day sweeps tractable — see EXPERIMENTS.md).
 //
 // Every crypto backend takes one path through a day: a parent prepass
-// resolves the batteries and the baselines, then one batch loop
-// runs the sampled windows either on the in-process bus or through the
-// forked agents.  Either way each window is begun, run and followed by
-// the idle-time refill on a replica of the protocol state (the parent's
-// own, or each child's fork copy).
+// resolves the batteries and the baselines, then one loop runs the
+// sampled windows one at a time, either on the in-process bus or
+// lock-step through the forked agents.  Either way each window is
+// begun, run and followed by the idle-time refill on a replica of the
+// protocol state (the parent's own, or each child's fork copy).
 #pragma once
 
 #include <vector>
@@ -60,7 +60,8 @@ struct SimulationConfig {
   // side of every phase over its inherited socketpair end, the parent
   // routes frames and collects results, and bus_bytes are literal
   // cross-process socket bytes (Shm() is the same model over
-  // shared-memory rings).  Backend tuning lives in policy.transport.
+  // shared-memory rings).  Each forked backend runs with its default
+  // options.
   // The wire transcript and market outcomes are policy-invariant
   // (asserted by test_transcript_parity's three-way serial/process/shm
   // matrix, the serial bus at 1 and 4 threads).
@@ -84,14 +85,7 @@ struct SimulationConfig {
   // runs skip the inactive early-morning windows.
   int window_stride = 1;
   int window_offset = 0;
-  // Batched multi-window scheduling (protocol::WindowScheduler): the
-  // forked backends keep up to this many kCtlCmdRun commands in flight
-  // (>= 1) so children overlap across windows.  Randomness and sends
-  // stay sequential per window — every window's wire transcript,
-  // prices, trades, ledger bytes, and rng cursors are bit-identical to
-  // the serial loop's (the serial-vs-batched parity wall).  In-process
-  // days run window after window whatever the value.  1 (the default)
-  // is exactly the serial loop.
+  // Unread: perfbench still sets it (ROADMAP item 20).
   int windows_in_flight = 1;
   // Record each home's resolved WindowState (needed by the utility
   // figure); costs memory on big traces.
@@ -118,8 +112,7 @@ struct SimulationResult {
   // by executed-window position, aligned with `windows`).
   std::vector<std::vector<grid::WindowState>> resolved_states;
 
-  // Each batch charged once: the sum of in-process windows, the max of
-  // forked windows in flight (they share the batch's wall clock).
+  // The sum of the executed windows' runtime_seconds.
   double total_runtime_seconds = 0.0;
   uint64_t total_bus_bytes = 0;
 

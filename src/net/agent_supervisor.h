@@ -57,14 +57,11 @@ namespace pem::net {
 // Record tags on the per-child control channel.  Commands flow parent
 // -> child, reports child -> parent.
 //
-// Report keying: the channel is FIFO, so a child's kCtlRepWindow
-// records answer its kCtlCmdRun commands strictly in order — but the
-// parent may pipeline several Run commands per child (batched
-// multi-window scheduling), and different children progress through
-// the batch at different rates.  Each report therefore ECHOES the
-// window id it answers (protocol::WindowRecord::window); the parent
-// keys collection on the echo and rejects any mismatch as a stale
-// report, instead of trusting queue position alone.
+// Report keying: the parent commands one window at a time and reads
+// every child's report before the next kCtlCmdRun.  Each report ECHOES
+// the window id it answers (protocol::WindowRecord::window), and the
+// parent rejects any mismatch as a stale report, instead of trusting
+// queue position alone.
 inline constexpr uint32_t kCtlCmdRun = 1;       // payload: command-defined
 inline constexpr uint32_t kCtlCmdShutdown = 2;  // child replies Done + exits
 inline constexpr uint32_t kCtlRepWindow = 3;    // payload: a window report
@@ -197,8 +194,9 @@ class AgentSupervisor {
   // the ledger.  The relay-router backends account a frame BEFORE
   // delivering it, so they are always in sync and this is a no-op; the
   // shm backend's parent accounts from a tap cursor that trails the
-  // peer-to-peer delivery, so CollectWindowReportsBatch calls this before
-  // cross-checking the ledger against the children's reports.
+  // peer-to-peer delivery, so protocol::RunForkedWindow calls this
+  // after the window's last report, before cross-checking the ledger
+  // against the children's reports.
   virtual void SyncLedger() {}
 
   // Whether `agent`'s child has been reaped (test introspection).

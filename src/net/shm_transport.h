@@ -82,8 +82,8 @@ class ShmTransport : public AgentSupervisor {
 
   // Blocks until the snooper has accounted every published record
   // (snoop == tail on all rings, reorder stash empty).  Called by
-  // CollectWindowReportsBatch after all children reported a window, when
-  // the tails are quiesced.
+  // protocol::RunForkedWindow after every child reported the window,
+  // when the tails are quiesced.
   void SyncLedger() override;
 
   // Test hook: publishes a ring record into ring(from -> to) directly

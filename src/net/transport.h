@@ -252,37 +252,18 @@ inline const char* TransportKindName(TransportKind k) {
   return nullptr;
 }
 
-// Backend-specific tuning for the process-isolated transports, carried
-// by ExecutionPolicy so ONE object fully specifies a backend (which
-// kind, how many compute workers, and how that kind is parameterized).
-// Fields a backend does not use are ignored by it; the defaults
-// reproduce every backend's stock behavior.
-struct TransportOptions {
-  // Process/Shm: upper bound on any wait for a child (a window
-  // report, an exit).  A crashed or deadlocked agent process fails the
-  // run with a structured error naming the child after this long,
-  // instead of hanging until a ctest TIMEOUT or CI runner kill.
-  int watchdog_ms = 120'000;
-  // Shm only: data capacity of each directed per-pair ring (power of
-  // two).  The default comfortably holds a window's largest frame
-  // burst; raise it for communities with very large ciphertext
-  // payloads.
-  size_t shm_ring_bytes = size_t{1} << 20;
-};
-
 // How a protocol run executes: which transport carries the frames and
-// how many workers the local-compute phases may use.  Threaded through
-// SimulationConfig -> ProtocolContext so RunSimulation can select
-// serial vs. phase-parallel per run.  The wire transcript is invariant
-// under this policy (see RingAggregate's prepare/compute/forward
-// phasing): workers only fill buffers, and every send happens on the
-// caller's thread.
+// how many workers the local-compute phases may use — the only two
+// settings.  Threaded through SimulationConfig -> ProtocolContext so
+// RunSimulation can select serial, phase-parallel or forked per run;
+// a forked backend runs with its own default options (watchdog, ring
+// size).  Every backend runs a day one window at a time.  The wire
+// transcript is invariant under this policy (see RingAggregate's
+// prepare/compute/forward phasing): workers only fill buffers, and
+// every send happens on the caller's thread.
 struct ExecutionPolicy {
   TransportKind transport_kind = TransportKind::kSerialBus;
   int threads = 1;
-  // Appended member with defaults, so every existing aggregate
-  // initializer ({kind, threads}) stays valid.
-  TransportOptions transport;
 
   bool parallel() const { return threads > 1; }
   unsigned worker_count() const {

@@ -7,6 +7,7 @@
 #include "net/agent_supervisor.h"
 #include "net/serialize.h"
 #include "util/error.h"
+#include "util/stopwatch.h"
 
 namespace pem::protocol {
 namespace {
@@ -77,7 +78,7 @@ AgentReport AgentDriver::RunWindow(int window) {
   report.self_stats = Delta(ctx_.ep(self_).stats(), before);
   // Driver-level cheats: only the cheater's own process lies — its
   // peers report honestly — so the parent's cross-checks in
-  // CollectWindowReportsBatch are what must catch them.
+  // RunForkedWindow are what must catch them.
   if (ctx_.config.cheat.ActiveFor(self_, window)) {
     if (ctx_.config.cheat.cheat == CheatClass::kForgedReport) {
       // Forged attested traffic vs the router's wire bytes.
@@ -116,109 +117,89 @@ int AgentDriver::Serve(net::ControlChannel& ctl) {
   }
 }
 
-std::vector<WindowRecord> CollectWindowReportsBatch(
-    net::AgentSupervisor& transport,
-    std::span<const net::TrafficStats> stats_before,
-    std::span<const int> windows, const Stopwatch* since) {
-  const int n = transport.num_agents();
-  PEM_CHECK(stats_before.size() == static_cast<size_t>(n),
-            "collect: stats snapshot size mismatch");
-  PEM_CHECK(!windows.empty(), "collect: empty window batch");
-  // Each child's control stream yields its reports in commanded order,
-  // so window k's report is the k-th record of every agent — but the
-  // agents progress through the batch independently, so the reads
-  // below interleave their windows out of order in wall-clock terms.
-  // The echoed window id is what proves each record really answers the
-  // command the parent keys it to.
-  std::vector<WindowRecord> out;
-  out.reserve(windows.size());
-  // attested_sum[a]: this agent's summed per-window attested deltas,
-  // for the batch-granularity wire cross-check below.
-  std::vector<net::TrafficStats> attested_sum(static_cast<size_t>(n));
-  uint64_t ledger_total = 0;
-  for (const int w : windows) {
-    WindowRecord record;  // agent 0's, which every other agent must match
-    for (net::AgentId a = 0; a < n; ++a) {
-      const net::ControlRecord rec = transport.ReadRecord(a);
-      // (a) A child's record is untrusted input: one that is not a
-      // decodable report is a forgery by its sender, never a parent
-      // abort.
-      std::optional<AgentReport> report;
-      if (rec.tag == net::kCtlRepWindow) {
-        report = DecodeAgentReport(rec.payload);
-      }
-      if (!report) {
-        throw ProtocolError(ProtocolFault{
-            a, CheatClass::kForgedReport, w,
-            "malformed window report (tag " + std::to_string(rec.tag) + ", " +
-                std::to_string(rec.payload.size()) + " bytes)"});
-      }
-      // (b) The echo check: a report that names any window other than
-      // the commanded one is stale (replayed, or a child that lost
-      // sync) and must never be merged.  An active deviation, surfaced
-      // as a structured fault naming the agent rather than an abort.
-      if (report->record.window != w) {
-        throw ProtocolError(ProtocolFault{
-            a, CheatClass::kStaleReport, w,
-            "report echoes window " + std::to_string(report->record.window) +
-                ", parent commanded window " + std::to_string(w)});
-      }
-      // (c) Every independent process derived the same public outcome
-      // (including the rng cursor).  A divergent child is lying about
-      // (or wrong about) the window.
-      if (a == 0) record = report->record;
-      const std::vector<std::string_view> diff =
-          DiffRecords(record, report->record);
-      if (!diff.empty()) {
-        throw ProtocolError(ProtocolFault{
-            a, CheatClass::kForgedReport, w,
-            "window report diverges from agent 0's in " +
-                std::string(diff.front())});
-      }
-      const net::TrafficStats& s = report->self_stats;
-      net::TrafficStats& sum = attested_sum[static_cast<size_t>(a)];
-      sum.bytes_sent += s.bytes_sent;
-      sum.bytes_received += s.bytes_received;
-      sum.messages_sent += s.messages_sent;
-      sum.messages_received += s.messages_received;
+WindowRecord RunForkedWindow(net::AgentSupervisor& agents, int window) {
+  const int n = agents.num_agents();
+  std::vector<net::TrafficStats> stats_before;
+  stats_before.reserve(static_cast<size_t>(n));
+  for (net::AgentId a = 0; a < n; ++a) stats_before.push_back(agents.stats(a));
+  const Stopwatch timer;
+  net::ByteWriter cmd;
+  cmd.U32(static_cast<uint32_t>(window));
+  agents.CommandAll(net::kCtlCmdRun, cmd.Take());
+
+  WindowRecord record;  // agent 0's, which every other agent must match
+  std::vector<net::TrafficStats> attested(static_cast<size_t>(n));
+  for (net::AgentId a = 0; a < n; ++a) {
+    const net::ControlRecord rec = agents.ReadRecord(a);
+    // (a) A child's record is untrusted input: one that is not a
+    // decodable report is a forgery by its sender, never a parent
+    // abort.
+    std::optional<AgentReport> report;
+    if (rec.tag == net::kCtlRepWindow) {
+      report = DecodeAgentReport(rec.payload);
     }
-    ledger_total += record.bus_bytes;
-    // Parent-side completion stamp: dispatch of the batch to this
-    // window's last report.  In-flight windows share the span.
-    if (since != nullptr) record.runtime_seconds = since->ElapsedSeconds();
-    out.push_back(std::move(record));
+    if (!report) {
+      throw ProtocolError(ProtocolFault{
+          a, CheatClass::kForgedReport, window,
+          "malformed window report (tag " + std::to_string(rec.tag) + ", " +
+              std::to_string(rec.payload.size()) + " bytes)"});
+    }
+    // (b) The echo check: a report that names any window other than
+    // the commanded one is stale and must never be merged.  An active
+    // deviation, surfaced as a structured fault naming the agent rather
+    // than an abort.
+    if (report->record.window != window) {
+      throw ProtocolError(ProtocolFault{
+          a, CheatClass::kStaleReport, window,
+          "report echoes window " + std::to_string(report->record.window) +
+              ", parent commanded window " + std::to_string(window)});
+    }
+    // (c) Every independent process derived the same public outcome
+    // (including the rng cursor).  A divergent child is lying about
+    // (or wrong about) the window.
+    if (a == 0) record = report->record;
+    const std::vector<std::string_view> diff =
+        DiffRecords(record, report->record);
+    if (!diff.empty()) {
+      throw ProtocolError(ProtocolFault{
+          a, CheatClass::kForgedReport, window,
+          "window report diverges from agent 0's in " +
+              std::string(diff.front())});
+    }
+    attested[static_cast<size_t>(a)] = report->self_stats;
   }
-  // Every child has reported every window of the batch, so every frame
-  // is consumed.  Relay-routed backends account a frame before
-  // delivering it, so their ledgers are already complete; the shm
-  // backend's accounting tap trails delivery and must be drained to
-  // the write cursors before the cross-checks below read the ledger.
-  transport.SyncLedger();
-  // (d) Canonical accounting == literal socket traffic, closed over
-  // the batch: a child whose summed attested deltas disagree with the
-  // bytes the router actually moved for it forged a report.  (With one
-  // window in flight this is exactly the per-window check.)
+  // Parent-side completion stamp: dispatch to the window's last report.
+  record.runtime_seconds = timer.ElapsedSeconds();
+  // Every child has reported, so every frame is consumed.  Relay-routed
+  // backends account a frame before delivering it, so their ledgers
+  // are already complete; the shm backend's accounting tap trails
+  // delivery and must be drained to the write cursors before the
+  // cross-checks below read the ledger.
+  agents.SyncLedger();
+  // (d) Canonical accounting == literal socket traffic: a child whose
+  // attested delta disagrees with the bytes the router actually moved
+  // for it forged a report.
   uint64_t wire_total = 0;
   for (net::AgentId a = 0; a < n; ++a) {
     const net::TrafficStats wire =
-        Delta(transport.stats(a), stats_before[static_cast<size_t>(a)]);
-    const net::TrafficStats& attested = attested_sum[static_cast<size_t>(a)];
-    if (!(wire == attested)) {
+        Delta(agents.stats(a), stats_before[static_cast<size_t>(a)]);
+    const net::TrafficStats& claimed = attested[static_cast<size_t>(a)];
+    if (!(wire == claimed)) {
       throw ProtocolError(ProtocolFault{
           a, CheatClass::kForgedReport, -1,
-          "attested traffic (sent " + std::to_string(attested.bytes_sent) +
+          "attested traffic (sent " + std::to_string(claimed.bytes_sent) +
               ") != router wire bytes (sent " +
               std::to_string(wire.bytes_sent) + ")"});
     }
     wire_total += wire.bytes_sent;
   }
-  if (wire_total != ledger_total) {
+  if (wire_total != record.bus_bytes) {
     throw ProtocolError(ProtocolFault{
         -1, CheatClass::kForgedReport, -1,
-        "batch wire total " + std::to_string(wire_total) +
-            " != canonical ledger " + std::to_string(ledger_total)});
+        "window wire total " + std::to_string(wire_total) +
+            " != canonical ledger " + std::to_string(record.bus_bytes)});
   }
-  return out;
+  return record;
 }
 
 }  // namespace pem::protocol

@@ -12,9 +12,10 @@
 // ciphertext frames it receives from their openings, posts zero-filled
 // frames between other agents, and decrypts only under its own key
 // (protocol/context.h).  The SAME RunPemWindow code path therefore
-// drives all four backends; what AgentDriver adds is the per-child
-// command loop, the per-window report, and the parent-side collector
-// that cross-checks every child's view of the window.
+// drives every backend; what AgentDriver adds is the per-child command
+// loop, the per-window report, and the parent side (RunForkedWindow)
+// that runs the window lock-step and cross-checks every child's view
+// of it.
 //
 // Determinism contract: the context RNG must be a seeded deterministic
 // generator (RunSimulation uses DeterministicRng) — with a system RNG
@@ -31,7 +32,6 @@
 #include "net/message.h"
 #include "net/transport.h"
 #include "protocol/pem_protocol.h"
-#include "util/stopwatch.h"
 
 namespace pem::net {
 // Supervision control plane (net/agent_supervisor.h).  Only referenced
@@ -48,11 +48,10 @@ namespace pem::protocol {
 // control channel.  The protocol makes the record public knowledge by
 // its last step (prices and cases are broadcast, trades are pairwise
 // messages the script derives for everyone), so all children must
-// report identical records — CollectWindowReportsBatch asserts exactly
-// that.  The record's window echoes the kCtlCmdRun payload: with
-// several windows in flight the echo is what keys each report to its
-// command, and the parent rejects a mismatch (a slow or replayed report
-// from a prior window must never be merged silently).
+// report identical records — RunForkedWindow asserts exactly that.
+// The record's window echoes the kCtlCmdRun payload, and the parent
+// rejects a mismatch (a replayed report from a prior window must never
+// be merged silently).
 struct AgentReport {
   WindowRecord record;
   // This agent's own per-window counter delta (canonical shadow
@@ -100,35 +99,25 @@ class AgentDriver {
   Callbacks callbacks_;
 };
 
-// Parent side of a batch of pipelined windows: for each entry of
-// `windows` (the commanded order) reads one report from every child,
-// keyed and verified by the echoed window id, and merges them,
-// asserting
+// Parent side of one window: snapshots the router's per-agent stats,
+// commands window `window` from every child (kCtlCmdRun), reads one
+// report from each and merges them, asserting
 //  (a) each record is a decodable report — anything else (another
 //      tag, a malformed payload) is a kForgedReport fault naming its
 //      sender;
-//  (b) each report answers the commanded window — a stale echo is a
-//      structured kStaleReport fault naming the agent;
+//  (b) each report answers the commanded window — a stale echo (a
+//      replayed report, or a child that lost sync) is a structured
+//      kStaleReport fault naming the agent;
 //  (c) all children agree on every visited record field, bit for bit
 //      — a divergence is a kForgedReport fault;
-//  (d) accounting closes over the batch: each child's summed attested
-//      deltas equal the literal wire bytes the router relayed for it
-//      since `stats_before`, and the attested per-window totals sum to
-//      the canonical ledger delta.  (Per-window router snapshots are
-//      meaningless mid-batch — later in-flight windows' frames are
-//      already moving — so the wire cross-check closes at batch
-//      granularity; a one-window batch is exactly the per-window
-//      check.)
-// `stats_before` is the router's per-agent snapshot taken when the
-// batch was dispatched.  Returns one record per entry of `windows`;
-// `since` (optional) stamps each record's runtime_seconds as its window
-// completes, so windows in flight share the batch's wall clock and
-// callers charge a batch once (the max), never the sum.  A divergence
-// is an ACTIVE cheat (a child forging or replaying its report), so it
-// surfaces as a ProtocolError naming the deviating agent, not an abort.
-std::vector<WindowRecord> CollectWindowReportsBatch(
-    net::AgentSupervisor& transport,
-    std::span<const net::TrafficStats> stats_before,
-    std::span<const int> windows, const Stopwatch* since = nullptr);
+//  (d) accounting closes: each child's attested delta equals the
+//      literal wire bytes the router relayed for it in this window,
+//      and their sum is the canonical ledger delta.
+// Returns the agreed record, its runtime_seconds stamped from dispatch
+// to the window's last report (IPC included, the ledger sync and wire
+// cross-check excluded).  A divergence is an ACTIVE cheat (a child
+// forging or replaying its report), so it surfaces as a ProtocolError
+// naming the deviating agent, not an abort.
+WindowRecord RunForkedWindow(net::AgentSupervisor& agents, int window);
 
 }  // namespace pem::protocol

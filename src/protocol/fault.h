@@ -39,12 +39,11 @@ enum class CheatClass : uint8_t {
   // Two different public keys announced for the same epoch.
   kKeyEquivocation = 5,
   // A child's window report diverges from the canonical ledger or from
-  // its peers (parent-side CollectWindowReportsBatch cross-check).
+  // its peers (parent-side RunForkedWindow cross-check).
   kForgedReport = 6,
   // A child's report echoes a window other than the one the parent
   // commanded — a replayed/stale report, which the window-id echo in
-  // each report's WindowRecord exists to reject (and which keys
-  // out-of-order collection when several windows are in flight).
+  // each report's WindowRecord exists to reject.
   kStaleReport = 7,
 };
 
@@ -65,7 +64,7 @@ inline const char* CheatClassName(CheatClass c) {
 
 // A detected deviation, naming the cheater.  `detail` is built from
 // deterministic inputs only, so every independent process derives the
-// identical fault (CollectWindowReportsBatch compares them bit for bit).
+// identical fault (RunForkedWindow compares them bit for bit).
 struct ProtocolFault {
   net::AgentId cheater = -1;
   CheatClass cheat = CheatClass::kNone;

@@ -43,8 +43,8 @@ struct WindowRecord {
 
   // Wall clock charged to the window; not part of the outcome, so
   // Visit skips it.  In-process it is the window's own protocol time;
-  // on a forked backend it spans the batch's dispatch to this window's
-  // last report in the parent (windows in flight share that span).
+  // on a forked backend it spans the window's dispatch to its last
+  // report in the parent.
   double runtime_seconds = 0.0;
 
   // Calls fn(name, field) for every public field, in wire order.

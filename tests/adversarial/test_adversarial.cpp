@@ -124,7 +124,7 @@ AdvRun RunAuditedWindow(const net::ExecutionPolicy& policy,
 // The same audited window with one forked OS process per agent.  The
 // cheat plan rides in the fork-copied config, so every child replays
 // the identical misbehavior and derives the identical verdict — which
-// CollectWindowReportsBatch then cross-checks bit for bit.
+// RunForkedWindow then cross-checks bit for bit.
 AdvRun RunAuditedWindowForked(net::TransportKind kind,
                               const protocol::PemConfig& cfg,
                               uint64_t seed = 42) {
@@ -163,18 +163,9 @@ AdvRun RunAuditedWindowForked(net::TransportKind kind,
   } else {
     owner = std::make_unique<net::ProcessTransport>(n, child_main);
   }
-  std::vector<net::TrafficStats> before;
-  for (net::AgentId a = 0; a < owner->num_agents(); ++a) {
-    before.push_back(owner->stats(a));
-  }
   owner->SetObserver(
       [&run](const net::Message& m) { run.messages.push_back(m); });
-  net::ByteWriter cmd;
-  cmd.U32(0);
-  owner->CommandAll(net::kCtlCmdRun, cmd.Take());
-  const int window_zero[] = {0};
-  run.record =
-      protocol::CollectWindowReportsBatch(*owner, before, window_zero).front();
+  run.record = protocol::RunForkedWindow(*owner, 0);
   owner->SetObserver(nullptr);
   owner->Shutdown();
   owner.reset();
@@ -395,10 +386,10 @@ TEST(AdversarialWall, ForgedReportCaughtByParentOnEveryForkedBackend) {
 
 TEST(AdversarialWall, StaleReportEchoRejectedOnEveryForkedBackend) {
   // The cheater's child answers the Run command with a report stamped
-  // for the PREVIOUS window.  With batched dispatch the parent keys
-  // collection on the echoed window id, so a stale echo must be
-  // rejected as a structured fault BEFORE the cross-child agreement or
-  // byte cross-checks get a chance to compare apples to oranges.
+  // for the PREVIOUS window.  The parent checks every report's echoed
+  // window id, so a stale echo must be rejected as a structured fault
+  // BEFORE the cross-child agreement or byte cross-checks get a chance
+  // to compare apples to oranges.
   const protocol::PemConfig cfg =
       AuditedConfig({kCheater, CheatClass::kStaleReport, 0});
   for (net::TransportKind kind :
@@ -520,7 +511,7 @@ TEST(AdversarialWall, ChurnDayMatchesAcrossForkedBackends) {
   // Every child replays the churn schedule on its own roster replica,
   // so leaves and rejoins re-form the rings identically in all n
   // processes — and the per-window ledger cross-check inside
-  // CollectWindowReportsBatch keeps passing throughout.
+  // RunForkedWindow keeps passing throughout.
   const ChurnRun serial = RunChurnDay(net::ExecutionPolicy::Serial());
   ExpectChurnParity(serial, RunChurnDay(net::ExecutionPolicy::Process()),
                     /*strict_order=*/false);

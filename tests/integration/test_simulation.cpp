@@ -207,19 +207,6 @@ TEST(Simulation, WindowOffsetSkipsEarlyWindows) {
   EXPECT_EQ(r.windows[1].window, 15);
 }
 
-TEST(Simulation, TransportOptionsResolveFromPolicy) {
-  // One ExecutionPolicy object fully specifies a backend: the tuning in
-  // policy.transport is what the forked backend RunSimulation builds
-  // actually receives.  A ring size the shm backend must reject proves
-  // the value arrived (the check fires before any child is forked).
-  const grid::CommunityTrace trace =
-      grid::GenerateCommunityTrace(SmallTrace(4, 2));
-  SimulationConfig cfg = FastCrypto();
-  cfg.policy = net::ExecutionPolicy::Shm();
-  cfg.policy.transport.shm_ring_bytes = 5000;
-  EXPECT_DEATH((void)RunSimulation(trace, cfg), "power of two");
-}
-
 TEST(SimulationDeath, BadStrideAborts) {
   const grid::CommunityTrace trace =
       grid::GenerateCommunityTrace(SmallTrace(4, 2));

@@ -277,17 +277,7 @@ WindowRun RunWindowForked(net::TransportKind kind, uint64_t seed,
   }
   net::AgentSupervisor& transport = *owner;
   const auto run_window = [&transport](int w) {
-    std::vector<net::TrafficStats> before;
-    for (net::AgentId a = 0; a < transport.num_agents(); ++a) {
-      before.push_back(transport.stats(a));
-    }
-    net::ByteWriter cmd;
-    cmd.U32(static_cast<uint32_t>(w));
-    const std::vector<uint8_t> payload = cmd.Take();
-    transport.CommandAll(net::kCtlCmdRun, payload);
-    const int windows[] = {w};
-    return protocol::CollectWindowReportsBatch(transport, before, windows)
-        .front();
+    return protocol::RunForkedWindow(transport, w);
   };
   if (pooled) {
     // Warm-up window registers keys and pools; only the second window
@@ -440,7 +430,7 @@ struct SimRun {
   core::SimulationResult result;
 };
 
-// Optional per-test knob hook (batching width, pools, audits, churn).
+// Optional per-test knob hook (pools, audits, churn).
 using ConfigTweak = std::function<void(core::SimulationConfig&)>;
 
 // The parity day: ten homes, six windows.
@@ -586,119 +576,83 @@ TEST(TranscriptParity, PinnedGeneralMarketDigest) {
             "96fe990c874151bcbf66c5a234cdaf2f30f7365fd2dc548993cc1a07af711ec5");
 }
 
+// Every backend runs a day one window at a time, so the day's runtime
+// is exactly the sum of its windows' runtimes.
+void ExpectRuntimeIsWindowSum(const SimRun& run) {
+  double sum = 0.0;
+  for (const protocol::WindowRecord& rec : run.result.windows) {
+    EXPECT_GT(rec.runtime_seconds, 0.0) << rec.window;
+    sum += rec.runtime_seconds;
+  }
+  EXPECT_EQ(run.result.total_runtime_seconds, sum);
+}
+
 TEST(TranscriptParity, FullTradingDaySerialVsProcess) {
   // Ten agents, ten OS processes, a six-window day: identical window
   // records (prices, trades, BYTES — the process bytes being literal
   // socketpair traffic, cross-checked against the canonical ledger on
-  // every window inside CollectWindowReportsBatch) and a per-sender
+  // every window inside RunForkedWindow) and a per-sender
   // byte-identical wire transcript.
   const SimRun serial = RunSim(net::ExecutionPolicy::Serial());
   const SimRun process = RunSim(net::ExecutionPolicy::Process());
   ExpectSimParity(serial, process, /*strict_order=*/false);
+  ExpectRuntimeIsWindowSum(serial);
+  ExpectRuntimeIsWindowSum(process);
 }
 
-// --- serial-vs-batched parity (windows_in_flight > 1) -----------------
-//
-// The batched scheduler (protocol::WindowScheduler) keeps several
-// sampled windows in flight on the forked backends: it pipelines
-// kCtlCmdRun dispatch so children overlap across windows.  In-process
-// days run window after window whatever windows_in_flight says, with
-// each window's compute on pem::ParallelFor.  Randomness and sends stay
-// sequential per window, so every row below must be BIT-identical to
-// the windows_in_flight = 1 run: prices, trades, per-window ledger
-// bytes, and rng cursors.
-
-const ConfigTweak kBatch4 = [](core::SimulationConfig& c) {
-  c.windows_in_flight = 4;
-};
-
-TEST(TranscriptParity, BatchedDayMatchesSerialInProcess) {
-  // The serial bus at 1 and 4 threads, both batched 4 wide, against
-  // the windows_in_flight = 1 serial baseline: in-process, the batch
-  // width and the compute fan-out's worker count move no byte.
+TEST(TranscriptParity, FullTradingDaySerialVsShm) {
+  // The same day over zero-copy shared-memory rings: every frame is
+  // written once and consumed in place, yet the Table-I numbers —
+  // accounted from the snoop cursors, synced by RunForkedWindow before
+  // each window's cross-check — still equal the canonical ledger window
+  // by window and agent by agent.
   const SimRun serial = RunSim(net::ExecutionPolicy::Serial());
-  const SimRun bus = RunSim(net::ExecutionPolicy::Serial(), kBatch4);
-  const SimRun parallel = RunSim(net::ExecutionPolicy::Parallel(4), kBatch4);
-  ExpectSimParity(serial, bus);
-  ExpectSimParity(serial, parallel);
-}
-
-TEST(TranscriptParity, BatchedDayMatchesSerialForked) {
-  // process / shm with four windows of control traffic in
-  // flight: children overlap whole windows, reports come back keyed by
-  // their echoed window id, and the day still reads exactly like the
-  // serial one.
-  const SimRun serial = RunSim(net::ExecutionPolicy::Serial());
-  const SimRun process = RunSim(net::ExecutionPolicy::Process(), kBatch4);
-  const SimRun shm = RunSim(net::ExecutionPolicy::Shm(), kBatch4);
-  ExpectSimParity(serial, process, /*strict_order=*/false);
+  const SimRun shm = RunSim(net::ExecutionPolicy::Shm());
   ExpectSimParity(serial, shm, /*strict_order=*/false);
-  // Runtime attribution under overlap: each window's span runs from
-  // its batch's dispatch to its own completion, and the day total
-  // charges each batch once — so the total can never exceed the sum
-  // of per-window spans (the windows genuinely share wall clock).
-  double span_sum = 0.0;
-  for (const protocol::WindowRecord& rec : process.result.windows) {
-    EXPECT_GT(rec.runtime_seconds, 0.0) << rec.window;
-    span_sum += rec.runtime_seconds;
-  }
-  EXPECT_LE(process.result.total_runtime_seconds, span_sum + 1e-9);
+  ExpectRuntimeIsWindowSum(shm);
 }
 
-TEST(TranscriptParity, BatchedPooledDayMatchesSerial) {
-  // Randomness pools refill between windows; batching must not move a
-  // single factor draw.
+// --- feature days on the forked backends ------------------------------
+//
+// Pools, CRT, audits and churn each add draws or traffic between or
+// inside windows; the children replay them on their own replicas, and
+// the day must still read bit for bit like the serial one: prices,
+// trades, per-window ledger bytes, and rng cursors.
+
+TEST(TranscriptParity, PooledDayMatchesSerialOnProcess) {
+  // Randomness pools refill between windows; the children's refills
+  // must not move a single factor draw.
   const ConfigTweak pooled = [](core::SimulationConfig& c) {
     c.pem.precompute_encryption = true;
-    c.windows_in_flight = 4;
   };
-  const SimRun serial =
-      RunSim(net::ExecutionPolicy::Serial(), [](core::SimulationConfig& c) {
-        c.pem.precompute_encryption = true;
-      });
-  const SimRun parallel = RunSim(net::ExecutionPolicy::Parallel(4), pooled);
+  const SimRun serial = RunSim(net::ExecutionPolicy::Serial(), pooled);
   const SimRun process = RunSim(net::ExecutionPolicy::Process(), pooled);
-  ExpectSimParity(serial, parallel);
   ExpectSimParity(serial, process, /*strict_order=*/false);
 }
 
-TEST(TranscriptParity, BatchedCrtDayMatchesSerial) {
-  // The full Fig. 5 idle-time stack — pools, CRT exponentiation, AND
-  // batching — against the same stack with windows_in_flight = 1:
-  // batching is the only axis that moves, and it must not move a wire
-  // byte or an rng draw.  (Pools themselves shift the day's stream —
-  // refills draw ahead — which is why the baseline here is pooled+CRT
-  // serial, not the bare serial day.)
-  const ConfigTweak crt_serial = [](core::SimulationConfig& c) {
+TEST(TranscriptParity, PooledCrtDayMatchesSerialOnShm) {
+  // The full Fig. 5 idle-time stack — pools and CRT exponentiation —
+  // against the same stack on the serial bus.  (Pools themselves shift
+  // the day's stream — refills draw ahead — which is why the baseline
+  // here is pooled+CRT serial, not the bare serial day.)
+  const ConfigTweak crt = [](core::SimulationConfig& c) {
     c.pem.precompute_encryption = true;
     c.pem.crt_encryption = true;
   };
-  const ConfigTweak crt_b4 = [crt_serial](core::SimulationConfig& c) {
-    crt_serial(c);
-    c.windows_in_flight = 4;
-  };
-  const SimRun base = RunSim(net::ExecutionPolicy::Serial(), crt_serial);
-  const SimRun parallel = RunSim(net::ExecutionPolicy::Parallel(4), crt_b4);
-  const SimRun shm = RunSim(net::ExecutionPolicy::Shm(), crt_b4);
-  ExpectSimParity(base, parallel);
+  const SimRun base = RunSim(net::ExecutionPolicy::Serial(), crt);
+  const SimRun shm = RunSim(net::ExecutionPolicy::Shm(), crt);
   ExpectSimParity(base, shm, /*strict_order=*/false);
 }
 
-TEST(TranscriptParity, BatchedAuditArmedDayMatchesSerial) {
+TEST(TranscriptParity, AuditArmedDayMatchesSerialOnProcess) {
   // §VI audits draw their coin flips and verification traffic inside
-  // the window; the batched run must elect the same auditors and reach
-  // the same (clean) verdicts window by window.
+  // the window; every child must elect the same auditors and reach the
+  // same (clean) verdicts window by window.
   const ConfigTweak audited = [](core::SimulationConfig& c) {
     c.pem.audit.enabled = true;
   };
-  const ConfigTweak audited_b4 = [](core::SimulationConfig& c) {
-    c.pem.audit.enabled = true;
-    c.windows_in_flight = 4;
-  };
   const SimRun serial = RunSim(net::ExecutionPolicy::Serial(), audited);
-  const SimRun parallel = RunSim(net::ExecutionPolicy::Parallel(4), audited_b4);
-  const SimRun process = RunSim(net::ExecutionPolicy::Process(), audited_b4);
-  ExpectSimParity(serial, parallel);
+  const SimRun process = RunSim(net::ExecutionPolicy::Process(), audited);
   ExpectSimParity(serial, process, /*strict_order=*/false);
   // The row is only meaningful if somebody actually audited.
   bool any_audited = false;
@@ -708,7 +662,7 @@ TEST(TranscriptParity, BatchedAuditArmedDayMatchesSerial) {
   EXPECT_TRUE(any_audited);
 }
 
-TEST(TranscriptParity, BatchedChurnedStridedDayMatchesSerial) {
+TEST(TranscriptParity, ChurnedStridedDayMatchesSerial) {
   // Membership churn lands on windows the stride skips as well as ones
   // it runs; the parent must replay every event in window order before
   // deciding what a sampled window looks like (the forked parent loop
@@ -718,30 +672,12 @@ TEST(TranscriptParity, BatchedChurnedStridedDayMatchesSerial) {
     c.window_offset = 1;
     c.churn = {{2, 3, false}, {4, 3, true}, {3, 7, false}};
   };
-  const ConfigTweak churned_b3 = [churned](core::SimulationConfig& c) {
-    churned(c);
-    c.windows_in_flight = 3;
-  };
   const SimRun serial = RunSim(net::ExecutionPolicy::Serial(), churned);
   const SimRun process = RunSim(net::ExecutionPolicy::Process(), churned);
-  const SimRun process_b3 =
-      RunSim(net::ExecutionPolicy::Process(), churned_b3);
-  const SimRun parallel = RunSim(net::ExecutionPolicy::Parallel(4), churned_b3);
+  const SimRun parallel = RunSim(net::ExecutionPolicy::Parallel(4), churned);
   ASSERT_EQ(serial.result.windows.size(), 3u);  // windows 1, 3, 5
   ExpectSimParity(serial, process, /*strict_order=*/false);
-  ExpectSimParity(serial, process_b3, /*strict_order=*/false);
   ExpectSimParity(serial, parallel);
-}
-
-TEST(TranscriptParity, FullTradingDaySerialVsShm) {
-  // The same day over zero-copy shared-memory rings: every frame is
-  // written once and consumed in place, yet the Table-I numbers —
-  // accounted from the snoop cursors, synced by CollectWindowReportsBatch
-  // before each window's cross-check — still equal the canonical
-  // ledger window by window and agent by agent.
-  const SimRun serial = RunSim(net::ExecutionPolicy::Serial());
-  const SimRun shm = RunSim(net::ExecutionPolicy::Shm());
-  ExpectSimParity(serial, shm, /*strict_order=*/false);
 }
 
 }  // namespace

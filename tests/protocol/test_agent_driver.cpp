@@ -91,14 +91,7 @@ TEST(AgentDriver, ForkedWindowMatchesSerialWindow) {
   };
   net::ProcessTransport transport(static_cast<int>(kMarket.size()),
                                   child_main);
-  std::vector<net::TrafficStats> before;
-  for (net::AgentId a = 0; a < transport.num_agents(); ++a) {
-    before.push_back(transport.stats(a));
-  }
-  transport.CommandAll(net::kCtlCmdRun, std::vector<uint8_t>{0, 0, 0, 0});
-  const int window_zero[] = {0};
-  const WindowRecord report =
-      CollectWindowReportsBatch(transport, before, window_zero).front();
+  const WindowRecord report = RunForkedWindow(transport, 0);
   transport.Shutdown();
 
   // Every visited field, bit for bit: type, price, trades, bytes, rng
@@ -106,7 +99,7 @@ TEST(AgentDriver, ForkedWindowMatchesSerialWindow) {
   EXPECT_EQ(DiffRecords(report, serial.record),
             std::vector<std::string_view>{});
   // The report's bytes were cross-checked against the router's literal
-  // socket ledger inside CollectWindowReportsBatch; check the totals too.
+  // socket ledger inside RunForkedWindow; check the totals too.
   EXPECT_EQ(transport.total_bytes(), serial.record.bus_bytes);
   EXPECT_FALSE(serial.record.trades.empty());
 }
@@ -245,12 +238,9 @@ TEST_P(MalformedReport, ParentRaisesForgedReportNamingSender) {
     opts.watchdog_ms = kWatchdogMs;
     owner = std::make_unique<net::ProcessTransport>(2, child_main, opts);
   }
-  const std::vector<net::TrafficStats> before(2);
-  const int window_zero[] = {0};
   const Stopwatch timer;
-  owner->CommandAll(net::kCtlCmdRun, std::vector<uint8_t>{0, 0, 0, 0});
   try {
-    (void)CollectWindowReportsBatch(*owner, before, window_zero);
+    (void)RunForkedWindow(*owner, 0);
     ADD_FAILURE() << "malformed report was merged";
   } catch (const ProtocolError& e) {
     EXPECT_EQ(e.fault().cheater, 1);

@@ -406,16 +406,7 @@ WindowRun RunWindowForked(net::TransportKind kind,
   transport.ResetStats();
   transport.SetObserver(
       [&run](const net::Message& m) { run.messages.push_back(m); });
-  std::vector<net::TrafficStats> before;
-  for (net::AgentId a = 0; a < transport.num_agents(); ++a) {
-    before.push_back(transport.stats(a));
-  }
-  net::ByteWriter cmd;
-  cmd.U32(0);
-  transport.CommandAll(net::kCtlCmdRun, cmd.Take());
-  const int window_zero[] = {0};
-  run.record =
-      CollectWindowReportsBatch(transport, before, window_zero).front();
+  run.record = RunForkedWindow(transport, 0);
   run.transport_total_bytes = transport.total_bytes();
   for (size_t i = 0; i < kMarket.size(); ++i) {
     run.per_agent.push_back(transport.stats(static_cast<net::AgentId>(i)));
