@@ -612,6 +612,38 @@ TEST(TranscriptParity, FullTradingDaySerialVsShm) {
   ExpectRuntimeIsWindowSum(shm);
 }
 
+// SimulationConfig::windows_in_flight once batched several windows per
+// dispatch; every backend now runs one window at a time and never reads
+// it.  perfbench still sets it to 4, so these two rows pin that a day
+// with the knob set reads exactly like the serial day.
+const ConfigTweak kBatch4 = [](core::SimulationConfig& c) {
+  c.windows_in_flight = 4;
+};
+
+TEST(TranscriptParity, BatchedDayMatchesSerialInProcess) {
+  // The serial bus at 1 and 4 threads with windows_in_flight = 4 against
+  // the plain serial day: in-process, neither the unread knob nor the
+  // compute fan-out's worker count moves a byte.
+  const SimRun serial = RunSim(net::ExecutionPolicy::Serial());
+  const SimRun bus = RunSim(net::ExecutionPolicy::Serial(), kBatch4);
+  const SimRun parallel = RunSim(net::ExecutionPolicy::Parallel(4), kBatch4);
+  ExpectSimParity(serial, bus);
+  ExpectSimParity(serial, parallel);
+}
+
+TEST(TranscriptParity, BatchedDayMatchesSerialForked) {
+  // process / shm with windows_in_flight = 4: the children still run
+  // one window at a time, so the day reads like the serial one and its
+  // runtime is exactly the sum of its windows' runtimes.
+  const SimRun serial = RunSim(net::ExecutionPolicy::Serial());
+  const SimRun process = RunSim(net::ExecutionPolicy::Process(), kBatch4);
+  const SimRun shm = RunSim(net::ExecutionPolicy::Shm(), kBatch4);
+  ExpectSimParity(serial, process, /*strict_order=*/false);
+  ExpectSimParity(serial, shm, /*strict_order=*/false);
+  ExpectRuntimeIsWindowSum(process);
+  ExpectRuntimeIsWindowSum(shm);
+}
+
 // --- feature days on the forked backends ------------------------------
 //
 // Pools, CRT, audits and churn each add draws or traffic between or
