@@ -10,10 +10,8 @@
 // Build & run:  ./build/examples/microgrid_day [num_homes]
 #include <cstdio>
 #include <cstdlib>
-#include <vector>
 
 #include "core/simulation.h"
-#include "protocol/topology.h"
 #include "util/csv.h"
 
 int main(int argc, char** argv) {
@@ -103,38 +101,5 @@ int main(int argc, char** argv) {
               sr.AverageRuntimeSeconds(), sr.AverageBusBytes());
   std::printf("  byte parity: %s\n",
               sr.total_bus_bytes == pr.total_bus_bytes ? "exact" : "DIVERGED");
-
-  // Finally the topology knob: the same windows with every ring
-  // aggregation planned as a fanout-2 hierarchy of sub-rings
-  // (PemConfig::topology) instead of one flat ring.  The critical path
-  // shrinks from n-1 sequential hops toward log n, the wire grows a
-  // few leader-delivery frames — and the market outcome must not move
-  // by a cent (the plan invariants of protocol/topology.h).
-  core::SimulationConfig hcfg = pcfg;
-  hcfg.policy = net::ExecutionPolicy::Serial();
-  const core::SimulationResult flat_run = core::RunSimulation(small, hcfg);
-  hcfg.pem.topology.kind = protocol::TopologyKind::kHierarchical;
-  hcfg.pem.topology.fanout = 2;
-  const core::SimulationResult hier_run = core::RunSimulation(small, hcfg);
-  std::vector<size_t> all(static_cast<size_t>(small.num_homes()));
-  for (size_t i = 0; i < all.size(); ++i) all[i] = i;
-  const int flat_hops =
-      protocol::AggregationTopology::Flat(all).CriticalPathHops();
-  const int hier_hops =
-      protocol::AggregationTopology::Build(all, hcfg.pem.topology, 0)
-          .CriticalPathHops();
-  bool same_market = flat_run.windows.size() == hier_run.windows.size();
-  for (size_t w = 0; same_market && w < flat_run.windows.size(); ++w) {
-    same_market = flat_run.windows[w].price == hier_run.windows[w].price &&
-                  flat_run.windows[w].type == hier_run.windows[w].type;
-  }
-  std::printf("hierarchical aggregation (fanout 2, same homes and windows):\n");
-  std::printf("  critical path: %d sequential hops vs %d flat (full ring)\n",
-              hier_hops, flat_hops);
-  std::printf("  wire bytes   : %llu vs %llu flat (leader-delivery frames)\n",
-              static_cast<unsigned long long>(hier_run.total_bus_bytes),
-              static_cast<unsigned long long>(flat_run.total_bus_bytes));
-  std::printf("  market parity: %s\n",
-              same_market ? "identical prices and cases" : "DIVERGED");
   return 0;
 }

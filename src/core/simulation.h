@@ -69,11 +69,6 @@ struct SimulationConfig {
   // (pem.precompute_encryption) fans out across the same worker count —
   // the paper's "executed in parallel during idle time" — without
   // affecting the factor order.
-  // The aggregation-plan shape (flat ring vs k-ary hierarchy of
-  // sub-rings) is part of the protocol configuration: pem.topology.
-  // Both engine paths honor it — the in-process crypto loop and the
-  // forked backends, whose children copy pem (and with it the plan
-  // seed) at fork time.
   net::ExecutionPolicy policy;
   // Optional tap on every delivered bus message (crypto engine only);
   // used for transcript comparison and debugging.  The callback may

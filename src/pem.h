@@ -39,5 +39,4 @@
 #include "core/simulation.h"
 #include "ledger/settlement.h"
 #include "protocol/pem_protocol.h"
-#include "protocol/topology.h"
 #include "protocol/verifiable.h"

@@ -186,7 +186,7 @@ WindowRecord RunForkedWindow(net::AgentSupervisor& agents, int window) {
     const net::TrafficStats& claimed = attested[static_cast<size_t>(a)];
     if (!(wire == claimed)) {
       throw ProtocolError(ProtocolFault{
-          a, CheatClass::kForgedReport, -1,
+          a, CheatClass::kForgedReport, window,
           "attested traffic (sent " + std::to_string(claimed.bytes_sent) +
               ") != router wire bytes (sent " +
               std::to_string(wire.bytes_sent) + ")"});
@@ -195,7 +195,7 @@ WindowRecord RunForkedWindow(net::AgentSupervisor& agents, int window) {
   }
   if (wire_total != record.bus_bytes) {
     throw ProtocolError(ProtocolFault{
-        -1, CheatClass::kForgedReport, -1,
+        -1, CheatClass::kForgedReport, window,
         "window wire total " + std::to_string(wire_total) +
             " != canonical ledger " + std::to_string(record.bus_bytes)});
   }

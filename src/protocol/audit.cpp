@@ -4,19 +4,28 @@
 
 #include "net/frame.h"
 #include "protocol/key_directory.h"
-#include "protocol/topology.h"
 #include "protocol/verifiable.h"
 #include "util/error.h"
 
 namespace pem::protocol {
 namespace {
 
+// SplitMix64 finalizer: derives independent deterministic side streams
+// from (seed, window[, agent]).
+uint64_t MixSeed(uint64_t a, uint64_t b) {
+  uint64_t x = a + 0x9e37'79b9'7f4a'7c15ULL * (b + 0x632b'e59b'd9b4'e019ULL);
+  x ^= x >> 30;
+  x *= 0xbf58'476d'1ce4'e5b9ULL;
+  x ^= x >> 27;
+  x *= 0x94d0'49bb'1331'11ebULL;
+  x ^= x >> 31;
+  return x;
+}
+
 // The audit side streams derive from (policy.seed, window[, agent])
-// through the shared MixSeed finalizer (protocol/topology.h) — the
-// same discipline topology leader election follows.  These streams
-// are independent of the protocol RNG by construction, so running (or
-// skipping) an audit draw never shifts an honest agent's randomness
-// schedule.
+// through MixSeed.  These streams are independent of the protocol RNG
+// by construction, so running (or skipping) an audit draw never shifts
+// an honest agent's randomness schedule.
 uint64_t AgentStreamSeed(uint64_t seed, int window, net::AgentId agent) {
   return MixSeed(
       MixSeed(seed, static_cast<uint64_t>(static_cast<int64_t>(window))),

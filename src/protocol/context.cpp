@@ -181,36 +181,26 @@ RingCiphertext ForwardRing(ProtocolContext& ctx,
 
 }  // namespace
 
-AggregationTopology PlanRingTopology(const ProtocolContext& ctx,
-                                     std::span<const size_t> members) {
-  return AggregationTopology::Build(members, ctx.config.topology, ctx.window);
-}
-
 RingCiphertext RingAggregate(
     ProtocolContext& ctx, const crypto::PaillierPublicKey& pk,
-    std::span<Party> parties, const AggregationTopology& topology,
+    std::span<Party> parties, std::span<const size_t> ring,
     const std::function<int64_t(const Party&)>& value_of,
     net::AgentId final_recipient) {
-  PEM_CHECK(topology.num_members() > 0,
-            "ring aggregation needs at least one member");
-  const std::vector<size_t> leaf_members = topology.LeafMembers();
+  PEM_CHECK(!ring.empty(), "ring aggregation needs at least one member");
 
   // Phase 1 (prepare, sequential): fix every member encryption's
-  // randomness in a deterministic order, so the transcript does not
-  // depend on how phase 2 is scheduled.  Leaf rings are contiguous
-  // chunks of the member list (topology.h invariant 1), so this order —
-  // and with it every later ctx.rng draw — is identical to the flat
-  // ring's.
+  // randomness in ring order, so the transcript does not depend on how
+  // phase 2 is scheduled.
   std::vector<EncryptionSlot> slots;
-  slots.reserve(leaf_members.size());
-  for (size_t member : leaf_members) {
+  slots.reserve(ring.size());
+  for (size_t member : ring) {
     slots.push_back(PrepareEncryption(ctx, pk, value_of(parties[member])));
     slots.back().acts = ctx.ep(parties[member].id()).acts();
   }
 
   // Phase 2 (compute, policy-driven): the dominant crypto cost — one
   // h_s^r exponentiation per slot this process acts for — fans out
-  // across workers, over every leaf ring at once.
+  // across workers.
   const std::vector<crypto::PaillierCiphertext> cts =
       ComputeEncryptions(ctx, pk, slots);
   std::vector<RingCiphertext> shares(slots.size());
@@ -218,40 +208,8 @@ RingCiphertext RingAggregate(
     shares[i] = RingCiphertext{cts[i], OpenSlot(pk, slots[i])};
   }
 
-  // Phase 3 (forward, sequential): run every ring of every level
-  // bottom-up.  Leaf rings aggregate their members' fresh ciphertexts
-  // and deliver to their elected leaders; upper rings aggregate the
-  // partials their members (the level below's leaders) already hold —
-  // no fresh encryption, no RNG draw (topology.h invariant 2) — and the
-  // root ring delivers to the final recipient.  Upper rings carry the
-  // partials' openings along with them.
-  const std::vector<TopologyLevel>& levels = topology.levels();
-  std::vector<RingCiphertext> partials;
-  size_t leaf_offset = 0;
-  for (size_t l = 0; l < levels.size(); ++l) {
-    const bool root = l + 1 == levels.size();
-    std::vector<RingCiphertext> next;
-    next.reserve(levels[l].rings.size());
-    size_t child = 0;  // partial index: level l's rings list level
-                       // l-1's leaders contiguously, in ring order
-    for (const TopologyRing& ring : levels[l].rings) {
-      const size_t m = ring.members.size();
-      std::span<const RingCiphertext> ring_shares;
-      if (l == 0) {
-        ring_shares = {shares.data() + leaf_offset, m};
-        leaf_offset += m;
-      } else {
-        ring_shares = {partials.data() + child, m};
-        child += m;
-      }
-      const net::AgentId sink =
-          root ? final_recipient : parties[ring.leader()].id();
-      next.push_back(
-          ForwardRing(ctx, pk, parties, ring.members, ring_shares, sink));
-    }
-    partials = std::move(next);
-  }
-  return std::move(partials.front());
+  // Phase 3 (forward, sequential).
+  return ForwardRing(ctx, pk, parties, ring, shares, final_recipient);
 }
 
 namespace {

@@ -1,10 +1,9 @@
 // Shared protocol machinery: execution context, message tags, and the
 // Paillier ring-aggregation pattern that Protocols 2-4 all build on.
 //
-// Execution model.  Every ring aggregation runs an AggregationTopology
-// plan (protocol/topology.h — the flat ring, or a hierarchy of
-// sub-rings) in three phases:
-//   1. prepare  (sequential)  — fix each leaf member's encryption
+// Execution model.  Every ring aggregation runs the flat ring of the
+// paper in three phases:
+//   1. prepare  (sequential)  — fix each member's encryption
 //      randomness: a pooled h_s^r factor when a PaillierRandomnessPool
 //      is attached and non-dry, otherwise a fresh r drawn from the
 //      context RNG.  Every process fixes every member's, so each
@@ -16,18 +15,11 @@
 //      pem::ParallelFor workers (util/parallel.h, the engine's one
 //      compute fan-out), mirroring the paper's one-container-per-agent
 //      deployment;
-//   3. forward  (sequential)  — the ring-multiply/forward passes over
-//      the transport, hop by hop: leaf rings aggregate shard-locally
-//      and deliver to their elected leaders, leaders re-aggregate up
-//      the tree (partials only — no fresh encryption, no RNG draw),
-//      and the root ring delivers to the final recipient.
+//   3. forward  (sequential)  — the ring-multiply/forward pass over
+//      the transport, hop by hop, ending at the final recipient.
 // Because all randomness is fixed in phase 1 and all sends happen in
 // phase 3, the wire transcript is byte-identical whatever the policy —
-// test_transcript_parity asserts exactly this.  The transcript DOES
-// depend on the plan shape, but the market outcome does not: a
-// hierarchical plan's prices and trades are bit-identical to the flat
-// ring's (the plan invariants in topology.h; test_topology asserts it
-// across all five transport backends).
+// test_transcript_parity asserts exactly this.
 //
 // Who computes a ciphertext frame (WriteRingCiphertext).  A process
 // that acts for the sender computes it honestly from the ciphertext
@@ -49,7 +41,6 @@
 #include "net/serialize.h"
 #include "net/transport.h"
 #include "protocol/party.h"
-#include "protocol/topology.h"
 
 namespace pem::protocol {
 
@@ -204,27 +195,17 @@ void WriteCiphertext(net::ByteWriter& w, const crypto::PaillierPublicKey& pk,
                      const crypto::PaillierCiphertext& ct);
 crypto::PaillierCiphertext ReadCiphertext(net::ByteReader& r);
 
-// The per-window aggregation plan for `members`: built from
-// (members, ctx.config.topology) and keyed by ctx.window, so churn
-// epochs re-elect every leader.  Leader election draws only from
-// MixSeed side streams — never ctx.rng — so planning cannot shift any
-// agent's randomness schedule.  Protocols 2-4 call their aggregations
-// through this.
-AggregationTopology PlanRingTopology(const ProtocolContext& ctx,
-                                     std::span<const size_t> members);
-
 // Paillier ring aggregation (the Lines 2-10 pattern of Protocol 2):
-// each leaf member of `topology` (indices into `parties`) encrypts
-// value_of(party) under `pk` and multiplies it into its ring's running
-// ciphertext, forwarding hop-by-hop over the bus; leaders carry the
-// partials up the tree, and the root ring's last holder sends the
-// product to `final_recipient`, who is returned the ciphertext of
-// Σ value_of with its opening.  Every hop's bytes are accounted.  Runs
-// the three-phase schedule described at the top of this header.  A
-// flat ring over `ring` is AggregationTopology::Flat(ring).
+// each member of `ring` (indices into `parties`, in forwarding order)
+// encrypts value_of(party) under `pk` and multiplies it into the
+// running ciphertext, forwarding hop-by-hop over the bus; the last
+// member sends the product to `final_recipient`, who is returned the
+// ciphertext of Σ value_of with its opening.  Every hop's bytes are
+// accounted.  Runs the three-phase schedule described at the top of
+// this header.
 RingCiphertext RingAggregate(
     ProtocolContext& ctx, const crypto::PaillierPublicKey& pk,
-    std::span<Party> parties, const AggregationTopology& topology,
+    std::span<Party> parties, std::span<const size_t> ring,
     const std::function<int64_t(const Party&)>& value_of,
     net::AgentId final_recipient);
 

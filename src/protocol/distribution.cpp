@@ -26,15 +26,14 @@ std::vector<double> ComputeRatios(ProtocolContext& ctx,
   BroadcastPublicKey(ctx, aggregator);
   const crypto::PaillierPublicKey& pk = aggregator.public_key();
 
-  // Lines 3-5: ring-aggregate the encrypted coalition total (shaped by
-  // the configured aggregation topology); the last member broadcasts
-  // it within the coalition.  Each member keeps its own copy: the
-  // ring's result for the last member, the broadcast for the others.
+  // Lines 3-5: ring-aggregate the encrypted coalition total; the last
+  // member broadcasts it within the coalition.  Each member keeps its
+  // own copy: the ring's result for the last member, the broadcast for
+  // the others.
   auto share_of = [](const Party& p) { return std::abs(p.net_raw()); };
   const net::AgentId last = parties[ratio_members.back()].id();
   const RingCiphertext enc_total =
-      RingAggregate(ctx, pk, parties, PlanRingTopology(ctx, ratio_members),
-                    share_of, last);
+      RingAggregate(ctx, pk, parties, ratio_members, share_of, last);
   std::vector<crypto::PaillierCiphertext> totals(ratio_members.size());
   for (size_t i = 0; i < ratio_members.size(); ++i) {
     const net::AgentId member = parties[ratio_members[i]].id();

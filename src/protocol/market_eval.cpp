@@ -31,7 +31,7 @@ MarketEvalResult RunPrivateMarketEvaluation(ProtocolContext& ctx,
     if (s != hr1) ring1.push_back(s);
   }
   const RingCiphertext agg1 = RingAggregate(
-      ctx, seller_hr1.public_key(), parties, PlanRingTopology(ctx, ring1),
+      ctx, seller_hr1.public_key(), parties, ring1,
       [](const Party& p) {
         if (p.role() == grid::Role::kBuyer) return -p.net_raw() + p.nonce();
         return p.nonce();
@@ -52,7 +52,7 @@ MarketEvalResult RunPrivateMarketEvaluation(ProtocolContext& ctx,
     if (b != hr2) ring2.push_back(b);
   }
   const RingCiphertext agg2 = RingAggregate(
-      ctx, buyer_hr2.public_key(), parties, PlanRingTopology(ctx, ring2),
+      ctx, buyer_hr2.public_key(), parties, ring2,
       [](const Party& p) {
         if (p.role() == grid::Role::kSeller) return p.net_raw() + p.nonce();
         return p.nonce();

@@ -17,7 +17,6 @@
 #include "market/params.h"
 #include "net/message.h"
 #include "protocol/fault.h"
-#include "protocol/topology.h"
 #include "util/fixed_point.h"
 
 namespace pem::protocol {
@@ -56,13 +55,6 @@ struct PemConfig {
   // verdict is derived identically everywhere.
   AuditPolicy audit;
   CheatPlan cheat;
-  // Aggregation plan shape (protocol/topology.h): the flat ring of the
-  // paper, or a k-ary hierarchy of sub-rings whose leaders re-aggregate
-  // up the tree.  Market outcomes are bit-identical either way (the
-  // plan invariants in topology.h); only the wire shape — and the
-  // critical-path hop count — changes.  Lives here so forked backends
-  // copy it into every child and all processes derive the same plan.
-  TopologyConfig topology;
   market::MarketParams market;
 };
 

@@ -20,17 +20,15 @@ PricingResult RunPrivatePricing(ProtocolContext& ctx,
   BroadcastPublicKey(ctx, buyer_hb);
 
   // Lines 2-7: ring-aggregate Σ k_i, then Σ (g_i + 1 + ε_i b_i − b_i),
-  // over the seller coalition, shaped by the configured aggregation
-  // topology.  Both sums run under the same key and plan, Σ k_i first:
-  // the order of their randomness draws and frames is part of the
-  // pinned transcript (TranscriptParity.PinnedDayDigest).
-  const AggregationTopology plan =
-      PlanRingTopology(ctx, coalitions.sellers);
+  // over the seller coalition.  Both sums run under the same key and
+  // ring, Σ k_i first: the order of their randomness draws and frames
+  // is part of the pinned transcript
+  // (TranscriptParity.PinnedGeneralMarketDigest).
   const RingCiphertext sum_k = RingAggregate(
-      ctx, buyer_hb.public_key(), parties, plan,
+      ctx, buyer_hb.public_key(), parties, coalitions.sellers,
       [](const Party& p) { return p.PreferenceRaw(); }, buyer_hb.id());
   const RingCiphertext sum_supply = RingAggregate(
-      ctx, buyer_hb.public_key(), parties, plan,
+      ctx, buyer_hb.public_key(), parties, coalitions.sellers,
       [](const Party& p) { return p.SupplyTermRaw(); }, buyer_hb.id());
   const int64_t sum_k_raw = OwnerDecryptSigned(ctx, buyer_hb, sum_k);
   const int64_t sum_supply_raw = OwnerDecryptSigned(ctx, buyer_hb, sum_supply);

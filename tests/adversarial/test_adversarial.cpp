@@ -379,6 +379,7 @@ TEST(AdversarialWall, ForgedReportCaughtByParentOnEveryForkedBackend) {
     } catch (const protocol::ProtocolError& e) {
       EXPECT_EQ(e.fault().cheater, kCheater);
       EXPECT_EQ(e.fault().cheat, CheatClass::kForgedReport);
+      EXPECT_EQ(e.fault().window, 0);
     }
     ExpectNoZombies();
   }

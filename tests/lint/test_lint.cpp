@@ -101,11 +101,11 @@ TEST(LintEngine, SuppressionSameLineAndLineAbove) {
 
 TEST(LintEngine, RegistryFindsEveryAdvertisedRule) {
   const Registry registry = MakeDefaultRegistry();
-  EXPECT_EQ(registry.rules().size(), 10u);
+  EXPECT_EQ(registry.rules().size(), 9u);
   for (const char* id :
        {"determinism", "layering-order", "layering-backend-include",
         "raw-syscall", "fd-cloexec", "frame-accounting", "pragma-once",
-        "using-namespace", "no-cout", "topology-seeded"}) {
+        "using-namespace", "no-cout"}) {
     EXPECT_NE(registry.Find(id), nullptr) << id;
   }
   EXPECT_EQ(registry.Find("no-such-rule"), nullptr);
@@ -159,8 +159,7 @@ INSTANTIATE_TEST_SUITE_P(
                       RuleExpectation{"frame-accounting", 1},
                       RuleExpectation{"pragma-once", 1},
                       RuleExpectation{"using-namespace", 1},
-                      RuleExpectation{"no-cout", 1},
-                      RuleExpectation{"topology-seeded", 2}),
+                      RuleExpectation{"no-cout", 1}),
     [](const ::testing::TestParamInfo<RuleExpectation>& info) {
       std::string name = info.param.rule;
       for (char& c : name) {

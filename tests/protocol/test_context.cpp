@@ -77,8 +77,7 @@ TEST(RingAggregate, SumsAllContributions) {
   ProtocolContext ctx{eps, rng, cfg};
   const std::vector<size_t> ring = {1, 2, 3};
   const RingCiphertext agg =
-      RingAggregate(ctx, parties[0].public_key(), parties,
-                    AggregationTopology::Flat(ring),
+      RingAggregate(ctx, parties[0].public_key(), parties, ring,
                     [](const Party& p) { return p.net_raw(); },
                     parties[0].id());
   EXPECT_EQ(parties[0].private_key().DecryptSigned(agg.ct), 9'000'000);
@@ -94,8 +93,7 @@ TEST(RingAggregate, SingleMemberRing) {
   ProtocolContext ctx{eps, rng, cfg};
   const std::vector<size_t> ring = {0};
   const RingCiphertext agg =
-      RingAggregate(ctx, parties[1].public_key(), parties,
-                    AggregationTopology::Flat(ring),
+      RingAggregate(ctx, parties[1].public_key(), parties, ring,
                     [](const Party& p) { return p.net_raw(); },
                     parties[1].id());
   EXPECT_EQ(parties[1].private_key().DecryptSigned(agg.ct), 5'000'000);
@@ -111,8 +109,7 @@ TEST(RingAggregate, HandlesNegativeContributions) {
   ProtocolContext ctx{eps, rng, cfg};
   const std::vector<size_t> ring = {0, 1};
   const RingCiphertext agg =
-      RingAggregate(ctx, parties[2].public_key(), parties,
-                    AggregationTopology::Flat(ring),
+      RingAggregate(ctx, parties[2].public_key(), parties, ring,
                     [](const Party& p) { return p.net_raw(); },
                     parties[2].id());
   EXPECT_EQ(parties[2].private_key().DecryptSigned(agg.ct), -4'000'000);
@@ -127,8 +124,7 @@ TEST(RingAggregate, EveryHopIsAccounted) {
   const PemConfig cfg = TestConfig();
   ProtocolContext ctx{eps, rng, cfg};
   const std::vector<size_t> ring = {1, 2, 3};
-  (void)RingAggregate(ctx, parties[0].public_key(), parties,
-                      AggregationTopology::Flat(ring),
+  (void)RingAggregate(ctx, parties[0].public_key(), parties, ring,
                       [](const Party& p) { return p.net_raw(); },
                       parties[0].id());
   // Hops: 1->2, 2->3, 3->0.
@@ -148,8 +144,7 @@ TEST(RingAggregate, FinalRecipientInRingSkipsLastSend) {
   // Ring ends at party 1, which is also the final recipient.
   const std::vector<size_t> ring = {0, 1};
   const RingCiphertext agg =
-      RingAggregate(ctx, parties[1].public_key(), parties,
-                    AggregationTopology::Flat(ring),
+      RingAggregate(ctx, parties[1].public_key(), parties, ring,
                     [](const Party& p) { return p.net_raw(); },
                     parties[1].id());
   EXPECT_EQ(parties[1].private_key().DecryptSigned(agg.ct), 3'000'000);

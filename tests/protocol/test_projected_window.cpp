@@ -37,8 +37,8 @@ market::AgentWindowInput Agent(double g, double l, double k = 1.0) {
   return in;
 }
 
-// Eight agents, four sellers and four buyers, so a fanout-2 plan forms
-// sub-rings.  Supply 5.0 kWh exceeds demand 3.8 kWh: extreme market.
+// Eight agents, four sellers and four buyers.  Supply 5.0 kWh exceeds
+// demand 3.8 kWh: extreme market.
 const std::vector<market::AgentWindowInput> kExtreme = {
     Agent(1.7, 0.3, 0.83), Agent(0.9, 0.2, 1.21), Agent(0.0, 1.4),
     Agent(0.1, 0.8),       Agent(0.0, 0.6),       Agent(2.2, 0.4, 1.05),
@@ -52,15 +52,14 @@ const std::vector<market::AgentWindowInput> kGeneral = {
 };
 
 struct Row {
-  int fanout = 0;  // 0: the flat ring
   bool pooled = false;
   bool general = false;
 };
 
 std::string RowName(const ::testing::TestParamInfo<Row>& info) {
   const Row& r = info.param;
-  return std::string(r.fanout == 0 ? "Flat" : "Fanout2") +
-         (r.pooled ? "Pooled" : "Fresh") + (r.general ? "General" : "Extreme");
+  return std::string("Flat") + (r.pooled ? "Pooled" : "Fresh") +
+         (r.general ? "General" : "Extreme");
 }
 
 // What one run of the window leaves behind.
@@ -83,10 +82,6 @@ WindowRun RunWindow(const Row& row, std::set<net::AgentId> acting) {
   crypto::DeterministicRng rng(35);
   PemConfig cfg;
   cfg.key_bits = 128;
-  if (row.fanout > 0) {
-    cfg.topology.kind = TopologyKind::kHierarchical;
-    cfg.topology.fanout = row.fanout;
-  }
   std::vector<Party> parties;
   for (int i = 0; i < n; ++i) {
     parties.emplace_back(i, market[static_cast<size_t>(i)].params);
@@ -178,10 +173,8 @@ TEST_P(ProjectedWindow, EachAgentAloneAndNoneMatchFullRun) {
 
 INSTANTIATE_TEST_SUITE_P(
     Plans, ProjectedWindow,
-    ::testing::Values(Row{0, false, true}, Row{0, false, false},
-                      Row{0, true, true}, Row{0, true, false},
-                      Row{2, false, true}, Row{2, false, false},
-                      Row{2, true, true}, Row{2, true, false}),
+    ::testing::Values(Row{false, true}, Row{false, false}, Row{true, true},
+                      Row{true, false}),
     RowName);
 
 // The openings themselves: a ring's opening rebuilds its ciphertext

@@ -340,42 +340,6 @@ class NoCoutRule final : public Rule {
   }
 };
 
-// --- topology-seeded --------------------------------------------------
-//
-// Plan construction (leader election especially) must draw only from
-// MixSeed-derived side streams keyed by (seed, window, level, ring) —
-// never the protocol RNG or its carrier.  A ctx.rng draw inside
-// Build() would shift every agent's randomness schedule whenever the
-// plan shape changes, destroying the flat/hierarchical bit-identity
-// the five-backend parity row asserts.  Statically: topology sources
-// must not name ProtocolContext (or a `ctx` handle) at all.
-class TopologySeededRule final : public Rule {
- public:
-  std::string_view id() const override { return "topology-seeded"; }
-  std::string_view description() const override {
-    return "src/protocol/topology.* draws only from MixSeed side streams — "
-           "it must not name ProtocolContext or a ctx handle";
-  }
-  void Check(const SourceFile& f, std::vector<Finding>* out) const override {
-    if (f.path != "src/protocol/topology.h" &&
-        f.path != "src/protocol/topology.cpp") {
-      return;
-    }
-    for (const std::string_view token : {"ProtocolContext", "ctx"}) {
-      for (size_t pos = FindToken(f.code, token);
-           pos != std::string_view::npos;
-           pos = FindToken(f.code, token, pos + 1)) {
-        Report(f, LineOfOffset(f.code, pos), id(),
-               "'" + std::string(token) +
-                   "' in topology plan code; elections draw from MixSeed "
-                   "side streams only, so planning cannot shift the "
-                   "protocol RNG schedule",
-               out);
-      }
-    }
-  }
-};
-
 }  // namespace
 
 Registry MakeDefaultRegistry() {
@@ -389,7 +353,6 @@ Registry MakeDefaultRegistry() {
   r.Add(std::make_unique<PragmaOnceRule>());
   r.Add(std::make_unique<UsingNamespaceRule>());
   r.Add(std::make_unique<NoCoutRule>());
-  r.Add(std::make_unique<TopologySeededRule>());
   return r;
 }
 
