@@ -52,13 +52,16 @@ const std::vector<market::AgentWindowInput> kGeneral = {
 };
 
 struct Row {
-  bool pooled = false;
+  // Pooled factors per key, or 0 for fresh randomness only.  Pooled
+  // rows give every key fewer factors than a window uses, so slots mix
+  // pooled factors with fresh randomness.
+  int pool_factors = 0;
   bool general = false;
 };
 
 std::string RowName(const ::testing::TestParamInfo<Row>& info) {
   const Row& r = info.param;
-  return std::string("Flat") + (r.pooled ? "Pooled" : "Fresh") +
+  return std::string("Flat") + (r.pool_factors > 0 ? "Pooled" : "Fresh") +
          (r.general ? "General" : "Extreme");
 }
 
@@ -88,16 +91,15 @@ WindowRun RunWindow(const Row& row, std::set<net::AgentId> acting) {
     parties.back().BeginWindow(market[static_cast<size_t>(i)].state,
                                cfg.nonce_bound, rng);
   }
-  // Pooled rows give every key a few factors, fewer than a window
-  // uses, so slots mix pooled factors with fresh randomness.
   crypto::PaillierPoolRegistry pools;
-  if (row.pooled) {
+  const bool pooled = row.pool_factors > 0;
+  if (pooled) {
     for (Party& p : parties) {
       (void)pools.PoolFor(p.EnsureKeys(cfg.key_bits, rng).pub);
     }
-    pools.RefillAll(6, rng);
+    pools.RefillAll(static_cast<size_t>(row.pool_factors), rng);
   }
-  ProtocolContext ctx{eps, rng, cfg, row.pooled ? &pools : nullptr};
+  ProtocolContext ctx{eps, rng, cfg, pooled ? &pools : nullptr};
   run.record = RunPemWindow(ctx, parties).record;
   run.cursor = rng.Cursor();
   for (net::AgentId a = 0; a < n; ++a) run.per_agent.push_back(bus.stats(a));
@@ -173,8 +175,8 @@ TEST_P(ProjectedWindow, EachAgentAloneAndNoneMatchFullRun) {
 
 INSTANTIATE_TEST_SUITE_P(
     Plans, ProjectedWindow,
-    ::testing::Values(Row{false, true}, Row{false, false}, Row{true, true},
-                      Row{true, false}),
+    ::testing::Values(Row{0, true}, Row{0, false}, Row{6, true},
+                      Row{6, false}),
     RowName);
 
 // The openings themselves: a ring's opening rebuilds its ciphertext
