@@ -49,12 +49,15 @@ int main() {
     PaillierRandomnessPool pool(kp.pub);
     pool.Refill(static_cast<size_t>(kMembers), rng);
 
-    // Online phase: one modular multiplication per encryption.
+    // Online phase: one modular multiplication per encryption, with a
+    // pooled factor as the engine's ring encryptions take it.
+    const auto pooled = [&](int64_t v) {
+      return kp.pub.EncryptWithFactor(kp.pub.EncodeSigned(v),
+                                      *pool.TakeFactor());
+    };
     Stopwatch pooled_timer;
-    PaillierCiphertext acc2 = pool.EncryptSigned(0, rng);
-    for (int i = 1; i < kMembers; ++i) {
-      acc2 = kp.pub.Add(acc2, pool.EncryptSigned(i, rng));
-    }
+    PaillierCiphertext acc2 = pooled(0);
+    for (int i = 1; i < kMembers; ++i) acc2 = kp.pub.Add(acc2, pooled(i));
     const double pooled_ms = pooled_timer.ElapsedMillis();
 
     // Sanity: both paths aggregate to the same sum.

@@ -65,7 +65,7 @@ int main() {
   std::printf("\n4) Yao garbled circuit: the millionaires' comparison\n");
   const Circuit circuit = BuildLessThanCircuit(64);
   std::printf("   64-bit comparator: %zu gates, %zu of them AND "
-              "(XOR/NOT are free), %zu bytes of half-gate tables\n",
+              "(XOR is free), %zu bytes of half-gate tables\n",
               circuit.gates.size(), circuit.AndGateCount(),
               GarbledTables::SerializedSize(circuit));
   net::MessageBus bus(2);

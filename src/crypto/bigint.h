@@ -93,7 +93,6 @@ class BigInt {
 
   bool IsZero() const { return mpz_sgn(z_) == 0; }
   bool IsNegative() const { return mpz_sgn(z_) < 0; }
-  bool IsOdd() const { return mpz_odd_p(z_) != 0; }
 
   // --- conversions -----------------------------------------------------
   // Number of bits in |value| (0 for value 0).

@@ -35,9 +35,6 @@ std::vector<bool> Circuit::EvalPlain(
         wires[static_cast<size_t>(g.out)] =
             a && wires[static_cast<size_t>(g.b)];
         break;
-      case GateType::kNot:
-        wires[static_cast<size_t>(g.out)] = !a;
-        break;
     }
   }
   std::vector<bool> out;
@@ -57,7 +54,7 @@ int32_t CircuitBuilder::NewWire() { return next_wire_++; }
 int32_t CircuitBuilder::Emit(GateType t, int32_t a, int32_t b) {
   PEM_CHECK(!built_, "builder already finalized");
   PEM_CHECK(a >= 0 && a < next_wire_, "bad wire a");
-  PEM_CHECK(t == GateType::kNot || (b >= 0 && b < next_wire_), "bad wire b");
+  PEM_CHECK(b >= 0 && b < next_wire_, "bad wire b");
   const int32_t out = NewWire();
   gates_.push_back(Gate{t, a, b, out});
   return out;
@@ -68,18 +65,6 @@ int32_t CircuitBuilder::Xor(int32_t a, int32_t b) {
 }
 int32_t CircuitBuilder::And(int32_t a, int32_t b) {
   return Emit(GateType::kAnd, a, b);
-}
-int32_t CircuitBuilder::Not(int32_t a) { return Emit(GateType::kNot, a, -1); }
-
-int32_t CircuitBuilder::Or(int32_t a, int32_t b) {
-  return Xor(Xor(a, b), And(a, b));
-}
-
-int32_t CircuitBuilder::Xnor(int32_t a, int32_t b) { return Not(Xor(a, b)); }
-
-int32_t CircuitBuilder::Mux(int32_t sel, int32_t t, int32_t f) {
-  // f ^ (sel & (t ^ f))
-  return Xor(f, And(sel, Xor(t, f)));
 }
 
 int32_t CircuitBuilder::LessThan(const std::vector<int32_t>& a,
@@ -121,102 +106,11 @@ Circuit BuildLessThanCircuit(int bits) {
   return b.Build();
 }
 
-Circuit BuildEqualityCircuit(int bits) {
-  PEM_CHECK(bits >= 1 && bits <= 64, "bits in [1,64]");
-  CircuitBuilder b(bits, bits);
-  const auto& a_in = b.garbler_inputs();
-  const auto& b_in = b.evaluator_inputs();
-  int32_t eq = -1;
-  for (int i = 0; i < bits; ++i) {
-    const int32_t bit_eq = b.Xnor(a_in[static_cast<size_t>(i)],
-                                  b_in[static_cast<size_t>(i)]);
-    eq = (eq < 0) ? bit_eq : b.And(eq, bit_eq);
-  }
-  b.MarkOutput(eq);
-  return b.Build();
-}
-
-Circuit BuildAdderCircuit(int bits) {
-  PEM_CHECK(bits >= 1 && bits <= 64, "bits in [1,64]");
-  CircuitBuilder b(bits, bits);
-  const auto& a_in = b.garbler_inputs();
-  const auto& b_in = b.evaluator_inputs();
-  int32_t carry = -1;
-  for (int i = 0; i < bits; ++i) {
-    const int32_t ai = a_in[static_cast<size_t>(i)];
-    const int32_t bi = b_in[static_cast<size_t>(i)];
-    int32_t sum;
-    if (carry < 0) {  // half adder at the LSB
-      sum = b.Xor(ai, bi);
-      carry = b.And(ai, bi);
-    } else {
-      const int32_t axc = b.Xor(ai, carry);
-      const int32_t bxc = b.Xor(bi, carry);
-      sum = b.Xor(axc, bi);
-      // carry' = carry ^ ((a^carry) & (b^carry))
-      carry = b.Xor(carry, b.And(axc, bxc));
-    }
-    b.MarkOutput(sum);
-  }
-  return b.Build();
-}
-
-Circuit BuildSubtractorCircuit(int bits) {
-  PEM_CHECK(bits >= 1 && bits <= 64, "bits in [1,64]");
-  CircuitBuilder b(bits, bits);
-  const auto& a_in = b.garbler_inputs();
-  const auto& b_in = b.evaluator_inputs();
-  // a - b = a + ~b + 1: seed the ripple carry with 1 by treating the
-  // LSB stage as a full adder with carry-in fixed to true:
-  //   sum0   = a0 ^ ~b0 ^ 1     = a0 ^ b0
-  //   carry0 = maj(a0, ~b0, 1)  = a0 | ~b0 = ~(~a0 & b0)
-  int32_t carry = -1;
-  for (int i = 0; i < bits; ++i) {
-    const int32_t ai = a_in[static_cast<size_t>(i)];
-    const int32_t nbi = b.Not(b_in[static_cast<size_t>(i)]);
-    int32_t sum;
-    if (carry < 0) {
-      sum = b.Xor(ai, b_in[static_cast<size_t>(i)]);  // a ^ ~b ^ 1 = a ^ b
-      carry = b.Not(b.And(b.Not(ai), b_in[static_cast<size_t>(i)]));
-    } else {
-      const int32_t axc = b.Xor(ai, carry);
-      const int32_t bxc = b.Xor(nbi, carry);
-      sum = b.Xor(axc, nbi);
-      carry = b.Xor(carry, b.And(axc, bxc));
-    }
-    b.MarkOutput(sum);
-  }
-  return b.Build();
-}
-
-Circuit BuildMaxCircuit(int bits) {
-  PEM_CHECK(bits >= 1 && bits <= 64, "bits in [1,64]");
-  CircuitBuilder b(bits, bits);
-  const auto& a_in = b.garbler_inputs();
-  const auto& b_in = b.evaluator_inputs();
-  const int32_t lt = b.LessThan(a_in, b_in);
-  // out_i = lt ? b_i : a_i
-  for (int i = 0; i < bits; ++i) {
-    b.MarkOutput(b.Mux(lt, b_in[static_cast<size_t>(i)],
-                       a_in[static_cast<size_t>(i)]));
-  }
-  return b.Build();
-}
-
 std::vector<bool> ToBits(uint64_t v, int bits) {
   PEM_CHECK(bits >= 1 && bits <= 64, "bits in [1,64]");
   std::vector<bool> out(static_cast<size_t>(bits));
   for (int i = 0; i < bits; ++i) out[static_cast<size_t>(i)] = (v >> i) & 1;
   return out;
-}
-
-uint64_t FromBits(const std::vector<bool>& bits) {
-  PEM_CHECK(bits.size() <= 64, "too many bits");
-  uint64_t v = 0;
-  for (size_t i = 0; i < bits.size(); ++i) {
-    if (bits[i]) v |= (1ull << i);
-  }
-  return v;
 }
 
 }  // namespace pem::crypto

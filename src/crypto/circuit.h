@@ -1,9 +1,8 @@
 // Boolean circuits for Yao garbling.
 //
-// Gate basis: XOR (free under free-XOR), AND (one garbled table), NOT
-// (free label swap).  The builders construct the comparison circuits
-// used by Private Market Evaluation plus small arithmetic circuits
-// (adder, mux, equality) used by tests and extensions.
+// Gate basis: XOR (free under free-XOR) and AND (one garbled table).
+// The one circuit the protocol garbles is the [x < y] comparator of
+// Private Market Evaluation (Protocol 2, line 14).
 #pragma once
 
 #include <cstdint>
@@ -13,12 +12,12 @@
 
 namespace pem::crypto {
 
-enum class GateType : uint8_t { kXor, kAnd, kNot };
+enum class GateType : uint8_t { kXor, kAnd };
 
 struct Gate {
   GateType type;
   int32_t a = -1;    // first input wire
-  int32_t b = -1;    // second input wire (-1 for NOT)
+  int32_t b = -1;    // second input wire
   int32_t out = -1;  // output wire
 };
 
@@ -46,11 +45,6 @@ class CircuitBuilder {
 
   int32_t Xor(int32_t a, int32_t b);
   int32_t And(int32_t a, int32_t b);
-  int32_t Not(int32_t a);
-  int32_t Or(int32_t a, int32_t b);   // derived: a|b = (a^b)^(a&b)
-  int32_t Xnor(int32_t a, int32_t b);
-  // mux: sel ? t : f
-  int32_t Mux(int32_t sel, int32_t t, int32_t f);
   // [a < b] over equal-width unsigned bundles (LSB first); one AND per
   // bit.
   int32_t LessThan(const std::vector<int32_t>& a,
@@ -74,30 +68,13 @@ class CircuitBuilder {
   bool built_ = false;
 };
 
-// ---- Prebuilt circuits ---------------------------------------------------
+// ---- Prebuilt circuit ----------------------------------------------------
 
 // [garbler_value < evaluator_value] over unsigned `bits`-bit integers.
 // Single output bit.  Exactly `bits` AND gates.
 Circuit BuildLessThanCircuit(int bits);
 
-// [garbler_value == evaluator_value]; single output bit.
-Circuit BuildEqualityCircuit(int bits);
-
-// (garbler_value + evaluator_value) mod 2^bits; `bits` output wires,
-// LSB first.  Ripple-carry, 1 AND per bit with the standard
-// carry = c ^ ((a^c)&(b^c)) trick.
-Circuit BuildAdderCircuit(int bits);
-
-// (garbler_value - evaluator_value) mod 2^bits; `bits` output wires,
-// LSB first.  Two's-complement via a + ~b + 1.
-Circuit BuildSubtractorCircuit(int bits);
-
-// max(garbler_value, evaluator_value); `bits` output wires, LSB first.
-// Composes the comparator with a bit-wise mux.
-Circuit BuildMaxCircuit(int bits);
-
 // Helper: little-endian bit decomposition of a 64-bit value.
 std::vector<bool> ToBits(uint64_t v, int bits);
-uint64_t FromBits(const std::vector<bool>& bits);
 
 }  // namespace pem::crypto

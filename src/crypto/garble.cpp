@@ -104,11 +104,6 @@ Garbler::Garbler(const Circuit& circuit, const GarblerCoins& coins,
         label0_[static_cast<size_t>(g.out)] = a0.Xor(b0);
         break;
       }
-      case GateType::kNot: {
-        // Lout0 = La0 ^ delta; evaluator passes its label through.
-        label0_[static_cast<size_t>(g.out)] = a0.Xor(delta_);
-        break;
-      }
       case GateType::kAnd: {
         const WireLabel& b0 = label0_[static_cast<size_t>(g.b)];
         const uint64_t tweak = 2 * tables_.and_tables.size();
@@ -160,12 +155,6 @@ std::pair<WireLabel, WireLabel> Garbler::EvaluatorInputLabels(size_t i) const {
   return {Label0(w), Label1(w)};
 }
 
-bool Garbler::DecodeOutput(size_t output_index, const WireLabel& label) const {
-  PEM_CHECK(output_index < circuit_.outputs.size(), "output index");
-  return label.permute_bit() ^
-         (tables_.output_decode[output_index] != 0);
-}
-
 Evaluator::Evaluator(const Circuit& circuit, GarbledTables tables)
     : circuit_(circuit), tables_(std::move(tables)) {
   PEM_CHECK(tables_.and_tables.size() == circuit.AndGateCount(),
@@ -198,9 +187,6 @@ std::vector<bool> Evaluator::Evaluate(
       case GateType::kXor:
         active[static_cast<size_t>(g.out)] =
             la.Xor(active[static_cast<size_t>(g.b)]);
-        break;
-      case GateType::kNot:
-        active[static_cast<size_t>(g.out)] = la;  // free (label passthrough)
         break;
       case GateType::kAnd: {
         const WireLabel& lb = active[static_cast<size_t>(g.b)];

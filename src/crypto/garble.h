@@ -2,7 +2,7 @@
 //
 // The paper evaluates secure comparison with Fairplay; this is the
 // modern equivalent construction:
-//   * a global offset R (lsb forced to 1) makes XOR and NOT gates free;
+//   * a global offset R (lsb forced to 1) makes XOR gates free;
 //   * AND gates cost two 16-byte rows (half-gates, Zahur–Rosulek–Evans,
 //     EUROCRYPT 2015): the garbler hashes each input label twice, the
 //     evaluator hashes its two active labels once, all with a SHA-256
@@ -79,10 +79,6 @@ class Garbler {
   // Both labels for the evaluator's input at bundle index `i`; the
   // second is the first XOR the offset.
   std::pair<WireLabel, WireLabel> EvaluatorInputLabels(size_t i) const;
-
-  // Decodes an output label back to a cleartext bit (used in tests and
-  // when the garbler is the output receiver).
-  bool DecodeOutput(size_t output_index, const WireLabel& label) const;
 
  private:
   const WireLabel& Label0(int32_t wire) const;

@@ -249,11 +249,6 @@ PaillierCiphertext PaillierPublicKey::ScalarMul(const PaillierCiphertext& c,
   return PaillierCiphertext{c.value.PowMod(k, n2_)};
 }
 
-PaillierCiphertext PaillierPublicKey::Rerandomize(const PaillierCiphertext& c,
-                                                  Rng& rng) const {
-  return Add(c, EncryptZero(rng));
-}
-
 PaillierPrivateKey::PaillierPrivateKey(const PaillierPublicKey& pk, BigInt p,
                                        BigInt q)
     : pk_(pk), p_(std::move(p)), q_(std::move(q)) {
@@ -362,54 +357,6 @@ Result<PaillierPublicKey> PaillierPublicKey::Deserialize(
   return PaillierPublicKey(n, static_cast<int>(key_bits));
 }
 
-std::vector<uint8_t> PaillierPrivateKey::Serialize() const {
-  net::ByteWriter w;
-  w.Bytes(pk_.Serialize());
-  w.Bytes(p_.ToBytes());
-  w.Bytes(q_.ToBytes());
-  return w.Take();
-}
-
-Result<PaillierPrivateKey> PaillierPrivateKey::Deserialize(
-    std::span<const uint8_t> bytes) {
-  if (bytes.size() < 12) {
-    return Error(ErrorCode::kSerialization, "private key: truncated");
-  }
-  net::ByteReader r(bytes);
-  const std::optional<std::vector<uint8_t>> pk_bytes = r.TryBytes();
-  if (!pk_bytes.has_value()) {
-    return Error(ErrorCode::kSerialization, "private key: missing public key");
-  }
-  Result<PaillierPublicKey> pk = PaillierPublicKey::Deserialize(*pk_bytes);
-  if (!pk.ok()) return pk.error();
-  const std::optional<std::vector<uint8_t>> p_bytes = r.TryBytes();
-  if (!p_bytes.has_value()) {
-    return Error(ErrorCode::kSerialization, "private key: missing primes");
-  }
-  const BigInt p = BigInt::FromBytes(*p_bytes);
-  const std::optional<std::vector<uint8_t>> q_bytes = r.TryBytes();
-  if (!q_bytes.has_value()) {
-    return Error(ErrorCode::kSerialization, "private key: missing q");
-  }
-  const BigInt q = BigInt::FromBytes(*q_bytes);
-  if (!r.AtEnd()) {
-    return Error(ErrorCode::kSerialization, "private key: trailing bytes");
-  }
-  if (p * q != pk.value().n() || !p.IsProbablePrime() ||
-      !q.IsProbablePrime()) {
-    return Error(ErrorCode::kSerialization,
-                 "private key: primes inconsistent with modulus");
-  }
-  // n = p^2 passes the product/primality checks above but breaks the
-  // CRT tables (q is not invertible mod p); reject it as malformed
-  // input instead of aborting in the constructor.
-  if (p == q) {
-    return Error(ErrorCode::kSerialization,
-                 "private key: primes must be distinct");
-  }
-  return PaillierPrivateKey(pk.value(), p, q);
-}
-
 void PaillierRandomnessPool::AttachCrtEncryptor(
     const PaillierCrtEncryptor& enc) {
   PEM_CHECK(enc.public_key().n() == pk_.n(),
@@ -434,17 +381,6 @@ void PaillierRandomnessPool::Refill(size_t target, Rng& rng,
   factors_.insert(factors_.end(),
                   std::make_move_iterator(computed.begin()),
                   std::make_move_iterator(computed.end()));
-}
-
-PaillierCiphertext PaillierRandomnessPool::Encrypt(const BigInt& m, Rng& rng) {
-  if (factors_.empty()) return pk_.Encrypt(m, rng);  // dry-pool fallback
-  PaillierCiphertext ct = pk_.EncryptWithFactor(m, factors_.back());
-  factors_.pop_back();
-  return ct;
-}
-
-PaillierCiphertext PaillierRandomnessPool::EncryptSigned(int64_t v, Rng& rng) {
-  return Encrypt(pk_.EncodeSigned(v), rng);
 }
 
 std::optional<BigInt> PaillierRandomnessPool::TakeFactor() {

@@ -69,7 +69,8 @@ class PaillierPublicKey {
 
   // Deterministic encryption with caller-supplied randomness r (see
   // IsRandomness).  Used by the verifiable-contribution check
-  // (re-encrypt and compare) and by the randomness pool.
+  // (re-encrypt and compare) and by ring encryptions whose slot drew
+  // fresh randomness.
   PaillierCiphertext EncryptWithRandomness(const BigInt& m,
                                            const BigInt& r) const;
   // Samples encryption randomness r: uniform in [1, 2^l).  Cheap (no
@@ -106,10 +107,6 @@ class PaillierPublicKey {
   // Homomorphic plaintext * scalar (scalar may be negative).
   PaillierCiphertext ScalarMul(const PaillierCiphertext& c,
                                const BigInt& k) const;
-  // Fresh randomness; plaintext unchanged.  Semi-honest ring
-  // aggregation does not strictly need this but tests exercise it.
-  PaillierCiphertext Rerandomize(const PaillierCiphertext& c, Rng& rng) const;
-
   // Encryption of zero, useful as an aggregation identity.
   PaillierCiphertext EncryptZero(Rng& rng) const;
 
@@ -187,12 +184,6 @@ class PaillierPrivateKey {
 
   const PaillierPublicKey& public_key() const { return pk_; }
 
-  // Wire format: public key || p || q.  Handle with care — this is the
-  // secret key; intended for agent-local persistence only.
-  std::vector<uint8_t> Serialize() const;
-  static Result<PaillierPrivateKey> Deserialize(
-      std::span<const uint8_t> bytes);
-
  private:
   BigInt DecryptPlain(const PaillierCiphertext& c) const;
   BigInt DecryptCrt(const PaillierCiphertext& c) const;
@@ -260,8 +251,9 @@ class PaillierCrtEncryptor {
 // does not depend on the plaintext.  The paper exploits this: "the
 // encryption and decryption are independently executed in parallel
 // during idle time", which is why Fig. 5(b)'s runtime barely moves
-// with the key size.  Refill() is the idle-time phase; Encrypt* then
-// costs one multiplication.  See bench/ablation_precompute.
+// with the key size.  Refill() is the idle-time phase; an encryption
+// then costs one multiplication, EncryptWithFactor of a TakeFactor().
+// See bench/ablation_precompute.
 //
 // Refill is phased like the protocol engine: every r is drawn
 // sequentially from the caller's RNG, then the exponentiations fan out
@@ -285,15 +277,10 @@ class PaillierRandomnessPool {
   size_t available() const { return factors_.size(); }
   const PaillierPublicKey& public_key() const { return pk_; }
 
-  // Online: consumes a precomputed factor; falls back to fresh
-  // randomness when the pool is dry (correct either way).
-  PaillierCiphertext Encrypt(const BigInt& m, Rng& rng);
-  PaillierCiphertext EncryptSigned(int64_t v, Rng& rng);
-
-  // Pops one precomputed factor, or nullopt when the pool is dry.
-  // Used by the phase-parallel engine to assign factors to ring
-  // members in a deterministic sequential order before the compute
-  // phase fans out.
+  // Pops one precomputed factor, or nullopt when the pool is dry (the
+  // caller then draws fresh randomness).  Used by the phase-parallel
+  // engine to assign factors to ring members in a deterministic
+  // sequential order before the compute phase fans out.
   std::optional<BigInt> TakeFactor();
 
  private:

@@ -1,9 +1,10 @@
 // Random byte sources.
 //
-// SystemRng wraps the OS CSPRNG (via OpenSSL RAND_bytes) and is what
-// all protocol code uses.  DeterministicRng is a seeded stream for
-// reproducible tests and benchmarks; it is NOT cryptographically secure
-// and says so in the type name on purpose.
+// SystemRng wraps the OS CSPRNG (via OpenSSL RAND_bytes); only the
+// examples use it.  DeterministicRng is a seeded stream and is NOT
+// cryptographically secure, as its type name says on purpose.  The
+// engine runs on it: RunSimulation, every forked child (which must
+// replay the parent's draws), the tests and the benchmarks.
 #pragma once
 
 #include <cstdint>

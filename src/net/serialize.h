@@ -21,7 +21,6 @@ namespace pem::net {
 class ByteWriter {
  public:
   void U8(uint8_t v) { buf_.push_back(v); }
-  void U16(uint16_t v) { Raw(&v, 2); }
   void U32(uint32_t v) { Raw(&v, 4); }
   void U64(uint64_t v) { Raw(&v, 8); }
   void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
@@ -63,7 +62,6 @@ class ByteReader {
   explicit ByteReader(std::span<const uint8_t> data) : data_(data) {}
 
   uint8_t U8() { return ReadRaw<uint8_t>(); }
-  uint16_t U16() { return ReadRaw<uint16_t>(); }
   uint32_t U32() { return ReadRaw<uint32_t>(); }
   uint64_t U64() { return ReadRaw<uint64_t>(); }
   int64_t I64() { return static_cast<int64_t>(U64()); }

@@ -212,25 +212,13 @@ RingCiphertext RingAggregate(
   return ForwardRing(ctx, pk, parties, ring, shares, final_recipient);
 }
 
-namespace {
-
-std::vector<uint8_t> EncodePublicKey(const crypto::PaillierPublicKey& pk) {
-  net::ByteWriter w;
-  w.U32(static_cast<uint32_t>(pk.key_bits()));
-  w.Bytes(pk.n().ToBytes());
-  return w.Take();
-}
-
-}  // namespace
-
 void BroadcastPublicKey(ProtocolContext& ctx, const Party& owner) {
   const crypto::PaillierPublicKey& pk = owner.public_key();
   const bool equivocate =
       ctx.config.cheat.ActiveFor(owner.id(), ctx.window) &&
       ctx.config.cheat.cheat == CheatClass::kKeyEquivocation;
   if (!equivocate) {
-    ctx.ep(owner.id()).Send(net::kBroadcast, kMsgPublicKey,
-                            EncodePublicKey(pk));
+    ctx.ep(owner.id()).Send(net::kBroadcast, kMsgPublicKey, pk.Serialize());
   } else {
     // Equivocation cheat: the announcer unicasts instead of
     // broadcasting and hands the LAST peer a doctored modulus (n ^ 2 —
@@ -247,22 +235,23 @@ void BroadcastPublicKey(ProtocolContext& ctx, const Party& owner) {
     const crypto::PaillierPublicKey forged(doctored_n, pk.key_bits());
     for (net::AgentId a = 0; a < ctx.num_agents(); ++a) {
       if (a == owner.id()) continue;
-      ctx.ep(owner.id()).Send(
-          a, kMsgPublicKey, EncodePublicKey(a == last ? forged : pk));
+      ctx.ep(owner.id()).Send(a, kMsgPublicKey,
+                              (a == last ? forged : pk).Serialize());
     }
   }
   // Peers drain the announcement; when a directory is attached each
-  // copy is registered, and two different keys from the same announcer
-  // inside one epoch surface as a named protocol fault.
+  // copy is decoded and registered.  A malformed key, or two different
+  // keys from the same announcer inside one epoch, surfaces as a named
+  // protocol fault.
   for (net::AgentId a = 0; a < ctx.num_agents(); ++a) {
     if (a == owner.id()) continue;
-    net::Message m = ExpectMessage(ctx.ep(a), kMsgPublicKey);
+    const net::Message m = ExpectMessage(ctx.ep(a), kMsgPublicKey);
     if (ctx.directory == nullptr) continue;
-    net::ByteReader r(m.payload);
-    const int key_bits = static_cast<int>(r.U32());
-    const crypto::PaillierPublicKey announced(
-        crypto::BigInt::FromBytes(r.Bytes()), key_bits);
-    const pem::Status st = ctx.directory->Register(owner.id(), announced);
+    const pem::Result<crypto::PaillierPublicKey> announced =
+        crypto::PaillierPublicKey::Deserialize(m.payload);
+    const pem::Status st =
+        announced.ok() ? ctx.directory->Register(owner.id(), announced.value())
+                       : pem::Status(announced.error());
     if (!st.ok()) {
       throw ProtocolError(ProtocolFault{
           owner.id(), CheatClass::kKeyEquivocation, ctx.window,

@@ -22,11 +22,6 @@ class SimRandom {
     return d(eng_);
   }
 
-  int64_t UniformInt(int64_t lo, int64_t hi) {  // inclusive range
-    std::uniform_int_distribution<int64_t> d(lo, hi);
-    return d(eng_);
-  }
-
   bool Bernoulli(double p) {
     std::bernoulli_distribution d(p);
     return d(eng_);

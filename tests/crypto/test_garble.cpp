@@ -31,10 +31,8 @@ std::vector<bool> GarbledEval(const Circuit& circuit, uint64_t x, uint64_t y,
   std::vector<WireLabel> gl, el;
   const int gbits = static_cast<int>(circuit.garbler_inputs.size());
   const int ebits = static_cast<int>(circuit.evaluator_inputs.size());
-  const std::vector<bool> xb =
-      gbits > 0 ? ToBits(x, gbits) : std::vector<bool>{};
-  const std::vector<bool> yb =
-      ebits > 0 ? ToBits(y, ebits) : std::vector<bool>{};
+  const std::vector<bool> xb = ToBits(x, gbits);
+  const std::vector<bool> yb = ToBits(y, ebits);
   for (int i = 0; i < gbits; ++i) {
     gl.push_back(g.GarblerInputLabel(static_cast<size_t>(i), xb[static_cast<size_t>(i)]));
   }
@@ -72,30 +70,11 @@ TEST(Garble, FreeXorGateAllInputs) {
   }
 }
 
-TEST(Garble, NotGateIsFreeAndCorrect) {
-  CircuitBuilder cb(1, 0);
-  cb.MarkOutput(cb.Not(cb.garbler_inputs()[0]));
-  const Circuit c = cb.Build();
-  EXPECT_EQ(c.AndGateCount(), 0u);
-  EXPECT_TRUE(GarbledEval(c, 0, 0, 3)[0]);
-  EXPECT_FALSE(GarbledEval(c, 1, 0, 3)[0]);
-}
-
 TEST(Garble, ComparatorMatchesPlainEvaluationExhaustively) {
   const Circuit c = BuildLessThanCircuit(4);
   for (uint64_t x = 0; x < 16; ++x) {
     for (uint64_t y = 0; y < 16; ++y) {
       EXPECT_EQ(GarbledEval(c, x, y, 4)[0], x < y) << x << " < " << y;
-    }
-  }
-}
-
-TEST(Garble, AdderMatchesPlainEvaluation) {
-  const Circuit c = BuildAdderCircuit(8);
-  for (uint64_t x : {uint64_t{0}, uint64_t{1}, uint64_t{127}, uint64_t{200},
-                     uint64_t{255}}) {
-    for (uint64_t y : {uint64_t{0}, uint64_t{1}, uint64_t{55}, uint64_t{255}}) {
-      EXPECT_EQ(FromBits(GarbledEval(c, x, y, 5)), (x + y) & 0xFF);
     }
   }
 }
@@ -153,8 +132,6 @@ TEST(Garble, GarblerCanDecodeOutputs) {
   const Circuit c = cb.Build();
   DeterministicRng rng(13);
   const Garbler g = MakeGarbler(c, rng);
-  // Evaluate manually to recover the active output label, then have the
-  // garbler decode it.
   Evaluator eval(c, GarbledTables::Deserialize(g.tables().Serialize(), c));
   const auto [e0, e1] = g.EvaluatorInputLabels(0);
   const std::vector<bool> out =
@@ -173,7 +150,7 @@ TEST(GarbledTables, SerializationRoundTrip) {
 }
 
 TEST(GarbledTables, SizeIs32BytesPerAndGatePlusDecode) {
-  // Half-gates: two 16-byte rows per AND gate, nothing for XOR or NOT.
+  // Half-gates: two 16-byte rows per AND gate, nothing for XOR.
   for (int bits : {1, 32, 64}) {
     const Circuit c = BuildLessThanCircuit(bits);
     DeterministicRng rng(15);
@@ -211,11 +188,10 @@ TEST(GarbleDeath, WrongLabelCountAborts) {
   EXPECT_DEATH((void)eval.Evaluate({}, {}), "label count");
 }
 
-// Parameterized: every builder circuit, garbled output == plain output
-// on random inputs.
+// Parameterized: the comparator at three widths, garbled output ==
+// plain output on random inputs.
 struct GarbleCase {
   const char* name;
-  Circuit (*build)(int);
   int bits;
 };
 
@@ -229,7 +205,7 @@ class GarbleVsPlain : public ::testing::TestWithParam<GarbleCase> {};
 
 TEST_P(GarbleVsPlain, GarbledEqualsPlain) {
   const GarbleCase& tc = GetParam();
-  const Circuit c = tc.build(tc.bits);
+  const Circuit c = BuildLessThanCircuit(tc.bits);
   DeterministicRng rng(99);
   const uint64_t mask =
       tc.bits == 64 ? ~uint64_t{0} : ((uint64_t{1} << tc.bits) - 1);
@@ -246,18 +222,8 @@ TEST_P(GarbleVsPlain, GarbledEqualsPlain) {
 
 INSTANTIATE_TEST_SUITE_P(
     Circuits, GarbleVsPlain,
-    ::testing::Values(GarbleCase{"lt1", BuildLessThanCircuit, 1},
-                      GarbleCase{"lt8", BuildLessThanCircuit, 8},
-                      GarbleCase{"lt64", BuildLessThanCircuit, 64},
-                      GarbleCase{"eq8", BuildEqualityCircuit, 8},
-                      GarbleCase{"eq64", BuildEqualityCircuit, 64},
-                      GarbleCase{"add8", BuildAdderCircuit, 8},
-                      GarbleCase{"add16", BuildAdderCircuit, 16},
-                      GarbleCase{"add64", BuildAdderCircuit, 64},
-                      GarbleCase{"sub8", BuildSubtractorCircuit, 8},
-                      GarbleCase{"sub64", BuildSubtractorCircuit, 64},
-                      GarbleCase{"max8", BuildMaxCircuit, 8},
-                      GarbleCase{"max64", BuildMaxCircuit, 64}),
+    ::testing::Values(GarbleCase{"lt1", 1}, GarbleCase{"lt8", 8},
+                      GarbleCase{"lt64", 64}),
     [](const ::testing::TestParamInfo<GarbleCase>& info) {
       return info.param.name;
     });

@@ -8,14 +8,12 @@ namespace {
 TEST(Serialize, ScalarRoundTrip) {
   ByteWriter w;
   w.U8(0xAB);
-  w.U16(0x1234);
   w.U32(0xDEADBEEF);
   w.U64(0x0102030405060708ull);
   w.I64(-42);
   w.F64(3.14159);
   ByteReader r(w.data());
   EXPECT_EQ(r.U8(), 0xAB);
-  EXPECT_EQ(r.U16(), 0x1234);
   EXPECT_EQ(r.U32(), 0xDEADBEEFu);
   EXPECT_EQ(r.U64(), 0x0102030405060708ull);
   EXPECT_EQ(r.I64(), -42);

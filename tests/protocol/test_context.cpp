@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "net/bus.h"
+#include "protocol/key_directory.h"
 
 #include <set>
 
@@ -65,6 +66,21 @@ TEST(CiphertextWire, RoundTrip) {
   const crypto::PaillierCiphertext back = ReadCiphertext(r);
   EXPECT_EQ(back.value, ct.value);
   EXPECT_EQ(kp.priv.DecryptSigned(back), -1234);
+}
+
+TEST(PrepareEncryption, DryPoolFallsBackToFreshRandomness) {
+  crypto::DeterministicRng rng(32);
+  const crypto::PaillierKeyPair kp = crypto::GeneratePaillierKeyPair(128, rng);
+  net::MessageBus bus(1);
+  std::vector<net::Endpoint> eps = bus.endpoints();
+  const PemConfig cfg = TestConfig();
+  crypto::PaillierPoolRegistry pools;  // never refilled
+  ProtocolContext ctx{eps, rng, cfg, &pools};
+  const EncryptionSlot slot = PrepareEncryption(ctx, kp.pub, 99);
+  EXPECT_FALSE(slot.pooled_factor.has_value());
+  EXPECT_TRUE(kp.pub.IsRandomness(slot.randomness));
+  const crypto::PaillierCiphertext ct = ComputeEncryption(kp.pub, slot);
+  EXPECT_EQ(kp.priv.DecryptSigned(ct), 99);
 }
 
 TEST(RingAggregate, SumsAllContributions) {
@@ -162,6 +178,32 @@ TEST(BroadcastPublicKey, ReachesAllPeers) {
   BroadcastPublicKey(ctx, parties[0]);
   EXPECT_EQ(bus.total_messages(), 2u);
   EXPECT_FALSE(bus.HasMessage(1));  // drained by the helper
+}
+
+TEST(BroadcastPublicKey, MalformedAnnouncementNamesTheAnnouncer) {
+  crypto::DeterministicRng rng(11);
+  std::vector<Party> parties = MakeParties({1.0, -1.0}, rng);
+  parties[0].EnsureKeys(128, rng);
+  net::MessageBus bus(2);
+  std::vector<net::Endpoint> eps = bus.endpoints();
+  const PemConfig cfg = TestConfig();
+  KeyDirectory directory;
+  ProtocolContext ctx{eps, rng, cfg};
+  ctx.directory = &directory;
+  // Well framed, but key_bits is twice the modulus width.
+  const crypto::PaillierPublicKey& pk = parties[0].public_key();
+  net::ByteWriter w;
+  w.U32(static_cast<uint32_t>(2 * pk.key_bits()));
+  w.Bytes(pk.n().ToBytes());
+  eps[0].Send(1, kMsgPublicKey, w.Take());
+  try {
+    BroadcastPublicKey(ctx, parties[0]);
+    ADD_FAILURE() << "a malformed key was registered";
+  } catch (const ProtocolError& e) {
+    EXPECT_EQ(e.fault().cheater, 0);
+    EXPECT_EQ(e.fault().cheat, CheatClass::kKeyEquivocation);
+  }
+  EXPECT_FALSE(directory.Has(0));
 }
 
 TEST(ExpectMessageDeath, WrongTypeAborts) {

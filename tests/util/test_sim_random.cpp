@@ -30,20 +30,6 @@ TEST(SimRandom, UniformStaysInRange) {
   }
 }
 
-TEST(SimRandom, UniformIntInclusiveRange) {
-  SimRandom rng(9);
-  bool saw_lo = false, saw_hi = false;
-  for (int i = 0; i < 2000; ++i) {
-    const int64_t v = rng.UniformInt(0, 5);
-    EXPECT_GE(v, 0);
-    EXPECT_LE(v, 5);
-    saw_lo |= (v == 0);
-    saw_hi |= (v == 5);
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
 TEST(SimRandom, GaussianHasRoughlyCorrectMoments) {
   SimRandom rng(42);
   double sum = 0, sum_sq = 0;
