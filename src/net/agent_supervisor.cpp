@@ -14,6 +14,7 @@
 #include <climits>
 #include <cstring>
 
+#include "net/child_transport.h"
 #include "util/error.h"
 
 namespace pem::net {
@@ -173,26 +174,50 @@ AgentSupervisor::~AgentSupervisor() {
   fault_wake_.Close();
 }
 
-void AgentSupervisor::RegisterChild(AgentId agent, pid_t pid) {
-  PEM_CHECK(agent >= 0 && agent < num_agents() && pid > 0,
-            "register: bad agent id or pid");
-  children_[static_cast<size_t>(agent)].pid = pid;
-}
+void AgentSupervisor::Launch(const ChildMain& child_main, bool routed,
+                             const MakeWire& make_wire) {
+  PEM_CHECK(child_main != nullptr, "agent supervisor: no child entry point");
+  const int n = num_agents();
+  struct Ends {
+    int wire_parent = -1, wire_child = -1, ctl_parent = -1, ctl_child = -1;
+  };
+  std::vector<Ends> ends(static_cast<size_t>(n));
+  for (Ends& e : ends) {
+    MakeSocketPair(&e.ctl_parent, &e.ctl_child);
+    if (routed) MakeSocketPair(&e.wire_parent, &e.wire_child);
+  }
 
-void AgentSupervisor::AdoptChild(AgentId agent, int wire_fd, int ctl_fd) {
-  PEM_CHECK(agent >= 0 && agent < num_agents(), "adopt: bad agent id");
-  PEM_CHECK(!router_started_, "adopt: router already running");
-  Child& c = children_[static_cast<size_t>(agent)];
-  PEM_CHECK(c.wire_fd < 0 && c.ctl == nullptr, "adopt: agent already adopted");
-  c.wire_fd = wire_fd;
-  c.ctl = std::make_unique<ControlChannel>(ctl_fd, agent);
-}
+  // Fork every child before any thread exists: fork only clones the
+  // calling thread, and forking a process that holds live mutex-owning
+  // threads is how post-fork deadlocks are made.
+  for (AgentId i = 0; i < n; ++i) {
+    Ends& own = ends[static_cast<size_t>(i)];
+    const pid_t pid = fork();
+    PEM_CHECK(pid >= 0, "agent supervisor: fork failed");
+    if (pid == 0) {
+      // Keep EXACTLY this agent's child ends; the rest are not its own.
+      for (const Ends& e : ends) {
+        CloseIfOpen(e.wire_parent);
+        CloseIfOpen(e.ctl_parent);
+        if (&e == &own) continue;
+        CloseIfOpen(e.wire_child);
+        CloseIfOpen(e.ctl_child);
+      }
+      RunChild(i, n, make_wire, own.wire_child, own.ctl_child, child_main);
+    }
+    Child& c = children_[static_cast<size_t>(i)];
+    c.pid = pid;
+    c.wire_fd = own.wire_parent;
+    c.ctl = std::make_unique<ControlChannel>(own.ctl_parent, i);
+    CloseIfOpen(own.wire_child);
+    close(own.ctl_child);
+    own.wire_child = own.ctl_child = -1;
+  }
 
-void AgentSupervisor::WatchChildren() {
+  // Opened after the last fork, so no child inherits them.
   fault_wake_.Open();
-  for (AgentId a = 0; a < num_agents(); ++a) {
+  for (AgentId a = 0; a < n; ++a) {
     Child& c = children_[static_cast<size_t>(a)];
-    PEM_CHECK(c.pid > 0, "watch: an agent was never registered");
     // The raw syscall: some glibc releases ship sys/pidfd.h without C
     // linkage.
     c.pidfd = static_cast<int>(syscall(SYS_pidfd_open, c.pid, 0));
@@ -204,19 +229,9 @@ void AgentSupervisor::WatchChildren() {
               "); Linux >= 5.4 is required"});
     }
   }
-}
-
-void AgentSupervisor::StartRouter() {
-  PEM_CHECK(!router_started_, "router already started");
-  for (const Child& c : children_) {
-    PEM_CHECK(c.wire_fd >= 0 && c.ctl != nullptr,
-              "router start: an agent was never adopted");
-  }
-  // Opened after any forking so no child inherits them.
-  WatchChildren();
+  if (!routed) return;
   wake_.Open();
   for (Child& c : children_) SetNonBlocking(c.wire_fd);
-  router_started_ = true;
   router_ = std::thread([this] { RouterLoop(); });
 }
 
@@ -526,14 +541,13 @@ void AgentSupervisor::KillAndReapAll() {
 }
 
 void AgentSupervisor::StopRouter() {
-  if (router_stopped_ || !router_started_) return;
+  if (!router_.joinable()) return;
   {
     std::lock_guard<std::mutex> lock(mu_);
     shutdown_ = true;
   }
   wake_.Wake();
-  if (router_.joinable()) router_.join();
-  router_stopped_ = true;
+  router_.join();
 }
 
 void AgentSupervisor::Shutdown() {
@@ -580,11 +594,6 @@ uint64_t AgentSupervisor::total_bytes() const {
 uint64_t AgentSupervisor::total_messages() const {
   std::lock_guard<std::mutex> lock(mu_);
   return ledger_.total_messages;
-}
-
-double AgentSupervisor::AverageBytesPerAgent() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ledger_.AverageBytesPerAgent();
 }
 
 void AgentSupervisor::ResetStats() {

@@ -1,13 +1,12 @@
-// Parent-side supervision of out-of-process agents — the control
-// plane every forked backend shares.
-//
-// The parent-side machinery — the child table, the relay router, the
-// control plane, the watchdog, the reaping — never looks at HOW a
-// child's descriptors came to be (inherited socketpair ends in
-// net/process_transport.h, a pre-fork shared mapping in
-// net/shm_transport.h), so it lives here and the concrete backends
-// only differ in their constructors.  Every agent is a local child
-// this process forked.
+// Parent-side supervision of out-of-process agents, shared by every
+// forked backend.  AgentSupervisor::Launch forks one child per agent and
+// decides in one place which descriptors each child inherits and in
+// what order the parent adopts the rest; the child table, relay router,
+// control plane, watchdog and reaping live here too.  A concrete backend
+// supplies only the medium that carries frames: a routed wire
+// socketpair (net/process_transport.h) or a pre-fork shared ring grid
+// (net/shm_transport.h).  Every agent is a local child this process
+// forked.
 //
 // This header is deliberately free of any concrete transport: protocol
 // code that drives children (protocol/agent_driver.cpp) depends on the
@@ -51,6 +50,8 @@
 #include "net/transport.h"
 
 namespace pem::net {
+
+class ChildWire;  // net/child_transport.h
 
 // --- control plane ----------------------------------------------------
 
@@ -127,11 +128,9 @@ class ControlChannel {
 // is an operator, not an agent — it cannot Send or Receive, only
 // command children, collect their reports, and read the wire ledger.
 //
-// Concrete backends (ProcessTransport, ShmTransport)
-// differ only in how each child comes to exist and how its descriptors
-// reach the parent; their constructors register each child's pid as it
-// forks, fill the child table via AdoptChild, and then StartRouter (or
-// WatchChildren, for a backend without a router).
+// Concrete backends (ProcessTransport, ShmTransport) differ only in the
+// medium under each child's ChildTransport; their constructors call
+// Launch once, which forks every child and starts the supervision.
 class AgentSupervisor {
  public:
   // Runs a child's agent.  Return value becomes the child's exit code.
@@ -142,6 +141,11 @@ class AgentSupervisor {
   // contract).
   using ChildMain =
       std::function<int(AgentId self, Transport& wire, ControlChannel& ctl)>;
+
+  // Builds agent `self`'s medium inside its child, from its own end of
+  // the wire socketpair (-1 when the launch is not routed).
+  using MakeWire =
+      std::function<std::unique_ptr<ChildWire>(AgentId self, int wire_fd)>;
 
   struct Options {
     // Upper bound on any single control-plane wait (a child record, an
@@ -183,7 +187,6 @@ class AgentSupervisor {
   TrafficStats stats(AgentId agent) const;
   uint64_t total_bytes() const;
   uint64_t total_messages() const;
-  double AverageBytesPerAgent() const;
   void ResetStats();
   // Observer runs on the router thread in arrival order (concurrent
   // senders interleave nondeterministically; per-sender order is FIFO).
@@ -212,22 +215,14 @@ class AgentSupervisor {
  protected:
   AgentSupervisor(int num_agents, Options opts);
 
-  // Records `agent`'s local child the moment it is forked, so the
-  // destructor kills and reaps it even if the constructor fails later.
-  void RegisterChild(AgentId agent, pid_t pid);
-  // Hands the supervisor the parent ends of `agent`'s wire and control
-  // channel.  Constructor phase only, before StartRouter.
-  void AdoptChild(AgentId agent, int wire_fd, int ctl_fd);
-  // Every child forked: open a pidfd per child and the fault latch's
-  // wake, after the last fork so that no child inherits a sibling's.
-  // An agent never registered is a PEM_CHECK failure; a failed
+  // Forks one child per agent, each holding only its own control end
+  // (and wire end when `routed`) and entering RunChild over
+  // make_wire(agent, own wire end or -1); then opens the pidfds and,
+  // when `routed`, starts the relay router.  Call once, from the
+  // derived constructor, before it starts any thread.  A failed
   // pidfd_open is a TransportError naming the agent.
-  void WatchChildren();
-  // All children adopted: WatchChildren, open the wake pipe, flip the
-  // wire fds nonblocking, and start the relay router.  Call once, last.
-  // A backend whose frames never cross the parent (ShmTransport) calls
-  // WatchChildren instead and runs its own accounting thread.
-  void StartRouter();
+  void Launch(const ChildMain& child_main, bool routed,
+              const MakeWire& make_wire);
 
   // Ledger + observer entry for one delivered copy, under the
   // supervisor lock — the single accounting path shared by the relay
@@ -243,15 +238,14 @@ class AgentSupervisor {
   // convicted wire.
   void RecordFault(AgentId agent, std::string detail);
 
-  // Teardown halves, exposed so a derived destructor can stop the
-  // children / router BEFORE its own members (e.g. a shared mapping an
-  // accounting thread still reads) are destroyed.  Both idempotent.
-  void KillAndReapAll();  // SIGKILL stragglers; never throws
-  void StopRouter();
+  // SIGKILLs and reaps the children that still run; never throws,
+  // idempotent.  Exposed so a derived destructor can stop them BEFORE
+  // its own members (e.g. a shared mapping they write) are destroyed.
+  void KillAndReapAll();
 
  private:
   struct Child {
-    pid_t pid = -1;    // -1 until RegisterChild
+    pid_t pid = -1;    // -1 until Launch forks it
     int pidfd = -1;    // readable once the child has ended; -1 once reaped
     int wire_fd = -1;  // parent end; nonblocking, router thread reads
     std::unique_ptr<ControlChannel> ctl;
@@ -274,6 +268,7 @@ class AgentSupervisor {
   bool ConvictWire(AgentId owner, const std::string& what);  // -> false
   void RouteFrame(const Message& frame);  // validated frames only
   void FlushPending(AgentId dest);        // router thread only
+  void StopRouter();                      // idempotent
   // One poll until `until` on `reading`'s control channel (none if
   // -1), the fault latch's wake and every unreaped child's pidfd; takes
   // in what the channel holds and collects every child that ended.
@@ -291,8 +286,6 @@ class AgentSupervisor {
   WakePipe wake_;        // unparks the router thread
   WakePipe fault_wake_;  // unparks Await once a fault latches
   bool finished_ = false;  // Shutdown() completed cleanly
-  bool router_started_ = false;
-  bool router_stopped_ = false;
 
   mutable std::mutex mu_;
   TrafficLedger ledger_;

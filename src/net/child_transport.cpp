@@ -148,7 +148,8 @@ std::optional<Message> ChildTransport::Receive(AgentId agent) {
 
 // --- child entry point ------------------------------------------------
 
-void RunChild(AgentId self, int num_agents, std::unique_ptr<ChildWire> wire,
+void RunChild(AgentId self, int num_agents,
+              const AgentSupervisor::MakeWire& make_wire, int wire_fd,
               int ctl_fd, const AgentSupervisor::ChildMain& child_main) {
   // Die with the parent: a crashed/killed orchestrator must never leave
   // agent processes behind.
@@ -156,7 +157,7 @@ void RunChild(AgentId self, int num_agents, std::unique_ptr<ChildWire> wire,
   ControlChannel ctl(ctl_fd, self);
   int code = 127;
   try {
-    ChildTransport transport(num_agents, self, std::move(wire));
+    ChildTransport transport(num_agents, self, make_wire(self, wire_fd));
     code = child_main(self, transport, ctl);
     transport.wire().VerifyDrained();
   } catch (const std::exception& e) {

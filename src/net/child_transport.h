@@ -133,13 +133,15 @@ class ChildTransport final : public Transport {
   std::unique_ptr<ChildWire> wire_;
 };
 
-// Runs inside a freshly launched child process: builds the
-// ChildTransport over `wire` and the control channel over `ctl_fd`,
-// runs `child_main`, checks the medium is drained, reports an Error
-// record on exception, and _exits with the callable's return value.
-// Every forked backend's children enter here.
+// Runs inside a freshly forked child process: builds the control
+// channel over `ctl_fd` and the ChildTransport over make_wire(self,
+// wire_fd), runs `child_main`, checks the medium is drained, reports an
+// Error record on exception (a medium that fails to build included),
+// and _exits with the callable's return value.  AgentSupervisor::Launch
+// enters every child here.
 [[noreturn]] void RunChild(AgentId self, int num_agents,
-                           std::unique_ptr<ChildWire> wire, int ctl_fd,
+                           const AgentSupervisor::MakeWire& make_wire,
+                           int wire_fd, int ctl_fd,
                            const AgentSupervisor::ChildMain& child_main);
 
 }  // namespace pem::net

@@ -141,16 +141,9 @@ struct WakePipe {
   int recv_fd = -1;
 
   void Open() {
-    int fds[2];
-    PEM_CHECK(socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) == 0,
-              "wake pipe: socketpair failed");
-    send_fd = fds[0];
-    recv_fd = fds[1];
-    for (const int fd : {send_fd, recv_fd}) {
-      const int flags = fcntl(fd, F_GETFL, 0);
-      PEM_CHECK(flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0,
-                "wake pipe: fcntl(O_NONBLOCK) failed");
-    }
+    MakeSocketPair(&send_fd, &recv_fd);
+    SetNonBlocking(send_fd);
+    SetNonBlocking(recv_fd);
   }
 
   void Close() {

@@ -30,6 +30,15 @@ inline uint64_t LoadU64(const uint8_t* p) {
          static_cast<uint64_t>(LoadU32(p + 4)) << 32;
 }
 
+// Whether a record claiming `frame_len` frame bytes fits a frame and is
+// whole in `readable` bytes.  Records are published whole (one release
+// store of tail), so a length that fails this is a lie, not a torn read.
+bool SaneRecordLength(uint32_t frame_len, size_t readable) {
+  return frame_len >= kFrameHeaderBytes &&
+         frame_len <= FramedSize(kMaxFramePayloadBytes) &&
+         readable >= kShmRecordHeaderBytes + frame_len;
+}
+
 // --- child side -------------------------------------------------------
 
 // The shm medium under a forked child's ChildTransport: this agent's
@@ -73,11 +82,7 @@ class RingGrid final : public ChildWire {
     uint8_t rh[kShmRecordHeaderBytes];
     ring.Peek(0, rh, sizeof rh);
     const uint32_t frame_len = LoadU32(rh);
-    // Records are published whole (one release store of tail), so a
-    // visible header implies the full record is visible.
-    if (frame_len < kFrameHeaderBytes ||
-        frame_len > FramedSize(kMaxFramePayloadBytes) ||
-        ring.ReadableBytes() < kShmRecordHeaderBytes + frame_len) {
+    if (!SaneRecordLength(frame_len, ring.ReadableBytes())) {
       ThrowBadRecord(src, "has an insane length");
     }
     scratch_.resize(frame_len);
@@ -163,7 +168,6 @@ ShmTransport::ShmTransport(int num_agents, ChildMain child_main, Options opts)
     : AgentSupervisor(num_agents,
                       AgentSupervisor::Options{opts.watchdog_ms}),
       shm_opts_(opts) {
-  PEM_CHECK(child_main != nullptr, "ShmTransport needs a child entry point");
   PEM_CHECK(opts.ring_bytes >= 4096 &&
                 (opts.ring_bytes & (opts.ring_bytes - 1)) == 0,
             "ShmTransport: ring_bytes must be a power of two >= 4096");
@@ -185,33 +189,11 @@ ShmTransport::ShmTransport(int num_agents, ChildMain child_main, Options opts)
   }
   next_seq_.assign(n, 0);
   reorder_.resize(n);
+  convicted_.assign(n * n, false);
 
-  // Control socketpairs, then fork — before any thread exists in the
-  // parent (forking a process with live mutex-owning threads is how
-  // post-fork deadlocks are made).
-  std::vector<int> ctl_parent(n, -1), ctl_child(n, -1);
-  for (size_t i = 0; i < n; ++i) MakeSocketPair(&ctl_parent[i], &ctl_child[i]);
-  for (size_t i = 0; i < n; ++i) {
-    const pid_t pid = fork();
-    PEM_CHECK(pid >= 0, "shm transport: fork failed");
-    if (pid == 0) {
-      // Inherit EXACTLY this agent's control end; the mapping itself
-      // is shared by construction.
-      for (size_t j = 0; j < n; ++j) {
-        CloseIfOpen(ctl_parent[j]);
-        if (j != i) CloseIfOpen(ctl_child[j]);
-      }
-      RunChild(static_cast<AgentId>(i), num_agents,
-               std::make_unique<RingGrid>(num_agents, static_cast<AgentId>(i),
-                                          rings_, epoch_),
-               ctl_child[i], child_main);
-    }
-    RegisterChild(static_cast<AgentId>(i), pid);
-    AdoptChild(static_cast<AgentId>(i), /*wire_fd=*/-1, ctl_parent[i]);
-    close(ctl_child[i]);
-    ctl_child[i] = -1;
-  }
-  WatchChildren();
+  Launch(child_main, /*routed=*/false, [this, num_agents](AgentId self, int) {
+    return std::make_unique<RingGrid>(num_agents, self, rings_, epoch_);
+  });
 
   // No relay router: frames never cross the parent.  The snooper tails
   // every ring through its snoop cursor and feeds the shared
@@ -245,18 +227,31 @@ void ShmTransport::SnooperLoop() {
     bool progress = false;
     for (AgentId from = 0; from < n; ++from) {
       for (AgentId to = 0; to < n; ++to) {
-        SpscRing& ring =
-            rings_[static_cast<size_t>(from) * static_cast<size_t>(n) +
-                   static_cast<size_t>(to)];
+        const size_t r = static_cast<size_t>(from) * static_cast<size_t>(n) +
+                         static_cast<size_t>(to);
+        SpscRing& ring = rings_[r];
+        if (convicted_[r]) {
+          // A ring that lied about a record length has no boundaries left
+          // to trust: it drains unread and unaccounted, as the router
+          // closes a convicted wire, so SyncLedger still terminates.
+          if (const size_t left = ring.SnoopReadableBytes()) {
+            ring.SnoopConsume(left);
+          }
+          continue;
+        }
         while (ring.SnoopReadableBytes() >= kShmRecordHeaderBytes) {
           progress = true;
           uint8_t rh[kShmRecordHeaderBytes];
           ring.SnoopPeek(0, rh, sizeof rh);
           const uint32_t frame_len = LoadU32(rh);
           const uint64_t seq = LoadU64(rh + 8);
-          PEM_CHECK(ring.SnoopReadableBytes() >=
-                        kShmRecordHeaderBytes + frame_len,
-                    "shm snooper: torn ring record");
+          if (!SaneRecordLength(frame_len, ring.SnoopReadableBytes())) {
+            RecordFault(from, "forged ring record: header claims a " +
+                                  std::to_string(frame_len) +
+                                  "-byte frame the ring does not hold");
+            convicted_[r] = true;
+            break;
+          }
           snoop_scratch_.resize(frame_len);
           ring.SnoopPeek(kShmRecordHeaderBytes, snoop_scratch_.data(),
                          frame_len);
@@ -329,19 +324,22 @@ void ShmTransport::SnooperLoop() {
 
 void ShmTransport::InjectRingRecordForTest(AgentId from, AgentId to,
                                            uint64_t seq, const Message& msg,
-                                           bool corrupt_frame) {
+                                           RecordForgery forgery) {
   const size_t n = static_cast<size_t>(num_agents());
   PEM_CHECK(from >= 0 && static_cast<size_t>(from) < n && to >= 0 &&
                 static_cast<size_t>(to) < n && from != to,
             "shm inject: agent pair out of range");
   std::vector<uint8_t> frame = EncodeFrame(msg);
-  if (corrupt_frame) {
+  uint32_t frame_len = static_cast<uint32_t>(frame.size());
+  if (forgery == RecordForgery::kCorruptFrame) {
     // Flip a bit in the stored checksum (frame byte 16): the record
     // layout stays intact, only the frame fails decode.
     frame[16] ^= 0x01;
+  } else if (forgery == RecordForgery::kLyingLength) {
+    frame_len += 4096;  // claims bytes that are never published
   }
   uint8_t rh[kShmRecordHeaderBytes];
-  StoreU32(rh, static_cast<uint32_t>(frame.size()));
+  StoreU32(rh, frame_len);
   StoreU32(rh + 4, 0);  // reserved
   StoreU64(rh + 8, seq);
   SpscRing& ring = rings_[static_cast<size_t>(from) * n +

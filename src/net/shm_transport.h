@@ -7,14 +7,17 @@
 // This backend removes all three: the parent mmaps one
 // MAP_SHARED | MAP_ANONYMOUS region holding an n x n grid of
 // net/spsc_ring.h rings (one per directed agent pair; the diagonal is
-// unused), forks one child per agent, and a Send writes the canonical
-// net/frame.h frame ONCE into ring(sender -> recipient), where the
-// recipient consumes it in place — no kernel copies, no router hop.
+// unused), then launches one forked child per agent through
+// net::AgentSupervisor::Launch (unrouted: each child inherits only its
+// control end; the mapping is shared by construction).  A Send writes
+// the canonical net/frame.h frame ONCE into ring(sender -> recipient),
+// where the recipient consumes it in place — no kernel copies, no
+// router hop.
 //
 // What does NOT change is everything the other out-of-process
 // backends established:
-//   * the control plane, watchdog, fault reporting, reaping and
-//     per-window report collection all reuse net::AgentSupervisor;
+//   * the launch, control plane, watchdog, fault reporting, reaping
+//     and per-window report collection all reuse net::AgentSupervisor;
 //   * Table-I accounting still charges exactly FramedSize(payload)
 //     per delivered copy, through the same AccountDeliveredCopy path
 //     the relay routers use.  The parent cannot sit on a router hop
@@ -86,19 +89,23 @@ class ShmTransport : public AgentSupervisor {
   // when the tails are quiesced.
   void SyncLedger() override;
 
+  enum class RecordForgery { kNone, kCorruptFrame, kLyingLength };
+
   // Test hook: publishes a ring record into ring(from -> to) directly
   // from the parent, as an adversary with mapping access would —
   // choosing the per-sender sequence number freely and optionally
-  // corrupting the frame checksum.  The snooper rejects what it snoops
-  // (a stale/duplicate sequence is a replay, a record whose frame names
-  // another pair is a forgery, a corrupt frame is garbage), latching a
-  // structured fault naming the ring's sender while the surviving
-  // rings keep accounting.  Only safe while the named sender's child is
+  // forging the record: a corrupt frame checksum, or a ring header that
+  // claims 4096 more frame bytes than it publishes.  The snooper rejects
+  // what it snoops (a stale/duplicate sequence is a replay, a record
+  // whose frame names another pair is a forgery, a corrupt frame is
+  // garbage, a lying length convicts the whole ring), latching a
+  // structured fault naming the ring's sender while the surviving rings
+  // keep accounting.  Only safe while the named sender's child is
   // quiescent (SPSC: one producer per ring).  Never called outside
   // tests.
   void InjectRingRecordForTest(AgentId from, AgentId to, uint64_t seq,
                                const Message& msg,
-                               bool corrupt_frame = false);
+                               RecordForgery forgery = RecordForgery::kNone);
 
  private:
   void SnooperLoop();
@@ -110,9 +117,11 @@ class ShmTransport : public AgentSupervisor {
   std::atomic<uint32_t>* epoch_ = nullptr;  // publish doorbell (shared)
   std::vector<SpscRing> rings_;             // [from * n + to]; diagonal unused
 
-  // Snooper-thread-only per-sender merge state.
+  // Snooper-thread-only per-sender merge state, and the rings convicted
+  // of a lying record length ([from * n + to]), drained unread.
   std::vector<uint64_t> next_seq_;
   std::vector<std::map<uint64_t, Message>> reorder_;
+  std::vector<bool> convicted_;
   std::vector<uint8_t> snoop_scratch_;
 
   std::atomic<bool> snoop_stop_{false};

@@ -77,7 +77,6 @@ class SpscRing {
 
   uint64_t capacity() const { return h_->capacity; }
   uint64_t tail() const { return h_->tail.load(std::memory_order_acquire); }
-  uint64_t head() const { return h_->head.load(std::memory_order_acquire); }
   uint64_t snoop() const { return h_->snoop.load(std::memory_order_acquire); }
 
   // --- writer side ---

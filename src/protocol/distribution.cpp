@@ -157,69 +157,45 @@ DistributionResult RunPrivateDistribution(ProtocolContext& ctx,
             "distribution requires both coalitions");
   PEM_CHECK(price > 0.0, "price must be positive");
 
+  // The counterpart coalition learns the ratios of the other one and
+  // leads each pairwise settlement.  General market (lines 9-13):
+  // demand ratios |sn_j| / E_b go to the sellers; every seller routes
+  // e_ij = ratio_j * sn_i to every buyer, who pays m_ji = p * e_ij.
+  // Extreme market: supply ratios sn_i / E_s go to the buyers; every
+  // buyer pays for e_ij = ratio_i * |sn_j| and the seller routes it.
+  const std::vector<size_t>& counterpart =
+      general_market ? coalitions.sellers : coalitions.buyers;
+  const std::vector<size_t>& ratio_members =
+      general_market ? coalitions.buyers : coalitions.sellers;
   DistributionResult result;
-  if (general_market) {
-    // Demand ratios |sn_j| / E_b, revealed only to the seller coalition.
-    const size_t hs = SelectAgent(ctx, parties, coalitions.sellers);
-    result.aggregator_index = hs;
-    const std::vector<double> ratios = ComputeRatios(
-        ctx, parties, coalitions.buyers, coalitions.sellers, hs);
+  result.aggregator_index = SelectAgent(ctx, parties, counterpart);
+  const std::vector<double> ratios = ComputeRatios(
+      ctx, parties, ratio_members, counterpart, result.aggregator_index);
 
-    // Lines 9-13: every seller routes e_ij = ratio_j * sn_i to every
-    // buyer; the buyer pays m_ji = p * e_ij.
-    for (size_t si : coalitions.sellers) {
-      const double sn_i = parties[si].net_kwh();
-      for (size_t j = 0; j < coalitions.buyers.size(); ++j) {
-        const size_t bj = coalitions.buyers[j];
-        const double e_ij = ratios[j] * sn_i;
-        net::ByteWriter we;
-        we.U32(static_cast<uint32_t>(si));
-        we.F64(e_ij);
-        ctx.ep(parties[si].id())
-            .Send(parties[bj].id(), kMsgEnergyTransfer, we.Take());
-        (void)ExpectMessage(ctx.ep(parties[bj].id()), kMsgEnergyTransfer);
-
-        const double m_ji = price * e_ij;
-        net::ByteWriter wp;
-        wp.U32(static_cast<uint32_t>(bj));
-        wp.F64(m_ji);
-        ctx.ep(parties[bj].id()).Send(parties[si].id(), kMsgPayment,
-                                      wp.Take());
-        (void)ExpectMessage(ctx.ep(parties[si].id()), kMsgPayment);
-
-        result.trades.push_back(Trade{si, bj, e_ij, m_ji});
+  // One settlement leg: `from` tells `to` its index and the amount.
+  const auto leg = [&](size_t from, size_t to, uint32_t type, double amount) {
+    net::ByteWriter w;
+    w.U32(static_cast<uint32_t>(from));
+    w.F64(amount);
+    ctx.ep(parties[from].id()).Send(parties[to].id(), type, w.Take());
+    (void)ExpectMessage(ctx.ep(parties[to].id()), type);
+  };
+  for (size_t c : counterpart) {
+    const double own_kwh =
+        general_market ? parties[c].net_kwh() : -parties[c].net_kwh();
+    for (size_t k = 0; k < ratio_members.size(); ++k) {
+      const size_t si = general_market ? c : ratio_members[k];
+      const size_t bj = general_market ? ratio_members[k] : c;
+      const double e_ij = ratios[k] * own_kwh;
+      const double m_ji = price * e_ij;
+      if (general_market) {
+        leg(si, bj, kMsgEnergyTransfer, e_ij);
+        leg(bj, si, kMsgPayment, m_ji);
+      } else {
+        leg(bj, si, kMsgPayment, m_ji);
+        leg(si, bj, kMsgEnergyTransfer, e_ij);
       }
-    }
-  } else {
-    // Extreme market: supply ratios sn_i / E_s, revealed only to the
-    // buyer coalition; buyers compute e_ij and pay, sellers route.
-    const size_t hb = SelectAgent(ctx, parties, coalitions.buyers);
-    result.aggregator_index = hb;
-    const std::vector<double> ratios = ComputeRatios(
-        ctx, parties, coalitions.sellers, coalitions.buyers, hb);
-
-    for (size_t bj : coalitions.buyers) {
-      const double demand_j = -parties[bj].net_kwh();
-      for (size_t i = 0; i < coalitions.sellers.size(); ++i) {
-        const size_t si = coalitions.sellers[i];
-        const double e_ij = ratios[i] * demand_j;
-        const double m_ji = price * e_ij;
-        net::ByteWriter wp;
-        wp.U32(static_cast<uint32_t>(bj));
-        wp.F64(m_ji);
-        ctx.ep(parties[bj].id()).Send(parties[si].id(), kMsgPayment,
-                                      wp.Take());
-        (void)ExpectMessage(ctx.ep(parties[si].id()), kMsgPayment);
-
-        net::ByteWriter we;
-        we.U32(static_cast<uint32_t>(si));
-        we.F64(e_ij);
-        ctx.ep(parties[si].id())
-            .Send(parties[bj].id(), kMsgEnergyTransfer, we.Take());
-        (void)ExpectMessage(ctx.ep(parties[bj].id()), kMsgEnergyTransfer);
-
-        result.trades.push_back(Trade{si, bj, e_ij, m_ji});
-      }
+      result.trades.push_back(Trade{si, bj, e_ij, m_ji});
     }
   }
   return result;

@@ -69,13 +69,6 @@ bool ReEncryptsToCiphertext(const crypto::PaillierPublicKey& pk,
 
 }  // namespace
 
-bool VerifyContribution(const crypto::PaillierPublicKey& pk,
-                        const VerifiableContribution& contribution,
-                        const ContributionWitness& witness) {
-  return OpensCommitment(contribution, witness) &&
-         ReEncryptsToCiphertext(pk, contribution, witness);
-}
-
 ContributionVerdict JudgeContribution(
     const crypto::PaillierPublicKey& pk,
     const VerifiableContribution& contribution,

@@ -56,12 +56,6 @@ VerifiableResult MakeVerifiableContribution(
 // blinder: what MakeVerifiableContribution publishes.
 crypto::Commitment CommitWitness(const ContributionWitness& witness);
 
-// The auditor's check: the witness opens the commitment AND
-// re-encrypting with the witness randomness reproduces the ciphertext.
-bool VerifyContribution(const crypto::PaillierPublicKey& pk,
-                        const VerifiableContribution& contribution,
-                        const ContributionWitness& witness);
-
 // Graded verdict for the audit round: WHICH check failed names the
 // cheat class.  Checked in order — a witness for the wrong domain that
 // is otherwise self-consistent is a replay; one whose opening fails is

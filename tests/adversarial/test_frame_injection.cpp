@@ -373,7 +373,7 @@ TEST(FrameInjection, ShmCorruptFrameRecordLatchesStructuredFault) {
   ShmTransport shm(2, IdleChild());
   shm.Shutdown();
   shm.InjectRingRecordForTest(0, 1, /*seq=*/0, Msg(0, 1),
-                              /*corrupt_frame=*/true);
+                              ShmTransport::RecordForgery::kCorruptFrame);
   const std::optional<TransportFault> fault = AwaitFault(shm);
   ASSERT_TRUE(fault.has_value());
   EXPECT_EQ(fault->agent, 0);
@@ -447,7 +447,7 @@ TEST(FrameInjection, ShmFaultCorruptRecordIsReportedByTheReadingChild) {
     ShmTransport shm(2, DivergingExchange(false), opts);
     shm.CommandAll(kCtlCmdRun);
     shm.InjectRingRecordForTest(0, 1, /*seq=*/0, Scripted(),
-                                /*corrupt_frame=*/true);
+                                ShmTransport::RecordForgery::kCorruptFrame);
     try {
       (void)shm.ReadRecord(1);
       FAIL() << "agent 1 consumed a corrupt ring record";
@@ -468,7 +468,7 @@ TEST(FrameInjection, ShmSurvivingRingsKeepAccountingAfterFault) {
   ShmTransport shm(3, IdleChild());
   shm.Shutdown();
   shm.InjectRingRecordForTest(0, 1, /*seq=*/0, Msg(0, 1),
-                              /*corrupt_frame=*/true);
+                              ShmTransport::RecordForgery::kCorruptFrame);
   ASSERT_TRUE(WaitFor([&shm] { return shm.fault().has_value(); }));
   // The compromised ring is convicted, but the other senders' rings
   // still feed the ledger.
@@ -477,6 +477,36 @@ TEST(FrameInjection, ShmSurvivingRingsKeepAccountingAfterFault) {
   EXPECT_TRUE(WaitFor([&shm, &honest] {
     return shm.total_bytes() == FramedSize(honest);
   }));
+  EXPECT_EQ(shm.stats(2).bytes_sent, FramedSize(honest));
+  ExpectNoZombies();
+}
+
+TEST(FrameInjection, ShmFaultLyingRecordLengthLatchesStructuredFault) {
+  ShmTransport shm(3, IdleChild());
+  shm.Shutdown();
+  // Ring 0 -> 1's header claims 4096 frame bytes it never published:
+  // the record boundaries of that ring can no longer be trusted, so the
+  // whole ring is convicted, including the honest-looking record after.
+  shm.InjectRingRecordForTest(0, 1, /*seq=*/0, Msg(0, 1),
+                              ShmTransport::RecordForgery::kLyingLength);
+  const std::optional<TransportFault> fault = AwaitFault(shm);
+  ASSERT_TRUE(fault.has_value());
+  EXPECT_EQ(fault->agent, 0);
+  EXPECT_EQ(fault->code, ErrorCode::kProtocolViolation);
+  EXPECT_NE(fault->detail.find("does not hold"), std::string::npos)
+      << fault->detail;
+  shm.InjectRingRecordForTest(0, 1, /*seq=*/1, Msg(0, 1));
+  // The surviving ring 2 -> 1 keeps accounting.
+  const Message honest = Msg(2, 1, 0x3000, {7});
+  shm.InjectRingRecordForTest(2, 1, /*seq=*/0, honest);
+  EXPECT_TRUE(WaitFor([&shm, &honest] {
+    return shm.total_bytes() == FramedSize(honest);
+  }));
+  // Every ring drains, the convicted one unread.
+  shm.SyncLedger();
+  EXPECT_EQ(shm.total_bytes(), FramedSize(honest));
+  EXPECT_EQ(shm.total_messages(), 1u);
+  EXPECT_EQ(shm.stats(0).bytes_sent, 0u);
   EXPECT_EQ(shm.stats(2).bytes_sent, FramedSize(honest));
   ExpectNoZombies();
 }

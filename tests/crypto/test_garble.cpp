@@ -126,19 +126,6 @@ TEST(Garble, EvaluatorZeroLabelsAreTheGivenOnes) {
   EXPECT_TRUE(delta.permute_bit());
 }
 
-TEST(Garble, GarblerCanDecodeOutputs) {
-  CircuitBuilder cb(1, 1);
-  cb.MarkOutput(cb.And(cb.garbler_inputs()[0], cb.evaluator_inputs()[0]));
-  const Circuit c = cb.Build();
-  DeterministicRng rng(13);
-  const Garbler g = MakeGarbler(c, rng);
-  Evaluator eval(c, GarbledTables::Deserialize(g.tables().Serialize(), c));
-  const auto [e0, e1] = g.EvaluatorInputLabels(0);
-  const std::vector<bool> out =
-      eval.Evaluate({g.GarblerInputLabel(0, true)}, {e1});
-  EXPECT_TRUE(out[0]);
-}
-
 TEST(GarbledTables, SerializationRoundTrip) {
   const Circuit c = BuildLessThanCircuit(16);
   DeterministicRng rng(14);

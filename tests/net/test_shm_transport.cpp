@@ -237,6 +237,40 @@ TEST(ShmTransport, ObserverSeesExactPerSenderSendOrder) {
   ExpectNoChildrenLeft();
 }
 
+// Each child reports how many descriptors it holds, then idles.
+int FdCountingChild(AgentId self, Transport& wire, ControlChannel& ctl) {
+  uint8_t count[4];
+  StoreU32(count, static_cast<uint32_t>(CountOpenFds()));
+  ctl.Write(kCtlRepWindow, count);
+  return IdleChild(self, wire, ctl);
+}
+
+// The descriptor count every child of an n-agent ShmTransport reports.
+std::vector<int> ChildFdCounts(int n) {
+  ShmTransport transport(n, FdCountingChild);
+  std::vector<int> counts;
+  for (AgentId a = 0; a < n; ++a) {
+    const ControlRecord rec = transport.ReadRecord(a);
+    counts.push_back(static_cast<int>(LoadU32(rec.payload.data())));
+  }
+  transport.Shutdown();
+  return counts;
+}
+
+TEST(ShmTransport, ChildHoldsOnlyItsOwnDescriptors) {
+  // A child inherits what this process held before the launch plus its
+  // own control end (the ring grid is a mapping, not a descriptor): no
+  // sibling's end, no pidfd, no wake pipe.  So every child holds the
+  // same count, whatever n is.
+  const int inherited = CountOpenFds();
+  const std::vector<int> two = ChildFdCounts(2);
+  const std::vector<int> six = ChildFdCounts(6);
+  EXPECT_EQ(two[0], inherited + 1);
+  for (const int count : two) EXPECT_EQ(count, two[0]);
+  for (const int count : six) EXPECT_EQ(count, two[0]);
+  ExpectNoChildrenLeft();
+}
+
 // --- pressure ---------------------------------------------------------
 
 TEST(ShmPressure, TinyRingsForceBackpressureAndWraparound) {

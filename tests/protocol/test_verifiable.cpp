@@ -10,12 +10,18 @@ crypto::PaillierKeyPair TestKeys() {
   return crypto::GeneratePaillierKeyPair(256, rng);
 }
 
+// The audit's verdict on `r` under the domain its own witness names.
+bool IsHonest(const crypto::PaillierPublicKey& pk, const VerifiableResult& r) {
+  return JudgeContribution(pk, r.contribution, r.witness, r.witness.domain) ==
+         ContributionVerdict::kHonest;
+}
+
 TEST(Verifiable, HonestContributionVerifies) {
   const crypto::PaillierKeyPair kp = TestKeys();
   crypto::DeterministicRng rng(2);
   const VerifiableResult r =
       MakeVerifiableContribution(kp.pub, 123456, rng);
-  EXPECT_TRUE(VerifyContribution(kp.pub, r.contribution, r.witness));
+  EXPECT_TRUE(IsHonest(kp.pub, r));
   // The ciphertext really encrypts the blinded value.
   EXPECT_EQ(kp.priv.DecryptSigned(r.contribution.ciphertext), 123456);
 }
@@ -24,7 +30,7 @@ TEST(Verifiable, NegativeBlindedValueSupported) {
   const crypto::PaillierKeyPair kp = TestKeys();
   crypto::DeterministicRng rng(3);
   const VerifiableResult r = MakeVerifiableContribution(kp.pub, -42, rng);
-  EXPECT_TRUE(VerifyContribution(kp.pub, r.contribution, r.witness));
+  EXPECT_TRUE(IsHonest(kp.pub, r));
 }
 
 TEST(Verifiable, LyingAboutValueIsDetected) {
@@ -32,7 +38,7 @@ TEST(Verifiable, LyingAboutValueIsDetected) {
   crypto::DeterministicRng rng(4);
   VerifiableResult r = MakeVerifiableContribution(kp.pub, 1000, rng);
   r.witness.blinded_value = 2000;  // claim a different input post hoc
-  EXPECT_FALSE(VerifyContribution(kp.pub, r.contribution, r.witness));
+  EXPECT_FALSE(IsHonest(kp.pub, r));
 }
 
 TEST(Verifiable, SwappedCiphertextIsDetected) {
@@ -42,7 +48,7 @@ TEST(Verifiable, SwappedCiphertextIsDetected) {
   // Substitute a ciphertext of the right value but wrong randomness
   // (i.e., not the one committed to).
   r.contribution.ciphertext = kp.pub.EncryptSigned(1000, rng);
-  EXPECT_FALSE(VerifyContribution(kp.pub, r.contribution, r.witness));
+  EXPECT_FALSE(IsHonest(kp.pub, r));
 }
 
 TEST(Verifiable, WrongRandomnessWitnessIsDetected) {
@@ -51,7 +57,7 @@ TEST(Verifiable, WrongRandomnessWitnessIsDetected) {
   VerifiableResult r = MakeVerifiableContribution(kp.pub, 77, rng);
   r.witness.encryption_randomness =
       r.witness.encryption_randomness + crypto::BigInt(1);
-  EXPECT_FALSE(VerifyContribution(kp.pub, r.contribution, r.witness));
+  EXPECT_FALSE(IsHonest(kp.pub, r));
 }
 
 TEST(Verifiable, TamperedBlinderIsDetected) {
@@ -59,7 +65,7 @@ TEST(Verifiable, TamperedBlinderIsDetected) {
   crypto::DeterministicRng rng(7);
   VerifiableResult r = MakeVerifiableContribution(kp.pub, 77, rng);
   r.witness.blinder[0] ^= 1;
-  EXPECT_FALSE(VerifyContribution(kp.pub, r.contribution, r.witness));
+  EXPECT_FALSE(IsHonest(kp.pub, r));
 }
 
 TEST(Verifiable, ZeroRandomnessWitnessRejectedSafely) {
@@ -67,7 +73,7 @@ TEST(Verifiable, ZeroRandomnessWitnessRejectedSafely) {
   crypto::DeterministicRng rng(8);
   VerifiableResult r = MakeVerifiableContribution(kp.pub, 5, rng);
   r.witness.encryption_randomness = crypto::BigInt(0);
-  EXPECT_FALSE(VerifyContribution(kp.pub, r.contribution, r.witness));
+  EXPECT_FALSE(IsHonest(kp.pub, r));
 }
 
 TEST(Verifiable, OversizedRandomnessWitnessIsMisEncryptedNotAnAbort) {
@@ -88,7 +94,7 @@ TEST(Verifiable, OversizedRandomnessWitnessIsMisEncryptedNotAnAbort) {
   r.contribution.commitment = CommitWitness(r.witness);
   EXPECT_EQ(JudgeContribution(kp.pub, r.contribution, r.witness, domain),
             ContributionVerdict::kMisEncrypted);
-  EXPECT_FALSE(VerifyContribution(kp.pub, r.contribution, r.witness));
+  EXPECT_FALSE(IsHonest(kp.pub, r));
 }
 
 TEST(Verifiable, AuditedValueIsBlindedNotRaw) {
@@ -102,7 +108,7 @@ TEST(Verifiable, AuditedValueIsBlindedNotRaw) {
   const int64_t blinded = -net_energy + nonce;     // what Protocol 2 sends
   const VerifiableResult r =
       MakeVerifiableContribution(kp.pub, blinded, rng);
-  ASSERT_TRUE(VerifyContribution(kp.pub, r.contribution, r.witness));
+  ASSERT_TRUE(IsHonest(kp.pub, r));
   EXPECT_EQ(r.witness.blinded_value, blinded);
   EXPECT_NE(r.witness.blinded_value, -net_energy);
 }
