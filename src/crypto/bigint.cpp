@@ -67,19 +67,26 @@ BigInt BigInt::RandomBits(int bits, Rng& rng) {
 }
 
 BigInt BigInt::RandomPrime(int bits, Rng& rng) {
-  PEM_CHECK(bits >= 8, "RandomPrime: need at least 8 bits");
   for (;;) {
-    BigInt candidate = RandomBits(bits, rng);
-    // Set the second-highest bit so p*q for two b-bit primes is exactly
-    // 2b bits (standard RSA/Paillier keygen practice).
-    mpz_setbit(candidate.z_, static_cast<mp_bitcnt_t>(bits - 2));
-    mpz_setbit(candidate.z_, 0);  // odd
-    if (candidate.IsProbablePrime()) return candidate;
-    // Walk forward from the candidate rather than redrawing: cheaper,
-    // still uniform enough for key generation.
-    mpz_nextprime(candidate.z_, candidate.z_);
-    if (candidate.BitLength() == static_cast<size_t>(bits)) return candidate;
+    if (std::optional<BigInt> p = PrimeFrom(RandomBits(bits, rng), bits)) {
+      return std::move(*p);
+    }
   }
+}
+
+std::optional<BigInt> BigInt::PrimeFrom(const BigInt& candidate, int bits) {
+  PEM_CHECK(bits >= 8, "RandomPrime: need at least 8 bits");
+  BigInt p = candidate;
+  // Set the second-highest bit so p*q for two b-bit primes is exactly
+  // 2b bits (standard RSA/Paillier keygen practice).
+  mpz_setbit(p.z_, static_cast<mp_bitcnt_t>(bits - 2));
+  mpz_setbit(p.z_, 0);  // odd
+  if (p.IsProbablePrime()) return p;
+  // Walk forward from the candidate rather than redrawing: cheaper,
+  // still uniform enough for key generation.
+  mpz_nextprime(p.z_, p.z_);
+  if (p.BitLength() == static_cast<size_t>(bits)) return p;
+  return std::nullopt;
 }
 
 BigInt BigInt::operator+(const BigInt& o) const {

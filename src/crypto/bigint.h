@@ -10,6 +10,7 @@
 #include <gmp.h>
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -49,8 +50,14 @@ class BigInt {
   // Uniform with exactly `bits` bits (top bit set).
   static BigInt RandomBits(int bits, Rng& rng);
   // Random probable prime with exactly `bits` bits (top two bits set so
-  // products of two such primes have exactly 2*bits bits).
+  // products of two such primes have exactly 2*bits bits): PrimeFrom
+  // over RandomBits draws until one succeeds.
   static BigInt RandomPrime(int bits, Rng& rng);
+  // The prime search from one drawn candidate of `bits` bits: the
+  // candidate with its top two bits and its low bit set if that is
+  // prime, else the next prime above it, or nullopt when that prime has
+  // walked past 2^bits.  Draws nothing.
+  static std::optional<BigInt> PrimeFrom(const BigInt& candidate, int bits);
 
   // --- arithmetic ------------------------------------------------------
   BigInt operator+(const BigInt& o) const;

@@ -59,6 +59,21 @@ BigInt HashToUnit(const BigInt& n, int key_bits) {
   }
 }
 
+// GeneratePaillierKeyPair calls on this thread.
+thread_local uint64_t t_keygens = 0;
+
+// The retry stream's seed: the first 8 bytes of SHA-256 over both
+// candidates, each length-prefixed.
+uint64_t RetrySeed(const PaillierPrimeCandidates& c) {
+  net::ByteWriter w;
+  w.Bytes(c.p.ToBytes());
+  w.Bytes(c.q.ToBytes());
+  const Sha256Digest d = Sha256(w.Take());
+  uint64_t seed = 0;
+  for (size_t i = 0; i < 8; ++i) seed = seed << 8 | d.bytes[i];
+  return seed;
+}
+
 }  // namespace
 
 struct PaillierPublicKey::FixedBase {
@@ -304,25 +319,41 @@ PaillierCrtEncryptor::PaillierCrtEncryptor(const PaillierPublicKey& pk,
             "CRT encryptor: public key does not match the private key");
 }
 
-PaillierKeyPair GeneratePaillierKeyPair(int key_bits, Rng& rng) {
+PaillierPrimeCandidates DrawPaillierPrimeCandidates(int key_bits, Rng& rng) {
   PEM_CHECK(key_bits >= 128 && key_bits % 2 == 0,
             "key_bits must be even and >= 128");
-  const int prime_bits = key_bits / 2;
-  for (;;) {
-    BigInt p = BigInt::RandomPrime(prime_bits, rng);
-    BigInt q = BigInt::RandomPrime(prime_bits, rng);
-    if (p == q) continue;
-    BigInt n = p * q;
-    if (n.BitLength() != static_cast<size_t>(key_bits)) continue;
-    // gcd(n, (p-1)(q-1)) == 1 guarantees L is well-defined; holds for
-    // distinct same-size primes but we verify anyway.
-    const BigInt phi = (p - BigInt(1)) * (q - BigInt(1));
-    if (n.Gcd(phi) != BigInt(1)) continue;
-    PaillierPublicKey pub(n, key_bits);
-    PaillierPrivateKey priv(pub, std::move(p), std::move(q));
-    return PaillierKeyPair{std::move(pub), std::move(priv)};
-  }
+  PaillierPrimeCandidates c;
+  c.p = BigInt::RandomBits(key_bits / 2, rng);
+  c.q = BigInt::RandomBits(key_bits / 2, rng);
+  return c;
 }
+
+PaillierKeyPair GeneratePaillierKeyPair(int key_bits, Rng& rng) {
+  const PaillierPrimeCandidates c = DrawPaillierPrimeCandidates(key_bits, rng);
+  ++t_keygens;
+  const int prime_bits = key_bits / 2;
+  std::optional<BigInt> p = BigInt::PrimeFrom(c.p, prime_bits);
+  std::optional<BigInt> q = BigInt::PrimeFrom(c.q, prime_bits);
+  if (!p.has_value() || !q.has_value() || *p == *q) {
+    DeterministicRng retry(RetrySeed(c));
+    if (!p.has_value()) p = BigInt::RandomPrime(prime_bits, retry);
+    while (!q.has_value() || *q == *p) {
+      q = BigInt::RandomPrime(prime_bits, retry);
+    }
+  }
+  // Both primes lie in [3/4 * 2^b, 2^b) for b = key_bits / 2, so n has
+  // exactly key_bits bits, and neither divides the other's p - 1: n is
+  // prime to (p-1)(q-1), which keeps L well-defined.
+  BigInt n = *p * *q;
+  PEM_CHECK(n.BitLength() == static_cast<size_t>(key_bits) &&
+                n.Gcd((*p - BigInt(1)) * (*q - BigInt(1))) == BigInt(1),
+            "Paillier primes out of range");
+  PaillierPublicKey pub(std::move(n), key_bits);
+  PaillierPrivateKey priv(pub, std::move(*p), std::move(*q));
+  return PaillierKeyPair{std::move(pub), std::move(priv)};
+}
+
+uint64_t PaillierKeygensOnThisThread() { return t_keygens; }
 
 std::vector<uint8_t> PaillierPublicKey::Serialize() const {
   net::ByteWriter w;

@@ -202,10 +202,32 @@ struct PaillierKeyPair {
   PaillierPrivateKey priv;
 };
 
-// Generates a fresh key pair with an n of exactly `key_bits` bits.
-// key_bits must be even and >= 128 (tests use small keys; deployments
-// use 1024+).
+// Key generation is a draw, then a search, so that a process which does
+// not own a key can keep a shared rng in step without the search.
+//
+// The draw: both primes' starting candidates, RandomBits(key_bits / 2)
+// each, p's first.  It always takes exactly 2 * ceil(key_bits / 16)
+// bytes of `rng`, and it is the one place the key schedule's draw is
+// written.  key_bits must be even and >= 128 (tests use small keys;
+// deployments use 1024+).
+struct PaillierPrimeCandidates {
+  BigInt p;
+  BigInt q;
+};
+PaillierPrimeCandidates DrawPaillierPrimeCandidates(int key_bits, Rng& rng);
+
+// Generates a fresh key pair with an n of exactly `key_bits` bits: the
+// draw, then the primes BigInt::PrimeFrom finds from its candidates.
+// The search takes nothing more from `rng`.  When a walk passes
+// 2^(key_bits / 2) or both land on the same prime (each about 2^-500
+// likely at deployment sizes), the missing primes come from a stream
+// seeded by a hash of the candidates, so the draw stays exact whatever
+// the search does.
 PaillierKeyPair GeneratePaillierKeyPair(int key_bits, Rng& rng);
+
+// Prime searches (GeneratePaillierKeyPair calls) made on the calling
+// thread so far.
+uint64_t PaillierKeygensOnThisThread();
 
 // The owner's encryptor.  It once computed r^n mod p^2 and mod q^2
 // and recombined; the fixed-base table path is faster than that, so

@@ -481,7 +481,7 @@ void AgentSupervisor::Await(AgentId reading, Clock::time_point until) {
   const int r = poll(fds.data(), fds.size(), MsUntil(until));
   PEM_CHECK(r >= 0 || errno == EINTR, "agent supervisor: poll failed");
   if (r <= 0) return;
-  if (fds[n].revents != 0) ctl->Fill();
+  if (ctl != nullptr && fds[n].revents != 0) ctl->Fill();
   for (size_t a = 0; a < n; ++a) {
     if (fds[a].revents != 0) Collect(static_cast<AgentId>(a));
   }

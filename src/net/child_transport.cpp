@@ -59,12 +59,11 @@ Message SocketStream::ReadFrame() {
   }
 }
 
-Message SocketStream::Next(AgentId sender) {
+std::deque<Message>& SocketStream::QueueFrom(AgentId sender) {
   std::deque<Message>& mine = early_.at(static_cast<size_t>(sender));
   while (mine.empty()) {
     Message m = ReadFrame();
-    if (m.from == sender) return m;
-    if (queued_ == kMaxQueuedFrames) {
+    if (m.from != sender && queued_ >= kMaxQueuedFrames) {
       ThrowFromSender(sender, "socket stream: agent " + std::to_string(self_) +
                                   " queued " + std::to_string(queued_) +
                                   " frames from other senders while waiting "
@@ -75,11 +74,18 @@ Message SocketStream::Next(AgentId sender) {
     early_.at(static_cast<size_t>(m.from)).push_back(std::move(m));
     ++queued_;
   }
+  return mine;
+}
+
+Message SocketStream::Next(AgentId sender) {
+  std::deque<Message>& mine = QueueFrom(sender);
   Message m = std::move(mine.front());
   mine.pop_front();
   --queued_;
   return m;
 }
+
+Message SocketStream::Peek(AgentId sender) { return QueueFrom(sender).front(); }
 
 void SocketStream::VerifyDrained() {
   // Pull in whatever has already arrived, so a leftover frame is named
@@ -144,6 +150,11 @@ std::optional<Message> ChildTransport::Receive(AgentId agent) {
                         " — wire and deterministic script diverged");
   }
   return expected;
+}
+
+std::optional<Message> ChildTransport::Peek(AgentId agent, AgentId sender) {
+  if (agent != self_) return std::nullopt;
+  return wire_->Peek(sender);
 }
 
 // --- child entry point ------------------------------------------------

@@ -26,7 +26,13 @@
 //     compare endpoint's process computes only its own half.  A frame
 //     between two other agents, a ring hop or a secure-comparison
 //     message, is a zero-filled placeholder of its fixed size; and
-//     only the key owner's process decrypts.
+//     only the key owner's process generates and decrypts under a key;
+//   * Peek(self, sender)  shows the next frame from the sender without
+//     consuming it.  A key announcement is the one frame a child must
+//     read before its script can send it: the child does not search
+//     for another agent's primes, so it learns that agent's public key
+//     from its own copy (protocol::AnnounceKey) and replays the
+//     broadcast from it, and Receive still byte-matches the copy.
 //
 // Receive rule.  Senders run in parallel, so frames from different
 // senders reach this agent in any order; each sender's FIFO toward it
@@ -62,6 +68,8 @@ class ChildWire {
   // Blocks for the next frame `sender` sent to this agent.  Throws
   // TransportError when the medium breaks or carries garbage.
   virtual Message Next(AgentId sender) = 0;
+  // Blocks for the same frame as Next, and leaves it for Next.
+  virtual Message Peek(AgentId sender) = 0;
   // Throws TransportError if anything arrived that the script never
   // consumed: the medium and the deterministic script diverged.
   virtual void VerifyDrained() = 0;
@@ -80,6 +88,7 @@ class SocketStream final : public ChildWire {
 
   void Write(const Message& msg) override;
   Message Next(AgentId sender) override;
+  Message Peek(AgentId sender) override;
   void VerifyDrained() override;
 
   // Test hook: writes `bytes` raw onto this agent's wire, bypassing
@@ -89,6 +98,8 @@ class SocketStream final : public ChildWire {
 
  private:
   Message ReadFrame();  // blocking; throws TransportError on hangup
+  // `sender`'s queue, after reading until it holds a frame.
+  std::deque<Message>& QueueFrom(AgentId sender);
 
   AgentId self_;
   int fd_ = -1;
@@ -124,8 +135,10 @@ class ChildTransport final : public Transport {
   }
   void ResetStats() override { shadow_.ResetStats(); }
   void SetObserver(Observer o) override { shadow_.SetObserver(std::move(o)); }
-  // A child computes its own agent's steps only.
+  // A child computes its own agent's steps only, and sees only its own
+  // agent's medium.
   bool Acts(AgentId agent) const override { return agent == self_; }
+  std::optional<Message> Peek(AgentId agent, AgentId sender) override;
 
  private:
   MessageBus shadow_;

@@ -75,6 +75,30 @@ class RingGrid final : public ChildWire {
   }
 
   Message Next(AgentId src) override {
+    size_t record_bytes = 0;
+    Message m = Front(src, record_bytes);
+    Ring(src, self_).Consume(record_bytes);
+    return m;
+  }
+
+  Message Peek(AgentId src) override {
+    size_t record_bytes = 0;
+    return Front(src, record_bytes);
+  }
+
+  void VerifyDrained() override {
+    for (AgentId src = 0; src < n_; ++src) {
+      if (src == self_ || Ring(src, self_).ReadableBytes() == 0) continue;
+      ThrowBadRecord(src, "was never consumed — rings and deterministic "
+                          "script diverged");
+    }
+  }
+
+ private:
+  // Blocks for the front record of ring(src -> self), checks it and
+  // decodes its frame, leaving it in the ring; `record_bytes` is what
+  // consuming it takes.
+  Message Front(AgentId src, size_t& record_bytes) {
     SpscRing& ring = Ring(src, self_);
     while (ring.ReadableBytes() < kShmRecordHeaderBytes) {
       ring.WaitReadable(kDoorbellTickMs);
@@ -91,23 +115,14 @@ class RingGrid final : public ChildWire {
     if (d.status != FrameDecodeStatus::kFrame || d.consumed != frame_len) {
       ThrowBadRecord(src, "fails frame decode");
     }
-    ring.Consume(kShmRecordHeaderBytes + frame_len);
     if (d.frame.from != src || d.frame.to != self_) {
       ThrowBadRecord(src, "names pair " + std::to_string(d.frame.from) +
                               "->" + std::to_string(d.frame.to));
     }
+    record_bytes = kShmRecordHeaderBytes + frame_len;
     return std::move(d.frame);
   }
 
-  void VerifyDrained() override {
-    for (AgentId src = 0; src < n_; ++src) {
-      if (src == self_ || Ring(src, self_).ReadableBytes() == 0) continue;
-      ThrowBadRecord(src, "was never consumed — rings and deterministic "
-                          "script diverged");
-    }
-  }
-
- private:
   SpscRing& Ring(AgentId from, AgentId to) {
     return rings_[static_cast<size_t>(from) * static_cast<size_t>(n_) +
                   static_cast<size_t>(to)];
@@ -314,6 +329,17 @@ void ShmTransport::SnooperLoop() {
           }
           ring.SnoopConsume(kShmRecordHeaderBytes + frame_len);
         }
+        // Records are published whole, so bytes short of a record
+        // header can only be forged: they convict the ring at once
+        // rather than leave its snoop cursor short of the tail.
+        if (const size_t left = ring.SnoopReadableBytes();
+            !convicted_[r] && left > 0 && left < kShmRecordHeaderBytes) {
+          RecordFault(from, "forged ring record: the ring holds " +
+                                std::to_string(left) +
+                                " bytes, short of a record header");
+          convicted_[r] = true;
+          progress = true;
+        }
       }
     }
     if (progress) continue;
@@ -344,8 +370,13 @@ void ShmTransport::InjectRingRecordForTest(AgentId from, AgentId to,
   StoreU64(rh + 8, seq);
   SpscRing& ring = rings_[static_cast<size_t>(from) * n +
                           static_cast<size_t>(to)];
-  PEM_CHECK(ring.TryAppend(std::span<const uint8_t>(rh, sizeof rh),
-                           std::span<const uint8_t>(frame)),
+  // A short header publishes the record header's first 8 bytes and
+  // nothing after them.
+  const bool short_header = forgery == RecordForgery::kShortHeader;
+  PEM_CHECK(ring.TryAppend(
+                std::span<const uint8_t>(rh, short_header ? 8 : sizeof rh),
+                short_header ? std::span<const uint8_t>()
+                             : std::span<const uint8_t>(frame)),
             "shm inject: ring full");
   epoch_->fetch_add(1, std::memory_order_release);
   FutexWake(epoch_);

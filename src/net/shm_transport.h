@@ -89,16 +89,22 @@ class ShmTransport : public AgentSupervisor {
   // when the tails are quiesced.
   void SyncLedger() override;
 
-  enum class RecordForgery { kNone, kCorruptFrame, kLyingLength };
+  enum class RecordForgery {
+    kNone,
+    kCorruptFrame,
+    kLyingLength,
+    kShortHeader,
+  };
 
   // Test hook: publishes a ring record into ring(from -> to) directly
   // from the parent, as an adversary with mapping access would —
   // choosing the per-sender sequence number freely and optionally
-  // forging the record: a corrupt frame checksum, or a ring header that
-  // claims 4096 more frame bytes than it publishes.  The snooper rejects
-  // what it snoops (a stale/duplicate sequence is a replay, a record
-  // whose frame names another pair is a forgery, a corrupt frame is
-  // garbage, a lying length convicts the whole ring), latching a
+  // forging the record: a corrupt frame checksum, a ring header that
+  // claims 4096 more frame bytes than it publishes, or only the first 8
+  // bytes of a record header.  The snooper rejects what it snoops (a
+  // stale/duplicate sequence is a replay, a record whose frame names
+  // another pair is a forgery, a corrupt frame is garbage, a lying
+  // length or a short header convicts the whole ring), latching a
   // structured fault naming the ring's sender while the surviving rings
   // keep accounting.  Only safe while the named sender's child is
   // quiescent (SPSC: one producer per ring).  Never called outside

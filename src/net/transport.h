@@ -161,6 +161,17 @@ class Transport {
   // what its replica knows (a ciphertext's opening).
   virtual bool Acts(AgentId /*agent*/) const { return true; }
 
+  // The next frame `sender` sent to `agent` that `agent` has not yet
+  // received, left in place for Receive; nullopt where this process
+  // cannot see that frame before the script sends it.  A forked child
+  // peeks its own agent's medium, blocking until the frame arrives:
+  // that is how it learns a key another process generated
+  // (protocol::AnnounceKey).
+  virtual std::optional<Message> Peek(AgentId /*agent*/,
+                                      AgentId /*sender*/) {
+    return std::nullopt;
+  }
+
   // First channel fault observed (closed peer, dead router), if any.
   // Backends without kernel channels can never fault.  Receive() on a
   // faulted transport throws TransportError carrying this description.
@@ -195,6 +206,10 @@ class Endpoint {
   }
 
   std::optional<Message> Receive() { return transport_->Receive(id_); }
+  // The next frame from `sender` Receive will pop (Transport::Peek).
+  std::optional<Message> Peek(AgentId sender) {
+    return transport_->Peek(id_, sender);
+  }
   bool HasMessage() const { return transport_->HasMessage(id_); }
   TrafficStats stats() const { return transport_->stats(id_); }
   // Whether this process computes the owner's steps (Transport::Acts).

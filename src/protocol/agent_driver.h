@@ -8,10 +8,11 @@
 // and the shared seeded RNG), while its own agent's sends and receives
 // are real kernel socketpair I/O, byte-verified against the script (see
 // net/process_transport.h).  The child computes only its own agent's
-// Paillier work: it encrypts its own ring shares, rebuilds the
-// ciphertext frames it receives from their openings, posts zero-filled
-// frames between other agents, and decrypts only under its own key
-// (protocol/context.h).  The SAME RunPemWindow code path therefore
+// Paillier work: it generates only its own agent's key pair and learns
+// every other key from its announcement, encrypts its own ring shares,
+// rebuilds the ciphertext frames it receives from their openings,
+// posts zero-filled frames between other agents, and decrypts only
+// under its own key (protocol/context.h).  The SAME RunPemWindow code path therefore
 // drives every backend; what AgentDriver adds is the per-child command
 // loop, the per-window report, and the parent side (RunForkedWindow)
 // that runs the window lock-step and cross-checks every child's view

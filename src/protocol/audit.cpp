@@ -124,8 +124,7 @@ AuditOutcome RunAuditRound(ProtocolContext& ctx, std::span<Party> parties) {
   // The auditor announces the key contributions encrypt under.  (May
   // throw ProtocolError if the announcer equivocates — that cheat is
   // woven into the key material and cannot be survived by exclusion.)
-  auditor.EnsureKeys(ctx.config.key_bits, ctx.rng);
-  BroadcastPublicKey(ctx, auditor);
+  AnnounceKey(ctx, auditor);
   const crypto::PaillierPublicKey& pk = auditor.public_key();
 
   // Round 1: every audited participant publishes ciphertext +

@@ -1,5 +1,7 @@
 #include "protocol/context.h"
 
+#include <string>
+
 #include "protocol/key_directory.h"
 #include "util/error.h"
 #include "util/parallel.h"
@@ -212,31 +214,92 @@ RingCiphertext RingAggregate(
   return ForwardRing(ctx, pk, parties, ring, shares, final_recipient);
 }
 
+namespace {
+
+// The peer whose copy of `owner`'s announcement the equivocation cheat
+// doctors this window (the last one), or -1 when the owner is honest.
+net::AgentId EquivocationTarget(const ProtocolContext& ctx,
+                                const Party& owner) {
+  if (!ctx.config.cheat.ActiveFor(owner.id(), ctx.window) ||
+      ctx.config.cheat.cheat != CheatClass::kKeyEquivocation) {
+    return -1;
+  }
+  net::AgentId last = -1;
+  for (net::AgentId a = 0; a < ctx.num_agents(); ++a) {
+    if (a != owner.id()) last = a;
+  }
+  return last;
+}
+
+// The doctored key: the modulus with bit 1 of its last byte flipped
+// (the same byte width, so per-copy wire bytes match the broadcast
+// exactly).  Doctoring twice gives the key back.
+crypto::PaillierPublicKey Doctored(const crypto::PaillierPublicKey& pk) {
+  std::vector<uint8_t> n_bytes = pk.n().ToBytes();
+  n_bytes.back() ^= 2;
+  return crypto::PaillierPublicKey(crypto::BigInt::FromBytes(n_bytes),
+                                   pk.key_bits());
+}
+
+[[noreturn]] void ThrowBadAnnouncement(const ProtocolContext& ctx,
+                                       const Party& owner,
+                                       const std::string& why) {
+  throw ProtocolError(ProtocolFault{owner.id(), CheatClass::kKeyEquivocation,
+                                    ctx.window, why});
+}
+
+// `owner`'s public key as a process that does not act for it learns it:
+// from the announcement copy of the first peer it acts for (a forked
+// child's own agent), or of the first peer when it acts for none.
+crypto::PaillierPublicKey LearnAnnouncedKey(ProtocolContext& ctx,
+                                            const Party& owner) {
+  net::AgentId reader = -1;
+  for (net::AgentId a = 0; a < ctx.num_agents(); ++a) {
+    if (a == owner.id()) continue;
+    if (reader < 0) reader = a;
+    if (ctx.ep(a).acts()) {
+      reader = a;
+      break;
+    }
+  }
+  PEM_CHECK(reader >= 0, "key announcement: the owner has no peer");
+  const std::optional<net::Message> copy = ctx.ep(reader).Peek(owner.id());
+  PEM_CHECK(copy.has_value(),
+            "key announcement: this transport cannot show the owner's key");
+  if (copy->type != kMsgPublicKey) {
+    ThrowBadAnnouncement(ctx, owner,
+                         "the owner's next frame is not its key announcement");
+  }
+  pem::Result<crypto::PaillierPublicKey> pk =
+      crypto::PaillierPublicKey::Deserialize(copy->payload);
+  if (!pk.ok()) ThrowBadAnnouncement(ctx, owner, pk.error().message());
+  if (pk.value().key_bits() != ctx.config.key_bits) {
+    ThrowBadAnnouncement(ctx, owner,
+                         "announced a " +
+                             std::to_string(pk.value().key_bits()) +
+                             "-bit key where the community uses " +
+                             std::to_string(ctx.config.key_bits) + " bits");
+  }
+  if (reader == EquivocationTarget(ctx, owner)) return Doctored(pk.value());
+  return std::move(pk.value());
+}
+
+}  // namespace
+
 void BroadcastPublicKey(ProtocolContext& ctx, const Party& owner) {
   const crypto::PaillierPublicKey& pk = owner.public_key();
-  const bool equivocate =
-      ctx.config.cheat.ActiveFor(owner.id(), ctx.window) &&
-      ctx.config.cheat.cheat == CheatClass::kKeyEquivocation;
-  if (!equivocate) {
+  const net::AgentId target = EquivocationTarget(ctx, owner);
+  if (target < 0) {
     ctx.ep(owner.id()).Send(net::kBroadcast, kMsgPublicKey, pk.Serialize());
   } else {
     // Equivocation cheat: the announcer unicasts instead of
-    // broadcasting and hands the LAST peer a doctored modulus (n ^ 2 —
-    // same byte width, so per-copy wire bytes match the broadcast
-    // exactly and the traffic ledger cannot tell the paths apart).
-    net::AgentId last = -1;
-    for (net::AgentId a = 0; a < ctx.num_agents(); ++a) {
-      if (a != owner.id()) last = a;
-    }
-    crypto::BigInt doctored_n = pk.n();
-    std::vector<uint8_t> n_bytes = doctored_n.ToBytes();
-    n_bytes.back() ^= 2;
-    doctored_n = crypto::BigInt::FromBytes(n_bytes);
-    const crypto::PaillierPublicKey forged(doctored_n, pk.key_bits());
+    // broadcasting and hands the target a doctored modulus, so the
+    // traffic ledger cannot tell the paths apart.
+    const crypto::PaillierPublicKey forged = Doctored(pk);
     for (net::AgentId a = 0; a < ctx.num_agents(); ++a) {
       if (a == owner.id()) continue;
       ctx.ep(owner.id()).Send(a, kMsgPublicKey,
-                              (a == last ? forged : pk).Serialize());
+                              (a == target ? forged : pk).Serialize());
     }
   }
   // Peers drain the announcement; when a directory is attached each
@@ -252,12 +315,19 @@ void BroadcastPublicKey(ProtocolContext& ctx, const Party& owner) {
     const pem::Status st =
         announced.ok() ? ctx.directory->Register(owner.id(), announced.value())
                        : pem::Status(announced.error());
-    if (!st.ok()) {
-      throw ProtocolError(ProtocolFault{
-          owner.id(), CheatClass::kKeyEquivocation, ctx.window,
-          st.error().message()});
-    }
+    if (!st.ok()) ThrowBadAnnouncement(ctx, owner, st.error().message());
   }
+}
+
+void AnnounceKey(ProtocolContext& ctx, Party& owner) {
+  const int bits = ctx.config.key_bits;
+  if (ctx.ep(owner.id()).acts()) {
+    owner.EnsureKeys(bits, ctx.rng);
+  } else if (!owner.HasKeys() || owner.public_key().key_bits() != bits) {
+    (void)crypto::DrawPaillierPrimeCandidates(bits, ctx.rng);
+    owner.LearnPublicKey(LearnAnnouncedKey(ctx, owner));
+  }
+  BroadcastPublicKey(ctx, owner);
 }
 
 }  // namespace pem::protocol

@@ -217,4 +217,15 @@ net::Message ExpectMessage(net::Endpoint& ep, uint32_t expected_type);
 // per window so the bandwidth accounting is conservative).
 void BroadcastPublicKey(ProtocolContext& ctx, const Party& owner);
 
+// Protocol 1, lines 1-2, for an elected aggregator: makes sure `owner`'s
+// key exists, then BroadcastPublicKey.  The process that acts for the
+// owner generates the pair on first use.  Any other process takes the
+// same draw from ctx.rng (crypto::DrawPaillierPrimeCandidates), drops
+// it, and learns the public key from the announcement its own agent
+// receives (Transport::Peek).  It then replays the broadcast from that
+// key, so its agent's copy is still byte-matched against the script.
+// The copy the equivocation cheat doctors is undone first, so every
+// process learns the honest key.
+void AnnounceKey(ProtocolContext& ctx, Party& owner);
+
 }  // namespace pem::protocol

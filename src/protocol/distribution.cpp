@@ -22,8 +22,7 @@ std::vector<double> ComputeRatios(ProtocolContext& ctx,
                                   std::span<const size_t> counterpart,
                                   size_t aggregator_index) {
   Party& aggregator = parties[aggregator_index];
-  aggregator.EnsureKeys(ctx.config.key_bits, ctx.rng);
-  BroadcastPublicKey(ctx, aggregator);
+  AnnounceKey(ctx, aggregator);
   const crypto::PaillierPublicKey& pk = aggregator.public_key();
 
   // Lines 3-5: ring-aggregate the encrypted coalition total; the last

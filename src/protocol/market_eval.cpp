@@ -20,8 +20,7 @@ MarketEvalResult RunPrivateMarketEvaluation(ProtocolContext& ctx,
   const size_t hr1 = SelectAgent(ctx, parties, coalitions.sellers);
   result.hr1_seller_index = hr1;
   Party& seller_hr1 = parties[hr1];
-  seller_hr1.EnsureKeys(ctx.config.key_bits, ctx.rng);
-  BroadcastPublicKey(ctx, seller_hr1);
+  AnnounceKey(ctx, seller_hr1);
 
   // Ring: every buyer contributes |sn_j| + r_j, then every seller
   // except Hr1 contributes its nonce r_i; Hr1 decrypts and adds its own
@@ -44,8 +43,7 @@ MarketEvalResult RunPrivateMarketEvaluation(ProtocolContext& ctx,
   const size_t hr2 = SelectAgent(ctx, parties, coalitions.buyers);
   result.hr2_buyer_index = hr2;
   Party& buyer_hr2 = parties[hr2];
-  buyer_hr2.EnsureKeys(ctx.config.key_bits, ctx.rng);
-  BroadcastPublicKey(ctx, buyer_hr2);
+  AnnounceKey(ctx, buyer_hr2);
 
   std::vector<size_t> ring2 = coalitions.sellers;
   for (size_t b : coalitions.buyers) {

@@ -29,22 +29,29 @@ int64_t Party::SupplyTermRaw() const {
   return FixedPoint::FromDouble(term).raw();
 }
 
-const crypto::PaillierKeyPair& Party::EnsureKeys(int key_bits,
-                                                 crypto::Rng& rng) {
-  if (!keys_.has_value() || keys_->pub.key_bits() != key_bits) {
-    keys_ = crypto::GeneratePaillierKeyPair(key_bits, rng);
+const crypto::PaillierPublicKey& Party::EnsureKeys(int key_bits,
+                                                   crypto::Rng& rng) {
+  if (!private_key_.has_value() || public_key_->key_bits() != key_bits) {
+    crypto::PaillierKeyPair kp = crypto::GeneratePaillierKeyPair(key_bits, rng);
+    public_key_ = std::move(kp.pub);
+    private_key_ = std::move(kp.priv);
   }
-  return *keys_;
+  return *public_key_;
+}
+
+void Party::LearnPublicKey(crypto::PaillierPublicKey pk) {
+  public_key_ = std::move(pk);
+  private_key_.reset();
 }
 
 const crypto::PaillierPublicKey& Party::public_key() const {
-  PEM_CHECK(keys_.has_value(), "party has no keys yet");
-  return keys_->pub;
+  PEM_CHECK(public_key_.has_value(), "party has no keys yet");
+  return *public_key_;
 }
 
 const crypto::PaillierPrivateKey& Party::private_key() const {
-  PEM_CHECK(keys_.has_value(), "party has no keys yet");
-  return keys_->priv;
+  PEM_CHECK(private_key_.has_value(), "party holds no private key here");
+  return *private_key_;
 }
 
 }  // namespace pem::protocol

@@ -2,7 +2,7 @@
 //
 // A Party owns exactly the data the paper calls private: its window
 // state (g, l, b), utility parameter k, battery coefficient ε, its
-// Paillier key pair, and the per-window blinding nonce.  Protocol code
+// Paillier private key, and the per-window blinding nonce.  Protocol code
 // is written so that another party's fields are never read directly —
 // all cross-party information flows through bus messages.
 #pragma once
@@ -101,12 +101,21 @@ class Party {
   int64_t PreferenceRaw() const;   // k_i
   int64_t SupplyTermRaw() const;   // g_i + 1 + ε_i*b_i - b_i
 
-  // Lazily generates this party's Paillier key pair.  The paper has
-  // every agent generate keys at setup (Protocol 1, lines 1-2); we
-  // defer to first use since only the randomly chosen aggregators'
-  // keys are ever exercised in a window.
-  const crypto::PaillierKeyPair& EnsureKeys(int key_bits, crypto::Rng& rng);
-  bool HasKeys() const { return keys_.has_value(); }
+  // This party's Paillier key.  The paper has every agent generate its
+  // pair at setup (Protocol 1, lines 1-2); the engine defers that to the
+  // first window that elects the party, since only the aggregators'
+  // keys are ever used.  Only the process that acts for the party
+  // generates the pair (AnnounceKey, protocol/context.h); every other
+  // process holds the public key alone, learned from its announcement.
+  //
+  // EnsureKeys generates the pair unless this party already holds its
+  // private key at `key_bits`; LearnPublicKey sets the public key and
+  // drops any private key.  HasKeys says whether the public key is
+  // known; private_key() aborts where it is not held.
+  const crypto::PaillierPublicKey& EnsureKeys(int key_bits, crypto::Rng& rng);
+  void LearnPublicKey(crypto::PaillierPublicKey pk);
+  bool HasKeys() const { return public_key_.has_value(); }
+  bool HasPrivateKey() const { return private_key_.has_value(); }
   const crypto::PaillierPublicKey& public_key() const;
   const crypto::PaillierPrivateKey& private_key() const;
 
@@ -118,7 +127,8 @@ class Party {
   bool active_ = true;
   int64_t net_raw_ = 0;
   int64_t nonce_ = 0;
-  std::optional<crypto::PaillierKeyPair> keys_;
+  std::optional<crypto::PaillierPublicKey> public_key_;
+  std::optional<crypto::PaillierPrivateKey> private_key_;
 };
 
 }  // namespace pem::protocol

@@ -16,8 +16,7 @@ PricingResult RunPrivatePricing(ProtocolContext& ctx,
   const size_t hb = SelectAgent(ctx, parties, coalitions.buyers);
   result.hb_buyer_index = hb;
   Party& buyer_hb = parties[hb];
-  buyer_hb.EnsureKeys(ctx.config.key_bits, ctx.rng);
-  BroadcastPublicKey(ctx, buyer_hb);
+  AnnounceKey(ctx, buyer_hb);
 
   // Lines 2-7: ring-aggregate Σ k_i, then Σ (g_i + 1 + ε_i b_i − b_i),
   // over the seller coalition.  Both sums run under the same key and

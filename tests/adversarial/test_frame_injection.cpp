@@ -511,5 +511,32 @@ TEST(FrameInjection, ShmFaultLyingRecordLengthLatchesStructuredFault) {
   ExpectNoZombies();
 }
 
+TEST(FrameInjection, ShmFaultShortHeaderConvictsTheRingAtOnce) {
+  ShmTransport::Options opts;
+  opts.watchdog_ms = 1000;
+  ShmTransport shm(3, IdleChild(), opts);
+  shm.Shutdown();
+  // Ring 0 -> 1 publishes 8 bytes, half a record header.  Records are
+  // published whole, so no honest writer leaves that: the snooper
+  // convicts the ring instead of waiting for the rest, and the ledger
+  // syncs well inside the watchdog.
+  const auto start = std::chrono::steady_clock::now();
+  shm.InjectRingRecordForTest(0, 1, /*seq=*/0, Msg(0, 1),
+                              ShmTransport::RecordForgery::kShortHeader);
+  const Message honest = Msg(2, 1, 0x3000, {7});
+  shm.InjectRingRecordForTest(2, 1, /*seq=*/0, honest);
+  shm.SyncLedger();
+  const std::optional<TransportFault> fault = AwaitFault(shm);
+  EXPECT_LT(SecondsSince(start), 0.5);
+  ASSERT_TRUE(fault.has_value());
+  EXPECT_EQ(fault->agent, 0);
+  EXPECT_EQ(fault->code, ErrorCode::kProtocolViolation);
+  EXPECT_NE(fault->detail.find("short of a record header"), std::string::npos)
+      << fault->detail;
+  EXPECT_EQ(shm.total_bytes(), FramedSize(honest));
+  EXPECT_EQ(shm.stats(0).bytes_sent, 0u);
+  ExpectNoZombies();
+}
+
 }  // namespace
 }  // namespace pem::net

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <vector>
 
 #include "crypto/hash.h"
 #include "crypto/rng.h"
@@ -746,6 +749,85 @@ TEST_P(PaillierKeygenClosedForm, MatchesGenericFormula) {
 
 INSTANTIATE_TEST_SUITE_P(KeySizes, PaillierKeygenClosedForm,
                          ::testing::Values(512, 1024, 2048));
+
+// The key schedule: generating a key takes exactly 2 * ceil(bits / 16)
+// bytes of the rng, whatever the prime search does, so a process that
+// only takes the draw (DrawPaillierPrimeCandidates) stays in step with
+// the owner who searches.
+size_t KeyDrawBytes(int bits) {
+  return 2 * ((static_cast<size_t>(bits) + 15) / 16);
+}
+
+class PaillierKeySchedule : public ::testing::TestWithParam<int> {};
+
+TEST_P(PaillierKeySchedule, DrawIsExactAndKeysMatchSequentialPrimes) {
+  const int bits = GetParam();
+  for (uint64_t seed = 0; seed < 50; ++seed) {
+    SCOPED_TRACE(seed);
+    DeterministicRng rng(seed);
+    const uint64_t searches = PaillierKeygensOnThisThread();
+    const PaillierKeyPair kp = GeneratePaillierKeyPair(bits, rng);
+    EXPECT_EQ(rng.Cursor(), KeyDrawBytes(bits));
+    EXPECT_EQ(PaillierKeygensOnThisThread() - searches, 1u);
+
+    // The draw alone moves the cursor as far, and searches nothing.
+    DeterministicRng drawn(seed);
+    (void)DrawPaillierPrimeCandidates(bits, drawn);
+    EXPECT_EQ(drawn.Cursor(), KeyDrawBytes(bits));
+    EXPECT_EQ(PaillierKeygensOnThisThread() - searches, 1u);
+
+    // The modulus is the product of one RandomPrime after another from
+    // the same stream: the schedule keygen has always had.
+    DeterministicRng sequential(seed);
+    const BigInt p = BigInt::RandomPrime(bits / 2, sequential);
+    const BigInt q = BigInt::RandomPrime(bits / 2, sequential);
+    EXPECT_EQ(kp.pub.n(), p * q);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(KeySizes, PaillierKeySchedule,
+                         ::testing::Values(128, 512, 1024));
+
+// Repeats its first Fill on every later one: the q candidate equals the
+// p candidate, so the search lands on p == q and must retry off the
+// caller's stream.
+class RepeatingRng final : public Rng {
+ public:
+  explicit RepeatingRng(uint64_t seed) : inner_(seed) {}
+  void Fill(std::span<uint8_t> out) override {
+    if (first_.empty()) {
+      first_.resize(out.size());
+      inner_.Fill(first_);
+    }
+    PEM_CHECK(out.size() == first_.size(), "test rng: fill size changed");
+    std::copy(first_.begin(), first_.end(), out.begin());
+    cursor_ += out.size();
+  }
+  uint64_t Cursor() const override { return cursor_; }
+
+ private:
+  DeterministicRng inner_;
+  std::vector<uint8_t> first_;
+  uint64_t cursor_ = 0;
+};
+
+TEST(PaillierKeyScheduleRetry, RepeatedCandidateStillGivesDistinctPrimes) {
+  for (int bits : {128, 512}) {
+    SCOPED_TRACE(bits);
+    RepeatingRng rng(41);
+    const PaillierKeyPair kp = GeneratePaillierKeyPair(bits, rng);
+    EXPECT_EQ(rng.Cursor(), KeyDrawBytes(bits));
+    // p == q would make n a perfect square.
+    EXPECT_EQ(mpz_perfect_square_p(kp.pub.n().raw()), 0);
+    EXPECT_EQ(kp.pub.n().BitLength(), static_cast<size_t>(bits));
+    DeterministicRng enc_rng(42);
+    const PaillierCiphertext c = kp.pub.EncryptSigned(-123'456, enc_rng);
+    EXPECT_EQ(kp.priv.DecryptSigned(c), -123'456);
+    // The retry is a function of the candidates alone.
+    RepeatingRng again(41);
+    EXPECT_EQ(GeneratePaillierKeyPair(bits, again).pub.n(), kp.pub.n());
+  }
+}
 
 }  // namespace
 }  // namespace pem::crypto

@@ -104,10 +104,11 @@ WindowRun RunWindow(const net::ExecutionPolicy& policy, uint64_t seed,
     // and only the second window is measured.
     protocol::RunPemWindow(ctx, parties);
     if (crt) {
-      // Mirror RunSimulation's owner registration: refills for keys
-      // whose owner is known take the CRT fast path.
+      // Mirror RunSimulation's registration: every known key's pool,
+      // in party order.  A forked child holds only its own agent's
+      // private key, so this goes by public key.
       for (const protocol::Party& p : parties) {
-        if (p.HasKeys()) pools.AttachOwner(p.private_key());
+        if (p.HasKeys()) (void)pools.PoolFor(p.public_key());
       }
     }
     pools.RefillAll(/*target=*/64, rng, policy);
@@ -256,7 +257,7 @@ WindowRun RunWindowForked(net::TransportKind kind, uint64_t seed,
       if (!cfg.precompute_encryption) return;
       if (cfg.crt_encryption) {
         for (const protocol::Party& p : parties) {
-          if (p.HasKeys()) pools.AttachOwner(p.private_key());
+          if (p.HasKeys()) (void)pools.PoolFor(p.public_key());
         }
       }
       pools.RefillAll(/*target=*/64, rng, policy);

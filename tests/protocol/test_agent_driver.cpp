@@ -9,14 +9,18 @@
 // router.
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <iterator>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <string_view>
 #include <tuple>
 #include <vector>
 
+#include "crypto/paillier.h"
 #include "crypto/rng.h"
 #include "net/bus.h"
 #include "net/process_transport.h"
@@ -102,6 +106,109 @@ TEST(AgentDriver, ForkedWindowMatchesSerialWindow) {
   // socket ledger inside RunForkedWindow; check the totals too.
   EXPECT_EQ(transport.total_bytes(), serial.record.bus_bytes);
   EXPECT_FALSE(serial.record.trades.empty());
+}
+
+// --- key generation across forked children ---------------------------
+//
+// Each aggregator key is generated once per day, in its owner's child.
+// Every other child takes the same rng draw, skips the prime search and
+// learns the public key from its own agent's copy of the announcement.
+// Each child leaves its prime-search count, and how many other agents'
+// private keys it holds, in a shared page: the counts must sum to the
+// serial run's key count, not n times it.
+
+constexpr int kKeygenWindows = 5;
+
+TEST(ForkedKeygen, EachKeyOnceOnProcessAndShm) {
+  constexpr uint64_t kSeed = 73;
+  PemConfig cfg;
+  cfg.key_bits = 128;
+  const int n = static_cast<int>(kMarket.size());
+
+  crypto::DeterministicRng serial_rng(kSeed);
+  std::vector<Party> serial_parties = MakeParties(cfg, serial_rng);
+  net::MessageBus serial_bus(n);
+  std::vector<net::Endpoint> serial_eps = serial_bus.endpoints();
+  ProtocolContext serial_ctx{serial_eps, serial_rng, cfg};
+  const uint64_t serial_before = crypto::PaillierKeygensOnThisThread();
+  std::vector<WindowRecord> serial;
+  for (int w = 0; w < kKeygenWindows; ++w) {
+    if (w > 0) {
+      for (size_t i = 0; i < kMarket.size(); ++i) {
+        serial_parties[i].BeginWindow(kMarket[i].state, cfg.nonce_bound,
+                                      serial_rng);
+      }
+    }
+    serial.push_back(RunPemWindow(serial_ctx, serial_parties, w).record);
+  }
+  std::vector<uint64_t> owned(kMarket.size());
+  for (size_t i = 0; i < kMarket.size(); ++i) {
+    owned[i] = serial_parties[i].HasPrivateKey() ? 1 : 0;
+  }
+  const uint64_t keys = std::accumulate(owned.begin(), owned.end(),
+                                        uint64_t{0});
+  ASSERT_GE(keys, 2u);
+  ASSERT_EQ(crypto::PaillierKeygensOnThisThread() - serial_before, keys);
+
+  for (net::TransportKind kind :
+       {net::TransportKind::kProcess, net::TransportKind::kShm}) {
+    SCOPED_TRACE(net::TransportKindName(kind));
+    const size_t page = 2 * kMarket.size() * sizeof(uint64_t);
+    void* shared = mmap(nullptr, page, PROT_READ | PROT_WRITE,
+                        MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+    ASSERT_NE(shared, MAP_FAILED);
+    uint64_t* keygens = static_cast<uint64_t*>(shared);
+    uint64_t* foreign = keygens + kMarket.size();
+    crypto::DeterministicRng rng(kSeed);
+    net::AgentSupervisor::ChildMain child_main =
+        [&cfg, &rng, keygens, foreign](net::AgentId self,
+                                       net::Transport& wire,
+                                       net::ControlChannel& ctl) -> int {
+      std::vector<net::Endpoint> eps = wire.endpoints();
+      ProtocolContext ctx{eps, rng, cfg, nullptr,
+                          net::ExecutionPolicy::Process()};
+      std::vector<Party> parties;
+      for (size_t i = 0; i < kMarket.size(); ++i) {
+        parties.emplace_back(static_cast<net::AgentId>(i), kMarket[i].params);
+      }
+      const uint64_t before = crypto::PaillierKeygensOnThisThread();
+      AgentDriver::Callbacks callbacks;
+      callbacks.begin_window = [&](int) {
+        for (size_t i = 0; i < kMarket.size(); ++i) {
+          parties[i].BeginWindow(kMarket[i].state, cfg.nonce_bound, rng);
+        }
+      };
+      callbacks.after_window = [&](int) {
+        keygens[self] = crypto::PaillierKeygensOnThisThread() - before;
+        foreign[self] = 0;
+        for (const Party& p : parties) {
+          if (p.id() != self && p.HasPrivateKey()) ++foreign[self];
+        }
+      };
+      AgentDriver driver(self, ctx, parties, callbacks);
+      return driver.Serve(ctl) == kKeygenWindows ? 0 : 1;
+    };
+    std::unique_ptr<net::AgentSupervisor> agents;
+    if (kind == net::TransportKind::kShm) {
+      agents = std::make_unique<net::ShmTransport>(n, child_main);
+    } else {
+      agents = std::make_unique<net::ProcessTransport>(n, child_main);
+    }
+    for (int w = 0; w < kKeygenWindows; ++w) {
+      EXPECT_EQ(DiffRecords(RunForkedWindow(*agents, w),
+                            serial[static_cast<size_t>(w)]),
+                std::vector<std::string_view>{})
+          << w;
+    }
+    agents->Shutdown();
+    // Each child searched primes for its own agent's key alone, and
+    // holds no other agent's private key.
+    EXPECT_EQ(std::vector<uint64_t>(keygens, keygens + kMarket.size()),
+              owned);
+    EXPECT_EQ(std::vector<uint64_t>(foreign, foreign + kMarket.size()),
+              std::vector<uint64_t>(kMarket.size(), 0));
+    munmap(shared, page);
+  }
 }
 
 // --- malformed reports ------------------------------------------------

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
+#include "crypto/paillier.h"
 #include "net/bus.h"
 #include "protocol/key_directory.h"
-
-#include <set>
+#include "support/partial_bus.h"
 
 namespace pem::protocol {
 namespace {
@@ -204,6 +207,113 @@ TEST(BroadcastPublicKey, MalformedAnnouncementNamesTheAnnouncer) {
     EXPECT_EQ(e.fault().cheat, CheatClass::kKeyEquivocation);
   }
   EXPECT_FALSE(directory.Has(0));
+}
+
+// AnnounceKey in a process that does not act for the owner: it takes
+// the owner's draw and learns the key from its own agent's copy, which
+// PartialBus serves from `copies`, the owner's frames to agent 1.
+struct Learned {
+  Party owner{0, grid::AgentParams{}};
+  uint64_t cursor = 0;
+  uint64_t keygens = 0;
+};
+Learned LearnFrom(std::vector<net::Message> copies, uint64_t seed) {
+  crypto::DeterministicRng rng(seed);
+  Learned out;
+  testutil::PartialBus bus(2, {1}, std::move(copies));
+  std::vector<net::Endpoint> eps = bus.endpoints();
+  const PemConfig cfg = TestConfig();
+  KeyDirectory directory;
+  ProtocolContext ctx{eps, rng, cfg};
+  ctx.directory = &directory;
+  const uint64_t before = crypto::PaillierKeygensOnThisThread();
+  AnnounceKey(ctx, out.owner);
+  EXPECT_FALSE(bus.HasMessage(1));  // the replayed copy was drained
+  out.cursor = rng.Cursor();
+  out.keygens = crypto::PaillierKeygensOnThisThread() - before;
+  return out;
+}
+
+net::Message KeyCopy(std::vector<uint8_t> payload) {
+  return net::Message{0, 1, kMsgPublicKey, std::move(payload)};
+}
+
+TEST(AnnounceKey, NonOwnerLearnsTheOwnersKeyWithoutSearching) {
+  // The owner's own run, from the same seed.
+  crypto::DeterministicRng rng(12);
+  Party owner(0, grid::AgentParams{});
+  net::MessageBus bus(2);
+  std::vector<net::Endpoint> eps = bus.endpoints();
+  const PemConfig cfg = TestConfig();
+  ProtocolContext ctx{eps, rng, cfg};
+  AnnounceKey(ctx, owner);
+  ASSERT_TRUE(owner.HasPrivateKey());
+
+  const Learned learned =
+      LearnFrom({KeyCopy(owner.public_key().Serialize())}, 12);
+  EXPECT_EQ(learned.owner.public_key(), owner.public_key());
+  EXPECT_FALSE(learned.owner.HasPrivateKey());
+  EXPECT_EQ(learned.cursor, rng.Cursor());
+  EXPECT_EQ(learned.keygens, 0u);
+}
+
+TEST(AnnounceKey, EquivocationTargetLearnsTheHonestKey) {
+  // Owner 0 doctors the last peer's copy.  The full run records every
+  // copy; the target's projection learns from the doctored one, undoes
+  // the doctoring, and its directory then sees both keys.
+  PemConfig cfg = TestConfig();
+  cfg.cheat = {0, CheatClass::kKeyEquivocation, 0};
+  std::vector<net::Message> copies;
+  crypto::PaillierPublicKey honest;
+  {
+    crypto::DeterministicRng rng(15);
+    Party owner(0, grid::AgentParams{});
+    net::MessageBus bus(3);
+    bus.SetObserver([&copies](const net::Message& m) { copies.push_back(m); });
+    std::vector<net::Endpoint> eps = bus.endpoints();
+    ProtocolContext ctx{eps, rng, cfg};
+    AnnounceKey(ctx, owner);  // no directory: drains without a verdict
+    honest = owner.public_key();
+  }
+  ASSERT_EQ(copies.size(), 2u);
+  ASSERT_NE(copies[1].payload, honest.Serialize());
+
+  crypto::DeterministicRng rng(15);
+  Party owner(0, grid::AgentParams{});
+  testutil::PartialBus bus(3, {2}, copies);
+  std::vector<net::Endpoint> eps = bus.endpoints();
+  KeyDirectory directory;
+  ProtocolContext ctx{eps, rng, cfg};
+  ctx.directory = &directory;
+  try {
+    AnnounceKey(ctx, owner);
+    ADD_FAILURE() << "equivocation not detected";
+  } catch (const ProtocolError& e) {
+    EXPECT_EQ(e.fault().cheater, 0);
+    EXPECT_EQ(e.fault().cheat, CheatClass::kKeyEquivocation);
+  }
+  EXPECT_EQ(owner.public_key(), honest);
+  EXPECT_FALSE(owner.HasPrivateKey());
+}
+
+TEST(AnnounceKey, BadCopyNamesTheAnnouncer) {
+  crypto::DeterministicRng rng(13);
+  const crypto::PaillierPublicKey wide =
+      crypto::GeneratePaillierKeyPair(256, rng).pub;
+  const std::vector<net::Message> bad[] = {
+      {KeyCopy({1, 2, 3})},                           // undecodable
+      {KeyCopy(wide.Serialize())},                    // wrong key size
+      {net::Message{0, 1, kMsgPrice, {0, 0, 0, 0}}},  // not a key
+  };
+  for (const std::vector<net::Message>& copies : bad) {
+    try {
+      (void)LearnFrom(copies, 14);
+      ADD_FAILURE() << "a bad announcement was learned";
+    } catch (const ProtocolError& e) {
+      EXPECT_EQ(e.fault().cheater, 0);
+      EXPECT_EQ(e.fault().cheat, CheatClass::kKeyEquivocation);
+    }
+  }
 }
 
 TEST(ExpectMessageDeath, WrongTypeAborts) {

@@ -81,17 +81,19 @@ TEST(Party, KeysAreLazyAndCached) {
   Party p(0, Params());
   EXPECT_FALSE(p.HasKeys());
   crypto::DeterministicRng rng(7);
-  const auto& kp1 = p.EnsureKeys(128, rng);
+  const crypto::BigInt n1 = p.EnsureKeys(128, rng).n();
   EXPECT_TRUE(p.HasKeys());
-  const auto& kp2 = p.EnsureKeys(128, rng);
-  EXPECT_EQ(kp1.pub.n(), kp2.pub.n());  // cached, not regenerated
+  EXPECT_TRUE(p.HasPrivateKey());
+  const uint64_t cursor = rng.Cursor();
+  EXPECT_EQ(p.EnsureKeys(128, rng).n(), n1);  // cached, not regenerated
+  EXPECT_EQ(rng.Cursor(), cursor);
 }
 
 TEST(Party, KeySizeChangeRegenerates) {
   Party p(0, Params());
   crypto::DeterministicRng rng(8);
-  const crypto::BigInt n128 = p.EnsureKeys(128, rng).pub.n();
-  const crypto::BigInt n256 = p.EnsureKeys(256, rng).pub.n();
+  const crypto::BigInt n128 = p.EnsureKeys(128, rng).n();
+  const crypto::BigInt n256 = p.EnsureKeys(256, rng).n();
   EXPECT_NE(n128, n256);
   EXPECT_EQ(p.public_key().key_bits(), 256);
 }
@@ -99,6 +101,18 @@ TEST(Party, KeySizeChangeRegenerates) {
 TEST(PartyDeath, KeyAccessBeforeGenerationAborts) {
   Party p(0, Params());
   EXPECT_DEATH((void)p.public_key(), "no keys");
+}
+
+TEST(PartyDeath, LearnedPublicKeyHoldsNoPrivateKey) {
+  Party owner(0, Params());
+  crypto::DeterministicRng rng(9);
+  const crypto::PaillierPublicKey pk = owner.EnsureKeys(128, rng);
+  Party replica(0, Params());
+  replica.LearnPublicKey(pk);
+  EXPECT_TRUE(replica.HasKeys());
+  EXPECT_FALSE(replica.HasPrivateKey());
+  EXPECT_EQ(replica.public_key(), pk);
+  EXPECT_DEATH((void)replica.private_key(), "no private key");
 }
 
 }  // namespace

@@ -4,15 +4,19 @@
 // encrypts only that agent's ring shares, takes any ciphertext frame
 // it receives from another agent from the replica's opening, posts
 // zero-filled frames between two agents it does not act for, and
-// decrypts only under its own key.  Each row here runs a PartialBus
-// acting for one agent, for every agent in turn and for none, against
-// the full in-process run from the same seed, and asserts the child's
-// view is the full run's: the same window record, rng cursor and
-// per-agent ledger, and byte-equal frames wherever it acts for the
-// sender or the receiver.
+// decrypts only under its own key.  It generates only the keys of the
+// agent it acts for and learns every other key from its announcement.
+// Each row here runs a PartialBus acting for one agent, for every agent
+// in turn and for none, against the full in-process run from the same
+// seed, and asserts the child's view is the full run's: the same window
+// record, rng cursor, per-agent ledger and public keys, and byte-equal
+// frames wherever it acts for the sender or the receiver; and that it
+// holds, and searched primes for, its own agent's private key alone.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -71,13 +75,24 @@ struct WindowRun {
   uint64_t cursor = 0;  // Rng::Cursor() after the window
   std::vector<net::TrafficStats> per_agent;
   std::vector<net::Message> frames;
+  // Per party after the window: its public key where known, and
+  // whether this run holds its private key.
+  std::vector<std::optional<crypto::PaillierPublicKey>> keys;
+  std::vector<bool> private_keys;
+  uint64_t keygens = 0;  // prime searches the run made, setup included
 };
 
-WindowRun RunWindow(const Row& row, std::set<net::AgentId> acting) {
+// Runs the window in a process acting for `acting`; a projection (any
+// run but the full one) takes the keys it does not own from `full`.
+WindowRun RunWindow(const Row& row, std::set<net::AgentId> acting,
+                    const WindowRun* full = nullptr) {
   const std::vector<market::AgentWindowInput>& market =
       row.general ? kGeneral : kExtreme;
   const int n = static_cast<int>(market.size());
-  testutil::PartialBus bus(n, std::move(acting));
+  const uint64_t keygens_before = crypto::PaillierKeygensOnThisThread();
+  testutil::PartialBus bus(n, acting,
+                           full != nullptr ? full->frames
+                                           : std::vector<net::Message>{});
   WindowRun run;
   bus.SetObserver([&run](const net::Message& m) { run.frames.push_back(m); });
   std::vector<net::Endpoint> eps = bus.endpoints();
@@ -94,8 +109,16 @@ WindowRun RunWindow(const Row& row, std::set<net::AgentId> acting) {
   crypto::PaillierPoolRegistry pools;
   const bool pooled = row.pool_factors > 0;
   if (pooled) {
+    // Every key up front, each minted only where its owner is acted
+    // for: the same draws as AnnounceKey, without the announcements.
     for (Party& p : parties) {
-      (void)pools.PoolFor(p.EnsureKeys(cfg.key_bits, rng).pub);
+      if (acting.count(p.id()) > 0) {
+        (void)p.EnsureKeys(cfg.key_bits, rng);
+      } else {
+        (void)crypto::DrawPaillierPrimeCandidates(cfg.key_bits, rng);
+        p.LearnPublicKey(*full->keys[static_cast<size_t>(p.id())]);
+      }
+      (void)pools.PoolFor(p.public_key());
     }
     pools.RefillAll(static_cast<size_t>(row.pool_factors), rng);
   }
@@ -103,6 +126,12 @@ WindowRun RunWindow(const Row& row, std::set<net::AgentId> acting) {
   run.record = RunPemWindow(ctx, parties).record;
   run.cursor = rng.Cursor();
   for (net::AgentId a = 0; a < n; ++a) run.per_agent.push_back(bus.stats(a));
+  for (const Party& p : parties) {
+    run.keys.push_back(p.HasKeys() ? std::optional(p.public_key())
+                                   : std::nullopt);
+    run.private_keys.push_back(p.HasPrivateKey());
+  }
+  run.keygens = crypto::PaillierKeygensOnThisThread() - keygens_before;
   return run;
 }
 
@@ -136,16 +165,34 @@ TEST_P(ProjectedWindow, EachAgentAloneAndNoneMatchFullRun) {
   ASSERT_EQ(full.record.type, row.general ? market::MarketType::kGeneral
                                           : market::MarketType::kExtreme);
 
+  // The full run mints every key it uses, once.
+  const size_t full_keys = static_cast<size_t>(
+      std::count(full.private_keys.begin(), full.private_keys.end(), true));
+  EXPECT_GT(full_keys, 0u);
+  EXPECT_EQ(full.keygens, full_keys);
+
   std::vector<std::set<net::AgentId>> projections = {{}};
   for (net::AgentId a = 0; a < 8; ++a) projections.push_back({a});
   for (const std::set<net::AgentId>& acting : projections) {
     const std::string who =
         acting.empty() ? "none" : "agent " + std::to_string(*acting.begin());
     SCOPED_TRACE(who);
-    const WindowRun child = RunWindow(row, acting);
+    const WindowRun child = RunWindow(row, acting, &full);
     EXPECT_TRUE(DiffRecords(child.record, full.record).empty());
     EXPECT_EQ(child.cursor, full.cursor);
     EXPECT_EQ(child.per_agent, full.per_agent);
+
+    // The projection knows every public key the full run used, holds
+    // only the private keys of the agents it acts for, and ran one
+    // prime search per key it holds.
+    EXPECT_EQ(child.keys, full.keys);
+    size_t owned = 0;
+    for (size_t i = 0; i < child.private_keys.size(); ++i) {
+      const bool acted = acting.count(static_cast<net::AgentId>(i)) > 0;
+      EXPECT_EQ(child.private_keys[i], acted && full.private_keys[i]) << i;
+      owned += child.private_keys[i] ? 1 : 0;
+    }
+    EXPECT_EQ(child.keygens, owned);
 
     ASSERT_EQ(child.frames.size(), full.frames.size());
     size_t placeholders = 0;
