@@ -6,7 +6,6 @@
 #include "net/process_transport.h"
 #include "net/shm_transport.h"
 #include "protocol/agent_driver.h"
-#include "protocol/key_directory.h"
 #include "util/error.h"
 
 namespace pem::core {
@@ -57,11 +56,11 @@ std::vector<market::AgentWindowInput> BuildWindowInputs(
 }
 
 // The protocol state a crypto day evolves: the seeded rng, the parties
-// and their cached keys, the randomness pools, the key directory and
-// the batteries.  The in-process engine drives one replica; under a
-// forked backend every child drives its own fork copy through its
-// AgentDriver callbacks.  Both call the same two hooks in the same
-// order, so all replicas evolve identical state from the shared seed.
+// and their cached keys, the randomness pools and the batteries.  The
+// in-process engine drives one replica; under a forked backend every
+// child drives its own fork copy through its AgentDriver callbacks.
+// Both call the same two hooks in the same order, so all replicas
+// evolve identical state from the shared seed.
 class ProtocolReplica {
  public:
   ProtocolReplica(const grid::CommunityTrace& trace,
@@ -82,8 +81,7 @@ class ProtocolReplica {
             rng_,
             config_.pem,
             config_.pem.precompute_encryption ? &pools_ : nullptr,
-            config_.policy,
-            &directory_};
+            config_.policy};
   }
 
   std::span<protocol::Party> parties() { return parties_; }
@@ -117,18 +115,10 @@ class ProtocolReplica {
   }
 
  private:
-  // Every window with an event advances the key directory epoch once,
-  // so a rejoining agent may announce a fresh key.
   void ApplyChurn(int w) {
-    bool epoch_advanced = false;
     for (const ChurnEvent& e : config_.churn) {
       if (e.window != w) continue;
-      if (!epoch_advanced) {
-        directory_.AdvanceEpoch();
-        epoch_advanced = true;
-      }
       parties_[static_cast<size_t>(e.agent)].SetActive(e.join);
-      if (!e.join) directory_.Retire(e.agent);
     }
   }
 
@@ -137,7 +127,6 @@ class ProtocolReplica {
   crypto::DeterministicRng rng_;
   std::vector<protocol::Party> parties_;
   crypto::PaillierPoolRegistry pools_;
-  protocol::KeyDirectory directory_;
   std::vector<grid::Battery> batteries_;
   int next_window_ = 0;
   std::vector<grid::WindowState> states_;

@@ -34,14 +34,13 @@ enum class Engine { kPlaintext, kCrypto };
 
 // Dynamic membership: one roster change, applied when the simulation
 // reaches `window` (before that window's market runs).  A leave
-// deactivates the party — it classifies kOffMarket, coalitions and
-// rings re-form deterministically around the survivors, and its key
-// directory binding is retired; a join (re-)activates it.  Every
-// window with at least one event advances the key directory epoch, so
-// a rejoining agent may announce a fresh key without tripping the
-// equivocation check.  Inactive parties keep consuming their
-// BeginWindow randomness draws, so churn never shifts another agent's
-// stream (the roster-invariance the adversarial wall asserts).
+// deactivates the party — it classifies kOffMarket, and coalitions
+// and rings re-form deterministically around the survivors; a join
+// (re-)activates it.  A party keeps its key pair across churn, so a
+// rejoining agent announces the key every process already holds.
+// Inactive parties keep consuming their BeginWindow randomness draws,
+// so churn never shifts another agent's stream (the roster-invariance
+// the adversarial wall asserts).
 struct ChurnEvent {
   int window = 0;
   net::AgentId agent = -1;

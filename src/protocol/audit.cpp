@@ -3,7 +3,6 @@
 #include <string>
 
 #include "net/frame.h"
-#include "protocol/key_directory.h"
 #include "protocol/verifiable.h"
 #include "util/error.h"
 

@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "protocol/key_directory.h"
 #include "util/error.h"
 #include "util/parallel.h"
 
@@ -287,35 +286,32 @@ crypto::PaillierPublicKey LearnAnnouncedKey(ProtocolContext& ctx,
 }  // namespace
 
 void BroadcastPublicKey(ProtocolContext& ctx, const Party& owner) {
-  const crypto::PaillierPublicKey& pk = owner.public_key();
+  // The key this process holds for the owner: its own pair in the
+  // owner's process, the learned key elsewhere.
+  const std::vector<uint8_t> held = owner.public_key().Serialize();
   const net::AgentId target = EquivocationTarget(ctx, owner);
   if (target < 0) {
-    ctx.ep(owner.id()).Send(net::kBroadcast, kMsgPublicKey, pk.Serialize());
+    ctx.ep(owner.id()).Send(net::kBroadcast, kMsgPublicKey, held);
   } else {
     // Equivocation cheat: the announcer unicasts instead of
     // broadcasting and hands the target a doctored modulus, so the
     // traffic ledger cannot tell the paths apart.
-    const crypto::PaillierPublicKey forged = Doctored(pk);
+    const std::vector<uint8_t> forged =
+        Doctored(owner.public_key()).Serialize();
     for (net::AgentId a = 0; a < ctx.num_agents(); ++a) {
       if (a == owner.id()) continue;
-      ctx.ep(owner.id()).Send(a, kMsgPublicKey,
-                              (a == target ? forged : pk).Serialize());
+      ctx.ep(owner.id()).Send(a, kMsgPublicKey, a == target ? forged : held);
     }
   }
-  // Peers drain the announcement; when a directory is attached each
-  // copy is decoded and registered.  A malformed key, or two different
-  // keys from the same announcer inside one epoch, surfaces as a named
-  // protocol fault.
+  // Peers drain the announcement.  A copy that differs from the held
+  // key, undecodable ones included, is equivocation by the announcer.
   for (net::AgentId a = 0; a < ctx.num_agents(); ++a) {
     if (a == owner.id()) continue;
-    const net::Message m = ExpectMessage(ctx.ep(a), kMsgPublicKey);
-    if (ctx.directory == nullptr) continue;
-    const pem::Result<crypto::PaillierPublicKey> announced =
-        crypto::PaillierPublicKey::Deserialize(m.payload);
-    const pem::Status st =
-        announced.ok() ? ctx.directory->Register(owner.id(), announced.value())
-                       : pem::Status(announced.error());
-    if (!st.ok()) ThrowBadAnnouncement(ctx, owner, st.error().message());
+    if (ExpectMessage(ctx.ep(a), kMsgPublicKey).payload != held) {
+      ThrowBadAnnouncement(ctx, owner,
+                           "announced a different public key to agent " +
+                               std::to_string(a));
+    }
   }
 }
 

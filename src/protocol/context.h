@@ -84,10 +84,7 @@ struct ProtocolContext {
   // Appended members default so every existing aggregate initializer
   // (endpoints, rng, config[, pools, policy]) stays valid.
   //
-  // Shared key directory: when set, BroadcastPublicKey registers every
-  // announced key and surfaces equivocation as a ProtocolError naming
-  // the announcer.  Null (the default) preserves the drain-only
-  // behavior for drivers that keep no directory.
+  // Unread: perfbench still sets it (ROADMAP item 20).
   KeyDirectory* directory = nullptr;
   // The window RunPemWindow is currently executing (set by it); the
   // audit round and the cheat plan key off this.

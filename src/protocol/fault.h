@@ -36,7 +36,8 @@ enum class CheatClass : uint8_t {
   kReplayedFrame = 3,
   // The byte count an agent attests disagrees with the TrafficLedger.
   kForgedByteCount = 4,
-  // Two different public keys announced for the same epoch.
+  // A peer's copy of a key announcement differs from the key the
+  // announcer holds.
   kKeyEquivocation = 5,
   // A child's window report diverges from the canonical ledger or from
   // its peers (parent-side RunForkedWindow cross-check).

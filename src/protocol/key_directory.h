@@ -1,68 +1,10 @@
-// Public-key directory (Protocol 1, lines 1-2).
-//
-// "Each agent generates a key pair and shares its public key in Φ."
-// The directory is each agent's local view of those announcements:
-// append-only, first-write-wins, with a consistency check against
-// equivocation (an agent announcing two different keys is a protocol
-// violation worth surfacing, not silently overwriting).
-//
-// Dynamic membership adds an epoch axis: the churn driver bumps the
-// epoch whenever the roster changes (a join or a leave between
-// windows).  First-write-wins holds PER EPOCH — within one epoch a
-// second, different key for the same agent is equivocation, while an
-// agent that left (Retire) and rejoins in a later epoch may announce a
-// fresh key without tripping the check.  Bindings persist across
-// epochs until retired or re-announced, so steady-state windows pay no
-// re-registration traffic.
+// Unread shell: perfbench still builds one (ROADMAP item 20).  Each
+// process holds every agent's public key in that agent's Party, and
+// BroadcastPublicKey checks every announcement copy against it.
 #pragma once
-
-#include <cstdint>
-#include <optional>
-#include <vector>
-
-#include "crypto/paillier.h"
-#include "net/message.h"
 
 namespace pem::protocol {
 
-class KeyDirectory {
- public:
-  // Registers `key` for `agent` in the current epoch.  Returns an
-  // error if the agent already registered a *different* key in THIS
-  // epoch (equivocation); re-registering the identical key is a no-op,
-  // and a different key carried over from an earlier epoch is
-  // superseded (the agent re-keyed across a membership change).
-  pem::Status Register(net::AgentId agent, const crypto::PaillierPublicKey& key);
-
-  // Returns the registered key, or kNotFound.
-  pem::Result<crypto::PaillierPublicKey> Lookup(net::AgentId agent) const;
-
-  bool Has(net::AgentId agent) const;
-  size_t size() const { return entries_.size(); }
-
-  // --- membership churn ------------------------------------------------
-
-  // Enters the next epoch: the first-write-wins window resets, existing
-  // bindings carry over.  Called once per roster change by the churn
-  // driver.
-  void AdvanceEpoch() { ++epoch_; }
-  uint64_t epoch() const { return epoch_; }
-
-  // Drops `agent`'s binding (it left the community).  Idempotent; a
-  // later Register — in any epoch — starts fresh.
-  void Retire(net::AgentId agent);
-
- private:
-  struct Entry {
-    net::AgentId agent;
-    crypto::PaillierPublicKey key;
-    uint64_t epoch = 0;  // epoch of the binding's announcement
-  };
-  const Entry* Find(net::AgentId agent) const;
-  Entry* Find(net::AgentId agent);
-
-  uint64_t epoch_ = 0;
-  std::vector<Entry> entries_;
-};
+class KeyDirectory {};
 
 }  // namespace pem::protocol

@@ -41,7 +41,6 @@
 #include "net/transport.h"
 #include "protocol/agent_driver.h"
 #include "protocol/audit.h"
-#include "protocol/key_directory.h"
 #include "protocol/pem_protocol.h"
 
 namespace pem {
@@ -106,7 +105,6 @@ AdvRun RunAuditedWindow(const net::ExecutionPolicy& policy,
   bus->SetObserver(
       [&run](const net::Message& m) { run.messages.push_back(m); });
   crypto::DeterministicRng rng(seed);
-  protocol::KeyDirectory directory;
   std::vector<protocol::Party> parties;
   for (size_t i = 0; i < kMarket.size(); ++i) {
     parties.emplace_back(static_cast<net::AgentId>(i), kMarket[i].params);
@@ -115,8 +113,7 @@ AdvRun RunAuditedWindow(const net::ExecutionPolicy& policy,
     }
     parties.back().BeginWindow(kMarket[i].state, cfg.nonce_bound, rng);
   }
-  protocol::ProtocolContext ctx{eps,    rng, cfg, nullptr,
-                                policy, &directory};
+  protocol::ProtocolContext ctx{eps, rng, cfg, nullptr, policy};
   run.record = protocol::RunPemWindow(ctx, parties, /*window=*/0).record;
   return run;
 }
@@ -131,19 +128,17 @@ AdvRun RunAuditedWindowForked(net::TransportKind kind,
   AdvRun run;
   const net::ExecutionPolicy policy{kind, 1};
   crypto::DeterministicRng rng(seed);
-  protocol::KeyDirectory directory;
   std::vector<protocol::Party> parties;
   for (size_t i = 0; i < kMarket.size(); ++i) {
     parties.emplace_back(static_cast<net::AgentId>(i), kMarket[i].params);
   }
 
   net::AgentSupervisor::ChildMain child_main =
-      [&cfg, &policy, &rng, &parties, &directory](
+      [&cfg, &policy, &rng, &parties](
           net::AgentId self, net::Transport& wire,
           net::ControlChannel& ctl) -> int {
     std::vector<net::Endpoint> eps = wire.endpoints();
-    protocol::ProtocolContext ctx{eps,    rng, cfg, nullptr,
-                                  policy, &directory};
+    protocol::ProtocolContext ctx{eps, rng, cfg, nullptr, policy};
     protocol::AgentDriver::Callbacks callbacks;
     callbacks.begin_window = [&](int) {
       for (size_t i = 0; i < kMarket.size(); ++i) {
@@ -312,7 +307,6 @@ TEST(AdversarialWall, AuditCoinFlipIsSeededAndSparse) {
   std::vector<bool> audited;
   for (int w = 0; w < 12; ++w) {
     crypto::DeterministicRng rng(42);
-    protocol::KeyDirectory directory;
     std::unique_ptr<net::Transport> bus = net::MakeTransport(
         net::TransportKind::kSerialBus, static_cast<int>(kMarket.size()));
     std::vector<net::Endpoint> eps = bus->endpoints();
@@ -322,7 +316,7 @@ TEST(AdversarialWall, AuditCoinFlipIsSeededAndSparse) {
       parties.back().BeginWindow(kMarket[i].state, cfg.nonce_bound, rng);
     }
     protocol::ProtocolContext ctx{eps, rng, cfg, nullptr,
-                                  net::ExecutionPolicy::Serial(), &directory};
+                                  net::ExecutionPolicy::Serial()};
     audited.push_back(protocol::RunPemWindow(ctx, parties, w).record.audit.audited);
   }
   const size_t hits =
@@ -331,7 +325,7 @@ TEST(AdversarialWall, AuditCoinFlipIsSeededAndSparse) {
   EXPECT_LT(hits, audited.size());
 }
 
-// --- key equivocation (satellite: directory over the wire) ------------
+// --- key equivocation (every announcement copy checked) --------------
 
 TEST(AdversarialWall, EquivocationNamedInProcess) {
   const protocol::PemConfig cfg =
@@ -351,8 +345,9 @@ TEST(AdversarialWall, EquivocationNamedInProcess) {
 
 TEST(AdversarialWall, EquivocationNamedOverForkedBackends) {
   // Every child replays the doctored broadcast from the fork-copied
-  // cheat plan, detects the conflict in its own directory replica, and
-  // reports the structured error; the parent surfaces the first one.
+  // cheat plan, catches the doctored copy against the key it holds for
+  // the announcer, and reports the structured error; the parent
+  // surfaces the first one.
   const protocol::PemConfig cfg =
       AuditedConfig({kAuditor, CheatClass::kKeyEquivocation, 0});
   for (net::TransportKind kind :

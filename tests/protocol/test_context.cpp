@@ -2,12 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <vector>
 
 #include "crypto/paillier.h"
 #include "net/bus.h"
-#include "protocol/key_directory.h"
 #include "support/partial_bus.h"
 
 namespace pem::protocol {
@@ -190,9 +190,7 @@ TEST(BroadcastPublicKey, MalformedAnnouncementNamesTheAnnouncer) {
   net::MessageBus bus(2);
   std::vector<net::Endpoint> eps = bus.endpoints();
   const PemConfig cfg = TestConfig();
-  KeyDirectory directory;
   ProtocolContext ctx{eps, rng, cfg};
-  ctx.directory = &directory;
   // Well framed, but key_bits is twice the modulus width.
   const crypto::PaillierPublicKey& pk = parties[0].public_key();
   net::ByteWriter w;
@@ -206,7 +204,31 @@ TEST(BroadcastPublicKey, MalformedAnnouncementNamesTheAnnouncer) {
     EXPECT_EQ(e.fault().cheater, 0);
     EXPECT_EQ(e.fault().cheat, CheatClass::kKeyEquivocation);
   }
-  EXPECT_FALSE(directory.Has(0));
+}
+
+TEST(BroadcastPublicKey, DoctoredCopyIsCaughtWithNoSetup) {
+  // A bare context: the check needs nothing beyond the key the process
+  // already holds for the announcer.
+  PemConfig cfg = TestConfig();
+  cfg.cheat = {0, CheatClass::kKeyEquivocation, 0};
+  for (const net::ExecutionPolicy& policy :
+       {net::ExecutionPolicy::Serial(), net::ExecutionPolicy::Parallel(4)}) {
+    crypto::DeterministicRng rng(16);
+    std::vector<Party> parties = MakeParties({1.0, -1.0, -1.0}, rng);
+    parties[0].EnsureKeys(128, rng);
+    std::unique_ptr<net::Transport> bus =
+        net::MakeTransport(policy.transport_kind, 3);
+    std::vector<net::Endpoint> eps = bus->endpoints();
+    ProtocolContext ctx{eps, rng, cfg, nullptr, policy};
+    try {
+      BroadcastPublicKey(ctx, parties[0]);
+      ADD_FAILURE() << "a doctored copy was drained";
+    } catch (const ProtocolError& e) {
+      EXPECT_EQ(e.fault().cheater, 0);
+      EXPECT_EQ(e.fault().cheat, CheatClass::kKeyEquivocation);
+      EXPECT_EQ(e.fault().window, 0);
+    }
+  }
 }
 
 // AnnounceKey in a process that does not act for the owner: it takes
@@ -223,9 +245,7 @@ Learned LearnFrom(std::vector<net::Message> copies, uint64_t seed) {
   testutil::PartialBus bus(2, {1}, std::move(copies));
   std::vector<net::Endpoint> eps = bus.endpoints();
   const PemConfig cfg = TestConfig();
-  KeyDirectory directory;
   ProtocolContext ctx{eps, rng, cfg};
-  ctx.directory = &directory;
   const uint64_t before = crypto::PaillierKeygensOnThisThread();
   AnnounceKey(ctx, out.owner);
   EXPECT_FALSE(bus.HasMessage(1));  // the replayed copy was drained
@@ -259,8 +279,9 @@ TEST(AnnounceKey, NonOwnerLearnsTheOwnersKeyWithoutSearching) {
 
 TEST(AnnounceKey, EquivocationTargetLearnsTheHonestKey) {
   // Owner 0 doctors the last peer's copy.  The full run records every
-  // copy; the target's projection learns from the doctored one, undoes
-  // the doctoring, and its directory then sees both keys.
+  // copy before it catches the doctored one; the target's projection
+  // learns from the doctored copy, undoes the doctoring, and then
+  // catches its own copy against the honest key.
   PemConfig cfg = TestConfig();
   cfg.cheat = {0, CheatClass::kKeyEquivocation, 0};
   std::vector<net::Message> copies;
@@ -272,7 +293,7 @@ TEST(AnnounceKey, EquivocationTargetLearnsTheHonestKey) {
     bus.SetObserver([&copies](const net::Message& m) { copies.push_back(m); });
     std::vector<net::Endpoint> eps = bus.endpoints();
     ProtocolContext ctx{eps, rng, cfg};
-    AnnounceKey(ctx, owner);  // no directory: drains without a verdict
+    EXPECT_THROW(AnnounceKey(ctx, owner), ProtocolError);
     honest = owner.public_key();
   }
   ASSERT_EQ(copies.size(), 2u);
@@ -282,9 +303,7 @@ TEST(AnnounceKey, EquivocationTargetLearnsTheHonestKey) {
   Party owner(0, grid::AgentParams{});
   testutil::PartialBus bus(3, {2}, copies);
   std::vector<net::Endpoint> eps = bus.endpoints();
-  KeyDirectory directory;
   ProtocolContext ctx{eps, rng, cfg};
-  ctx.directory = &directory;
   try {
     AnnounceKey(ctx, owner);
     ADD_FAILURE() << "equivocation not detected";

@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -62,6 +63,14 @@ struct Row {
   int pool_factors = 0;
   bool general = false;
 };
+
+// Without a printer gtest dumps the struct's raw bytes, padding
+// included, into the listed test name, which then changes between
+// builds.
+void PrintTo(const Row& r, std::ostream* os) {
+  *os << "{" << r.pool_factors << ", " << (r.general ? "true" : "false")
+      << "}";
+}
 
 std::string RowName(const ::testing::TestParamInfo<Row>& info) {
   const Row& r = info.param;
